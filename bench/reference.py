@@ -16,8 +16,6 @@ import sys
 import time
 from collections import Counter
 
-ROUNDS = 4
-
 
 def _levenshtein(a, b) -> int:
     prev = list(range(len(b) + 1))
@@ -34,16 +32,13 @@ def work() -> int:
     vocab = [f"w{i}" for i in range(3000)]
     sentences = [tuple(rng.choice(vocab) for _ in range(rng.randint(5, 40)))
                  for _ in range(1500)]
-    checksum = 0
-    for _ in range(ROUNDS):
-        counts: Counter = Counter()
-        for s in sentences:
-            for n in range(1, 5):
-                for i in range(len(s) - n + 1):
-                    counts[s[i:i + n]] += 1
-        checksum += len(counts) + sorted(counts.items())[-1][1]
-        checksum += sum(_levenshtein(a, b) for a, b in zip(sentences[:250], sentences[1:251]))
-    return checksum
+    counts: Counter = Counter()
+    for s in sentences:
+        for n in range(1, 5):
+            for i in range(len(s) - n + 1):
+                counts[s[i:i + n]] += 1
+    checksum = len(counts) + sorted(counts.items())[-1][1]
+    return checksum + sum(_levenshtein(a, b) for a, b in zip(sentences[:250], sentences[1:251]))
 
 
 def main() -> int:

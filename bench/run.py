@@ -13,8 +13,10 @@ per round and one invocation at a time (a closed loop with one client),
 while another round still fits in ``--seconds``, and reports the
 end-to-end metrics. With ``--trace 1`` it imports gecmetric in-process,
 runs each command once untraced and once traced (spans.py), and reports
-the per-layer metrics. Every report is checked (checks.py); an
-invocation that exits non-zero or fails a check counts as failed.
+the per-layer metrics. Every report is checked (checks.py) and compared
+byte for byte with the other reports of its command in the run and in
+earlier runs of the same workload, seed and code; an invocation that
+exits non-zero or fails a check counts as failed.
 
 The last line of stdout is one JSON object with the keys ``correct``,
 ``attempted``, ``failed`` and ``metrics``. A full record of the run,
@@ -35,6 +37,7 @@ import json
 import logging
 import os
 import platform
+import random
 import resource
 import shlex
 import shutil
@@ -58,9 +61,8 @@ from spans import Tracer, install, self_times, uninstall  # noqa: E402
 SETUP_REPEATS = 3
 # reference.py's time at full speed on a 2-core Intel Xeon VM (2.1 GHz,
 # Python 3.11); it only scales the normalized metrics.
-REFERENCE_NOMINAL_S = 1.1
+REFERENCE_NOMINAL_S = 0.275
 INVOCATION_TIMEOUT_S = 150.0
-STUB_SERVICE_MS = 2.0
 
 
 @dataclass(frozen=True)
@@ -157,9 +159,11 @@ class SetupError(Exception):
 # set-up
 
 
-def cli_env() -> dict[str, str]:
+def cli_env(hash_seed: int | None = None) -> dict[str, str]:
     env = dict(os.environ)
     env.pop("GECMETRIC_SEED", None)  # default options: seed 0
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = str(hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return env
@@ -180,8 +184,7 @@ def prepare(workload: Workload, seed: int, run_dir: Path) -> tuple[gen.Corpus, d
     inputs = run_dir / "inputs"
     paths = gen.materialize(inputs, corpus, workload.systems)
     values = {key: str(path) for key, path in paths.items()}
-    values["checker"] = shlex.join(
-        [sys.executable, str(BENCH / "stub_checker.py"), "--service-ms", f"{STUB_SERVICE_MS:g}"])
+    values["checker"] = shlex.join([sys.executable, str(BENCH / "stub_checker.py")])
     if any("{model}" in c.argv for c in workload.commands):
         lm = gen.write_lines(inputs / "lm.txt", gen.lm_corpus(seed))
         table, model, log = inputs / "lfm-train.tsv", inputs / "lfm-model.json", run_dir / "setup.log"
@@ -238,12 +241,15 @@ class Invocation:
     report: bytes = b""
     problems: list[str] = field(default_factory=list)
     speed: float = 1.0  # machine speed relative to nominal while it ran
+    hash_seed: int | None = None  # PYTHONHASHSEED; None when run in-process
 
     @property
     def norm_wall_s(self) -> float:
         """Wall time with its CPU-busy part rescaled to nominal machine
-        speed; time spent waiting (on the checker, on I/O) stays as measured."""
-        return max(0.0, self.wall_s - self.cpu_s) + self.cpu_s * self.speed
+        speed; time spent waiting (on the checker, on I/O) stays as measured.
+        CPU time beyond the wall time (both cores busy) is not wall time."""
+        busy = min(self.cpu_s, self.wall_s)
+        return (self.wall_s - busy) + busy * self.speed
 
     @property
     def sha256(self) -> str:
@@ -256,13 +262,16 @@ class Invocation:
 
 def invoke(command: str, argv: list[str], out: Path, log_path: Path) -> Invocation:
     """Run one CLI invocation to completion; CPU time covers the CLI and
-    every child it waited for (the checker stub)."""
+    every child it waited for (the checker stub). Each invocation gets its
+    own random hash seed, so that reports compared for identity come from
+    processes that differ in it."""
     out.unlink(missing_ok=True)
+    hash_seed = random.SystemRandom().randrange(1, 2**32)
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     with open(log_path, "ab") as log:
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "gecmetric"] + argv, cwd=ROOT,
-                                env=cli_env(), stdout=log, stderr=log)
+                                env=cli_env(hash_seed), stdout=log, stderr=log)
         watchdog = threading.Timer(INVOCATION_TIMEOUT_S, proc.kill)
         watchdog.start()
         try:
@@ -274,13 +283,30 @@ def invoke(command: str, argv: list[str], out: Path, log_path: Path) -> Invocati
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
     report = out.read_bytes() if out.exists() else b""
-    return Invocation(command, wall, cpu, usage.ru_maxrss, proc.returncode, report)
+    return Invocation(command, wall, cpu, usage.ru_maxrss, proc.returncode, report,
+                      hash_seed=hash_seed)
+
+
+def earlier_reports(name: str, seed: int) -> dict[str, set[str]]:
+    """Report sha256s per command from earlier runs of this workload and
+    seed on the same code, read from the stored results."""
+    found: dict[str, set[str]] = {}
+    code = code_sha256()
+    for path in (WORK / "results").glob(f"{name}-seed{seed}-trace*.json"):
+        record = json.loads(path.read_text(encoding="utf-8"))
+        if record["meta"].get("code_sha256") != code:
+            continue
+        for inv in record["invocations"]:
+            if inv["returncode"] == 0 and not inv["problems"]:
+                found.setdefault(inv["command"], set()).add(inv["report_sha256"])
+    return found
 
 
 def check_invocations(workload: Workload, invocations: list[Invocation],
-                      corpus: gen.Corpus, seed: int) -> None:
+                      corpus: gen.Corpus, seed: int, earlier: dict[str, set[str]]) -> None:
     """Full checks on each command's first report; its later reports
-    must match that one byte for byte."""
+    must match that one byte for byte, and every report must match the
+    ``earlier`` reports of the same command."""
     oracles = checks.load_oracles(ROOT)
     inputs = {"source": corpus.source, "refs": corpus.refs, "gold": corpus.gold,
               "systems": corpus.systems}
@@ -301,6 +327,9 @@ def check_invocations(workload: Workload, invocations: list[Invocation],
                 inv.problems.append(f"{command.name}: exit code {inv.returncode}")
             elif inv.report != first.report:
                 inv.problems.append(f"{command.name}: report bytes differ from the first")
+            elif command.name in earlier and inv.sha256 not in earlier[command.name]:
+                inv.problems.append(
+                    f"{command.name}: report bytes differ from an earlier run of this seed")
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +359,7 @@ def end_to_end_run(name: str, seed: int, seconds: float, run_dir: Path) -> dict:
         if any(inv.returncode != 0 for inv in rounds[-1]):
             break
     invocations = [inv for r in rounds for inv in r]
-    check_invocations(workload, invocations, corpus, seed)
+    check_invocations(workload, invocations, corpus, seed, earlier_reports(name, seed))
 
     good = [r for r in rounds if len(r) == len(workload.commands) and all(i.ok for i in r)]
     timed = good or rounds
@@ -403,7 +432,7 @@ def traced_run(name: str, seed: int, run_dir: Path) -> dict:
         invocations.append(in_process(command, run_dir / f"{command.name}-traced.json", True))
     root.removeHandler(handler)
     handler.close()
-    check_invocations(workload, invocations, corpus, seed)
+    check_invocations(workload, invocations, corpus, seed, earlier_reports(name, seed))
 
     trace_dir = WORK / "traces"
     trace_dir.mkdir(parents=True, exist_ok=True)
@@ -459,6 +488,15 @@ def percentile(sorted_values: list[float], q: float) -> float:
     return sorted_values[int(rank) - 1]
 
 
+def code_sha256() -> str:
+    """Fingerprint of the program and the benchmark: stored reports are
+    compared only with runs of the same code."""
+    digest = hashlib.sha256()
+    for path in sorted([*(ROOT / "src").rglob("*.py"), *BENCH.glob("*.py")]):
+        digest.update(str(path.relative_to(ROOT)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def src_line_count() -> int:
     return sum(len(p.read_text(encoding="utf-8").splitlines())
                for p in sorted((ROOT / "src").rglob("*.py")))
@@ -489,7 +527,8 @@ def finish(name, seed, trace, corpus, invocations, metrics, units, samples, extr
         "samples": samples,
         "failed_ratio": failed / len(invocations),
         "meta": {
-            "src_lines": src_line_count(), **versions(), "nproc": os.cpu_count(),
+            "src_lines": src_line_count(), "code_sha256": code_sha256(), **versions(),
+            "nproc": os.cpu_count(),
             "systems": list(workload.systems),
             "duplication_share": gen.duplication_share(corpus, workload.systems),
             "unchanged_share": gen.unchanged_share(corpus, workload.systems),
@@ -498,15 +537,17 @@ def finish(name, seed, trace, corpus, invocations, metrics, units, samples, extr
         "invocations": [
             {"command": inv.command, "wall_s": inv.wall_s, "cpu_s": inv.cpu_s,
              "speed": inv.speed, "maxrss_kb": inv.maxrss_kb, "returncode": inv.returncode,
-             "report_sha256": inv.sha256, "problems": inv.problems}
+             "hash_seed": inv.hash_seed, "report_sha256": inv.sha256, "problems": inv.problems}
             for inv in invocations
         ],
         **extra,
     }
     results = WORK / "results"
     results.mkdir(parents=True, exist_ok=True)
-    (results / f"{name}-seed{seed}-trace{trace}.json").write_text(
-        json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    # written whole or not at all: later runs read it (earlier_reports)
+    partial = results / f"{name}-seed{seed}-trace{trace}.json.tmp"
+    partial.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    partial.replace(partial.with_suffix(""))
     for key, value in metrics.items():
         print(f"{name:10} {key:46} {value:14.6f} {units[key]:6} n={samples[key]}")
     print(f"{name:10} failed_ratio {record['failed_ratio']:g} ({failed}/{len(invocations)})")

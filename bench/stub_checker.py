@@ -3,22 +3,22 @@
 Speaks gecmetric's external checker protocol: one request per line,
 ``{"id": <int>, "tokens": [...]}``, answered by one response per line,
 ``{"id": <int>, "errors": [{"start": i, "end": j, "category": c}]}``.
-Each request is served after ``--service-ms`` milliseconds (default 2,
-a stand-in for a real checker's per-request latency), one at a time in
-arrival order. The verdict is deterministic: every token of twelve or
-more characters is flagged as ``LONG``.
+Each request is served after ``SERVICE_S`` (2 ms, a stand-in for a real
+checker's per-request latency), one at a time in arrival order. The
+verdict is deterministic: every token of twelve or more characters is
+flagged as ``LONG``.
 
-Run: ``python3 bench/stub_checker.py [--service-ms 2]``
+Run: ``python3 bench/stub_checker.py``
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 
 LONG_TOKEN = 12
+SERVICE_S = 0.002
 
 
 def respond(request: dict) -> dict:
@@ -31,22 +31,18 @@ def respond(request: dict) -> dict:
     return {"id": request["id"], "errors": errors}
 
 
-def serve(stdin, stdout, service_s: float) -> None:
+def serve(stdin, stdout) -> None:
     for line in stdin:
         if not line.strip():
             continue
         reply = respond(json.loads(line))
-        if service_s > 0:
-            time.sleep(service_s)
+        time.sleep(SERVICE_S)
         stdout.write(json.dumps(reply) + "\n")
         stdout.flush()
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--service-ms", type=float, default=2.0)
-    args = parser.parse_args()
-    serve(sys.stdin, sys.stdout, args.service_ms / 1000.0)
+    serve(sys.stdin, sys.stdout)
     return 0
 
 

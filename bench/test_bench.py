@@ -96,7 +96,7 @@ def _exchange(proc, request: dict) -> dict:
 
 def test_stub_speaks_the_checker_protocol():
     proc = subprocess.Popen(
-        [sys.executable, str(BENCH / "stub_checker.py"), "--service-ms", "0"],
+        [sys.executable, str(BENCH / "stub_checker.py")],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
     try:
         long_token = "x" * stub_checker.LONG_TOKEN
@@ -111,7 +111,7 @@ def test_stub_speaks_the_checker_protocol():
 def test_gecmetric_checker_client_accepts_the_stub():
     from gecmetric.grammaticality import ExternalChecker
 
-    command = [sys.executable, str(BENCH / "stub_checker.py"), "--service-ms", "1"]
+    command = [sys.executable, str(BENCH / "stub_checker.py")]
     with ExternalChecker(command, timeout=10) as checker:
         found = checker(["short", "y" * 20])
     assert [(s.start, s.end, s.category) for s in found] == [(1, 2, "LONG")]
@@ -190,5 +190,32 @@ def test_normalized_wall_rescales_only_cpu_time():
 
     waiting = run.Invocation("c", wall_s=10.0, cpu_s=4.0, maxrss_kb=0, returncode=0, speed=0.5)
     assert waiting.norm_wall_s == pytest.approx(6.0 + 2.0)
+    # both cores busy: only the wall time, all of it busy, is rescaled
     parallel = run.Invocation("c", wall_s=5.0, cpu_s=6.0, maxrss_kb=0, returncode=0, speed=2.0)
-    assert parallel.norm_wall_s == pytest.approx(12.0)
+    assert parallel.norm_wall_s == pytest.approx(10.0)
+
+
+def test_earlier_runs_of_the_same_code_are_compared(tmp_path, monkeypatch, shared):
+    import run
+
+    monkeypatch.setattr(run, "WORK", tmp_path)
+    (tmp_path / "results").mkdir()
+
+    def record(name, code, sha, returncode=0):
+        invocation = {"command": "score-gleu", "returncode": returncode, "problems": [],
+                      "report_sha256": sha}
+        doc = {"meta": {"code_sha256": code}, "invocations": [invocation]}
+        (tmp_path / "results" / name).write_text(json.dumps(doc), encoding="utf-8")
+
+    record("score-ref-seed5-trace0.json", run.code_sha256(), "aa")
+    record("score-ref-seed5-trace1.json", "other code", "bb")
+    record("fluency-seed5-trace0.json", run.code_sha256(), "cc")
+    record("score-ref-seed6-trace0.json", run.code_sha256(), "dd")
+    record("score-ref-seed5-trace9.json", run.code_sha256(), "ee", returncode=1)
+    earlier = run.earlier_reports("score-ref", 5)
+    assert earlier == {"score-gleu": {"aa"}}
+
+    inv = run.Invocation("score-gleu", wall_s=1.0, cpu_s=1.0, maxrss_kb=0, returncode=0,
+                         report=b"{}")
+    run.check_invocations(run.WORKLOADS["score-ref"], [inv], shared, 5, earlier)
+    assert any("earlier run" in problem for problem in inv.problems)
