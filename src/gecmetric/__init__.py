@@ -75,7 +75,6 @@ from .gleu import (
 from .grammaticality import (
     ArticleAgreementDetector,
     CapitalizationDetector,
-    CheckerPool,
     DetectorSuite,
     DuplicateTokenDetector,
     ErrorSpan,

@@ -10,6 +10,14 @@ Subcommands::
     train-lfm   fit the ridge fluency model from a feature table
     check       run error detectors over a text file
 
+Every metric is one entry of the ``METRICS`` table: a loader that binds
+the metric's knobs and the run's inputs into a scorer. A scorer computes
+the statistics of each (system, sentence) pair once; the per-sentence
+scores, their mean (the ``sentence`` headline) and the pooled corpus
+score (the ``corpus`` headline; lfm has none) are all read from those
+statistics. The gaming check and the reference ablation rescore through
+the same scorer with other reference rows.
+
 Exit codes: 0 success; 1 usage error or unreadable file; 2 malformed or
 inconsistent data; 3 external checker failure. Logs go to stderr. With
 ``--out`` the report goes to that file and a short summary to stdout;
@@ -23,15 +31,16 @@ environment variable, else 0; the choice is logged.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import logging
+import operator
 import os
 import shlex
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import analysis
 from .analysis import SystemScore
@@ -47,19 +56,17 @@ from .formats import (
     render_report,
     write_report,
 )
-from .gleu import MEAN_OVER_ALL, SAMPLED, GleuConfig, gleu_corpus, gleu_multi_ref
+from .gleu import MEAN_OVER_ALL, SAMPLED, GleuConfig, gleu_pool, gleu_stats
 from .grammaticality import (
     DetectorSuite,
     ExternalChecker,
     Wordlist,
     build_default_suite,
-    error_count_corpus,
-    error_count_score,
+    error_count_pool,
+    error_count_stats,
 )
-from .imeasure import IMeasureConfig, i_measure_corpus, i_measure_sentence
+from .imeasure import IMeasureConfig, i_measure_pool, i_measure_stats
 from .lfm import (
-    LfmModel,
-    NgramLm,
     featurize,
     lfm_score,
     load_lfm_model,
@@ -68,13 +75,12 @@ from .lfm import (
     train_lm,
     train_ridge,
 )
-from .maxmatch import M2Config, m2_corpus, m2_sentence
+from .maxmatch import M2Config, gold_edit_keys, m2_pool, m2_stats
 
 __all__ = ["main", "build_parser"]
 
 log = logging.getLogger("gecmetric")
 
-METRICS = ("gleu", "m2", "imeasure", "errorcount", "lfm")
 REFERENCE_METRICS = ("gleu", "m2", "imeasure")
 FLUENCY_METRICS = ("errorcount", "lfm")
 ROW_METRICS = ("gleu", "imeasure")  # reference material is per-sentence rows
@@ -90,131 +96,139 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# per-sentence workers (module level so process pools can pickle them)
+# the metric table
 
 
-def _gleu_one(cfg: GleuConfig, item) -> float:
-    index, source, hypothesis, refs = item
-    return gleu_multi_ref(source, hypothesis, refs, cfg, sentence_index=index)
+@dataclass(frozen=True)
+class _Inputs:
+    """Reference material given on the command line, shared by all metrics."""
+
+    sources: list[Sentence] | None
+    units: list[AnnotatedSource] | None
+    rows: tuple[tuple[Sentence, ...], ...] | None
+
+    def sources_and_rows(self, metric: str):
+        if self.sources is None or self.rows is None:
+            raise _UsageError(f"{metric} needs --source (or --m2) and --ref")
+        return self.sources, self.rows
 
 
-def _imeasure_one(cfg: IMeasureConfig, item) -> float:
-    source, hypothesis, refs = item
-    return i_measure_sentence(source, hypothesis, refs, cfg)
+@dataclass(frozen=True)
+class _Scorer:
+    """One metric bound to a run's knobs and inputs.
 
+    ``stats(i, hypothesis, row)`` computes the statistics of sentence
+    ``i``, where ``row`` is its reference row (None for metrics without
+    rows); ``value`` maps statistics to the sentence score and ``pool``
+    reduces a system's statistics to its corpus score (None: lfm).
+    """
 
-def _m2_one(cfg: M2Config, item) -> float:
-    unit, hypothesis = item
-    return m2_sentence(unit.source, hypothesis, unit.annotations, cfg)[1]
-
-
-def _errorcount_one(suite: DetectorSuite, hypothesis: Sentence) -> float:
-    return error_count_score(hypothesis, suite)
-
-
-def _lfm_one(lm: NgramLm, wordlist: Wordlist, model: LfmModel,
-             hypothesis: Sentence) -> float:
-    return lfm_score(model, featurize(hypothesis, lm, wordlist))
-
-
-def _map(fn, items: list, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    chunk = max(1, -(-len(items) // (jobs * 4)))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=chunk))
-
-
-# ---------------------------------------------------------------------------
-# scoring context
-
-
-@dataclass
-class _Ctx:
     metric: str
-    jobs: int = 1
-    sources: list[Sentence] | None = None
-    units: list[AnnotatedSource] | None = None
-    ref_rows: tuple[tuple[Sentence, ...], ...] | None = None
-    gleu_cfg: GleuConfig | None = None
-    m2_cfg: M2Config | None = None
-    im_cfg: IMeasureConfig | None = None
-    suite: DetectorSuite | None = None
-    external: bool = False
-    lm: NgramLm | None = None
-    wordlist: Wordlist | None = None
-    model: LfmModel | None = None
-    closers: list = field(default_factory=list)
-
-    def close(self) -> None:
-        for closer in self.closers:
-            closer.close()
-
-    @property
-    def n_sentences(self) -> int | None:
-        if self.sources is not None:
-            return len(self.sources)
-        return None
+    stats: Callable[[int, Sentence, Any], Any]
+    pool: Callable[[list], float] | None
+    rows: tuple[tuple[Sentence, ...], ...] | None = None
+    value: Callable[[Any], float] = operator.attrgetter("score")
+    closers: tuple = ()
 
 
-def _per_sentence(ctx: _Ctx, hyps: Sequence[Sentence], rows=None) -> list[float]:
-    if ctx.metric == "gleu":
-        rows = ctx.ref_rows if rows is None else rows
-        items = [
-            (i, ctx.sources[i], hyp, tuple(rows[i])) for i, hyp in enumerate(hyps)
-        ]
-        return _map(functools.partial(_gleu_one, ctx.gleu_cfg), items, ctx.jobs)
-    if ctx.metric == "imeasure":
-        rows = ctx.ref_rows if rows is None else rows
-        items = [
-            (ctx.sources[i], hyp, tuple(rows[i])) for i, hyp in enumerate(hyps)
-        ]
-        return _map(functools.partial(_imeasure_one, ctx.im_cfg), items, ctx.jobs)
-    if ctx.metric == "m2":
-        items = list(zip(ctx.units, hyps))
-        return _map(functools.partial(_m2_one, ctx.m2_cfg), items, ctx.jobs)
-    if ctx.metric == "errorcount":
-        jobs = 1 if ctx.external else ctx.jobs
-        return _map(
-            functools.partial(_errorcount_one, ctx.suite), list(hyps), jobs
-        )
-    assert ctx.metric == "lfm"
-    return _map(
-        functools.partial(_lfm_one, ctx.lm, ctx.wordlist, ctx.model),
-        list(hyps),
-        ctx.jobs,
+def _gleu(args, inputs: _Inputs, seed: int) -> _Scorer:
+    sources, rows = inputs.sources_and_rows("gleu")
+    cfg = GleuConfig(
+        max_n=args.max_n,
+        iterations=args.iterations,
+        rng_seed=seed,
+        multi_ref_mode=args.gleu_mode,
+    )
+    return _Scorer(
+        "gleu",
+        lambda i, hyp, row: gleu_stats(sources[i], hyp, row, cfg, sentence_index=i),
+        functools.partial(gleu_pool, cfg=cfg),
+        rows,
     )
 
 
-def _corpus_score(ctx: _Ctx, hyps: Sequence[Sentence]) -> float | None:
-    if ctx.metric == "gleu":
-        return gleu_corpus(ctx.sources, list(hyps), ctx.ref_rows, ctx.gleu_cfg)
-    if ctx.metric == "m2":
-        return m2_corpus(ctx.units, list(hyps), ctx.m2_cfg, mode="corpus")
-    if ctx.metric == "imeasure":
-        return i_measure_corpus(
-            ctx.sources, list(hyps), ctx.ref_rows, ctx.im_cfg, mode="corpus"
-        )
-    if ctx.metric == "errorcount":
-        return error_count_corpus(list(hyps), ctx.suite, mode="corpus")
-    return None  # lfm: a per-sentence regression has nothing to pool
+def _m2(args, inputs: _Inputs, seed: int) -> _Scorer:
+    units = inputs.units
+    if units is None:
+        raise _UsageError("m2 needs --m2 with gold annotations")
+    cfg = M2Config(beta=args.beta, max_unchanged_words=args.max_unchanged)
+    gold = gold_edit_keys(units)
+    return _Scorer(
+        "m2",
+        lambda i, hyp, row: m2_stats(units[i].source, hyp, gold[i], cfg),
+        functools.partial(m2_pool, cfg=cfg),
+    )
 
 
-def _score_system(
-    ctx: _Ctx, system_id: str, hyps: Sequence[Sentence], mode: str
+def _imeasure(args, inputs: _Inputs, seed: int) -> _Scorer:
+    sources, rows = inputs.sources_and_rows("imeasure")
+    cfg = IMeasureConfig(weight=args.weight)
+    return _Scorer(
+        "imeasure",
+        lambda i, hyp, row: i_measure_stats(sources[i], hyp, row, cfg),
+        functools.partial(i_measure_pool, cfg=cfg),
+        rows,
+    )
+
+
+def _errorcount(args, inputs: _Inputs, seed: int) -> _Scorer:
+    suite = _build_suite(args)
+    return _Scorer(
+        "errorcount",
+        lambda i, hyp, row: error_count_stats(hyp, suite),
+        error_count_pool,
+        closers=tuple(d for d in suite.detectors if isinstance(d, ExternalChecker)),
+    )
+
+
+def _lfm(args, inputs: _Inputs, seed: int) -> _Scorer:
+    for opt in ("model", "lm_corpus", "wordlist"):
+        if not getattr(args, opt):
+            raise _UsageError(f"lfm needs --{opt.replace('_', '-')}")
+    model = load_lfm_model(args.model)
+    lm = train_lm(read_parallel_text(args.lm_corpus))
+    wordlist = Wordlist.from_file(args.wordlist)
+    return _Scorer(
+        "lfm",
+        lambda i, hyp, row: featurize(hyp, lm, wordlist),
+        None,  # a per-sentence regression has nothing to pool
+        value=functools.partial(lfm_score, model),
+    )
+
+
+METRICS: dict[str, Callable[..., _Scorer]] = {
+    "gleu": _gleu,
+    "m2": _m2,
+    "imeasure": _imeasure,
+    "errorcount": _errorcount,
+    "lfm": _lfm,
+}
+
+
+def _stats(scorer: _Scorer, hyps: Sequence[Sentence], rows=None) -> list:
+    rows = scorer.rows if rows is None else rows
+    return [
+        scorer.stats(i, hyp, None if rows is None else rows[i])
+        for i, hyp in enumerate(hyps)
+    ]
+
+
+def _sentence_scores(scorer: _Scorer, hyps: Sequence[Sentence], rows) -> list[float]:
+    return [scorer.value(s) for s in _stats(scorer, hyps, rows)]
+
+
+def _system_score(
+    scorer: _Scorer, system_id: str, hyps: Sequence[Sentence], mode: str = "sentence"
 ) -> SystemScore:
-    if mode == "corpus" and ctx.metric == "lfm":
-        raise ValidationError(
-            "metric 'lfm' has no corpus-level aggregation; use --mode sentence"
-        )
-    per = _per_sentence(ctx, hyps)
+    stats = _stats(scorer, hyps)
+    per = tuple(scorer.value(s) for s in stats)
     return SystemScore(
         system_id=system_id,
-        metric=ctx.metric,
+        metric=scorer.metric,
         mode=mode,
-        per_sentence=tuple(per),
+        per_sentence=per,
         mean_sentence_score=analysis.mean_score(per),
-        corpus_score=_corpus_score(ctx, hyps),
+        corpus_score=None if scorer.pool is None else scorer.pool(stats),
     )
 
 
@@ -243,91 +257,67 @@ def _load_systems(args) -> dict[str, list[Sentence]]:
     return {sid: read_parallel_text(path) for sid, path in pairs}
 
 
-def _check_lengths(systems: Mapping[str, list[Sentence]], ctx: _Ctx) -> None:
+def _load_inputs(args) -> _Inputs:
+    units = read_m2_file(args.m2) if args.m2 else None
+    sources = None if units is None else [u.source for u in units]
+    if args.source:
+        if sources is not None:
+            raise _UsageError("--source and --m2 are mutually exclusive")
+        sources = read_parallel_text(args.source)
+    rows = read_reference_files(args.ref).per_sentence if args.ref else None
+    return _Inputs(sources, units, rows)
+
+
+def _check_lengths(systems: Mapping[str, list[Sentence]], inputs: _Inputs) -> None:
     lengths = {sid: len(hyps) for sid, hyps in systems.items()}
-    expected = ctx.n_sentences
-    if expected is None:
+    if inputs.sources is not None:
+        expected = len(inputs.sources)
+    else:
         expected = next(iter(lengths.values()))
     for sid, length in lengths.items():
         if length != expected:
             raise ValidationError(
                 f"system {sid!r} has {length} sentences, expected {expected}"
             )
-    if ctx.ref_rows is not None and len(ctx.ref_rows) != expected:
+    if inputs.rows is not None and len(inputs.rows) != expected:
         raise ValidationError(
-            f"references cover {len(ctx.ref_rows)} sentences, expected {expected}"
+            f"references cover {len(inputs.rows)} sentences, expected {expected}"
         )
     if expected == 0:
         raise ValidationError("empty corpus")
 
 
-def _make_ctx(args, metric: str, seed: int) -> _Ctx:
-    if metric not in METRICS:
-        raise _UsageError(f"unknown metric {metric!r}; choose from {METRICS}")
-    ctx = _Ctx(metric=metric, jobs=getattr(args, "jobs", 1))
-    if getattr(args, "m2", None):
-        ctx.units = read_m2_file(args.m2)
-        ctx.sources = [u.source for u in ctx.units]
-    if getattr(args, "source", None):
-        if ctx.sources is not None:
-            raise _UsageError("--source and --m2 are mutually exclusive")
-        ctx.sources = read_parallel_text(args.source)
-    if getattr(args, "ref", None):
-        ctx.ref_rows = read_reference_files(args.ref).per_sentence
-
-    if metric == "gleu":
-        if ctx.sources is None or ctx.ref_rows is None:
-            raise _UsageError("gleu needs --source (or --m2) and --ref")
-        ctx.gleu_cfg = GleuConfig(
-            max_n=args.max_n,
-            iterations=args.iterations,
-            rng_seed=seed,
-            multi_ref_mode=args.gleu_mode,
-        )
-    elif metric == "imeasure":
-        if ctx.sources is None or ctx.ref_rows is None:
-            raise _UsageError("imeasure needs --source (or --m2) and --ref")
-        ctx.im_cfg = IMeasureConfig(weight=args.weight)
-    elif metric == "m2":
-        if ctx.units is None:
-            raise _UsageError("m2 needs --m2 with gold annotations")
-        ctx.m2_cfg = M2Config(
-            beta=args.beta, max_unchanged_words=args.max_unchanged
-        )
-    elif metric == "errorcount":
-        ctx.suite, ctx.external = _build_suite(args)
-        if ctx.external:
-            for detector in ctx.suite.detectors:
-                if isinstance(detector, ExternalChecker):
-                    ctx.closers.append(detector)
-            if ctx.jobs > 1:
-                log.info("external checker active: scoring serially")
-    else:  # lfm
-        for opt in ("model", "lm_corpus", "wordlist"):
-            if not getattr(args, opt, None):
-                flag = "--" + opt.replace("_", "-")
-                raise _UsageError(f"lfm needs {flag}")
-        ctx.model = load_lfm_model(args.model)
-        ctx.lm = train_lm(read_parallel_text(args.lm_corpus))
-        ctx.wordlist = Wordlist.from_file(args.wordlist)
-    return ctx
+@contextlib.contextmanager
+def _scorers(args, metrics: Sequence[str], seed: int):
+    """Load the systems and inputs once and bind each metric to them;
+    yields (systems, scorers) and closes external checkers afterwards."""
+    systems = _load_systems(args)
+    inputs = _load_inputs(args)
+    scorers: list[_Scorer] = []
+    try:
+        for metric in metrics:
+            scorers.append(METRICS[metric](args, inputs, seed))
+        _check_lengths(systems, inputs)
+        yield systems, scorers
+    finally:
+        for scorer in scorers:
+            for closer in scorer.closers:
+                closer.close()
 
 
-def _build_suite(args) -> tuple[DetectorSuite, bool]:
+def _build_suite(args) -> DetectorSuite:
     detectors: list = []
     if getattr(args, "wordlist", None):
         wordlist = Wordlist.from_file(args.wordlist)
         detectors.extend(build_default_suite(wordlist).detectors)
-    external = False
     if getattr(args, "checker", None):
         command = shlex.split(args.checker)
         detectors.append(
             ExternalChecker(command, timeout=args.checker_timeout)
         )
-        external = True
     if not detectors:
         raise _UsageError("need --wordlist and/or --checker")
-    return DetectorSuite(detectors), external
+    return DetectorSuite(detectors)
 
 
 def _resolve_seed(args) -> int:
@@ -396,17 +386,17 @@ def _emit(args, doc: dict, summary_lines: list[str]) -> int:
 # subcommands
 
 
-def _scored_systems(args, metric: str, seed: int) -> dict[str, SystemScore]:
-    systems = _load_systems(args)
-    ctx = _make_ctx(args, metric, seed)
-    try:
-        _check_lengths(systems, ctx)
+def _scored_systems(args, seed: int) -> dict[str, SystemScore]:
+    with _scorers(args, [args.metric], seed) as (systems, (scorer,)):
+        if args.mode == "corpus" and scorer.pool is None:
+            raise ValidationError(
+                f"metric {args.metric!r} has no corpus-level aggregation; "
+                "use --mode sentence"
+            )
         return {
-            sid: _score_system(ctx, sid, systems[sid], args.mode)
+            sid: _system_score(scorer, sid, systems[sid], args.mode)
             for sid in sorted(systems)
         }
-    finally:
-        ctx.close()
 
 
 def _summary_table(scores: Mapping[str, SystemScore]) -> list[str]:
@@ -422,7 +412,7 @@ def _summary_table(scores: Mapping[str, SystemScore]) -> list[str]:
 
 def _cmd_score(args) -> int:
     seed = _resolve_seed(args)
-    scores = _scored_systems(args, args.metric, seed)
+    scores = _scored_systems(args, seed)
     doc = build_report(
         systems=[_system_entry(scores[sid]) for sid in sorted(scores)]
     )
@@ -431,7 +421,7 @@ def _cmd_score(args) -> int:
 
 def _cmd_rank(args) -> int:
     seed = _resolve_seed(args)
-    scores = _scored_systems(args, args.metric, seed)
+    scores = _scored_systems(args, seed)
     ranked = analysis.rank_systems({sid: s.headline for sid, s in scores.items()})
     doc = build_report(
         systems=[_system_entry(scores[sid]) for sid in sorted(scores)],
@@ -449,7 +439,7 @@ def _cmd_rank(args) -> int:
 def _cmd_correlate(args) -> int:
     seed = _resolve_seed(args)
     human = _load_human(args)
-    scores = _scored_systems(args, args.metric, seed)
+    scores = _scored_systems(args, seed)
     ids = sorted(scores)
     missing = [sid for sid in ids if sid not in human.scores]
     if missing:
@@ -471,61 +461,43 @@ def _cmd_correlate(args) -> int:
     return _emit(args, doc, lines)
 
 
-def _sweep_contexts(args, seed: int):
-    if args.fluency_metric not in FLUENCY_METRICS:
-        raise _UsageError(
-            f"--fluency-metric must be one of {FLUENCY_METRICS}"
-        )
-    if args.reference_metric not in REFERENCE_METRICS:
-        raise _UsageError(
-            f"--reference-metric must be one of {REFERENCE_METRICS}"
-        )
-    systems = _load_systems(args)
-    fl_ctx = _make_ctx(args, args.fluency_metric, seed)
-    ref_ctx = _make_ctx(args, args.reference_metric, seed)
-    _check_lengths(systems, ref_ctx)
-    _check_lengths(systems, fl_ctx)
-    return systems, fl_ctx, ref_ctx
+def _score_tables(systems, scorers) -> list[dict[str, SystemScore]]:
+    """Each scorer's sentence-mode score of every system."""
+    return [
+        {sid: _system_score(scorer, sid, systems[sid]) for sid in sorted(systems)}
+        for scorer in scorers
+    ]
 
 
-def _score_tables(systems, fl_ctx, ref_ctx):
-    fluency = {sid: _per_sentence(fl_ctx, hyps) for sid, hyps in systems.items()}
-    reference = {sid: _per_sentence(ref_ctx, hyps) for sid, hyps in systems.items()}
-    return fluency, reference
+def _sweep(human: HumanRanking, fluency, reference) -> analysis.LambdaSweepResult:
+    return analysis.sweep_lambda(
+        {sid: s.per_sentence for sid, s in fluency.items()},
+        {sid: s.per_sentence for sid, s in reference.items()},
+        human.scores,
+    )
 
 
-def _sweep_system_entries(systems, fl_ctx, ref_ctx, fluency, reference):
-    entries = []
-    for sid in sorted(systems):
-        for ctx, table in ((fl_ctx, fluency), (ref_ctx, reference)):
-            per = table[sid]
-            entries.append(
-                _system_entry(
-                    SystemScore(
-                        system_id=sid,
-                        metric=ctx.metric,
-                        mode="sentence",
-                        per_sentence=tuple(per),
-                        mean_sentence_score=analysis.mean_score(per),
-                        corpus_score=_corpus_score(ctx, systems[sid]),
-                    )
-                )
-            )
-    return entries
+def _sweep_system_entries(fluency, reference) -> list[dict]:
+    return [
+        _system_entry(table[sid])
+        for sid in sorted(fluency)
+        for table in (fluency, reference)
+    ]
 
 
-def _permuted_scores(ref_ctx: _Ctx, hyps: Sequence[Sentence], perm) -> list[float]:
-    rows = [ref_ctx.ref_rows[p] for p in perm]
-    return _per_sentence(ref_ctx, hyps, rows=rows)
+def _permuted_scores(scorer: _Scorer, hyps: Sequence[Sentence], perm) -> list[float]:
+    return _sentence_scores(scorer, hyps, [scorer.rows[p] for p in perm])
 
 
 def _cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
     human = _load_human(args)
-    systems, fl_ctx, ref_ctx = _sweep_contexts(args, seed)
-    try:
-        fluency, reference = _score_tables(systems, fl_ctx, ref_ctx)
-        result = analysis.sweep_lambda(fluency, reference, human.scores)
+    if args.gaming and args.reference_metric not in ROW_METRICS:
+        raise _UsageError(f"--gaming needs a reference metric in {ROW_METRICS}")
+    metrics = [args.fluency_metric, args.reference_metric]
+    with _scorers(args, metrics, seed) as (systems, scorers):
+        fluency, reference = _score_tables(systems, scorers)
+        result = _sweep(human, fluency, reference)
         section = _sweep_section(result)
         lines = [
             f"oracle lambda={result.oracle.lam:.2f} "
@@ -533,16 +505,12 @@ def _cmd_sweep(args) -> int:
             f"pearson={result.oracle.pearson:.6f}"
         ]
         if args.gaming:
-            if ref_ctx.metric not in ROW_METRICS:
-                raise _UsageError(
-                    f"--gaming needs a reference metric in {ROW_METRICS}"
-                )
             gaming = []
             for sid in sorted(systems):
                 report = analysis.gaming_check(
-                    fluency[sid],
-                    reference[sid],
-                    functools.partial(_permuted_scores, ref_ctx, systems[sid]),
+                    fluency[sid].per_sentence,
+                    reference[sid].per_sentence,
+                    functools.partial(_permuted_scores, scorers[1], systems[sid]),
                     seed=seed,
                     lam=args.gaming_lambda,
                 )
@@ -564,72 +532,56 @@ def _cmd_sweep(args) -> int:
                     f"interpolated drop {report.interpolated_drop:+.6f}"
                 )
             section["gaming"] = gaming
-        doc = build_report(
-            systems=_sweep_system_entries(systems, fl_ctx, ref_ctx, fluency, reference),
-            sweep=section,
-        )
-        return _emit(args, doc, lines)
-    finally:
-        fl_ctx.close()
-        ref_ctx.close()
+    doc = build_report(systems=_sweep_system_entries(fluency, reference), sweep=section)
+    return _emit(args, doc, lines)
 
 
-def _subset_scorer(ref_ctx: _Ctx, systems, picks) -> dict[str, list[float]]:
-    table = {}
-    for sid in sorted(systems):
-        rows = [
-            tuple(ref_ctx.ref_rows[i][j] for j in pick)
-            for i, pick in enumerate(picks)
-        ]
-        table[sid] = _per_sentence(ref_ctx, systems[sid], rows=rows)
-    return table
+def _subset_scores(scorer: _Scorer, systems, picks) -> dict[str, list[float]]:
+    rows = [tuple(scorer.rows[i][j] for j in pick) for i, pick in enumerate(picks)]
+    return {
+        sid: _sentence_scores(scorer, systems[sid], rows) for sid in sorted(systems)
+    }
 
 
 def _cmd_ablate(args) -> int:
     seed = _resolve_seed(args)
     human = _load_human(args)
-    systems, fl_ctx, ref_ctx = _sweep_contexts(args, seed)
-    if ref_ctx.metric not in ROW_METRICS:
+    if args.reference_metric not in ROW_METRICS:
         raise _UsageError(f"ablate needs a reference metric in {ROW_METRICS}")
-    try:
-        fluency, reference = _score_tables(systems, fl_ctx, ref_ctx)
-        result = analysis.sweep_lambda(fluency, reference, human.scores)
-        n_refs = len(ref_ctx.ref_rows[0])
-        sizes = None
-        if args.sizes:
-            sizes = sorted({int(s) for s in args.sizes.split(",")})
+    metrics = [args.fluency_metric, args.reference_metric]
+    with _scorers(args, metrics, seed) as (systems, scorers):
+        fluency, reference = _score_tables(systems, scorers)
+        result = _sweep(human, fluency, reference)
+        scorer = scorers[1]
         points = analysis.ablate_references(
-            fluency,
-            functools.partial(_subset_scorer, ref_ctx, systems),
-            n_refs,
+            {sid: s.per_sentence for sid, s in fluency.items()},
+            functools.partial(_subset_scores, scorer, systems),
+            len(scorer.rows[0]),
             human.scores,
-            sizes=sizes,
+            sizes=args.sizes,
             trials=args.trials,
             seed=seed,
         )
-        doc = build_report(
-            systems=_sweep_system_entries(systems, fl_ctx, ref_ctx, fluency, reference),
-            sweep=_sweep_section(result),
-            ablation=[
-                {
-                    "size": p.size,
-                    "mean_oracle_spearman": p.mean_oracle_spearman,
-                    "half_width": p.half_width,
-                    "per_trial": list(p.per_trial),
-                }
-                for p in points
-            ],
-        )
-        lines = [
-            f"refs={p.size}: oracle spearman "
-            f"{p.mean_oracle_spearman:.6f} +- {p.half_width:.6f} "
-            f"({len(p.per_trial)} trials)"
+    doc = build_report(
+        systems=_sweep_system_entries(fluency, reference),
+        sweep=_sweep_section(result),
+        ablation=[
+            {
+                "size": p.size,
+                "mean_oracle_spearman": p.mean_oracle_spearman,
+                "half_width": p.half_width,
+                "per_trial": list(p.per_trial),
+            }
             for p in points
-        ]
-        return _emit(args, doc, lines)
-    finally:
-        fl_ctx.close()
-        ref_ctx.close()
+        ],
+    )
+    lines = [
+        f"refs={p.size}: oracle spearman "
+        f"{p.mean_oracle_spearman:.6f} +- {p.half_width:.6f} "
+        f"({len(p.per_trial)} trials)"
+        for p in points
+    ]
+    return _emit(args, doc, lines)
 
 
 def _cmd_train_lfm(args) -> int:
@@ -651,7 +603,7 @@ def _cmd_train_lfm(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    suite, _ = _build_suite(args)
+    suite = _build_suite(args)
     sentences = read_parallel_text(args.input)
     closers = [d for d in suite.detectors if isinstance(d, ExternalChecker)]
     try:
@@ -685,7 +637,6 @@ def _cmd_check(args) -> int:
 def _add_io_options(p: _Parser) -> None:
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--seed", type=int, help="random seed (else GECMETRIC_SEED, else 0)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
 
 def _add_input_options(p: _Parser) -> None:
@@ -713,6 +664,15 @@ def _add_metric_options(p: _Parser) -> None:
                    help="max matched tokens inside a merged edit (m2)")
     p.add_argument("--weight", type=float, default=2.0,
                    help="true-positive weight (imeasure)")
+
+
+def _sizes(text: str) -> list[int]:
+    try:
+        return sorted({int(s) for s in text.split(",")})
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def build_parser() -> _Parser:
@@ -758,7 +718,8 @@ def build_parser() -> _Parser:
 
     ablate = sweep_command("ablate", "sweep with per-sentence reference subsets")
     ablate.add_argument("--trials", type=int, default=10)
-    ablate.add_argument("--sizes", help="comma-separated subset sizes (default all)")
+    ablate.add_argument("--sizes", type=_sizes,
+                        help="comma-separated subset sizes (default all)")
     ablate.set_defaults(func=_cmd_ablate)
 
     train = sub.add_parser("train-lfm", help="fit the ridge fluency model")

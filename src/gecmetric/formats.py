@@ -15,6 +15,7 @@ single empty annotation set for annotator 0.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
@@ -199,14 +200,15 @@ class HumanRanking:
     scores: dict[str, float]
 
     def __post_init__(self):
+        if not all(isinstance(v, float) for v in self.scores.values()):
+            object.__setattr__(
+                self, "scores", {k: float(v) for k, v in self.scores.items()}
+            )
         for system_id, value in self.scores.items():
-            if not isinstance(value, float):
-                object.__setattr__(
-                    self, "scores", {k: float(v) for k, v in self.scores.items()}
-                )
-                break
             if not system_id:
                 raise ValidationError("system id must be non-empty")
+            if not math.isfinite(value):
+                raise ValidationError(f"score of {system_id!r} is not finite: {value}")
 
     @property
     def systems(self) -> tuple[str, ...]:
@@ -237,9 +239,12 @@ def parse_human_ranking(text: str) -> HumanRanking:
         if system_id in scores:
             raise ParseError(f"duplicate system id {system_id!r}", lineno)
         try:
-            scores[system_id] = float(score_field)
+            score = float(score_field)
         except ValueError:
             raise ParseError(f"non-numeric score {score_field!r}", lineno) from None
+        if not math.isfinite(score):
+            raise ParseError(f"non-finite score {score_field!r}", lineno)
+        scores[system_id] = score
     return HumanRanking(scores)
 
 

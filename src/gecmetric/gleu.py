@@ -23,13 +23,14 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
+from .analysis import mean_score
 from .corpus import Sentence
 from .errors import ValidationError
 
-__all__ = ["GleuConfig", "gleu_sentence", "gleu_multi_ref", "gleu_corpus",
-           "SAMPLED", "MEAN_OVER_ALL"]
+__all__ = ["GleuConfig", "GleuStats", "gleu_sentence", "gleu_stats", "gleu_multi_ref",
+           "gleu_pool", "gleu_corpus", "SAMPLED", "MEAN_OVER_ALL"]
 
 SAMPLED = "sampled"
 MEAN_OVER_ALL = "mean-over-all"
@@ -68,8 +69,10 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
 
 def _sentence_stats(
     source: Sentence, hypothesis: Sentence, reference: Sentence, max_n: int
-) -> tuple[list[int], list[int], list[int]]:
-    """Per-order (matched, source-penalty, total) hypothesis n-gram counts."""
+) -> tuple[int, ...]:
+    """Hypothesis counts against one reference: the per-order matched,
+    source-penalty and total n-gram counts, then the hypothesis and
+    reference lengths. Counts of several sentences pool by summing."""
     matched: list[int] = []
     penalty: list[int] = []
     total: list[int] = []
@@ -82,25 +85,19 @@ def _sentence_stats(
             sum(min(c, max(0, c_src[g] - c_ref[g])) for g, c in c_hyp.items())
         )
         total.append(sum(c_hyp.values()))
-    return matched, penalty, total
+    return (*matched, *penalty, *total, len(hypothesis), len(reference))
 
 
-def _assemble(
-    matched: Sequence[int],
-    penalty: Sequence[int],
-    total: Sequence[int],
-    hyp_len: int,
-    ref_len: int,
-    max_n: int,
-) -> float:
+def _assemble(counts: Sequence[int], max_n: int) -> float:
+    hyp_len, ref_len = counts[3 * max_n], counts[3 * max_n + 1]
     if hyp_len == 0:
         return 0.0
     log_sum = 0.0
     for n in range(max_n):
-        denominator = total[n]
+        denominator = counts[2 * max_n + n]
         if denominator == 0:
             continue  # log(1): orders longer than the hypothesis are neutral
-        numerator = max(0, matched[n] - penalty[n])
+        numerator = max(0, counts[n] - counts[max_n + n])
         if numerator > 0:
             log_sum += math.log(numerator / denominator)
         else:
@@ -116,15 +113,8 @@ def gleu_sentence(
     cfg: GleuConfig = GleuConfig(),
 ) -> float:
     """Score one hypothesis against a single reference. Result is in [0, 1]."""
-    matched, penalty, total = _sentence_stats(source, hypothesis, reference, cfg.max_n)
-    return _assemble(matched, penalty, total, len(hypothesis), len(reference), cfg.max_n)
-
-
-def _mean(values: Sequence[float]) -> float:
-    first = values[0]
-    if all(v == first for v in values):
-        return first
-    return math.fsum(values) / len(values)
+    counts = _sentence_stats(source, hypothesis, reference, cfg.max_n)
+    return _assemble(counts, cfg.max_n)
 
 
 def _sample_ref_indices(
@@ -133,6 +123,42 @@ def _sample_ref_indices(
     """Reference draws for one sentence, independent of scheduling order."""
     rng = random.Random(f"{seed}:{sentence_index}")
     return [rng.randrange(n_refs) for _ in range(iterations)]
+
+
+class GleuStats(NamedTuple):
+    """One hypothesis's statistics against each of its references.
+
+    ``counts[j]`` holds the counts against reference ``j``; ``draws`` is
+    the reference drawn at each iteration in ``sampled`` mode and None in
+    ``mean-over-all`` mode.
+    """
+
+    score: float
+    counts: tuple[tuple[int, ...], ...]
+    draws: list[int] | None
+
+
+def gleu_stats(
+    source: Sentence,
+    hypothesis: Sentence,
+    references: Sequence[Sentence],
+    cfg: GleuConfig = GleuConfig(),
+    sentence_index: int = 0,
+) -> GleuStats:
+    """Sentence statistics; ``score`` is the multi-reference sentence score."""
+    references = tuple(references)
+    if not references:
+        raise ValidationError("at least one reference is required")
+    counts = tuple(
+        _sentence_stats(source, hypothesis, ref, cfg.max_n) for ref in references
+    )
+    scores = [_assemble(c, cfg.max_n) for c in counts]
+    if cfg.multi_ref_mode == MEAN_OVER_ALL:
+        return GleuStats(mean_score(scores), counts, None)
+    draws = _sample_ref_indices(
+        len(references), cfg.iterations, cfg.rng_seed, sentence_index
+    )
+    return GleuStats(mean_score([scores[j] for j in draws]), counts, draws)
 
 
 def gleu_multi_ref(
@@ -147,21 +173,39 @@ def gleu_multi_ref(
     With a single reference both modes reduce exactly to
     :func:`gleu_sentence`.
     """
-    references = tuple(references)
-    if not references:
-        raise ValidationError("at least one reference is required")
+    return gleu_stats(source, hypothesis, references, cfg, sentence_index).score
+
+
+def gleu_pool(stats: Sequence[GleuStats], cfg: GleuConfig = GleuConfig()) -> float:
+    """Corpus score from pooled n-gram counts.
+
+    Counts are summed over sentences before the precisions and brevity
+    penalty are computed, so the result generally differs from the mean of
+    sentence scores. Reference handling mirrors the sentence modes: the
+    ``sampled`` mode pools one sampled reference per sentence per iteration
+    (using the same per-sentence draws, so a one-sentence corpus
+    reproduces the sentence score exactly); ``mean-over-all`` averages the
+    pooled score over reference columns and requires a uniform reference
+    count per sentence.
+    """
+    if not stats:
+        return 0.0
+
+    def pooled(choice: Sequence[int]) -> float:
+        picked = (s.counts[j] for s, j in zip(stats, choice))
+        return _assemble([sum(column) for column in zip(*picked)], cfg.max_n)
+
     if cfg.multi_ref_mode == MEAN_OVER_ALL:
-        return _mean([gleu_sentence(source, hypothesis, r, cfg) for r in references])
-    indices = _sample_ref_indices(
-        len(references), cfg.iterations, cfg.rng_seed, sentence_index
+        width = len(stats[0].counts)
+        for i, s in enumerate(stats):
+            if len(s.counts) != width:
+                raise ValidationError(
+                    f"sentence {i} has {len(s.counts)} references, expected {width}"
+                )
+        return mean_score([pooled([j] * len(stats)) for j in range(width)])
+    return mean_score(
+        [pooled([s.draws[k] for s in stats]) for k in range(cfg.iterations)]
     )
-    by_ref: dict[int, float] = {}
-    values = []
-    for i in indices:
-        if i not in by_ref:
-            by_ref[i] = gleu_sentence(source, hypothesis, references[i], cfg)
-        values.append(by_ref[i])
-    return _mean(values)
 
 
 def gleu_corpus(
@@ -170,68 +214,17 @@ def gleu_corpus(
     references: Sequence[Sequence[Sentence]],
     cfg: GleuConfig = GleuConfig(),
 ) -> float:
-    """Corpus-level score from pooled n-gram counts.
-
-    Counts are summed over sentences before the precisions and brevity
-    penalty are computed, so the result generally differs from the mean of
-    sentence scores. Reference handling mirrors the sentence modes: the
-    ``sampled`` mode pools one sampled reference per sentence per iteration
-    (using the same per-sentence draw streams, so a one-sentence corpus
-    reproduces the sentence score exactly); ``mean-over-all`` averages the
-    pooled score over reference columns and requires a uniform reference
-    count per sentence.
-    """
+    """Corpus-level score: :func:`gleu_stats` per sentence, then :func:`gleu_pool`."""
     if not (len(sources) == len(hypotheses) == len(references)):
         raise ValidationError(
             f"size mismatch: {len(sources)} sources, {len(hypotheses)} hypotheses, "
             f"{len(references)} reference lists"
         )
-    if not sources:
-        return 0.0
-    refs = [tuple(r) for r in references]
-    for i, row in enumerate(refs):
+    for i, row in enumerate(references):
         if not row:
             raise ValidationError(f"sentence {i} has no references")
-
     stats = [
-        {
-            j: _sentence_stats(sources[i], hypotheses[i], ref, cfg.max_n)
-            for j, ref in enumerate(row)
-        }
-        for i, row in enumerate(refs)
+        gleu_stats(src, hyp, refs, cfg, sentence_index=i)
+        for i, (src, hyp, refs) in enumerate(zip(sources, hypotheses, references))
     ]
-
-    def pooled(choice: Sequence[int]) -> float:
-        matched = [0] * cfg.max_n
-        penalty = [0] * cfg.max_n
-        total = [0] * cfg.max_n
-        hyp_len = 0
-        ref_len = 0
-        for i, j in enumerate(choice):
-            m, p, t = stats[i][j]
-            for n in range(cfg.max_n):
-                matched[n] += m[n]
-                penalty[n] += p[n]
-                total[n] += t[n]
-            hyp_len += len(hypotheses[i])
-            ref_len += len(refs[i][j])
-        return _assemble(matched, penalty, total, hyp_len, ref_len, cfg.max_n)
-
-    if cfg.multi_ref_mode == MEAN_OVER_ALL:
-        width = len(refs[0])
-        for i, row in enumerate(refs):
-            if len(row) != width:
-                raise ValidationError(
-                    f"sentence {i} has {len(row)} references, expected {width}"
-                )
-        return _mean([pooled([j] * len(sources)) for j in range(width)])
-
-    draws = [
-        _sample_ref_indices(len(refs[i]), cfg.iterations, cfg.rng_seed, i)
-        for i in range(len(sources))
-    ]
-    values = [
-        pooled([draws[i][k] for i in range(len(sources))])
-        for k in range(cfg.iterations)
-    ]
-    return _mean(values)
+    return gleu_pool(stats, cfg)

@@ -17,15 +17,14 @@ than the per-sentence mean does.
 from __future__ import annotations
 
 import json
-import math
-import queue
 import string
 import subprocess
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, NamedTuple, Protocol, Sequence, runtime_checkable
 
+from .analysis import mean_score
 from .corpus import Sentence
 from .errors import DetectorError, ValidationError
 
@@ -41,10 +40,12 @@ __all__ = [
     "SpacedPunctuationDetector",
     "DetectorSuite",
     "build_default_suite",
+    "ErrorCountStats",
+    "error_count_stats",
     "error_count_score",
+    "error_count_pool",
     "error_count_corpus",
     "ExternalChecker",
-    "CheckerPool",
 ]
 
 _VOWELS = frozenset("aeiou")
@@ -236,11 +237,32 @@ def build_default_suite(wordlist: Wordlist) -> DetectorSuite:
     )
 
 
+class ErrorCountStats(NamedTuple):
+    """One sentence's detected errors and tokens; ``score`` is its
+    error-count score."""
+
+    score: float
+    errors: int
+    tokens: int
+
+
+def error_count_stats(sentence: Sentence, suite: DetectorSuite) -> ErrorCountStats:
+    errors = len(suite.run(sentence.tokens))
+    tokens = len(sentence)
+    score = max(0.0, 1.0 - errors / tokens) if tokens else 1.0
+    return ErrorCountStats(score, errors, tokens)
+
+
 def error_count_score(sentence: Sentence, suite: DetectorSuite) -> float:
-    tokens = sentence.tokens
-    if not tokens:
+    return error_count_stats(sentence, suite).score
+
+
+def error_count_pool(stats: Sequence[ErrorCountStats]) -> float:
+    """Score of the error and token counts pooled over sentences."""
+    tokens = sum(s.tokens for s in stats)
+    if tokens == 0:
         return 1.0
-    return max(0.0, 1.0 - len(suite.run(tokens)) / len(tokens))
+    return max(0.0, 1.0 - sum(s.errors for s in stats) / tokens)
 
 
 def error_count_corpus(
@@ -249,16 +271,12 @@ def error_count_corpus(
     """Corpus score: pooled in ``corpus`` mode, averaged in ``sentence``."""
     if not sentences:
         raise ValidationError("empty corpus")
-    if mode == "sentence":
-        values = [error_count_score(s, suite) for s in sentences]
-        return math.fsum(values) / len(values)
-    if mode != "corpus":
+    if mode not in ("sentence", "corpus"):
         raise ValidationError(f"unknown aggregation mode {mode!r}")
-    total_tokens = sum(len(s) for s in sentences)
-    total_errors = sum(len(suite.run(s.tokens)) for s in sentences)
-    if total_tokens == 0:
-        return 1.0
-    return max(0.0, 1.0 - total_errors / total_tokens)
+    stats = [error_count_stats(s, suite) for s in sentences]
+    if mode == "sentence":
+        return mean_score([s.score for s in stats])
+    return error_count_pool(stats)
 
 
 class ExternalChecker:
@@ -405,50 +423,6 @@ class ExternalChecker:
             self._reader = None
 
     def __enter__(self) -> "ExternalChecker":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class CheckerPool:
-    """Fixed-size pool of checker sessions for concurrent callers.
-
-    Each call borrows an idle session (blocking if all are busy) and
-    returns it afterwards, so one slow sentence never corrupts another's
-    request/response pairing.
-    """
-
-    def __init__(
-        self,
-        command: Sequence[str],
-        size: int = 1,
-        detector_id: str = "external",
-        timeout: float = 10.0,
-    ):
-        if size < 1:
-            raise ValidationError(f"pool size must be >= 1, got {size}")
-        self.detector_id = detector_id
-        self._checkers = [
-            ExternalChecker(command, detector_id=detector_id, timeout=timeout)
-            for _ in range(size)
-        ]
-        self._idle: queue.Queue[ExternalChecker] = queue.Queue()
-        for checker in self._checkers:
-            self._idle.put(checker)
-
-    def __call__(self, tokens: Sequence[str]) -> list[ErrorSpan]:
-        checker = self._idle.get()
-        try:
-            return checker(tokens)
-        finally:
-            self._idle.put(checker)
-
-    def close(self) -> None:
-        for checker in self._checkers:
-            checker.close()
-
-    def __enter__(self) -> "CheckerPool":
         return self
 
     def __exit__(self, *exc_info) -> None:

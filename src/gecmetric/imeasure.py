@@ -20,10 +20,10 @@ mean the system made the text worse. An unchanged hypothesis is exactly 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
+from .analysis import mean_score
 from .corpus import Sentence
 from .errors import ValidationError
 
@@ -32,7 +32,10 @@ __all__ = [
     "TokenCounts",
     "classify_tokens",
     "weighted_accuracy",
+    "IMeasureStats",
+    "i_measure_stats",
     "i_measure_sentence",
+    "i_measure_pool",
     "i_measure_corpus",
 ]
 
@@ -170,15 +173,40 @@ def _improvement(wacc_sys: float, wacc_base: float) -> float:
     return wacc_sys / wacc_base - 1.0
 
 
+class IMeasureStats(NamedTuple):
+    """One hypothesis's statistics: its best improvement score over the
+    references, with the system and do-nothing baseline token counts
+    against that reference (the first one on ties)."""
+
+    score: float
+    system: TokenCounts
+    baseline: TokenCounts
+
+
 def _against_ref(
     source: Sentence, hypothesis: Sentence, reference: Sentence, weight: float
-) -> tuple[float, TokenCounts, TokenCounts]:
+) -> IMeasureStats:
     sys_counts = classify_tokens(source, reference, hypothesis)
     base_counts = classify_tokens(source, reference, source)
     score = _improvement(
         weighted_accuracy(sys_counts, weight), weighted_accuracy(base_counts, weight)
     )
-    return score, sys_counts, base_counts
+    return IMeasureStats(score, sys_counts, base_counts)
+
+
+def i_measure_stats(
+    source: Sentence,
+    hypothesis: Sentence,
+    references: Sequence[Sentence],
+    cfg: IMeasureConfig = IMeasureConfig(),
+) -> IMeasureStats:
+    """Sentence statistics against the best of the available references."""
+    if not references:
+        raise ValidationError("at least one reference is required")
+    return max(
+        (_against_ref(source, hypothesis, ref, cfg.weight) for ref in references),
+        key=lambda stats: stats.score,
+    )
 
 
 def i_measure_sentence(
@@ -188,10 +216,18 @@ def i_measure_sentence(
     cfg: IMeasureConfig = IMeasureConfig(),
 ) -> float:
     """Best improvement score over the available references, in [-1, 1]."""
-    if not references:
-        raise ValidationError("at least one reference is required")
-    return max(
-        _against_ref(source, hypothesis, ref, cfg.weight)[0] for ref in references
+    return i_measure_stats(source, hypothesis, references, cfg).score
+
+
+def i_measure_pool(
+    stats: Sequence[IMeasureStats], cfg: IMeasureConfig = IMeasureConfig()
+) -> float:
+    """One improvement score from the system and baseline counts pooled
+    over each sentence's best reference."""
+    system = sum((s.system for s in stats), TokenCounts())
+    baseline = sum((s.baseline for s in stats), TokenCounts())
+    return _improvement(
+        weighted_accuracy(system, cfg.weight), weighted_accuracy(baseline, cfg.weight)
     )
 
 
@@ -202,13 +238,8 @@ def i_measure_corpus(
     cfg: IMeasureConfig = IMeasureConfig(),
     mode: str = "corpus",
 ) -> float:
-    """Corpus score in either aggregation mode.
-
-    ``sentence`` averages per-sentence scores. ``corpus`` picks each
-    sentence's best reference, pools the system and baseline counts over
-    those choices, and computes one improvement score from the pooled
-    weighted accuracies.
-    """
+    """Corpus score: the mean of sentence scores in ``sentence`` mode,
+    :func:`i_measure_pool` of the sentence statistics in ``corpus`` mode."""
     if not (len(sources) == len(hypotheses) == len(references)):
         raise ValidationError(
             f"size mismatch: {len(sources)} sources, {len(hypotheses)} hypotheses, "
@@ -216,27 +247,12 @@ def i_measure_corpus(
         )
     if not sources:
         raise ValidationError("empty corpus")
-    if mode == "sentence":
-        values = [
-            i_measure_sentence(src, hyp, refs, cfg)
-            for src, hyp, refs in zip(sources, hypotheses, references)
-        ]
-        return math.fsum(values) / len(values)
-    if mode != "corpus":
+    if mode not in ("sentence", "corpus"):
         raise ValidationError(f"unknown aggregation mode {mode!r}")
-    pooled_sys = TokenCounts()
-    pooled_base = TokenCounts()
-    for src, hyp, refs in zip(sources, hypotheses, references):
-        if not refs:
-            raise ValidationError("at least one reference is required")
-        best = None
-        for ref in refs:
-            scored = _against_ref(src, hyp, ref, cfg.weight)
-            if best is None or scored[0] > best[0]:
-                best = scored
-        pooled_sys = pooled_sys + best[1]
-        pooled_base = pooled_base + best[2]
-    return _improvement(
-        weighted_accuracy(pooled_sys, cfg.weight),
-        weighted_accuracy(pooled_base, cfg.weight),
-    )
+    stats = [
+        i_measure_stats(src, hyp, refs, cfg)
+        for src, hyp, refs in zip(sources, hypotheses, references)
+    ]
+    if mode == "sentence":
+        return mean_score([s.score for s in stats])
+    return i_measure_pool(stats, cfg)

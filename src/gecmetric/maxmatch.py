@@ -26,8 +26,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
+from .analysis import mean_score
 from .corpus import AnnotatedSource, AnnotationSet, Edit, Sentence
 from .errors import ValidationError
 
@@ -36,7 +37,11 @@ __all__ = [
     "M2SentenceCounts",
     "f_beta",
     "extract_system_edits",
+    "M2Stats",
+    "gold_edit_keys",
+    "m2_stats",
     "m2_sentence",
+    "m2_pool",
     "m2_corpus",
 ]
 
@@ -46,6 +51,8 @@ _EPS = 0.001  # tie-breaker: prefers fewer and smaller unmatched edits
 
 _Node = tuple[int, int]
 _EditKey = tuple[int, int, tuple[str, ...]]
+# (annotator id, gold edit keys) pairs of one unit, by annotator id
+_Gold = tuple[tuple[int, frozenset[_EditKey]], ...]
 
 
 @dataclass(frozen=True)
@@ -215,15 +222,42 @@ def _best_edits(
     return edits
 
 
-def _gold_keys(source: Sentence, edits: Iterable[Edit]) -> frozenset[_EditKey]:
-    keys = []
-    for edit in edits:
-        if source.tokens[edit.start : edit.end] == edit.replacement:
-            log.warning("ignoring identity gold edit %s (annotator %d)",
-                        edit, edit.annotator)
-            continue
-        keys.append(edit.key)
-    return frozenset(keys)
+def _gold_keys(
+    source: Sentence, edits: Sequence[Edit]
+) -> tuple[frozenset[_EditKey], int]:
+    """Keys of the gold edits, and the number of identity edits left out."""
+    keys = [e.key for e in edits if source.tokens[e.start : e.end] != e.replacement]
+    return frozenset(keys), len(edits) - len(keys)
+
+
+def _warn_identity(ignored: int) -> None:
+    if ignored:
+        log.warning("ignored %d identity gold edit(s): replacement equals the "
+                    "source span", ignored)
+
+
+def _unit_gold(
+    source: Sentence, annotations: Iterable[AnnotationSet]
+) -> tuple[_Gold, int]:
+    pairs = []
+    ignored = 0
+    for aset in sorted(annotations, key=lambda a: a.annotator):
+        keys, n = _gold_keys(source, aset.edits)
+        pairs.append((aset.annotator, keys))
+        ignored += n
+    return tuple(pairs), ignored
+
+
+def gold_edit_keys(units: Sequence[AnnotatedSource]) -> list[_Gold]:
+    """Each unit's gold edit keys as (annotator, keys) pairs by annotator id.
+
+    They do not depend on the system, so a run builds them once. Identity
+    gold edits (replacement equals the source span) are left out, with
+    one warning giving their number.
+    """
+    gold = [_unit_gold(unit.source, unit.annotations) for unit in units]
+    _warn_identity(sum(ignored for _, ignored in gold))
+    return [pairs for pairs, _ in gold]
 
 
 def extract_system_edits(
@@ -241,24 +275,38 @@ def extract_system_edits(
     ignored with a warning.
     """
     gold_edits = gold.edits if isinstance(gold, AnnotationSet) else tuple(gold)
-    keys = _gold_keys(source, gold_edits)
+    keys, ignored = _gold_keys(source, gold_edits)
+    _warn_identity(ignored)
     chosen = _best_edits(source.tokens, hypothesis.tokens, keys, cfg)
     return tuple(Edit(s, e, repl) for s, e, repl in chosen)
 
 
-def _counts_against(
+class M2Stats(NamedTuple):
+    """One hypothesis's edit counts against each annotator, by annotator
+    id; ``score`` is the F_beta of the best annotator."""
+
+    score: float
+    counts: tuple[M2SentenceCounts, ...]
+
+
+def m2_stats(
     source: Sentence,
     hypothesis: Sentence,
-    aset: AnnotationSet,
-    cfg: M2Config,
-) -> tuple[int, int, int]:
-    gold = _gold_keys(source, aset.edits)
-    system = _best_edits(source.tokens, hypothesis.tokens, gold, cfg)
-    found = set(system)
-    tp = len([g for g in gold if g in found])
-    fp = len([e for e in system if e not in gold])
-    fn = len(gold) - tp
-    return tp, fp, fn
+    gold: _Gold,
+    cfg: M2Config = M2Config(),
+) -> M2Stats:
+    """Sentence statistics against ``gold`` (one item of :func:`gold_edit_keys`)."""
+    if not gold:
+        raise ValidationError("at least one annotation set is required")
+    counts = []
+    for annotator, keys in gold:
+        system = _best_edits(source.tokens, hypothesis.tokens, keys, cfg)
+        found = set(system)
+        tp = len([g for g in keys if g in found])
+        fp = len([e for e in system if e not in keys])
+        counts.append(M2SentenceCounts(tp, fp, len(keys) - tp, annotator))
+    score = max(f_beta(c.tp, c.fp, c.fn, cfg.beta) for c in counts)
+    return M2Stats(score, tuple(counts))
 
 
 def m2_sentence(
@@ -272,18 +320,28 @@ def m2_sentence(
     Ties go to the lowest annotator id. ``tp + fn`` always equals the
     number of (non-identity) gold edits of the chosen annotator.
     """
-    if not annotations:
-        raise ValidationError("at least one annotation set is required")
-    best: M2SentenceCounts | None = None
-    best_f = -1.0
-    for aset in sorted(annotations, key=lambda a: a.annotator):
-        tp, fp, fn = _counts_against(source, hypothesis, aset, cfg)
-        score = f_beta(tp, fp, fn, cfg.beta)
-        if score > best_f:
-            best = M2SentenceCounts(tp, fp, fn, aset.annotator)
-            best_f = score
-    assert best is not None
-    return best, best_f
+    gold, ignored = _unit_gold(source, annotations)
+    _warn_identity(ignored)
+    stats = m2_stats(source, hypothesis, gold, cfg)
+    best = max(stats.counts, key=lambda c: f_beta(c.tp, c.fp, c.fn, cfg.beta))
+    return best, stats.score
+
+
+def m2_pool(stats: Sequence[M2Stats], cfg: M2Config = M2Config()) -> float:
+    """F_beta of tp/fp/fn pooled over sentences.
+
+    Sentence by sentence, the annotator that maximizes the *running*
+    cumulative F_beta is picked (ties to the lowest id) — the convention
+    of edit-based shared-task scoring, which can diverge substantially
+    from the sentence mean.
+    """
+    tp = fp = fn = 0
+    for s in stats:
+        best = max(
+            s.counts, key=lambda c: f_beta(tp + c.tp, fp + c.fp, fn + c.fn, cfg.beta)
+        )
+        tp, fp, fn = tp + best.tp, fp + best.fp, fn + best.fn
+    return f_beta(tp, fp, fn, cfg.beta)
 
 
 def m2_corpus(
@@ -292,40 +350,20 @@ def m2_corpus(
     cfg: M2Config = M2Config(),
     mode: str = "corpus",
 ) -> float:
-    """Corpus score in either aggregation mode.
-
-    ``sentence`` averages per-sentence F_beta. ``corpus`` picks, sentence
-    by sentence, the annotator that maximizes the *running* cumulative
-    F_beta (ties to the lowest id) and reports F_beta of the pooled
-    tp/fp/fn — the convention of edit-based shared-task scoring, which can
-    diverge substantially from the sentence mean.
-    """
+    """Corpus score: the mean of sentence scores in ``sentence`` mode,
+    :func:`m2_pool` of the sentence statistics in ``corpus`` mode."""
     if len(units) != len(hypotheses):
         raise ValidationError(
             f"size mismatch: {len(units)} sources, {len(hypotheses)} hypotheses"
         )
     if not units:
         raise ValidationError("empty corpus")
-    if mode == "sentence":
-        values = [
-            m2_sentence(unit.source, hyp, unit.annotations, cfg)[1]
-            for unit, hyp in zip(units, hypotheses)
-        ]
-        return math.fsum(values) / len(values)
-    if mode != "corpus":
+    if mode not in ("sentence", "corpus"):
         raise ValidationError(f"unknown aggregation mode {mode!r}")
-    pooled_tp = pooled_fp = pooled_fn = 0
-    for unit, hyp in zip(units, hypotheses):
-        best: tuple[int, int, int] | None = None
-        best_f = -1.0
-        for aset in sorted(unit.annotations, key=lambda a: a.annotator):
-            tp, fp, fn = _counts_against(unit.source, hyp, aset, cfg)
-            score = f_beta(pooled_tp + tp, pooled_fp + fp, pooled_fn + fn, cfg.beta)
-            if score > best_f:
-                best = (tp, fp, fn)
-                best_f = score
-        assert best is not None
-        pooled_tp += best[0]
-        pooled_fp += best[1]
-        pooled_fn += best[2]
-    return f_beta(pooled_tp, pooled_fp, pooled_fn, cfg.beta)
+    stats = [
+        m2_stats(unit.source, hyp, gold, cfg)
+        for unit, hyp, gold in zip(units, hypotheses, gold_edit_keys(units))
+    ]
+    if mode == "sentence":
+        return mean_score([s.score for s in stats])
+    return m2_pool(stats, cfg)

@@ -1,5 +1,6 @@
 """End-to-end command tests driven through ``main(argv)``."""
 
+import hashlib
 import json
 import logging
 
@@ -533,6 +534,24 @@ def test_correlate_human_missing_system_exits_two(corpus, capsys):
     assert code == 2
 
 
+def test_correlate_nan_human_score_exits_two(corpus, capsys, caplog):
+    nan = corpus / "nan.tsv"
+    nan.write_text("a\t3.0\nb\tnan\nc\t1.0\n", encoding="utf-8")
+    with caplog.at_level(logging.ERROR, logger="gecmetric"):
+        code, out, _ = _run(
+            capsys,
+            [
+                "correlate", "--metric", "errorcount",
+                "--wordlist", str(corpus / "words.txt"),
+                "--human", str(nan),
+            ]
+            + _hyp_args(corpus),
+        )
+    assert code == 2
+    assert out == ""
+    assert "non-finite score" in caplog.text
+
+
 # ---------------------------------------------------------------------------
 # sweep / ablate
 
@@ -622,6 +641,24 @@ def test_ablate_sizes_option(corpus, capsys):
     assert doc["ablation"][0]["half_width"] == 0.0
 
 
+def test_ablate_bad_sizes_is_usage_error_before_scoring(corpus, capsys):
+    code, out, err = _run(
+        capsys, ["ablate", "--trials", "1", "--sizes", "1,x"] + _sweep_args(corpus)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: argument --sizes:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sizes", ["0", "3", "1,3"])
+def test_ablate_sizes_out_of_range_exit_two(corpus, capsys, sizes):
+    code, _, _ = _run(
+        capsys, ["ablate", "--trials", "1", "--sizes", sizes] + _sweep_args(corpus)
+    )
+    assert code == 2
+
+
 def test_ablate_rejects_errorcount_reference(corpus, capsys):
     argv = [
         "ablate",
@@ -674,17 +711,76 @@ def test_sweep_same_seed_is_byte_identical(corpus, capsys):
     assert first == second
 
 
-def test_parallel_jobs_match_serial(corpus, capsys):
-    argv = [
-        "score", "--metric", "gleu",
+# sha256 of each report on the ``corpus`` fixture, recorded before the
+# metrics moved to per-sentence statistics and reducers. Report bytes are
+# the contract: a change here must be deliberate and explained.
+GOLDEN_REPORTS = {
+    "score gleu sentence":
+        "e5229349b3ce19adbec6a44bec9e4efffbc54dd6a62fdd8afe506b3e467558cc",
+    "score gleu corpus":
+        "6a65a7c4e78a5bd8ff2816f8451023bbe254f14886042c285a353ca7766769f5",
+    "score gleu mean-over-all":
+        "aef7e047c527f1b705d87505f84e15287e08c87d55b6cfb5483baa8f647123af",
+    "score m2 sentence":
+        "e6d09b1a73870bfb4c123ec4df408291f8a7dec002867f796b1a6c56680e0310",
+    "score m2 corpus":
+        "f6e07df5e60d589ae0155e799918c971dc87d340f2fe76f38c33108fe3594642",
+    "score imeasure sentence":
+        "942bc28407bd1bb1c60d71bf18b7076c56744af9095a0a2c62b48ecc1a013b4e",
+    "score imeasure corpus":
+        "105265bb6f5d068b0bc98d54b648e312470f269923d8a3b6e02b8d84d91d7c8e",
+    "score errorcount sentence":
+        "a3c8ecdf401497edb8c50c026a3b82ab14abdf4c1d52db85d725b55c95bd264e",
+    "score errorcount corpus":
+        "1c47758113fae8de8d17b21db3724600049ba5289cbe8f339f8f08489edc41ee",
+    "score lfm sentence":
+        "e6c5dd7bd8ab368e25f70098db20bb657eeefee0ad083c46539c5c6dc55f1326",
+    "rank m2 corpus":
+        "08f8937f5f9363ccaab13be1919ece4e6b4122fb5e9e08db44e873ed66ad2567",
+    "correlate imeasure corpus":
+        "3e0e443d74060dfc9102dfcf0fe97cd980b9d296cbb4b4267e5f8c8f2ebbefdb",
+    "sweep gaming":
+        "b49c9f2dc2f548e75497fd32ca38c7e194e692a9d4c3b483c17fd42926ddeb8a",
+    "ablate":
+        "3bd02da6b4498e20edd5c5f84b9b2abaeb38b45e35a97f38bbe520ecf68dc3fe",
+}
+
+
+def _golden_argv(corpus, model_path, name):
+    refs = [
         "--source", str(corpus / "source.txt"),
         "--ref", str(corpus / "ref1.txt"),
         "--ref", str(corpus / "ref2.txt"),
-        "--seed", "5",
-    ] + _hyp_args(corpus)
-    _, serial, _ = _run(capsys, argv + ["--jobs", "1"])
-    _, parallel, _ = _run(capsys, argv + ["--jobs", "2"])
-    assert serial == parallel
+    ]
+    words = ["--wordlist", str(corpus / "words.txt")]
+    inputs = {
+        "gleu": refs,
+        "m2": ["--m2", str(corpus / "gold.m2")],
+        "imeasure": refs,
+        "errorcount": words,
+        "lfm": ["--model", str(model_path), "--lm-corpus", str(corpus / "ref1.txt")]
+        + words,
+    }
+    command, *rest = name.split()
+    if command in ("sweep", "ablate"):
+        extra = ["--gaming"] if rest == ["gaming"] else ["--trials", "2"]
+        return [command, "--seed", "7"] + extra + _sweep_args(corpus)
+    metric, mode = rest
+    argv = [command, "--metric", metric, "--seed", "7"] + inputs[metric]
+    if mode == "mean-over-all":
+        argv += ["--gleu-mode", mode]
+    else:
+        argv += ["--mode", mode]
+    if command == "correlate":
+        argv += ["--human", str(corpus / "human.tsv")]
+    return argv + _hyp_args(corpus)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_report_bytes_match_golden(corpus, capsys, model_path, name):
+    code, out, _ = _run(capsys, _golden_argv(corpus, model_path, name))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_REPORTS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -805,22 +901,35 @@ def test_broken_checker_exits_three(corpus, capsys):
     assert code == 3
 
 
-def test_external_checker_forces_serial_scoring(corpus, capsys, caplog):
+COUNTING_CHECKER = """\
+import json, sys
+with open(sys.argv[1], "a", encoding="utf-8") as requests:
+    for line in sys.stdin:
+        req = json.loads(line)
+        requests.write(str(req["id"]) + "\\n")
+        requests.flush()
+        sys.stdout.write(json.dumps({"id": req["id"], "errors": []}) + "\\n")
+        sys.stdout.flush()
+"""
+
+
+def test_external_checker_gets_one_request_per_sentence(corpus, capsys):
     import sys as _sys
 
-    script = corpus / "shout.py"
-    script.write_text(GOOD_CHECKER, encoding="utf-8")
-    with caplog.at_level(logging.INFO, logger="gecmetric"):
-        code, out, _ = _run(
-            capsys,
-            [
-                "score", "--metric", "errorcount",
-                "--wordlist", str(corpus / "words.txt"),
-                "--checker", f"{_sys.executable} {script}",
-                "--jobs", "4",
-            ]
-            + _hyp_args(corpus),
-        )
+    script = corpus / "count.py"
+    script.write_text(COUNTING_CHECKER, encoding="utf-8")
+    requests = corpus / "requests.log"
+    code, out, _ = _run(
+        capsys,
+        [
+            "score", "--metric", "errorcount",
+            "--wordlist", str(corpus / "words.txt"),
+            "--checker", f"{_sys.executable} {script} {requests}",
+        ]
+        + _hyp_args(corpus),
+    )
     assert code == 0
-    assert "scoring serially" in caplog.text
-    assert json.loads(out)["systems"]
+    assert len(json.loads(out)["systems"]) == 3
+    # the sentence scores and the corpus score share one request per
+    # (system, sentence)
+    assert len(requests.read_text(encoding="utf-8").splitlines()) == 3 * 3

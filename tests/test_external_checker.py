@@ -4,7 +4,7 @@ import textwrap
 import pytest
 
 from gecmetric.errors import DetectorError, ValidationError
-from gecmetric.grammaticality import CheckerPool, DetectorSuite, ExternalChecker
+from gecmetric.grammaticality import DetectorSuite, ExternalChecker
 
 CHECKER_SOURCE = textwrap.dedent(
     """
@@ -156,16 +156,3 @@ def test_checker_validation():
     with pytest.raises(ValidationError):
         ExternalChecker(["x"], timeout=0.0)
 
-
-def test_pool_round_robin(checker_script):
-    pool = CheckerPool(command(checker_script, "flag"), size=2)
-    try:
-        for _ in range(6):
-            assert pool(("bad",)) != []
-    finally:
-        pool.close()
-
-
-def test_pool_size_validation(checker_script):
-    with pytest.raises(ValidationError):
-        CheckerPool(command(checker_script, "flag"), size=0)

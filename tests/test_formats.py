@@ -5,6 +5,7 @@ import pytest
 from gecmetric.corpus import AnnotatedSource, AnnotationSet, Edit, Sentence, apply_edits
 from gecmetric.errors import ParseError, ValidationError
 from gecmetric.formats import (
+    HumanRanking,
     build_report,
     parse_human_ranking,
     parse_m2,
@@ -161,6 +162,25 @@ def test_parse_human_ranking_rejects_duplicates():
 def test_parse_human_ranking_rejects_non_numeric():
     with pytest.raises(ParseError, match="non-numeric"):
         parse_human_ranking("a\tfast\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_parse_human_ranking_rejects_non_finite(value):
+    with pytest.raises(ParseError, match="line 2: non-finite"):
+        parse_human_ranking(f"a\t1\nb\t{value}\nc\t2\n")
+
+
+def test_human_ranking_checks_ids_when_converting_values():
+    with pytest.raises(ValidationError, match="non-empty"):
+        HumanRanking({"a": 1, "": 2})
+    with pytest.raises(ValidationError, match="non-empty"):
+        HumanRanking({"a": 1.0, "": 2.0})
+    assert HumanRanking({"a": 1}).scores == {"a": 1.0}
+
+
+def test_human_ranking_rejects_non_finite_values():
+    with pytest.raises(ValidationError, match="not finite"):
+        HumanRanking({"a": 1.0, "b": float("nan")})
 
 
 def test_human_ranking_unknown_system():
