@@ -56,7 +56,7 @@ from .formats import (
     render_report,
     write_report,
 )
-from .gleu import MEAN_OVER_ALL, SAMPLED, GleuConfig, gleu_pool, gleu_stats
+from .gleu import MEAN_OVER_ALL, SAMPLED, GleuConfig, gleu_pool, gleu_stats, sample_draws
 from .grammaticality import (
     DetectorSuite,
     ExternalChecker,
@@ -65,7 +65,7 @@ from .grammaticality import (
     error_count_pool,
     error_count_stats,
 )
-from .imeasure import IMeasureConfig, i_measure_pool, i_measure_stats
+from .imeasure import IMeasureConfig, i_measure_pool, i_measure_stats, reference_side
 from .lfm import (
     featurize,
     lfm_score,
@@ -120,7 +120,9 @@ class _Scorer:
     ``stats(i, hypothesis, row)`` computes the statistics of sentence
     ``i``, where ``row`` is its reference row (None for metrics without
     rows); ``value`` maps statistics to the sentence score and ``pool``
-    reduces a system's statistics to its corpus score (None: lfm).
+    reduces a system's statistics to its corpus score (None: lfm). With a
+    ``shared`` dict, a (sentence, hypothesis) pair that several systems
+    output is scored once against the run's own rows.
     """
 
     metric: str
@@ -129,6 +131,7 @@ class _Scorer:
     rows: tuple[tuple[Sentence, ...], ...] | None = None
     value: Callable[[Any], float] = operator.attrgetter("score")
     closers: tuple = ()
+    shared: dict | None = None
 
 
 def _gleu(args, inputs: _Inputs, seed: int) -> _Scorer:
@@ -139,11 +142,16 @@ def _gleu(args, inputs: _Inputs, seed: int) -> _Scorer:
         rng_seed=seed,
         multi_ref_mode=args.gleu_mode,
     )
+    sampled = cfg.multi_ref_mode == SAMPLED
+    draws = functools.cache(
+        lambda i, n_refs: sample_draws(n_refs, cfg.iterations, seed, i) if sampled else None
+    )
     return _Scorer(
         "gleu",
-        lambda i, hyp, row: gleu_stats(sources[i], hyp, row, cfg, sentence_index=i),
+        lambda i, hyp, row: gleu_stats(sources[i], hyp, row, cfg, i, draws(i, len(row))),
         functools.partial(gleu_pool, cfg=cfg),
         rows,
+        shared={},
     )
 
 
@@ -157,17 +165,22 @@ def _m2(args, inputs: _Inputs, seed: int) -> _Scorer:
         "m2",
         lambda i, hyp, row: m2_stats(units[i].source, hyp, gold[i], cfg),
         functools.partial(m2_pool, cfg=cfg),
+        shared={},
     )
 
 
 def _imeasure(args, inputs: _Inputs, seed: int) -> _Scorer:
     sources, rows = inputs.sources_and_rows("imeasure")
     cfg = IMeasureConfig(weight=args.weight)
+    side = functools.cache(lambda i, ref: reference_side(sources[i], ref))
     return _Scorer(
         "imeasure",
-        lambda i, hyp, row: i_measure_stats(sources[i], hyp, row, cfg),
+        lambda i, hyp, row: i_measure_stats(
+            sources[i], hyp, row, cfg, [side(i, ref) for ref in row]
+        ),
         functools.partial(i_measure_pool, cfg=cfg),
         rows,
+        shared={},
     )
 
 
@@ -206,11 +219,15 @@ METRICS: dict[str, Callable[..., _Scorer]] = {
 
 
 def _stats(scorer: _Scorer, hyps: Sequence[Sentence], rows=None) -> list:
+    memo = scorer.shared if rows is None and scorer.shared is not None else {}
     rows = scorer.rows if rows is None else rows
-    return [
-        scorer.stats(i, hyp, None if rows is None else rows[i])
-        for i, hyp in enumerate(hyps)
-    ]
+    out = []
+    for i, hyp in enumerate(hyps):
+        key = (i, hyp.tokens)
+        if key not in memo:
+            memo[key] = scorer.stats(i, hyp, None if rows is None else rows[i])
+        out.append(memo[key])
+    return out
 
 
 def _sentence_scores(scorer: _Scorer, hyps: Sequence[Sentence], rows) -> list[float]:
@@ -585,7 +602,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_train_lfm(args) -> int:
-    with open(args.train, encoding="utf-8-sig") as handle:
+    with open(args.train, encoding="utf-8-sig", newline="") as handle:
         names, rows, targets = parse_training_tsv(handle.read())
     model = train_ridge(
         rows,

@@ -111,10 +111,27 @@ class _UnitBuilder:
             raise ParseError(f"in unit starting here: {exc}", self.lineno) from exc
 
 
+def split_lines(text: str) -> list[str]:
+    """Lines of ``text`` split on ``\\n`` only, each without a trailing ``\\r``.
+
+    ``str.splitlines`` also breaks on U+0085, U+2028 and other characters
+    that can occur inside a sentence; here one line is one record.
+    """
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text is empty or ends with a newline
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
+
+
+def _read_text(path: str | Path) -> str:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        return handle.read()
+
+
 def parse_m2(text: str | Iterable[str]) -> list[AnnotatedSource]:
     """Parse annotated-corpus text into a list of annotated sources."""
     if isinstance(text, str):
-        lines: Iterable[str] = text.splitlines()
+        lines: Iterable[str] = split_lines(text)
     else:
         lines = (line.rstrip("\n") for line in text)
     units: list[AnnotatedSource] = []
@@ -164,14 +181,12 @@ def serialize_m2(units: Iterable[AnnotatedSource]) -> str:
 
 
 def read_m2_file(path: str | Path) -> list[AnnotatedSource]:
-    with open(path, encoding="utf-8-sig") as handle:
-        return parse_m2(line.rstrip("\n") for line in handle)
+    return parse_m2(_read_text(path))
 
 
 def read_parallel_text(path: str | Path) -> list[Sentence]:
     """Read one sentence per line; blank lines become empty sentences."""
-    with open(path, encoding="utf-8-sig") as handle:
-        return [tokenize(line) for line in handle.read().splitlines()]
+    return [tokenize(line) for line in split_lines(_read_text(path))]
 
 
 def read_reference_files(paths: Sequence[str | Path]) -> ReferenceSet:
@@ -226,7 +241,7 @@ class HumanRanking:
 def parse_human_ranking(text: str) -> HumanRanking:
     """Parse tab-separated ``system<TAB>score`` lines."""
     scores: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(split_lines(text), 1):
         line = raw.strip()
         if not line:
             continue
@@ -249,8 +264,7 @@ def parse_human_ranking(text: str) -> HumanRanking:
 
 
 def read_human_ranking(path: str | Path) -> HumanRanking:
-    with open(path, encoding="utf-8-sig") as handle:
-        return parse_human_ranking(handle.read())
+    return parse_human_ranking(_read_text(path))
 
 
 def _round_floats(value: Any, sig_digits: int | None) -> Any:

@@ -25,15 +25,18 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .analysis import mean_score
 from .corpus import Sentence
 from .errors import ValidationError
 
 __all__ = ["GleuConfig", "GleuStats", "gleu_sentence", "gleu_stats", "gleu_multi_ref",
-           "gleu_pool", "gleu_corpus", "SAMPLED", "MEAN_OVER_ALL"]
+           "gleu_pool", "gleu_corpus", "sample_draws", "SAMPLED", "MEAN_OVER_ALL"]
 
 SAMPLED = "sampled"
 MEAN_OVER_ALL = "mean-over-all"
+_BLOCK = 64  # iterations per one-hot matmul in the sampled corpus pool
 
 
 @dataclass(frozen=True)
@@ -64,28 +67,36 @@ class GleuConfig:
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[k:] for k in range(n))))
+
+
+def _orders(tokens: Sequence[str], max_n: int) -> list[Counter]:
+    return [_ngrams(tokens, n) for n in range(1, max_n + 1)]
 
 
 def _sentence_stats(
-    source: Sentence, hypothesis: Sentence, reference: Sentence, max_n: int
+    source: list[Counter], hypothesis: list[Counter], reference: Sentence, hyp_len: int
 ) -> tuple[int, ...]:
-    """Hypothesis counts against one reference: the per-order matched,
-    source-penalty and total n-gram counts, then the hypothesis and
-    reference lengths. Counts of several sentences pool by summing."""
+    """Hypothesis counts against one reference, given the :func:`_orders`
+    of the source and hypothesis: the per-order matched, source-penalty
+    and total n-gram counts, then the hypothesis and reference lengths.
+    Counts of several sentences pool by summing."""
     matched: list[int] = []
     penalty: list[int] = []
     total: list[int] = []
-    for n in range(1, max_n + 1):
-        c_hyp = _ngrams(hypothesis.tokens, n)
+    for n, (c_src, c_hyp) in enumerate(zip(source, hypothesis), 1):
         c_ref = _ngrams(reference.tokens, n)
-        c_src = _ngrams(source.tokens, n)
-        matched.append(sum(min(c, c_ref[g]) for g, c in c_hyp.items()))
-        penalty.append(
-            sum(min(c, max(0, c_src[g] - c_ref[g])) for g, c in c_hyp.items())
-        )
+        m = p = 0
+        for g, c in c_hyp.items():
+            r = c_ref.get(g, 0)
+            m += c if c < r else r
+            extra = c_src.get(g, 0) - r
+            if extra > 0:
+                p += c if c < extra else extra
+        matched.append(m)
+        penalty.append(p)
         total.append(sum(c_hyp.values()))
-    return (*matched, *penalty, *total, len(hypothesis), len(reference))
+    return (*matched, *penalty, *total, hyp_len, len(reference))
 
 
 def _assemble(counts: Sequence[int], max_n: int) -> float:
@@ -113,29 +124,41 @@ def gleu_sentence(
     cfg: GleuConfig = GleuConfig(),
 ) -> float:
     """Score one hypothesis against a single reference. Result is in [0, 1]."""
-    counts = _sentence_stats(source, hypothesis, reference, cfg.max_n)
+    counts = _sentence_stats(
+        _orders(source.tokens, cfg.max_n),
+        _orders(hypothesis.tokens, cfg.max_n),
+        reference,
+        len(hypothesis),
+    )
     return _assemble(counts, cfg.max_n)
 
 
-def _sample_ref_indices(
+def sample_draws(
     n_refs: int, iterations: int, seed: int, sentence_index: int
-) -> list[int]:
-    """Reference draws for one sentence, independent of scheduling order."""
+) -> Sequence[int]:
+    """The reference drawn at each iteration for one sentence, from a
+    stream of its own, so independent of scheduling order. Draws fit in a
+    bytes object up to 256 references."""
+    if n_refs == 1:
+        # randrange(1) is always 0, and no other sentence shares this stream
+        return bytes(iterations)
     rng = random.Random(f"{seed}:{sentence_index}")
-    return [rng.randrange(n_refs) for _ in range(iterations)]
+    draws = [rng.randrange(n_refs) for _ in range(iterations)]
+    return bytes(draws) if n_refs <= 256 else draws
 
 
 class GleuStats(NamedTuple):
     """One hypothesis's statistics against each of its references.
 
     ``counts[j]`` holds the counts against reference ``j``; ``draws`` is
-    the reference drawn at each iteration in ``sampled`` mode and None in
+    the reference drawn at each iteration in ``sampled`` mode (any int
+    sequence; :func:`sample_draws` gives bytes) and None in
     ``mean-over-all`` mode.
     """
 
     score: float
     counts: tuple[tuple[int, ...], ...]
-    draws: list[int] | None
+    draws: Sequence[int] | None
 
 
 def gleu_stats(
@@ -144,20 +167,24 @@ def gleu_stats(
     references: Sequence[Sentence],
     cfg: GleuConfig = GleuConfig(),
     sentence_index: int = 0,
+    draws: Sequence[int] | None = None,
 ) -> GleuStats:
-    """Sentence statistics; ``score`` is the multi-reference sentence score."""
+    """Sentence statistics; ``score`` is the multi-reference sentence score.
+
+    In ``sampled`` mode ``draws`` defaults to :func:`sample_draws` of the
+    sentence; a caller scoring many hypotheses of one sentence draws once
+    and passes them.
+    """
     references = tuple(references)
     if not references:
         raise ValidationError("at least one reference is required")
-    counts = tuple(
-        _sentence_stats(source, hypothesis, ref, cfg.max_n) for ref in references
-    )
+    src, hyp = _orders(source.tokens, cfg.max_n), _orders(hypothesis.tokens, cfg.max_n)
+    counts = tuple(_sentence_stats(src, hyp, ref, len(hypothesis)) for ref in references)
     scores = [_assemble(c, cfg.max_n) for c in counts]
     if cfg.multi_ref_mode == MEAN_OVER_ALL:
         return GleuStats(mean_score(scores), counts, None)
-    draws = _sample_ref_indices(
-        len(references), cfg.iterations, cfg.rng_seed, sentence_index
-    )
+    if draws is None:
+        draws = sample_draws(len(references), cfg.iterations, cfg.rng_seed, sentence_index)
     return GleuStats(mean_score([scores[j] for j in draws]), counts, draws)
 
 
@@ -203,9 +230,28 @@ def gleu_pool(stats: Sequence[GleuStats], cfg: GleuConfig = GleuConfig()) -> flo
                     f"sentence {i} has {len(s.counts)} references, expected {width}"
                 )
         return mean_score([pooled([j] * len(stats)) for j in range(width)])
-    return mean_score(
-        [pooled([s.draws[k] for s in stats]) for k in range(cfg.iterations)]
-    )
+    # totals[k] = sum over sentences of the counts against the reference
+    # drawn at iteration k: per reference column, an exact integer matmul
+    # of one-hot picks (iterations x N) with the counts (N x C), a block of
+    # iterations at a time so that the one-hot stays small. Sentences with
+    # fewer references get zero rows, which they never pick.
+    picks = np.array([_row(s.draws) for s in stats]).T
+    width = max(len(s.counts) for s in stats)
+    zeros = (0,) * len(stats[0].counts[0])
+    columns = [
+        np.array([s.counts[j] if j < len(s.counts) else zeros for s in stats], np.int64)
+        for j in range(width)
+    ]
+    scores = []
+    for start in range(0, len(picks), _BLOCK):
+        block = picks[start : start + _BLOCK]
+        totals = sum((block == j).astype(np.int64) @ col for j, col in enumerate(columns))
+        scores.extend(_assemble(row, cfg.max_n) for row in totals.tolist())
+    return mean_score(scores)
+
+
+def _row(draws: Sequence[int]):
+    return np.frombuffer(draws, np.uint8) if isinstance(draws, bytes) else draws
 
 
 def gleu_corpus(

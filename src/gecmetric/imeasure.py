@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
+from . import _levenshtein
 from .analysis import mean_score
 from .corpus import Sentence
 from .errors import ValidationError
@@ -33,6 +34,8 @@ __all__ = [
     "classify_tokens",
     "weighted_accuracy",
     "IMeasureStats",
+    "ReferenceSide",
+    "reference_side",
     "i_measure_stats",
     "i_measure_sentence",
     "i_measure_pool",
@@ -73,22 +76,13 @@ def _align(a: tuple[str, ...], b: tuple[str, ...]):
     Returns (partner, gaps): ``partner[i]`` is the b-token aligned to
     ``a[i]`` or None if deleted; ``gaps[slot]`` lists b-tokens inserted
     before a-position ``slot`` (slot ``len(a)`` holds trailing inserts).
-    Backtrace prefers match, then substitution, deletion, insertion.
+    Backtrace prefers match, then substitution, deletion, insertion, so
+    equal sides align position by position; that case skips the table.
     """
     n, m = len(a), len(b)
-    d = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        d[i][0] = i
-    for j in range(1, m + 1):
-        d[0][j] = j
-    for i in range(1, n + 1):
-        row, prev = d[i], d[i - 1]
-        for j in range(1, m + 1):
-            row[j] = min(
-                prev[j - 1] + (a[i - 1] != b[j - 1]),
-                prev[j] + 1,
-                row[j - 1] + 1,
-            )
+    if a == b:
+        return list(b), [()] * (n + 1)
+    d = _levenshtein.table(a, b)
     ops: list[tuple[int | None, int | None]] = []
     i, j = n, m
     while i > 0 or j > 0:
@@ -106,11 +100,11 @@ def _align(a: tuple[str, ...], b: tuple[str, ...]):
             j -= 1
     ops.reverse()
     partner: list[str | None] = [None] * n
-    gaps: list[list[str]] = [[] for _ in range(n + 1)]
+    gaps: list[tuple[str, ...]] = [()] * (n + 1)
     cursor = 0
     for ai, bj in ops:
         if ai is None:
-            gaps[cursor].append(b[bj])
+            gaps[cursor] += (b[bj],)
         else:
             partner[ai] = None if bj is None else b[bj]
             cursor = ai + 1
@@ -121,10 +115,19 @@ def classify_tokens(
     source: Sentence, reference: Sentence, hypothesis: Sentence
 ) -> TokenCounts:
     """Classify the joined source/reference/hypothesis token triples."""
-    ref_partner, ref_gaps = _align(source.tokens, reference.tokens)
-    hyp_partner, hyp_gaps = _align(source.tokens, hypothesis.tokens)
+    return _classify(
+        source.tokens,
+        _align(source.tokens, reference.tokens),
+        _align(source.tokens, hypothesis.tokens),
+    )
+
+
+def _classify(tokens: tuple[str, ...], ref_alignment, hyp_alignment) -> TokenCounts:
+    """Counts of the triples joined from two :func:`_align` results of ``tokens``."""
+    ref_partner, ref_gaps = ref_alignment
+    hyp_partner, hyp_gaps = hyp_alignment
     triples: list[tuple[str | None, str | None, str | None]] = []
-    n = len(source.tokens)
+    n = len(tokens)
     for slot in range(n + 1):
         rg, hg = ref_gaps[slot], hyp_gaps[slot]
         for k in range(max(len(rg), len(hg))):
@@ -132,7 +135,7 @@ def classify_tokens(
                 (None, rg[k] if k < len(rg) else None, hg[k] if k < len(hg) else None)
             )
         if slot < n:
-            triples.append((source.tokens[slot], ref_partner[slot], hyp_partner[slot]))
+            triples.append((tokens[slot], ref_partner[slot], hyp_partner[slot]))
     tp = tn = fp = fn = fpn = 0
     for s, r, h in triples:
         if r == s:
@@ -183,15 +186,18 @@ class IMeasureStats(NamedTuple):
     baseline: TokenCounts
 
 
-def _against_ref(
-    source: Sentence, hypothesis: Sentence, reference: Sentence, weight: float
-) -> IMeasureStats:
-    sys_counts = classify_tokens(source, reference, hypothesis)
-    base_counts = classify_tokens(source, reference, source)
-    score = _improvement(
-        weighted_accuracy(sys_counts, weight), weighted_accuracy(base_counts, weight)
-    )
-    return IMeasureStats(score, sys_counts, base_counts)
+class ReferenceSide(NamedTuple):
+    """What one reference contributes whatever the hypothesis: its
+    alignment to the source and the do-nothing baseline's counts."""
+
+    alignment: tuple
+    baseline: TokenCounts
+
+
+def reference_side(source: Sentence, reference: Sentence) -> ReferenceSide:
+    tokens = source.tokens
+    alignment = _align(tokens, reference.tokens)
+    return ReferenceSide(alignment, _classify(tokens, alignment, _align(tokens, tokens)))
 
 
 def i_measure_stats(
@@ -199,14 +205,33 @@ def i_measure_stats(
     hypothesis: Sentence,
     references: Sequence[Sentence],
     cfg: IMeasureConfig = IMeasureConfig(),
+    sides: Sequence[ReferenceSide] | None = None,
 ) -> IMeasureStats:
-    """Sentence statistics against the best of the available references."""
+    """Sentence statistics against the best of the available references.
+
+    ``sides`` holds :func:`reference_side` of each reference; a caller
+    scoring many hypotheses of one source computes them once and passes
+    them. An unchanged hypothesis has the baseline's counts.
+    """
     if not references:
         raise ValidationError("at least one reference is required")
-    return max(
-        (_against_ref(source, hypothesis, ref, cfg.weight) for ref in references),
-        key=lambda stats: stats.score,
-    )
+    if sides is None:
+        sides = [reference_side(source, ref) for ref in references]
+    hyp_alignment = None
+    if hypothesis != source:
+        hyp_alignment = _align(source.tokens, hypothesis.tokens)
+
+    def against(side: ReferenceSide) -> IMeasureStats:
+        system = side.baseline
+        if hyp_alignment is not None:
+            system = _classify(source.tokens, side.alignment, hyp_alignment)
+        score = _improvement(
+            weighted_accuracy(system, cfg.weight),
+            weighted_accuracy(side.baseline, cfg.weight),
+        )
+        return IMeasureStats(score, system, side.baseline)
+
+    return max((against(side) for side in sides), key=lambda stats: stats.score)
 
 
 def i_measure_sentence(

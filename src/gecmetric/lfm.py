@@ -25,7 +25,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .corpus import Sentence
-from .errors import ModelError, ValidationError
+from .errors import ModelError, ParseError, ValidationError
+from .formats import split_lines
 from .grammaticality import Wordlist
 
 __all__ = [
@@ -220,6 +221,11 @@ class LfmModel:
         k = len(self.feature_names)
         if not (len(self.means) == len(self.stdevs) == len(self.weights) == k):
             raise ModelError("feature_names, means, stdevs, weights must align")
+        numbers = (*self.means, *self.stdevs, *self.weights, self.bias)
+        if not all(math.isfinite(v) for v in numbers):
+            raise ModelError("means, stdevs, weights and bias must be finite")
+        if 0.0 in self.stdevs:
+            raise ModelError("stdevs must be non-zero")
 
 
 def train_ridge(
@@ -398,10 +404,7 @@ def parse_training_tsv(text: str) -> tuple[tuple[str, ...], list[list[float]], l
 
     Returns (feature_names, feature_rows, targets).
     """
-    from .errors import ParseError
-
-    lines = [ln for ln in text.splitlines()]
-    rows = [(i + 1, ln) for i, ln in enumerate(lines) if ln.strip()]
+    rows = [(i + 1, ln) for i, ln in enumerate(split_lines(text)) if ln.strip()]
     if len(rows) < 2:
         raise ParseError("need a header row and at least one data row")
     header = rows[0][1].split("\t")
@@ -421,6 +424,8 @@ def parse_training_tsv(text: str) -> tuple[tuple[str, ...], list[list[float]], l
             values = [float(c) for c in cells]
         except ValueError as exc:
             raise ParseError(f"non-numeric cell: {exc}", line=lineno) from exc
+        if not all(math.isfinite(v) for v in values):
+            raise ParseError("non-finite cell (nan or inf)", line=lineno)
         features.append(values[:-1])
         targets.append(values[-1])
     return names, features, targets

@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
+from . import _levenshtein
 from .analysis import mean_score
 from .corpus import AnnotatedSource, AnnotationSet, Edit, Sentence
 from .errors import ValidationError
@@ -92,44 +93,15 @@ def f_beta(tp: int, fp: int, fn: int, beta: float = 0.5) -> float:
     return (1.0 + beta * beta) * precision * recall / denom
 
 
-def _lev_tables(src: Sequence[str], hyp: Sequence[str]):
-    n, m = len(src), len(hyp)
-    fwd = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        fwd[i][0] = i
-    for j in range(1, m + 1):
-        fwd[0][j] = j
-    for i in range(1, n + 1):
-        row, prev = fwd[i], fwd[i - 1]
-        for j in range(1, m + 1):
-            row[j] = min(
-                prev[j - 1] + (src[i - 1] != hyp[j - 1]),
-                prev[j] + 1,
-                row[j - 1] + 1,
-            )
-    bwd = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        bwd[i][m] = n - i
-    for j in range(m + 1):
-        bwd[n][j] = m - j
-    for i in range(n - 1, -1, -1):
-        row, nxt = bwd[i], bwd[i + 1]
-        for j in range(m - 1, -1, -1):
-            row[j] = min(
-                nxt[j + 1] + (src[i] != hyp[j]),
-                nxt[j] + 1,
-                row[j + 1] + 1,
-            )
-    return fwd, bwd
-
-
 def _build_graph(src: tuple[str, ...], hyp: tuple[str, ...], max_unchanged: int):
     """Lattice of minimal alignments plus merged phrase edges.
 
     Returns (topo-ordered nodes, adjacency u -> [(v, edit-or-None)]).
     """
     n, m = len(src), len(hyp)
-    fwd, bwd = _lev_tables(src, hyp)
+    fwd = _levenshtein.table(src, hyp)
+    # distances of suffixes: the table of the reversed sequences, read backwards
+    bwd = [row[::-1] for row in reversed(_levenshtein.table(src[::-1], hyp[::-1]))]
     total = fwd[n][m]
     nodes = [
         (i, j)
@@ -186,14 +158,10 @@ def _build_graph(src: tuple[str, ...], hyp: tuple[str, ...], max_unchanged: int)
     return topo, adj
 
 
-def _best_edits(
-    src: tuple[str, ...],
-    hyp: tuple[str, ...],
-    gold: frozenset[_EditKey],
-    cfg: M2Config,
-) -> list[_EditKey]:
-    topo, adj = _build_graph(src, hyp, cfg.max_unchanged_words)
-    start, goal = (0, 0), (len(src), len(hyp))
+def _best_edits(lattice, gold: frozenset[_EditKey], cfg: M2Config) -> list[_EditKey]:
+    """The cheapest path through a :func:`_build_graph` lattice against ``gold``."""
+    topo, adj = lattice
+    start, goal = topo[0], topo[-1]
     dist: dict[_Node, float] = {start: 0.0}
     back: dict[_Node, tuple[_Node, _EditKey | None]] = {}
     for u in topo:
@@ -277,7 +245,8 @@ def extract_system_edits(
     gold_edits = gold.edits if isinstance(gold, AnnotationSet) else tuple(gold)
     keys, ignored = _gold_keys(source, gold_edits)
     _warn_identity(ignored)
-    chosen = _best_edits(source.tokens, hypothesis.tokens, keys, cfg)
+    lattice = _build_graph(source.tokens, hypothesis.tokens, cfg.max_unchanged_words)
+    chosen = _best_edits(lattice, keys, cfg)
     return tuple(Edit(s, e, repl) for s, e, repl in chosen)
 
 
@@ -295,12 +264,20 @@ def m2_stats(
     gold: _Gold,
     cfg: M2Config = M2Config(),
 ) -> M2Stats:
-    """Sentence statistics against ``gold`` (one item of :func:`gold_edit_keys`)."""
+    """Sentence statistics against ``gold`` (one item of :func:`gold_edit_keys`).
+
+    One lattice serves every annotator. An unchanged hypothesis builds
+    none: its only minimal path is the all-match diagonal, which holds no
+    edit, so it scores tp = fp = 0 against every annotator.
+    """
     if not gold:
         raise ValidationError("at least one annotation set is required")
+    lattice = None
+    if hypothesis != source:
+        lattice = _build_graph(source.tokens, hypothesis.tokens, cfg.max_unchanged_words)
     counts = []
     for annotator, keys in gold:
-        system = _best_edits(source.tokens, hypothesis.tokens, keys, cfg)
+        system = [] if lattice is None else _best_edits(lattice, keys, cfg)
         found = set(system)
         tp = len([g for g in keys if g in found])
         fp = len([e for e in system if e not in keys])

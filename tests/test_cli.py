@@ -220,6 +220,21 @@ def test_mismatched_lengths_exit_two(corpus, capsys):
 # seed resolution
 
 
+def test_line_separator_inside_a_hypothesis_line_is_not_a_line_break(corpus, capsys):
+    (corpus / "x.txt").write_text(SYS_B.replace("cat sat", "cat\x85sat"), encoding="utf-8")
+    code, out, err = _run(
+        capsys,
+        [
+            "score", "--metric", "gleu",
+            "--source", str(corpus / "source.txt"),
+            "--ref", str(corpus / "ref1.txt"),
+            "--hyp", f"x={corpus / 'x.txt'}",
+        ],
+    )
+    assert code == 0, err
+    assert len(json.loads(out)["systems"][0]["per_sentence"]) == 3
+
+
 def test_seed_flag_wins(corpus, capsys, caplog, monkeypatch):
     monkeypatch.setenv("GECMETRIC_SEED", "9")
     with caplog.at_level(logging.INFO, logger="gecmetric"):
@@ -464,6 +479,35 @@ def test_bad_model_json_exits_two(corpus, capsys):
         + _hyp_args(corpus),
     )
     assert code == 2
+
+
+def test_train_lfm_non_finite_cell_exits_two(corpus, capsys, caplog):
+    train = corpus / "train.tsv"
+    train.write_text("f1\ttarget\n1\t0.5\nnan\t0.7\n", encoding="utf-8")
+    code, _, err = _run(
+        capsys, ["train-lfm", "--train", str(train), "--out", str(corpus / "m.json")]
+    )
+    assert code == 2
+    assert "Traceback" not in err
+    assert "line 3: non-finite" in caplog.text
+
+
+def test_zero_stdev_model_exits_two(corpus, capsys, caplog, model_path):
+    doc = json.loads(model_path.read_text(encoding="utf-8"))
+    doc["stdevs"][0] = 0.0
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, _, _ = _run(
+        capsys,
+        [
+            "score", "--metric", "lfm",
+            "--model", str(model_path),
+            "--lm-corpus", str(corpus / "ref1.txt"),
+            "--wordlist", str(corpus / "words.txt"),
+        ]
+        + _hyp_args(corpus),
+    )
+    assert code == 2
+    assert "stdevs must be non-zero" in caplog.text
 
 
 # ---------------------------------------------------------------------------
@@ -933,3 +977,55 @@ def test_external_checker_gets_one_request_per_sentence(corpus, capsys):
     # the sentence scores and the corpus score share one request per
     # (system, sentence)
     assert len(requests.read_text(encoding="utf-8").splitlines()) == 3 * 3
+
+
+# ---------------------------------------------------------------------------
+# work done once per run
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_reference_metrics_do_system_independent_work_once(corpus, capsys, monkeypatch):
+    """Systems a and b share the hypotheses of sentences 2 and 3, and c
+    leaves every sentence unchanged, so of the 9 (system, sentence) pairs
+    4 are distinct and changed. Each gets one lattice (two Levenshtein
+    tables) for M2 and one hypothesis alignment for I-measure; each of the
+    5 distinct (sentence, reference) pairs (both references of sentence 2
+    are the same) gets one reference alignment; unchanged hypotheses get
+    none. GLEU draws once per sentence."""
+    from gecmetric import _levenshtein, cli, maxmatch
+
+    tables = _count_calls(monkeypatch, _levenshtein, "table")
+    lattices = _count_calls(monkeypatch, maxmatch, "_build_graph")
+    draws = _count_calls(monkeypatch, cli, "sample_draws")
+    refs = [
+        "--source", str(corpus / "source.txt"),
+        "--ref", str(corpus / "ref1.txt"),
+        "--ref", str(corpus / "ref2.txt"),
+    ]
+    m2 = ["score", "--metric", "m2", "--m2", str(corpus / "gold.m2")]
+    imeasure = ["score", "--metric", "imeasure"] + refs
+    only_c = ["--hyp", f"c={corpus / 'c.txt'}"]
+    expected = [
+        (m2 + _hyp_args(corpus), 8, 4),
+        (m2 + only_c, 0, 0),
+        (imeasure + _hyp_args(corpus), 4 + 5, 0),
+        (imeasure + only_c, 5, 0),
+    ]
+    for argv, n_tables, n_lattices in expected:
+        tables.clear()
+        lattices.clear()
+        assert _run(capsys, argv)[0] == 0
+        assert (len(tables), len(lattices)) == (n_tables, n_lattices), argv
+    assert _run(capsys, ["score", "--metric", "gleu"] + refs + _hyp_args(corpus))[0] == 0
+    assert sorted(args[3] for args in draws) == [0, 1, 2]

@@ -230,3 +230,31 @@ def test_write_report_round_trip(tmp_path):
     doc = build_report(systems=[{"id": "a", "v": 0.5}])
     write_report(path, doc)
     assert json.loads(path.read_text(encoding="utf-8")) == doc
+
+
+# Characters that str.splitlines() breaks on but that can occur inside a line.
+INNER_BREAKS = ["\x85", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c"]
+
+
+@pytest.mark.parametrize("mark", INNER_BREAKS)
+def test_read_parallel_text_splits_on_newline_only(tmp_path, mark):
+    path = tmp_path / "hyp.txt"
+    path.write_bytes(f"he{mark}goes home\r\nok\n".encode("utf-8"))
+    sentences = read_parallel_text(path)
+    assert [s.tokens for s in sentences] == [("he", "goes", "home"), ("ok",)]
+
+
+@pytest.mark.parametrize("mark", INNER_BREAKS)
+def test_parse_m2_splits_on_newline_only(tmp_path, mark):
+    text = f"S he{mark}go home\r\nA 1 2|||Verb|||goes|||REQUIRED|||-NONE-|||0\n"
+    (unit,) = parse_m2(text)
+    assert unit.source.tokens == ("he", "go", "home")
+    path = tmp_path / "gold.m2"
+    path.write_bytes(text.encode("utf-8"))
+    assert read_m2_file(path) == [unit]
+
+
+@pytest.mark.parametrize("mark", INNER_BREAKS)
+def test_parse_human_ranking_splits_on_newline_only(mark):
+    ranking = parse_human_ranking(f"sys{mark}a\t1.5\r\nb\t2\n")
+    assert ranking.scores == {f"sys{mark}a": 1.5, "b": 2.0}

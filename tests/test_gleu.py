@@ -5,15 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gecmetric.analysis import mean_score
 from gecmetric.corpus import Sentence, tokenize
 from gecmetric.errors import ValidationError
 from gecmetric.gleu import (
     MEAN_OVER_ALL,
     SAMPLED,
     GleuConfig,
+    _assemble,
     gleu_corpus,
     gleu_multi_ref,
+    gleu_pool,
     gleu_sentence,
+    gleu_stats,
 )
 from oracles import gleu_reference
 
@@ -240,3 +244,86 @@ def test_config_validation():
         GleuConfig(iterations=0)
     with pytest.raises(ValidationError):
         GleuConfig(multi_ref_mode="bogus")
+
+
+# ---------------------------------------------------------------------------
+# the pooled reduction and the shared draws
+
+
+def _random_stats(rng, n_sentences, ref_counts, cfg):
+    vocab = ["a", "b", "c", "d", "e"]
+
+    def sentence():
+        return Sentence(tuple(rng.choice(vocab) for _ in range(rng.randint(0, 8))))
+
+    stats = []
+    for i in range(n_sentences):
+        refs = tuple(sentence() for _ in range(rng.choice(ref_counts)))
+        stats.append(gleu_stats(sentence(), sentence(), refs, cfg, sentence_index=i))
+    return stats
+
+
+def test_sampled_score_is_the_mean_over_draws():
+    rng = random.Random(5)
+    vocab = ["a", "b", "c", "d"]
+
+    def sentence():
+        return Sentence(tuple(rng.choice(vocab) for _ in range(rng.randint(1, 7))))
+
+    cfg = GleuConfig(iterations=60, rng_seed=9)
+    for i in range(60):
+        src, hyp = sentence(), sentence()
+        refs = tuple(sentence() for _ in range(rng.randint(1, 3)))
+        stats = gleu_stats(src, hyp, refs, cfg, sentence_index=i)
+        per_ref = [gleu_sentence(src, hyp, ref, GleuConfig()) for ref in refs]
+        assert stats.score == mean_score([per_ref[j] for j in stats.draws])
+
+
+def _plain_pool(stats, cfg):
+    """The sampled corpus score as a plain-Python sum per iteration."""
+    scores = []
+    for k in range(cfg.iterations):
+        picked = [s.counts[s.draws[k]] for s in stats]
+        totals = [sum(c[col] for c in picked) for col in range(len(picked[0]))]
+        scores.append(_assemble(totals, cfg.max_n))
+    return mean_score(scores)
+
+
+@pytest.mark.parametrize("ref_counts", [(1,), (2,), (3,), (1, 2, 3)])
+def test_pool_equals_plain_pooled_sum(ref_counts):
+    rng = random.Random(f"pool:{ref_counts}")
+    cfg = GleuConfig(iterations=40, rng_seed=3)
+    for n_sentences in (1, 2, 17):
+        stats = _random_stats(rng, n_sentences, ref_counts, cfg)
+        assert gleu_pool(stats, cfg) == _plain_pool(stats, cfg)
+
+
+def test_pool_accepts_draws_as_any_int_sequence():
+    rng = random.Random(11)
+    cfg = GleuConfig(iterations=25)
+    stats = _random_stats(rng, 9, (2, 3), cfg)
+    as_lists = [s._replace(draws=list(s.draws)) for s in stats]
+    as_bytes = [s._replace(draws=bytes(s.draws)) for s in stats]
+    assert gleu_pool(as_lists, cfg) == gleu_pool(as_bytes, cfg) == _plain_pool(stats, cfg)
+
+
+def test_single_reference_draws_are_the_documented_stream():
+    """With one reference every draw is 0, as the keyed stream gives."""
+    src, hyp, ref = tokenize("a b c d"), tokenize("a x c d"), tokenize("a y c d")
+    cfg = GleuConfig(rng_seed=4, iterations=30)
+    for index in (0, 5):
+        stats = gleu_stats(src, hyp, (ref,), cfg, sentence_index=index)
+        rng = random.Random(f"4:{index}")
+        assert list(stats.draws) == [rng.randrange(1) for _ in range(30)]
+        assert stats.score == gleu_sentence(src, hyp, ref, GleuConfig())
+        assert gleu_multi_ref(src, hyp, (ref,), cfg, sentence_index=index) == stats.score
+
+
+def test_stats_with_passed_draws_equal_own_draws():
+    src, hyp = tokenize("a b c d e"), tokenize("a b x d e")
+    refs = (tokenize("a b y d e"), tokenize("a q c d e"))
+    cfg = GleuConfig(rng_seed=2, iterations=50)
+    own = gleu_stats(src, hyp, refs, cfg, sentence_index=6)
+    passed = gleu_stats(src, hyp, refs, cfg, sentence_index=6, draws=list(own.draws))
+    assert passed.score == own.score
+    assert passed.counts == own.counts

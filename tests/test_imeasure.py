@@ -4,14 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gecmetric.corpus import tokenize
+from gecmetric.corpus import Sentence, tokenize
 from gecmetric.errors import ValidationError
 from gecmetric.imeasure import (
     IMeasureConfig,
     TokenCounts,
+    _align,
     classify_tokens,
     i_measure_corpus,
     i_measure_sentence,
+    i_measure_stats,
     weighted_accuracy,
 )
 
@@ -188,3 +190,41 @@ def test_corpus_validates_sizes():
 def test_config_validation():
     with pytest.raises(ValidationError):
         IMeasureConfig(weight=0.0)
+
+
+def _random_sentence(rng, low=0):
+    return Sentence(tuple(rng.choice(["a", "b", "c", "d"]) for _ in range(rng.randint(low, 7))))
+
+
+@given(tokens_st)
+@settings(max_examples=200, deadline=None)
+def test_equal_sides_align_as_the_backtrace_does(tokens):
+    """Equal sides skip the table; the backtrace of a tuple against an
+    equal list (which does not compare equal) still runs it."""
+    a = tuple(tokens)
+    assert _align(a, a) == _align(a, list(a))
+
+
+def test_unchanged_and_restored_hypotheses_match_per_reference_classification():
+    """Statistics against several references equal the best single-reference
+    classification; an unchanged hypothesis (built again after a one-token
+    change) gets the baseline counts and scores 0."""
+    rng = random.Random(23)
+    for _ in range(200):
+        src = _random_sentence(rng, low=1)
+        refs = tuple(_random_sentence(rng) for _ in range(rng.randint(1, 3)))
+        tokens = list(src.tokens)
+        k = rng.randrange(len(tokens))
+        changed = tokens[:k] + ["z"] + tokens[k + 1 :]
+        restored = changed[:k] + [tokens[k]] + changed[k + 1 :]
+        for hyp in (Sentence(tuple(changed)), Sentence(tuple(restored))):
+            stats = i_measure_stats(src, hyp, refs)
+            singles = [i_measure_stats(src, hyp, (ref,)) for ref in refs]
+            assert stats == max(singles, key=lambda s: s.score)
+            for ref, single in zip(refs, singles):
+                assert single.system == classify_tokens(src, ref, hyp)
+                assert single.baseline == classify_tokens(src, ref, src)
+        identity = i_measure_stats(src, src, refs)
+        assert identity == i_measure_stats(src, Sentence(tuple(restored)), refs)
+        assert identity.score == 0.0
+        assert identity.system == identity.baseline

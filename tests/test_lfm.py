@@ -346,3 +346,29 @@ def test_parse_training_tsv_rejects_ragged_rows():
 def test_parse_training_tsv_requires_data():
     with pytest.raises(ParseError):
         parse_training_tsv("f1\ty\n")
+
+
+def test_parse_training_tsv_splits_on_newline_only():
+    names, rows, targets = parse_training_tsv("f\x851\tf2\ty\r\n1\t2\t0.5\n")
+    assert names == ("f\x851", "f2")
+    assert rows == [[1.0, 2.0]]
+    assert targets == [0.5]
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_parse_training_tsv_rejects_non_finite(cell):
+    with pytest.raises(ParseError, match="line 3: non-finite"):
+        parse_training_tsv(f"f1\ty\n1\t2\n{cell}\t2\n")
+    with pytest.raises(ParseError, match="line 2: non-finite"):
+        parse_training_tsv(f"f1\ty\n1\t{cell}\n")
+
+
+@pytest.mark.parametrize("stdev", [0.0, -0.0, float("nan"), float("inf")])
+def test_load_rejects_zero_or_non_finite_stdevs(tmp_path, stdev):
+    path = tmp_path / "model.json"
+    save_lfm_model(path, _toy_model())
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["stdevs"][1] = stdev
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelError, match="stdevs"):
+        load_lfm_model(path)

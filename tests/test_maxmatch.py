@@ -3,14 +3,16 @@ import random
 
 import pytest
 
-from gecmetric.corpus import AnnotatedSource, AnnotationSet, Edit, tokenize
+from gecmetric.corpus import AnnotatedSource, AnnotationSet, Edit, Sentence, tokenize
 from gecmetric.errors import ValidationError
 from gecmetric.maxmatch import (
     M2Config,
     extract_system_edits,
     f_beta,
+    gold_edit_keys,
     m2_corpus,
     m2_sentence,
+    m2_stats,
 )
 from oracles import f_beta_reference, m2_reference_count_set
 
@@ -327,3 +329,50 @@ def test_config_validation():
         M2Config(beta=-1)
     with pytest.raises(ValidationError):
         M2Config(max_unchanged_words=-1)
+
+
+def _random_unit(rng):
+    source = tokenize(" ".join(rng.choice(VOCAB) for _ in range(rng.randint(1, 7))))
+    annotations = []
+    for annotator in (0, 1):
+        edits, start = [], 0
+        while start < len(source) and len(edits) < 2:
+            start = rng.randint(start, len(source) - 1)
+            end = start + rng.randint(0, 1)
+            repl = tuple(rng.choice(VOCAB + ["x"]) for _ in range(rng.randint(0, 2)))
+            edits.append(Edit(start, end, repl, annotator=annotator))
+            start = end + 1
+        annotations.append(AnnotationSet(annotator, tuple(edits)))
+    return AnnotatedSource(source, tuple(annotations))
+
+
+def _counts_from_extracted_edits(unit, hypothesis, cfg):
+    """Per-annotator counts, each from its own extract_system_edits call."""
+    out = []
+    for aset in unit.annotations:
+        keys = {e.key for e in aset.edits if unit.source.tokens[e.start : e.end] != e.replacement}
+        found = {e.key for e in extract_system_edits(unit.source, hypothesis, aset, cfg)}
+        tp = len(keys & found)
+        out.append((tp, len(found) - tp, len(keys) - tp, aset.annotator))
+    return out
+
+
+def test_unchanged_and_restored_hypotheses_match_the_lattice_path():
+    """An unchanged hypothesis (built again after a one-token change) gets
+    the counts the lattice gives; so does the changed one."""
+    rng = random.Random(19)
+    cfg = M2Config()
+    for _ in range(150):
+        unit = _random_unit(rng)
+        (gold,) = gold_edit_keys([unit])
+        tokens = list(unit.source.tokens)
+        k = rng.randrange(len(tokens))
+        changed = tokens[:k] + ["z"] + tokens[k + 1 :]
+        restored = changed[:k] + [tokens[k]] + changed[k + 1 :]
+        for hyp in (Sentence(tuple(changed)), Sentence(tuple(restored))):
+            stats = m2_stats(unit.source, hyp, gold, cfg)
+            got = [(c.tp, c.fp, c.fn, c.annotator) for c in stats.counts]
+            assert got == _counts_from_extracted_edits(unit, hyp, cfg)
+        identity = m2_stats(unit.source, unit.source, gold, cfg)
+        assert identity == m2_stats(unit.source, Sentence(tuple(restored)), gold, cfg)
+        assert all(c.tp == c.fp == 0 for c in identity.counts)
