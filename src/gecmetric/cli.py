@@ -63,7 +63,7 @@ from .grammaticality import (
     Wordlist,
     build_default_suite,
     error_count_pool,
-    error_count_stats,
+    error_count_stats_many,
 )
 from .imeasure import IMeasureConfig, i_measure_pool, i_measure_stats, reference_side
 from .lfm import (
@@ -119,19 +119,22 @@ class _Scorer:
 
     ``stats(i, hypothesis, row)`` computes the statistics of sentence
     ``i``, where ``row`` is its reference row (None for metrics without
-    rows); ``value`` maps statistics to the sentence score and ``pool``
-    reduces a system's statistics to its corpus score (None: lfm). With a
-    ``shared`` dict, a (sentence, hypothesis) pair that several systems
-    output is scored once against the run's own rows.
+    rows); a metric may instead give ``batch``, which computes a list of
+    such (i, hypothesis, row) items in one call. ``value`` maps statistics
+    to the sentence score and ``pool`` reduces a system's statistics to
+    its corpus score (None: lfm). With a ``shared`` dict, a (sentence,
+    hypothesis) pair that several systems output is scored once against
+    the run's own rows.
     """
 
     metric: str
-    stats: Callable[[int, Sentence, Any], Any]
+    stats: Callable[[int, Sentence, Any], Any] | None
     pool: Callable[[list], float] | None
     rows: tuple[tuple[Sentence, ...], ...] | None = None
     value: Callable[[Any], float] = operator.attrgetter("score")
     closers: tuple = ()
     shared: dict | None = None
+    batch: Callable[[list], list] | None = None
 
 
 def _gleu(args, inputs: _Inputs, seed: int) -> _Scorer:
@@ -188,9 +191,11 @@ def _errorcount(args, inputs: _Inputs, seed: int) -> _Scorer:
     suite = _build_suite(args)
     return _Scorer(
         "errorcount",
-        lambda i, hyp, row: error_count_stats(hyp, suite),
+        None,
         error_count_pool,
         closers=tuple(d for d in suite.detectors if isinstance(d, ExternalChecker)),
+        shared={},
+        batch=lambda items: error_count_stats_many([hyp for _, hyp, _ in items], suite),
     )
 
 
@@ -206,6 +211,7 @@ def _lfm(args, inputs: _Inputs, seed: int) -> _Scorer:
         lambda i, hyp, row: featurize(hyp, lm, wordlist),
         None,  # a per-sentence regression has nothing to pool
         value=functools.partial(lfm_score, model),
+        shared={},
     )
 
 
@@ -221,13 +227,14 @@ METRICS: dict[str, Callable[..., _Scorer]] = {
 def _stats(scorer: _Scorer, hyps: Sequence[Sentence], rows=None) -> list:
     memo = scorer.shared if rows is None and scorer.shared is not None else {}
     rows = scorer.rows if rows is None else rows
-    out = []
-    for i, hyp in enumerate(hyps):
-        key = (i, hyp.tokens)
-        if key not in memo:
-            memo[key] = scorer.stats(i, hyp, None if rows is None else rows[i])
-        out.append(memo[key])
-    return out
+    todo = [
+        (i, hyp, None if rows is None else rows[i])
+        for i, hyp in enumerate(hyps)
+        if (i, hyp.tokens) not in memo
+    ]
+    compute = scorer.batch or (lambda items: [scorer.stats(*item) for item in items])
+    memo.update(zip([(i, hyp.tokens) for i, hyp, _ in todo], compute(todo)))
+    return [memo[i, hyp.tokens] for i, hyp in enumerate(hyps)]
 
 
 def _sentence_scores(scorer: _Scorer, hyps: Sequence[Sentence], rows) -> list[float]:
@@ -626,8 +633,9 @@ def _cmd_check(args) -> int:
     try:
         detections = []
         by_category: dict[str, int] = {}
-        for index, sentence in enumerate(sentences):
-            for span in suite.run(sentence.tokens):
+        found = suite.run_many([sentence.tokens for sentence in sentences])
+        for index, spans in enumerate(found):
+            for span in spans:
                 detections.append(
                     {
                         "sentence": index,

@@ -35,7 +35,7 @@ def _check_token(surface: object) -> str:
         raise ValidationError(f"token must be a string, got {type(surface).__name__}")
     if not surface:
         raise ValidationError("token must be non-empty")
-    if any(ch.isspace() for ch in surface):
+    if surface.split() != [surface]:
         raise ValidationError(f"token {surface!r} contains whitespace")
     return surface
 

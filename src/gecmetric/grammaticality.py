@@ -42,11 +42,15 @@ __all__ = [
     "build_default_suite",
     "ErrorCountStats",
     "error_count_stats",
+    "error_count_stats_many",
     "error_count_score",
     "error_count_pool",
     "error_count_corpus",
     "ExternalChecker",
 ]
+
+# Requests an external checker has in flight at once (see check_many).
+CHECKER_WINDOW = 32
 
 _VOWELS = frozenset("aeiou")
 _CLAUSE_PUNCT = frozenset({",", ".", ";", ":", "!", "?"})
@@ -112,7 +116,7 @@ class Wordlist:
 
     @classmethod
     def from_file(cls, path) -> "Wordlist":
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return cls(word for word in (line.strip() for line in handle) if word)
 
 
@@ -207,9 +211,25 @@ class DetectorSuite:
         self.detectors = tuple(detectors)
 
     def run(self, tokens: Sequence[str]) -> list[ErrorSpan]:
+        return self.run_many([tokens])[0]
+
+    def run_many(self, token_seqs: Sequence[Sequence[str]]) -> list[list[ErrorSpan]]:
+        """``run`` over each sequence; a detector with ``check_many`` (an
+        external checker) gets all of them in one pipelined call."""
+        found = [
+            d.check_many(token_seqs) if hasattr(d, "check_many")
+            else [d(tokens) for tokens in token_seqs]
+            for d in self.detectors
+        ]
+        return [
+            self._merge(tokens, [spans[k] for spans in found])
+            for k, tokens in enumerate(token_seqs)
+        ]
+
+    def _merge(self, tokens, per_detector) -> list[ErrorSpan]:
         merged: dict[tuple[int, int, str], ErrorSpan] = {}
-        for detector in self.detectors:
-            for span in detector(tokens):
+        for detector, spans in zip(self.detectors, per_detector):
+            for span in spans:
                 if not isinstance(span, ErrorSpan):
                     raise DetectorError(
                         detector.detector_id, f"returned non-span {span!r}"
@@ -247,10 +267,22 @@ class ErrorCountStats(NamedTuple):
 
 
 def error_count_stats(sentence: Sentence, suite: DetectorSuite) -> ErrorCountStats:
-    errors = len(suite.run(sentence.tokens))
-    tokens = len(sentence)
-    score = max(0.0, 1.0 - errors / tokens) if tokens else 1.0
-    return ErrorCountStats(score, errors, tokens)
+    return error_count_stats_many([sentence], suite)[0]
+
+
+def error_count_stats_many(
+    sentences: Sequence[Sentence], suite: DetectorSuite
+) -> list[ErrorCountStats]:
+    """``error_count_stats`` of each sentence; each distinct token
+    sequence goes through ``suite.run_many`` once."""
+    distinct = list(dict.fromkeys(s.tokens for s in sentences))
+    errors = dict(zip(distinct, map(len, suite.run_many(distinct))))
+    out = []
+    for sentence in sentences:
+        n_errors, tokens = errors[sentence.tokens], len(sentence)
+        score = max(0.0, 1.0 - n_errors / tokens) if tokens else 1.0
+        out.append(ErrorCountStats(score, n_errors, tokens))
+    return out
 
 
 def error_count_score(sentence: Sentence, suite: DetectorSuite) -> float:
@@ -273,7 +305,7 @@ def error_count_corpus(
         raise ValidationError("empty corpus")
     if mode not in ("sentence", "corpus"):
         raise ValidationError(f"unknown aggregation mode {mode!r}")
-    stats = [error_count_stats(s, suite) for s in sentences]
+    stats = error_count_stats_many(sentences, suite)
     if mode == "sentence":
         return mean_score([s.score for s in stats])
     return error_count_pool(stats)
@@ -285,7 +317,8 @@ class ExternalChecker:
     The protocol is line-delimited JSON on stdin/stdout: each request is
     ``{"id": <int>, "tokens": [...]}`` and each response is
     ``{"id": <int>, "errors": [{"start": ..., "end": ..., "category": ...}]}``.
-    Responses may arrive out of order; a reader thread routes them by id.
+    Requests are pipelined (see :meth:`check_many`) and responses may
+    arrive out of order; a reader thread routes them by id.
     Any malformed response, early exit, or timeout raises
     :class:`DetectorError` naming this detector — never a silent empty
     result.
@@ -313,20 +346,23 @@ class ExternalChecker:
         self._failure: str | None = None
 
     def _ensure_started(self) -> None:
-        if self._proc is not None:
-            return
-        try:
-            self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                encoding="utf-8",
-            )
-        except OSError as exc:
-            raise DetectorError(self.detector_id, f"failed to start: {exc}") from exc
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
+        with self._lock:  # threads sending at once must share one process
+            if self._proc is not None:
+                return
+            try:
+                self._proc = subprocess.Popen(
+                    self.command,
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    text=True,
+                    encoding="utf-8",
+                )
+            except OSError as exc:
+                raise DetectorError(
+                    self.detector_id, f"failed to start: {exc}"
+                ) from exc
+            self._reader = threading.Thread(target=self._read_loop, daemon=True)
+            self._reader.start()
 
     def _read_loop(self) -> None:
         proc = self._proc
@@ -353,6 +389,21 @@ class ExternalChecker:
             self._ready.notify_all()
 
     def __call__(self, tokens: Sequence[str]) -> list[ErrorSpan]:
+        return self.check_many([tokens])[0]
+
+    def check_many(self, token_seqs: Sequence[Sequence[str]]) -> list[list[ErrorSpan]]:
+        """Spans of each sequence, in order. Up to ``CHECKER_WINDOW``
+        requests are in flight at once; each reply's timeout starts when
+        the previous reply has been taken."""
+        ids: list[int] = []
+        out = []
+        for k, tokens in enumerate(token_seqs):
+            while len(ids) < min(k + CHECKER_WINDOW, len(token_seqs)):
+                ids.append(self._send(token_seqs[len(ids)]))
+            out.append(self._parse_errors(self._receive(ids[k]), len(tokens)))
+        return out
+
+    def _send(self, tokens: Sequence[str]) -> int:
         self._ensure_started()
         proc = self._proc
         assert proc is not None and proc.stdin is not None
@@ -364,7 +415,16 @@ class ExternalChecker:
             proc.stdin.write(request + "\n")
             proc.stdin.flush()
         except (OSError, ValueError) as exc:
-            raise DetectorError(self.detector_id, f"write failed: {exc}") from exc
+            # A checker that exited while earlier requests were in flight:
+            # report why it stopped, as waiting for those replies would.
+            if self._reader is not None:
+                self._reader.join(self.timeout)
+            raise DetectorError(
+                self.detector_id, self._failure or f"write failed: {exc}"
+            ) from exc
+        return request_id
+
+    def _receive(self, request_id: int):
         deadline = time.monotonic() + self.timeout
         with self._ready:
             while request_id not in self._responses:
@@ -378,8 +438,7 @@ class ExternalChecker:
                         f"after {self.timeout:g}s",
                     )
                 self._ready.wait(remaining)
-            payload = self._responses.pop(request_id)
-        return self._parse_errors(payload, len(tokens))
+            return self._responses.pop(request_id)
 
     def _parse_errors(self, payload, n_tokens: int) -> list[ErrorSpan]:
         errors = payload.get("errors") if isinstance(payload, dict) else None

@@ -19,6 +19,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -123,28 +124,26 @@ def train_lm(
         raise ValidationError(f"interpolation weights must be positive: {weights}")
     if abs(math.fsum(weights) - 1.0) > 1e-9:
         raise ValidationError(f"interpolation weights must sum to 1: {weights}")
-    ngram_counts: dict[int, Counter] = {k: Counter() for k in range(1, order + 1)}
-    context_counts: dict[int, Counter] = {k: Counter() for k in range(2, order + 1)}
-    vocab: set[str] = set()
-    total = 0
     pad = (BOS,) * (order - 1)
-    for sentence in sentences:
-        vocab.update(sentence.tokens)
-        total += len(sentence.tokens)
-        padded = pad + sentence.tokens
-        for pos in range(order - 1, len(padded)):
-            for k in range(1, order + 1):
-                gram = padded[pos - k + 1 : pos + 1]
-                ngram_counts[k][gram] += 1
-                if k >= 2:
-                    context_counts[k][gram[:-1]] += 1
+
+    def grams(n: int, shift: int) -> Counter:
+        # for each sentence token, the n-gram ending ``shift`` tokens
+        # before it, counted over the padded sentences in corpus order
+        first = order - shift - n
+        return Counter(
+            chain.from_iterable(
+                zip(*(padded[first + j : len(padded) - shift] for j in range(n)))
+                for padded in (pad + s.tokens for s in sentences)
+            )
+        )
+
     return NgramLm(
         order=order,
         weights=weights,
-        vocab=frozenset(vocab),
-        total_tokens=total,
-        ngram_counts=ngram_counts,
-        context_counts=context_counts,
+        vocab=frozenset(chain.from_iterable(s.tokens for s in sentences)),
+        total_tokens=sum(len(s.tokens) for s in sentences),
+        ngram_counts={k: grams(k, 0) for k in range(1, order + 1)},
+        context_counts={k: grams(k - 1, 1) for k in range(2, order + 1)},
     )
 
 

@@ -957,7 +957,7 @@ with open(sys.argv[1], "a", encoding="utf-8") as requests:
 """
 
 
-def test_external_checker_gets_one_request_per_sentence(corpus, capsys):
+def test_external_checker_gets_one_request_per_distinct_hypothesis(corpus, capsys):
     import sys as _sys
 
     script = corpus / "count.py"
@@ -975,8 +975,8 @@ def test_external_checker_gets_one_request_per_sentence(corpus, capsys):
     assert code == 0
     assert len(json.loads(out)["systems"]) == 3
     # the sentence scores and the corpus score share one request per
-    # (system, sentence)
-    assert len(requests.read_text(encoding="utf-8").splitlines()) == 3 * 3
+    # distinct hypothesis: systems a and b output the same sentences 2 and 3
+    assert len(requests.read_text(encoding="utf-8").splitlines()) == 3 * 3 - 2
 
 
 # ---------------------------------------------------------------------------
@@ -1029,3 +1029,24 @@ def test_reference_metrics_do_system_independent_work_once(corpus, capsys, monke
         assert (len(tables), len(lattices)) == (n_tables, n_lattices), argv
     assert _run(capsys, ["score", "--metric", "gleu"] + refs + _hyp_args(corpus))[0] == 0
     assert sorted(args[3] for args in draws) == [0, 1, 2]
+
+
+def test_fluency_metrics_featurize_each_distinct_hypothesis_once(
+    corpus, capsys, monkeypatch, model_path
+):
+    """lfm featurizes each of the 7 distinct (sentence, hypothesis) pairs
+    of the 9 once, and errorcount runs its detectors once on each."""
+    from gecmetric import cli, grammaticality
+
+    features = _count_calls(monkeypatch, cli, "featurize")
+    runs = _count_calls(monkeypatch, grammaticality.DetectorSuite, "run_many")
+    lfm = [
+        "score", "--metric", "lfm", "--model", str(model_path),
+        "--lm-corpus", str(corpus / "source.txt"),
+        "--wordlist", str(corpus / "words.txt"),
+    ]
+    assert _run(capsys, lfm + _hyp_args(corpus))[0] == 0
+    assert len(features) == 7
+    errorcount = ["score", "--metric", "errorcount", "--wordlist", str(corpus / "words.txt")]
+    assert _run(capsys, errorcount + _hyp_args(corpus))[0] == 0
+    assert sum(len(args[1]) for args in runs) == 7

@@ -33,6 +33,15 @@ def test_sentence_rejects_non_string_tokens():
         Sentence(("ok", 3))
 
 
+def test_sentence_rejects_tokens_with_any_whitespace():
+    spaces = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+    assert len(spaces) > 20
+    for ch in spaces:
+        for token in (ch, "a" + ch, ch + "b", "a" + ch + "b"):
+            with pytest.raises(ValidationError, match="whitespace"):
+                Sentence(("ok", token))
+
+
 def test_tokenize_splits_on_any_whitespace():
     assert tokenize("the  cat\tsat ").tokens == ("the", "cat", "sat")
     assert tokenize("").tokens == ()

@@ -63,6 +63,15 @@ def test_wordlist_from_file(tmp_path):
     assert len(wl) == 2
 
 
+def test_wordlist_from_file_drops_a_byte_order_mark(tmp_path):
+    path = tmp_path / "words.txt"
+    path.write_text("\ufeffthe\ncat\n", encoding="utf-8")
+    wl = Wordlist.from_file(path)
+    assert wl.knows("the")
+    assert wl.knows("cat")
+    assert len(wl) == 2
+
+
 def test_wordlist_rejects_empty():
     with pytest.raises(ValidationError):
         Wordlist([])

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -104,6 +105,38 @@ def test_train_lm_validates_weights():
 def test_train_lm_order_one():
     lm = lm_from("a a b", order=1)
     assert lm.prob("a", ()) == pytest.approx(lm.unigram_prob("a"), abs=1e-15)
+
+
+def _naive_counts(sentences, order):
+    ngrams = {k: Counter() for k in range(1, order + 1)}
+    contexts = {k: Counter() for k in range(2, order + 1)}
+    padded_all = [(BOS,) * (order - 1) + s.tokens for s in sentences]
+    for padded in padded_all:
+        for pos in range(order - 1, len(padded)):
+            for k in range(1, order + 1):
+                gram = padded[pos - k + 1 : pos + 1]
+                ngrams[k][gram] += 1
+                if k >= 2:
+                    contexts[k][gram[:-1]] += 1
+    return ngrams, contexts
+
+
+@pytest.mark.parametrize("order", [1, 3, 4])
+def test_train_lm_counts_equal_a_per_position_loop(order):
+    rng = random.Random(order)
+    words = ["a", "b", "c", "d", "<unk>"]
+    sentences = [
+        Sentence(tuple(rng.choice(words) for _ in range(rng.randrange(0, 9))))
+        for _ in range(300)
+    ]
+    lm = train_lm(sentences, order=order)
+    ngrams, contexts = _naive_counts(sentences, order)
+    for got, want in ((lm.ngram_counts, ngrams), (lm.context_counts, contexts)):
+        assert list(got) == list(want)
+        for k in want:
+            assert list(got[k].items()) == list(want[k].items())  # same key order
+    assert lm.vocab == {t for s in sentences for t in s.tokens}
+    assert lm.total_tokens == sum(len(s) for s in sentences)
 
 
 # ---------------------------------------------------------------------------
