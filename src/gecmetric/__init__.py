@@ -10,7 +10,6 @@ correlation with human rankings, reference ablation, and a gaming check.
 from .analysis import (
     LAMBDA_GRID,
     AblationPoint,
-    CorrelationReport,
     GamingCheckReport,
     LambdaPoint,
     LambdaSweepResult,
@@ -33,16 +32,10 @@ from .analysis import (
 from .corpus import (
     AnnotatedSource,
     AnnotationSet,
-    Corpus,
     Edit,
-    ReferenceSet,
     Sentence,
-    SystemOutput,
-    ValidationReport,
     apply_edits,
-    detokenize,
     tokenize,
-    validate_alignment,
 )
 from .errors import (
     DetectorError,
@@ -106,7 +99,6 @@ from .lfm import (
     lfm_score,
     load_lfm_model,
     predict_raw,
-    rescale_unit,
     save_lfm_model,
     train_lm,
     train_ridge,

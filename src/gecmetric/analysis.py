@@ -32,7 +32,6 @@ __all__ = [
     "LAMBDA_GRID",
     "SystemScore",
     "RankedSystem",
-    "CorrelationReport",
     "SignificanceEntry",
     "LambdaPoint",
     "LambdaSweepResult",
@@ -82,14 +81,6 @@ class RankedSystem:
     system_id: str
     score: float
     rank: float
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    label: str
-    spearman: float
-    pearson: float
-    n_systems: int
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ import operator
 import os
 import shlex
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -48,6 +48,7 @@ from .corpus import AnnotatedSource, Sentence
 from .errors import DetectorError, ModelError, ParseError, ValidationError
 from .formats import (
     HumanRanking,
+    _read_text,
     build_report,
     read_human_ranking,
     read_m2_file,
@@ -117,24 +118,26 @@ class _Inputs:
 class _Scorer:
     """One metric bound to a run's knobs and inputs.
 
-    ``stats(i, hypothesis, row)`` computes the statistics of sentence
-    ``i``, where ``row`` is its reference row (None for metrics without
-    rows); a metric may instead give ``batch``, which computes a list of
-    such (i, hypothesis, row) items in one call. ``value`` maps statistics
-    to the sentence score and ``pool`` reduces a system's statistics to
-    its corpus score (None: lfm). With a ``shared`` dict, a (sentence,
-    hypothesis) pair that several systems output is scored once against
-    the run's own rows.
+    ``stats(items)`` computes the statistics of each (i, hypothesis, row)
+    item, where ``row`` is sentence ``i``'s reference row (None for
+    metrics without rows). ``value`` maps statistics to the sentence score
+    and ``pool`` reduces a system's statistics to its corpus score (None:
+    lfm). Through ``shared``, a (sentence, hypothesis) pair that several
+    systems output is scored once against the run's own rows.
     """
 
     metric: str
-    stats: Callable[[int, Sentence, Any], Any] | None
+    stats: Callable[[list], list]
     pool: Callable[[list], float] | None
     rows: tuple[tuple[Sentence, ...], ...] | None = None
     value: Callable[[Any], float] = operator.attrgetter("score")
     closers: tuple = ()
-    shared: dict | None = None
-    batch: Callable[[list], list] | None = None
+    shared: dict = field(default_factory=dict)
+
+
+def _each(stats: Callable[[int, Sentence, Any], Any]) -> Callable[[list], list]:
+    """Batch form of a per-item ``stats(i, hypothesis, row)``."""
+    return lambda items: [stats(*item) for item in items]
 
 
 def _gleu(args, inputs: _Inputs, seed: int) -> _Scorer:
@@ -149,13 +152,11 @@ def _gleu(args, inputs: _Inputs, seed: int) -> _Scorer:
     draws = functools.cache(
         lambda i, n_refs: sample_draws(n_refs, cfg.iterations, seed, i) if sampled else None
     )
-    return _Scorer(
-        "gleu",
-        lambda i, hyp, row: gleu_stats(sources[i], hyp, row, cfg, i, draws(i, len(row))),
-        functools.partial(gleu_pool, cfg=cfg),
-        rows,
-        shared={},
-    )
+
+    def stats(i, hyp, row):
+        return gleu_stats(sources[i], hyp, row, cfg, i, draws(i, len(row)))
+
+    return _Scorer("gleu", _each(stats), functools.partial(gleu_pool, cfg=cfg), rows)
 
 
 def _m2(args, inputs: _Inputs, seed: int) -> _Scorer:
@@ -166,9 +167,8 @@ def _m2(args, inputs: _Inputs, seed: int) -> _Scorer:
     gold = gold_edit_keys(units)
     return _Scorer(
         "m2",
-        lambda i, hyp, row: m2_stats(units[i].source, hyp, gold[i], cfg),
+        _each(lambda i, hyp, row: m2_stats(units[i].source, hyp, gold[i], cfg)),
         functools.partial(m2_pool, cfg=cfg),
-        shared={},
     )
 
 
@@ -176,14 +176,12 @@ def _imeasure(args, inputs: _Inputs, seed: int) -> _Scorer:
     sources, rows = inputs.sources_and_rows("imeasure")
     cfg = IMeasureConfig(weight=args.weight)
     side = functools.cache(lambda i, ref: reference_side(sources[i], ref))
+
+    def stats(i, hyp, row):
+        return i_measure_stats(sources[i], hyp, row, cfg, [side(i, ref) for ref in row])
+
     return _Scorer(
-        "imeasure",
-        lambda i, hyp, row: i_measure_stats(
-            sources[i], hyp, row, cfg, [side(i, ref) for ref in row]
-        ),
-        functools.partial(i_measure_pool, cfg=cfg),
-        rows,
-        shared={},
+        "imeasure", _each(stats), functools.partial(i_measure_pool, cfg=cfg), rows
     )
 
 
@@ -191,11 +189,9 @@ def _errorcount(args, inputs: _Inputs, seed: int) -> _Scorer:
     suite = _build_suite(args)
     return _Scorer(
         "errorcount",
-        None,
+        lambda items: error_count_stats_many([hyp for _, hyp, _ in items], suite),
         error_count_pool,
         closers=tuple(d for d in suite.detectors if isinstance(d, ExternalChecker)),
-        shared={},
-        batch=lambda items: error_count_stats_many([hyp for _, hyp, _ in items], suite),
     )
 
 
@@ -208,10 +204,9 @@ def _lfm(args, inputs: _Inputs, seed: int) -> _Scorer:
     wordlist = Wordlist.from_file(args.wordlist)
     return _Scorer(
         "lfm",
-        lambda i, hyp, row: featurize(hyp, lm, wordlist),
+        _each(lambda i, hyp, row: featurize(hyp, lm, wordlist)),
         None,  # a per-sentence regression has nothing to pool
         value=functools.partial(lfm_score, model),
-        shared={},
     )
 
 
@@ -225,15 +220,14 @@ METRICS: dict[str, Callable[..., _Scorer]] = {
 
 
 def _stats(scorer: _Scorer, hyps: Sequence[Sentence], rows=None) -> list:
-    memo = scorer.shared if rows is None and scorer.shared is not None else {}
+    memo = scorer.shared if rows is None else {}
     rows = scorer.rows if rows is None else rows
     todo = [
         (i, hyp, None if rows is None else rows[i])
         for i, hyp in enumerate(hyps)
         if (i, hyp.tokens) not in memo
     ]
-    compute = scorer.batch or (lambda items: [scorer.stats(*item) for item in items])
-    memo.update(zip([(i, hyp.tokens) for i, hyp, _ in todo], compute(todo)))
+    memo.update(zip([(i, hyp.tokens) for i, hyp, _ in todo], scorer.stats(todo)))
     return [memo[i, hyp.tokens] for i, hyp in enumerate(hyps)]
 
 
@@ -288,7 +282,7 @@ def _load_inputs(args) -> _Inputs:
         if sources is not None:
             raise _UsageError("--source and --m2 are mutually exclusive")
         sources = read_parallel_text(args.source)
-    rows = read_reference_files(args.ref).per_sentence if args.ref else None
+    rows = read_reference_files(args.ref) if args.ref else None
     return _Inputs(sources, units, rows)
 
 
@@ -609,8 +603,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_train_lfm(args) -> int:
-    with open(args.train, encoding="utf-8-sig", newline="") as handle:
-        names, rows, targets = parse_training_tsv(handle.read())
+    names, rows, targets = parse_training_tsv(_read_text(args.train))
     model = train_ridge(
         rows,
         targets,

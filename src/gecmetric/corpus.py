@@ -1,16 +1,16 @@
-"""Core data model: sentences, edits, annotations, references, outputs.
+"""Core data model: sentences, edits and annotations.
 
 Tokens are plain strings validated at container boundaries: a token is
 non-empty and contains no whitespace. Token comparison is case-sensitive
 everywhere; no normalization is applied. Edit spans are 0-based and
 end-exclusive (``start == end`` marks an insertion point). All types are
-immutable after construction and safe to share across worker processes.
+immutable after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -19,14 +19,8 @@ __all__ = [
     "Edit",
     "AnnotationSet",
     "AnnotatedSource",
-    "ReferenceSet",
-    "Corpus",
-    "SystemOutput",
-    "ValidationReport",
     "tokenize",
-    "detokenize",
     "apply_edits",
-    "validate_alignment",
 ]
 
 
@@ -69,11 +63,6 @@ def tokenize(raw: str) -> Sentence:
     to be pre-tokenized text where whitespace is the only separator.
     """
     return Sentence(tuple(raw.split()))
-
-
-def detokenize(sentence: Sentence) -> str:
-    """Inverse of :func:`tokenize` up to whitespace normalization."""
-    return sentence.text
 
 
 @dataclass(frozen=True)
@@ -182,85 +171,6 @@ class AnnotatedSource:
                     )
 
 
-@dataclass(frozen=True)
-class ReferenceSet:
-    """Per-sentence reference lists; every sentence has the same count.
-
-    ``per_sentence[i]`` holds the references for corpus sentence ``i``.
-    Missing references are disallowed: all inner tuples share one length.
-    """
-
-    per_sentence: tuple[tuple[Sentence, ...], ...] = ()
-
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.per_sentence)
-        object.__setattr__(self, "per_sentence", rows)
-        if rows:
-            width = len(rows[0])
-            if width < 1:
-                raise ValidationError("each sentence needs at least one reference")
-            for i, row in enumerate(rows):
-                if len(row) != width:
-                    raise ValidationError(
-                        f"sentence {i} has {len(row)} references, expected {width}"
-                    )
-                for ref in row:
-                    if not isinstance(ref, Sentence):
-                        raise ValidationError("references must be Sentence values")
-
-    @property
-    def n_refs(self) -> int:
-        return len(self.per_sentence[0]) if self.per_sentence else 0
-
-    def __len__(self) -> int:
-        return len(self.per_sentence)
-
-    def for_sentence(self, index: int) -> tuple[Sentence, ...]:
-        return self.per_sentence[index]
-
-
-@dataclass(frozen=True)
-class Corpus:
-    """An ordered collection of annotated source sentences."""
-
-    units: tuple[AnnotatedSource, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "units", tuple(self.units))
-        for unit in self.units:
-            if not isinstance(unit, AnnotatedSource):
-                raise ValidationError("corpus units must be AnnotatedSource values")
-
-    def __len__(self) -> int:
-        return len(self.units)
-
-    def __iter__(self) -> Iterator[AnnotatedSource]:
-        return iter(self.units)
-
-    @property
-    def sources(self) -> tuple[Sentence, ...]:
-        return tuple(unit.source for unit in self.units)
-
-
-@dataclass(frozen=True)
-class SystemOutput:
-    """One system's hypotheses, aligned 1:1 with a corpus."""
-
-    system_id: str
-    hypotheses: tuple[Sentence, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
-        if not self.system_id:
-            raise ValidationError("system id must be non-empty")
-        for hyp in self.hypotheses:
-            if not isinstance(hyp, Sentence):
-                raise ValidationError("hypotheses must be Sentence values")
-
-    def __len__(self) -> int:
-        return len(self.hypotheses)
-
-
 def apply_edits(source: Sentence, edits: Sequence[Edit]) -> Sentence:
     """Apply ``edits`` to ``source`` and return the corrected sentence.
 
@@ -283,44 +193,3 @@ def apply_edits(source: Sentence, edits: Sequence[Edit]) -> Sentence:
         cursor = edit.end
     out.extend(source.tokens[cursor:])
     return Sentence(tuple(out))
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of a cross-object consistency check."""
-
-    issues: tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
-def validate_alignment(
-    corpus: Corpus,
-    output: SystemOutput | None = None,
-    refs: ReferenceSet | None = None,
-) -> ValidationReport:
-    """Check that outputs and references line up with ``corpus``.
-
-    Returns a report listing every size mismatch and edit-bound violation;
-    the report is empty exactly when all alignment invariants hold.
-    """
-    issues: list[str] = []
-    n = len(corpus)
-    for i, unit in enumerate(corpus.units):
-        for aset in unit.annotations:
-            for edit in aset.edits:
-                if edit.end > len(unit.source):
-                    issues.append(
-                        f"sentence {i}: edit {edit} exceeds source length "
-                        f"{len(unit.source)}"
-                    )
-    if output is not None and len(output) != n:
-        issues.append(
-            f"system {output.system_id!r} has {len(output)} hypotheses "
-            f"for {n} sources"
-        )
-    if refs is not None and len(refs) != n:
-        issues.append(f"reference set covers {len(refs)} sentences, corpus has {n}")
-    return ValidationReport(tuple(issues))

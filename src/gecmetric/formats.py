@@ -14,13 +14,14 @@ single empty annotation set for annotator 0.
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .corpus import AnnotatedSource, AnnotationSet, Edit, ReferenceSet, Sentence, tokenize
+from .corpus import AnnotatedSource, AnnotationSet, Edit, Sentence, tokenize
 from .errors import ParseError, ValidationError
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
 
 _NOOP_TYPE = "noop"
 _NONE_FIELD = "-NONE-"
+_SIG_DIGITS = 6  # significant digits of every real number in a report
 
 
 def _parse_a_line(line: str, lineno: int) -> tuple[int, int, str, str, str, str, int]:
@@ -124,19 +126,25 @@ def split_lines(text: str) -> list[str]:
 
 
 def _read_text(path: str | Path) -> str:
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        return handle.read()
+    """The text of a UTF-8 file without its BOM, line ends untouched.
+
+    Every input file is read here; invalid UTF-8 is a :class:`ParseError`
+    naming the file and the byte offset.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read()
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    try:
+        return data[start:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: invalid UTF-8 at byte {start + exc.start}") from None
 
 
-def parse_m2(text: str | Iterable[str]) -> list[AnnotatedSource]:
+def parse_m2(text: str) -> list[AnnotatedSource]:
     """Parse annotated-corpus text into a list of annotated sources."""
-    if isinstance(text, str):
-        lines: Iterable[str] = split_lines(text)
-    else:
-        lines = (line.rstrip("\n") for line in text)
     units: list[AnnotatedSource] = []
     current: _UnitBuilder | None = None
-    for lineno, raw in enumerate(lines, 1):
+    for lineno, raw in enumerate(split_lines(text), 1):
         line = raw.lstrip("﻿") if lineno == 1 else raw
         if not line.strip():
             if current is not None:
@@ -189,11 +197,11 @@ def read_parallel_text(path: str | Path) -> list[Sentence]:
     return [tokenize(line) for line in split_lines(_read_text(path))]
 
 
-def read_reference_files(paths: Sequence[str | Path]) -> ReferenceSet:
-    """Combine parallel reference files into a reference set.
+def read_reference_files(paths: Sequence[str | Path]) -> tuple[tuple[Sentence, ...], ...]:
+    """Read parallel reference files into per-sentence rows.
 
-    Each file contributes one reference per sentence; all files must have
-    the same number of lines.
+    Row ``i`` holds sentence ``i`` of each file, in file order; all files
+    must have the same number of lines.
     """
     if not paths:
         raise ValidationError("at least one reference file is required")
@@ -204,8 +212,7 @@ def read_reference_files(paths: Sequence[str | Path]) -> ReferenceSet:
             raise ValidationError(
                 f"reference file {path} has {len(col)} sentences, expected {length}"
             )
-    rows = tuple(tuple(col[i] for col in columns) for i in range(length))
-    return ReferenceSet(rows)
+    return tuple(zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -267,15 +274,13 @@ def read_human_ranking(path: str | Path) -> HumanRanking:
     return parse_human_ranking(_read_text(path))
 
 
-def _round_floats(value: Any, sig_digits: int | None) -> Any:
+def _round_floats(value: Any) -> Any:
     if isinstance(value, dict):
-        return {k: _round_floats(v, sig_digits) for k, v in value.items()}
+        return {k: _round_floats(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_round_floats(v, sig_digits) for v in value]
-    if type(value) is float and sig_digits is not None:
-        if value != value or value in (float("inf"), float("-inf")):
-            return value
-        return float(f"{value:.{sig_digits}g}")
+        return [_round_floats(v) for v in value]
+    if type(value) is float:
+        return float(f"{value:.{_SIG_DIGITS}g}")
     return value
 
 
@@ -287,15 +292,13 @@ def build_report(
     rankings: Iterable[Mapping[str, Any]] | None = None,
     ablation: Iterable[Mapping[str, Any]] | None = None,
     detections: Iterable[Mapping[str, Any]] | None = None,
-    sig_digits: int | None = 6,
 ) -> dict[str, Any]:
     """Assemble the report document with a fixed key order.
 
     Keys appear in the order ``format_version``, ``systems``,
     ``correlations``, ``sweep``; optional sections follow in the order
     ``rankings``, ``ablation``, ``detections`` and are omitted when absent.
-    Real numbers are rendered with ``sig_digits`` significant digits
-    (``None`` keeps full precision).
+    Real numbers are rounded to six significant digits.
     """
     doc: dict[str, Any] = {
         "format_version": 1,
@@ -309,17 +312,24 @@ def build_report(
         doc["ablation"] = [dict(entry) for entry in ablation]
     if detections is not None:
         doc["detections"] = [dict(entry) for entry in detections]
-    return _round_floats(doc, sig_digits)
+    return _round_floats(doc)
 
 
 def render_report(doc: Mapping[str, Any]) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """The report as JSON text; a non-finite number is a
+    :class:`ValidationError`, as JSON has no NaN or infinity."""
+    try:
+        return json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValidationError(f"report holds a non-finite number: {exc}") from None
 
 
 def write_report(path: str | Path, doc: Mapping[str, Any]) -> None:
     """Write a report document as UTF-8 JSON with a fixed layout.
 
-    Identical documents always produce byte-identical files.
+    Identical documents always produce byte-identical files, and a
+    document that cannot be rendered leaves no file.
     """
+    text = render_report(doc)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_report(doc))
+        handle.write(text)

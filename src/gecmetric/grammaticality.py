@@ -17,6 +17,7 @@ than the per-sentence mean does.
 from __future__ import annotations
 
 import json
+import math
 import string
 import subprocess
 import threading
@@ -27,6 +28,7 @@ from typing import Iterable, NamedTuple, Protocol, Sequence, runtime_checkable
 from .analysis import mean_score
 from .corpus import Sentence
 from .errors import DetectorError, ValidationError
+from .formats import _read_text, split_lines
 
 __all__ = [
     "ErrorSpan",
@@ -116,8 +118,8 @@ class Wordlist:
 
     @classmethod
     def from_file(cls, path) -> "Wordlist":
-        with open(path, encoding="utf-8-sig") as handle:
-            return cls(word for word in (line.strip() for line in handle) if word)
+        lines = split_lines(_read_text(path))
+        return cls(word for word in (line.strip() for line in lines) if word)
 
 
 class SpellingDetector:
@@ -319,7 +321,8 @@ class ExternalChecker:
     ``{"id": <int>, "errors": [{"start": ..., "end": ..., "category": ...}]}``.
     Requests are pipelined (see :meth:`check_many`) and responses may
     arrive out of order; a reader thread routes them by id.
-    Any malformed response, early exit, or timeout raises
+    Any malformed or unroutable response (an id that is not a request in
+    flight, or a line that is not UTF-8), early exit, or timeout raises
     :class:`DetectorError` naming this detector — never a silent empty
     result.
     """
@@ -332,8 +335,8 @@ class ExternalChecker:
     ):
         if not command:
             raise ValidationError("empty checker command")
-        if timeout <= 0:
-            raise ValidationError(f"timeout must be positive, got {timeout}")
+        if not (math.isfinite(timeout) and timeout > 0):
+            raise ValidationError(f"timeout must be finite and positive, got {timeout}")
         self.command = tuple(command)
         self.detector_id = detector_id
         self.timeout = timeout
@@ -342,6 +345,7 @@ class ExternalChecker:
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
         self._responses: dict[int, object] = {}
+        self._in_flight: set[int] = set()  # ids sent and not yet answered
         self._next_id = 0
         self._failure: str | None = None
 
@@ -368,25 +372,41 @@ class ExternalChecker:
         proc = self._proc
         assert proc is not None and proc.stdout is not None
         failure = None
-        for line in proc.stdout:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-                response_id = payload["id"]
-            except (ValueError, TypeError, KeyError):
-                failure = f"malformed response line: {line[:200]!r}"
-                break
-            with self._ready:
-                self._responses[response_id] = payload
-                self._ready.notify_all()
+        try:
+            for line in proc.stdout:
+                failure = self._route(line.strip())
+                if failure is not None:
+                    break
+        except UnicodeDecodeError as exc:
+            failure = f"response line is not UTF-8: {exc}"
         with self._ready:
             if failure is not None:
                 self._failure = failure
             elif self._failure is None:
                 self._failure = "checker process closed its output"
             self._ready.notify_all()
+
+    def _route(self, line: str) -> str | None:
+        """Store one response line under its request id; returns why the
+        line cannot be routed, if it cannot."""
+        if not line:
+            return None
+        try:
+            payload = json.loads(line)
+            response_id = payload["id"]
+        except (ValueError, TypeError, KeyError):
+            return f"malformed response line: {line[:200]!r}"
+        with self._ready:
+            # bools and floats compare equal to ints, so check the type
+            if type(response_id) is not int or response_id not in self._in_flight:
+                return (
+                    f"no response can be routed: reply id {response_id!r:.100} is "
+                    "not a request in flight (unknown or already answered)"
+                )
+            self._in_flight.remove(response_id)
+            self._responses[response_id] = payload
+            self._ready.notify_all()
+        return None
 
     def __call__(self, tokens: Sequence[str]) -> list[ErrorSpan]:
         return self.check_many([tokens])[0]
@@ -410,6 +430,7 @@ class ExternalChecker:
         with self._lock:
             request_id = self._next_id
             self._next_id += 1
+            self._in_flight.add(request_id)
         request = json.dumps({"id": request_id, "tokens": list(tokens)})
         try:
             proc.stdin.write(request + "\n")

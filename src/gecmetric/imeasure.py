@@ -20,6 +20,7 @@ mean the system made the text worse. An unchanged hypothesis is exactly 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -48,8 +49,10 @@ class IMeasureConfig:
     weight: float = 2.0
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise ValidationError(f"weight must be positive, got {self.weight}")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValidationError(
+                f"weight must be finite and positive, got {self.weight}"
+            )
 
 
 @dataclass(frozen=True)

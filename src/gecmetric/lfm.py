@@ -27,7 +27,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .corpus import Sentence
 from .errors import ModelError, ParseError, ValidationError
-from .formats import split_lines
+from .formats import _read_text, split_lines
 from .grammaticality import Wordlist
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "train_ridge",
     "predict_raw",
     "lfm_score",
-    "rescale_unit",
     "save_lfm_model",
     "load_lfm_model",
     "parse_training_tsv",
@@ -241,8 +240,8 @@ def train_ridge(
     model. The bias is the target mean, making an all-constant fit
     predict that mean everywhere.
     """
-    if alpha < 0:
-        raise ValidationError(f"alpha must be >= 0, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValidationError(f"alpha must be finite and >= 0, got {alpha}")
     if len(features) != len(targets):
         raise ValidationError(
             f"size mismatch: {len(features)} feature rows, {len(targets)} targets"
@@ -328,16 +327,6 @@ def lfm_score(model: LfmModel, features) -> float:
     return min(1.0, max(0.0, predict_raw(model, features)))
 
 
-def rescale_unit(values: Sequence[float]) -> list[float]:
-    """Affinely map values onto [0, 1]; a constant list maps to 0.5."""
-    if not values:
-        return []
-    lo, hi = min(values), max(values)
-    if lo == hi:
-        return [0.5] * len(values)
-    return [(v - lo) / (hi - lo) for v in values]
-
-
 def save_lfm_model(path, model: LfmModel) -> None:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -353,11 +342,10 @@ def save_lfm_model(path, model: LfmModel) -> None:
 
 
 def load_lfm_model(path) -> LfmModel:
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except ValueError as exc:
-            raise ModelError(f"not valid JSON: {exc}") from exc
+    try:
+        doc = json.loads(_read_text(path))
+    except ValueError as exc:
+        raise ModelError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelError("model file must hold a JSON object")
     version = doc.get("format_version")

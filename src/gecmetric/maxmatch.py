@@ -63,8 +63,8 @@ class M2Config:
     gold_match_reward: float = 1000.0
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValidationError(f"beta must be >= 0, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValidationError(f"beta must be finite and >= 0, got {self.beta}")
         if self.max_unchanged_words < 0:
             raise ValidationError(
                 f"max_unchanged_words must be >= 0, got {self.max_unchanged_words}"

@@ -2,6 +2,8 @@
 
 import sys
 import textwrap
+import threading
+import time
 
 import pytest
 
@@ -31,6 +33,33 @@ SLOW_CHECKER = textwrap.dedent(
         print(json.dumps({"id": req["id"], "errors": errors}), flush=True)
         if answers == 0:
             sys.exit(0)
+    """
+)
+
+
+# Replies that cannot be routed to a request in flight; any other mode
+# answers normally.
+ROUTING_CHECKER = textwrap.dedent(
+    """
+    import json, sys
+
+    mode = sys.argv[1]
+    out = sys.stdout.buffer
+    for line in sys.stdin:
+        req = json.loads(line)
+        reply = {"id": req["id"], "errors": []}
+        if mode == "list-id":
+            reply["id"] = [req["id"]]
+        elif mode == "float-id":
+            reply["id"] = float(req["id"])
+        elif mode == "bool-id":
+            reply["id"] = bool(req["id"])
+        elif mode == "unknown-id":
+            out.write(b'{"id": 1000, "errors": []}\\n')
+        elif mode == "bad-bytes":
+            out.write(b"\\xff\\n")
+        out.write((json.dumps(reply) + "\\n").encode() * (2 if mode == "duplicate" else 1))
+        out.flush()
     """
 )
 
@@ -112,3 +141,37 @@ def test_run_many_equals_run_per_sequence(checker_script):
         suite = DetectorSuite([DuplicateTokenDetector(), checker, TerminalPunctuationDetector()])
         assert suite.run_many(seqs) == [suite.run(tokens) for tokens in seqs]
         assert suite.run_many([]) == []
+
+
+@pytest.fixture
+def routing_script(tmp_path):
+    path = tmp_path / "routing.py"
+    path.write_text(ROUTING_CHECKER, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "mode, reason",
+    [
+        ("list-id", "reply id [0] is not a request in flight"),
+        ("float-id", "reply id 0.0 is not a request in flight"),
+        ("bool-id", "reply id False is not a request in flight"),
+        ("unknown-id", "reply id 1000 is not a request in flight"),
+        ("duplicate", "reply id 0 is not a request in flight"),
+        ("bad-bytes", "response line is not UTF-8"),
+    ],
+)
+def test_unroutable_reply_fails_at_once(routing_script, monkeypatch, mode, reason):
+    """A reply that answers no request in flight fails the call without
+    waiting for the timeout, and the reader thread ends without an error."""
+    thread_errors = []
+    monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+    started = time.monotonic()
+    cmd = [sys.executable, str(routing_script), mode]
+    with ExternalChecker(cmd, detector_id="lint", timeout=10.0) as checker:
+        with pytest.raises(DetectorError) as err:
+            checker.check_many([("a",), ("b",)])
+    assert time.monotonic() - started < 5.0
+    assert str(err.value).startswith("detector 'lint': ")
+    assert reason in str(err.value)
+    assert thread_errors == []

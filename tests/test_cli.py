@@ -3,11 +3,18 @@
 import hashlib
 import json
 import logging
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gecmetric
 from gecmetric.cli import main
 from gecmetric.lfm import FEATURE_NAMES
+from test_checker_pipeline import ROUTING_CHECKER
 
 SOURCE = """\
 the cat sit on the mat.
@@ -1050,3 +1057,72 @@ def test_fluency_metrics_featurize_each_distinct_hypothesis_once(
     errorcount = ["score", "--metric", "errorcount", "--wordlist", str(corpus / "words.txt")]
     assert _run(capsys, errorcount + _hyp_args(corpus))[0] == 0
     assert sum(len(args[1]) for args in runs) == 7
+
+
+# ---------------------------------------------------------------------------
+# malformed input: exit 1, 2 or 3 with one line on stderr, and no report
+
+# The CLI runs as its own process, so that a traceback from any thread
+# reaches stderr. Logging is set to WARNING beforehand: the INFO line
+# naming the seed is not a message about the input.
+CLI_AT_WARNING = """\
+import logging, sys
+logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(message)s")
+from gecmetric.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+BAD_UTF8 = b"the cat sat.\nan \xff apple.\nhe goes home.\n"
+
+_A = ["--hyp", "a={d}/a.txt"]
+_CHECK = ["check", "--input", "{d}/a.txt", "--checker-timeout", "2", "--checker"]
+
+MALFORMED = {
+    "utf8-hyp": ["score", "--metric", "errorcount", "--wordlist", "{d}/words.txt",
+                 "--hyp", "x={d}/bad.txt"],
+    "utf8-source": ["score", "--metric", "gleu", "--source", "{d}/bad.txt",
+                    "--ref", "{d}/ref1.txt", *_A],
+    "utf8-ref": ["score", "--metric", "gleu", "--source", "{d}/source.txt",
+                 "--ref", "{d}/bad.txt", *_A],
+    "utf8-m2": ["score", "--metric", "m2", "--m2", "{d}/bad.txt", *_A],
+    "utf8-human": ["correlate", "--metric", "errorcount", "--wordlist", "{d}/words.txt",
+                   "--human", "{d}/bad.txt", *_A],
+    "utf8-wordlist": ["score", "--metric", "errorcount", "--wordlist", "{d}/bad.txt", *_A],
+    "utf8-lm-corpus": ["score", "--metric", "lfm", "--model", "{d}/model.json",
+                       "--lm-corpus", "{d}/bad.txt", "--wordlist", "{d}/words.txt", *_A],
+    "utf8-train": ["train-lfm", "--train", "{d}/bad.txt"],
+    "beta-nan": ["score", "--metric", "m2", "--m2", "{d}/gold.m2", "--beta", "nan", *_A],
+    "beta-inf": ["score", "--metric", "m2", "--m2", "{d}/gold.m2", "--beta", "inf", *_A],
+    "weight-nan": ["score", "--metric", "imeasure", "--source", "{d}/source.txt",
+                   "--ref", "{d}/ref1.txt", "--weight", "nan", *_A],
+    "alpha-nan": ["train-lfm", "--train", "{d}/train.tsv", "--alpha", "nan"],
+    "checker-timeout-nan": ["check", "--input", "{d}/a.txt", "--checker-timeout", "nan",
+                            "--checker", "{checker} plain"],
+    "checker-list-id": [*_CHECK, "{checker} list-id"],
+    "checker-unknown-id": [*_CHECK, "{checker} unknown-id"],
+    "checker-bad-bytes": [*_CHECK, "{checker} bad-bytes"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_with_one_line(corpus, model_path, case):
+    (corpus / "bad.txt").write_bytes(BAD_UTF8)
+    routing = corpus / "routing.py"
+    routing.write_text(ROUTING_CHECKER, encoding="utf-8")
+    checker = f"{shlex.quote(sys.executable)} {shlex.quote(str(routing))}"
+    out = corpus / "report.json"
+    argv = [arg.format(d=corpus, checker=checker) for arg in MALFORMED[case]]
+    src = Path(gecmetric.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_AT_WARNING, *argv, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        errors="replace",
+        timeout=120,
+    )
+    assert proc.returncode in (1, 2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stdout == ""
+    assert not out.exists()

@@ -3,15 +3,10 @@ import pytest
 from gecmetric.corpus import (
     AnnotatedSource,
     AnnotationSet,
-    Corpus,
     Edit,
-    ReferenceSet,
     Sentence,
-    SystemOutput,
     apply_edits,
-    detokenize,
     tokenize,
-    validate_alignment,
 )
 from gecmetric.errors import ValidationError
 
@@ -48,9 +43,10 @@ def test_tokenize_splits_on_any_whitespace():
 
 
 def test_detokenize_round_trip():
+    """Detokenizing is ``Sentence.text``."""
     s = tokenize("a b c")
-    assert detokenize(s) == "a b c"
-    assert tokenize(detokenize(s)) == s
+    assert s.text == "a b c"
+    assert tokenize(s.text) == s
 
 
 def test_edit_key_and_str():
@@ -138,49 +134,6 @@ def test_annotation_set_accepts_empty_edits():
     assert AnnotationSet(0).edits == ()
 
 
-def test_reference_set_uniform_width():
-    refs = ReferenceSet(((tokenize("a"), tokenize("b")),))
-    assert refs.n_refs == 2
-    assert len(refs) == 1
-    assert refs.for_sentence(0)[1].text == "b"
-
-
-def test_reference_set_rejects_ragged_rows():
-    with pytest.raises(ValidationError):
-        ReferenceSet(((tokenize("a"),), (tokenize("b"), tokenize("c"))))
-
-
-def test_system_output_requires_id():
-    with pytest.raises(ValidationError):
-        SystemOutput("", (tokenize("a"),))
-
-
-def _tiny_corpus():
-    unit = AnnotatedSource(
-        tokenize("he go home"),
-        (AnnotationSet(0, (Edit(1, 2, ("goes",)),)),),
-    )
-    return Corpus((unit,))
-
-
-def test_validate_alignment_clean():
-    corpus = _tiny_corpus()
-    out = SystemOutput("sysA", (tokenize("he goes home"),))
-    refs = ReferenceSet(((tokenize("he goes home"),),))
-    report = validate_alignment(corpus, out, refs)
-    assert report.ok
-    assert report.issues == ()
-
-
-def test_validate_alignment_reports_size_mismatches():
-    corpus = _tiny_corpus()
-    out = SystemOutput("sysA", ())
-    refs = ReferenceSet(((tokenize("x"),), (tokenize("y"),)))
-    report = validate_alignment(corpus, out, refs)
-    assert not report.ok
-    assert len(report.issues) == 2
-
-
 def test_annotated_source_rejects_out_of_bounds_edits():
     with pytest.raises(ValidationError, match="exceeds source length"):
         AnnotatedSource(
@@ -195,9 +148,3 @@ def test_annotated_source_rejects_duplicate_annotators():
             tokenize("a b"),
             (AnnotationSet(0), AnnotationSet(0)),
         )
-
-
-def test_corpus_sources_view():
-    corpus = _tiny_corpus()
-    assert corpus.sources[0].text == "he go home"
-    assert len(corpus) == 1

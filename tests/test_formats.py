@@ -133,10 +133,9 @@ def test_read_reference_files_zips_columns(tmp_path):
     two = tmp_path / "r2.txt"
     one.write_text("a\nb\n", encoding="utf-8")
     two.write_text("c\nd\n", encoding="utf-8")
-    refs = read_reference_files([one, two])
-    assert refs.n_refs == 2
-    assert refs.for_sentence(1)[0].text == "b"
-    assert refs.for_sentence(1)[1].text == "d"
+    rows = read_reference_files([one, two])
+    assert [[ref.text for ref in row] for row in rows] == [["a", "c"], ["b", "d"]]
+    assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
 
 
 def test_read_reference_files_rejects_ragged(tmp_path):
@@ -205,6 +204,25 @@ def test_build_report_rounding_is_significant_digits():
     assert doc["systems"][0]["v"] == 1234570.0
     doc = build_report(systems=[{"id": "a", "v": 0.000012345678}])
     assert doc["systems"][0]["v"] == 1.23457e-05
+
+
+@pytest.mark.parametrize("bom, offset", [(b"", 5), (b"\xef\xbb\xbf", 8)])
+def test_invalid_utf8_names_the_file_and_byte(tmp_path, bom, offset):
+    path = tmp_path / "sys.txt"
+    path.write_bytes(bom + b"a b\nc\xff\n")
+    with pytest.raises(ParseError, match=f"sys.txt: invalid UTF-8 at byte {offset}$"):
+        read_parallel_text(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_report_is_not_rendered(tmp_path, value):
+    doc = build_report(systems=[{"id": "a", "v": value}])
+    with pytest.raises(ValidationError, match="non-finite"):
+        render_report(doc)
+    path = tmp_path / "report.json"
+    with pytest.raises(ValidationError):
+        write_report(path, doc)
+    assert not path.exists()
 
 
 def test_build_report_leaves_ints_alone():

@@ -72,6 +72,22 @@ def test_wordlist_from_file_drops_a_byte_order_mark(tmp_path):
     assert len(wl) == 2
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"the\ncat \n\n dog\n",
+        b"the\r\ncat \r\n\r\n dog\r\n",
+        b"\xef\xbb\xbfthe\r\ncat \n\n dog",
+    ],
+)
+def test_wordlist_from_file_line_ends(tmp_path, data):
+    path = tmp_path / "words.txt"
+    path.write_bytes(data)
+    wl = Wordlist.from_file(path)
+    assert len(wl) == 3
+    assert all(word in wl for word in ("the", "cat", "dog"))
+
+
 def test_wordlist_rejects_empty():
     with pytest.raises(ValidationError):
         Wordlist([])

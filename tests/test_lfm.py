@@ -20,7 +20,6 @@ from gecmetric.lfm import (
     load_lfm_model,
     parse_training_tsv,
     predict_raw,
-    rescale_unit,
     save_lfm_model,
     train_lm,
     train_ridge,
@@ -346,12 +345,6 @@ def test_load_rejects_malformed_fields(tmp_path):
 def test_model_alignment_validation():
     with pytest.raises(ModelError):
         LfmModel(("a",), (0.0, 0.0), (1.0,), (1.0,), 0.0, 1.0)
-
-
-def test_rescale_unit():
-    assert rescale_unit([1.0, 3.0, 2.0]) == [0.0, 1.0, 0.5]
-    assert rescale_unit([4.0, 4.0]) == [0.5, 0.5]
-    assert rescale_unit([]) == []
 
 
 # ---------------------------------------------------------------------------

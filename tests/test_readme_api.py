@@ -1,0 +1,72 @@
+"""The README's Library section and the package agree.
+
+Each ``from gecmetric... import ...`` line in the README's python blocks
+must run, and each function, class or module attribute that the Library
+section names in backticks must resolve, so that deleting documented API
+fails here.
+"""
+
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import gecmetric
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+LIBRARY = README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+
+IMPORTS = [
+    line.strip()
+    for block in re.findall(r"```python\n(.*?)```", README, re.S)
+    for line in block.splitlines()
+    if re.match(r"\s*from gecmetric[\w.]* import \w", line)
+]
+
+# Backticked words in the prose that are argument or field names, not API.
+PROSE_WORDS = {"i", "refs", "score"}
+
+# `name`, `module.name`, `Class.method` or a call such as `name(args)`,
+# outside the code blocks
+PROSE = re.sub(r"```.*?```", "", LIBRARY, flags=re.S)
+NAMES = sorted(set(re.findall(r"`([A-Za-z_][\w.]*)(?:\(.*?\))?`", PROSE)) - PROSE_WORDS)
+
+MODULES = [gecmetric] + [
+    importlib.import_module(f"gecmetric.{info.name}")
+    for info in pkgutil.iter_modules(gecmetric.__path__)
+    if not info.name.startswith("_")
+]
+
+
+def _resolve(dotted: str):
+    head, *rest = dotted.split(".")
+    owners = [module for module in MODULES if hasattr(module, head)]
+    assert owners, f"no gecmetric module defines {head!r}"
+    obj = getattr(owners[0], head)
+    for part in rest:
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_readme_shows_the_documented_api():
+    assert any("gleu_sentence" in line for line in IMPORTS)
+    assert {
+        "gleu_multi_ref",
+        "m2_sentence",
+        "error_count_stats_many",
+        "DetectorSuite.run_many",
+        "read_reference_files",
+        "parse_m2",
+    } <= set(NAMES)
+
+
+@pytest.mark.parametrize("line", IMPORTS)
+def test_readme_import_runs(line):
+    exec(line, {})
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_library_name_resolves(name):
+    _resolve(name)
