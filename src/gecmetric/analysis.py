@@ -26,6 +26,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import ValidationError
 
 __all__ = [
@@ -136,7 +138,7 @@ def mean_score(values: Sequence[float]) -> float:
     if not values:
         raise ValidationError("cannot average an empty score list")
     first = values[0]
-    if all(v == first for v in values):
+    if values.count(first) == len(values):
         return first
     return math.fsum(values) / len(values)
 
@@ -261,11 +263,13 @@ def sweep_lambda(
     if missing:
         raise ValidationError(f"human ranking is missing systems: {missing}")
     human_values = [human[s] for s in systems]
+    # interpolate() of every system at once: the same two products and one
+    # sum per element, so the same floats
+    flu = np.array([fluency[s] for s in systems], dtype=np.float64)
+    ref = np.array([reference[s] for s in systems], dtype=np.float64)
     points = []
     for lam in LAMBDA_GRID:
-        means = [
-            mean_score(interpolate(fluency[s], reference[s], lam)) for s in systems
-        ]
+        means = [mean_score(row) for row in ((1.0 - lam) * flu + lam * ref).tolist()]
         points.append(
             LambdaPoint(
                 lam=lam,

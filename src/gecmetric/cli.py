@@ -15,8 +15,9 @@ the metric's knobs and the run's inputs into a scorer. A scorer computes
 the statistics of each (system, sentence) pair once; the per-sentence
 scores, their mean (the ``sentence`` headline) and the pooled corpus
 score (the ``corpus`` headline; lfm has none) are all read from those
-statistics. The gaming check and the reference ablation rescore through
-the same scorer with other reference rows.
+statistics. The reference ablation selects each subset's statistics from
+them, and the gaming check rescores every system in one batch against
+the permuted reference rows.
 
 Exit codes: 0 success; 1 usage error or unreadable file; 2 malformed or
 inconsistent data; 3 external checker failure. Logs go to stderr. With
@@ -57,7 +58,15 @@ from .formats import (
     render_report,
     write_report,
 )
-from .gleu import MEAN_OVER_ALL, SAMPLED, GleuConfig, gleu_pool, gleu_stats, sample_draws
+from .gleu import (
+    MEAN_OVER_ALL,
+    SAMPLED,
+    GleuConfig,
+    gleu_pool,
+    gleu_stats_many,
+    gleu_subset,
+    sample_draws,
+)
 from .grammaticality import (
     DetectorSuite,
     ExternalChecker,
@@ -66,7 +75,13 @@ from .grammaticality import (
     error_count_pool,
     error_count_stats_many,
 )
-from .imeasure import IMeasureConfig, i_measure_pool, i_measure_stats, reference_side
+from .imeasure import (
+    IMeasureConfig,
+    i_measure_pool,
+    i_measure_stats,
+    i_measure_subset,
+    reference_side,
+)
 from .lfm import (
     featurize,
     lfm_score,
@@ -123,7 +138,10 @@ class _Scorer:
     metrics without rows). ``value`` maps statistics to the sentence score
     and ``pool`` reduces a system's statistics to its corpus score (None:
     lfm). Through ``shared``, a (sentence, hypothesis) pair that several
-    systems output is scored once against the run's own rows.
+    systems output is scored once against the run's own rows. For row
+    metrics, ``subset(stats, i, pick)`` derives the statistics against
+    the references ``pick`` of sentence ``i``'s row from the full-row
+    statistics.
     """
 
     metric: str
@@ -131,6 +149,7 @@ class _Scorer:
     pool: Callable[[list], float] | None
     rows: tuple[tuple[Sentence, ...], ...] | None = None
     value: Callable[[Any], float] = operator.attrgetter("score")
+    subset: Callable[[Any, int, Sequence[int]], Any] | None = None
     closers: tuple = ()
     shared: dict = field(default_factory=dict)
 
@@ -152,11 +171,13 @@ def _gleu(args, inputs: _Inputs, seed: int) -> _Scorer:
     draws = functools.cache(
         lambda i, n_refs: sample_draws(n_refs, cfg.iterations, seed, i) if sampled else None
     )
-
-    def stats(i, hyp, row):
-        return gleu_stats(sources[i], hyp, row, cfg, i, draws(i, len(row)))
-
-    return _Scorer("gleu", _each(stats), functools.partial(gleu_pool, cfg=cfg), rows)
+    return _Scorer(
+        "gleu",
+        lambda items: gleu_stats_many(sources, items, cfg, draws),
+        functools.partial(gleu_pool, cfg=cfg),
+        rows,
+        subset=lambda stats, i, pick: gleu_subset(stats, pick, cfg, draws(i, len(pick))),
+    )
 
 
 def _m2(args, inputs: _Inputs, seed: int) -> _Scorer:
@@ -181,7 +202,11 @@ def _imeasure(args, inputs: _Inputs, seed: int) -> _Scorer:
         return i_measure_stats(sources[i], hyp, row, cfg, [side(i, ref) for ref in row])
 
     return _Scorer(
-        "imeasure", _each(stats), functools.partial(i_measure_pool, cfg=cfg), rows
+        "imeasure",
+        _each(stats),
+        functools.partial(i_measure_pool, cfg=cfg),
+        rows,
+        subset=lambda stats, i, pick: i_measure_subset(stats, pick),
     )
 
 
@@ -219,35 +244,41 @@ METRICS: dict[str, Callable[..., _Scorer]] = {
 }
 
 
-def _stats(scorer: _Scorer, hyps: Sequence[Sentence], rows=None) -> list:
+def _stats(scorer: _Scorer, systems: Mapping[str, Sequence[Sentence]], rows=None):
+    """The statistics of every system's sentences, by system id, from one
+    ``stats`` batch of the distinct (sentence, hypothesis) pairs. Against
+    the scorer's own rows, pairs already in ``shared`` are not scored
+    again; other ``rows`` get a memo of their own."""
     memo = scorer.shared if rows is None else {}
     rows = scorer.rows if rows is None else rows
-    todo = [
-        (i, hyp, None if rows is None else rows[i])
-        for i, hyp in enumerate(hyps)
-        if (i, hyp.tokens) not in memo
-    ]
-    memo.update(zip([(i, hyp.tokens) for i, hyp, _ in todo], scorer.stats(todo)))
-    return [memo[i, hyp.tokens] for i, hyp in enumerate(hyps)]
+    todo: dict = {}
+    for sid in sorted(systems):
+        for i, hyp in enumerate(systems[sid]):
+            key = (i, hyp.tokens)
+            if key not in memo:
+                todo.setdefault(key, (i, hyp, None if rows is None else rows[i]))
+    memo.update(zip(todo, scorer.stats(list(todo.values()))))
+    return {
+        sid: [memo[i, hyp.tokens] for i, hyp in enumerate(hyps)]
+        for sid, hyps in systems.items()
+    }
 
 
-def _sentence_scores(scorer: _Scorer, hyps: Sequence[Sentence], rows) -> list[float]:
-    return [scorer.value(s) for s in _stats(scorer, hyps, rows)]
-
-
-def _system_score(
-    scorer: _Scorer, system_id: str, hyps: Sequence[Sentence], mode: str = "sentence"
-) -> SystemScore:
-    stats = _stats(scorer, hyps)
-    per = tuple(scorer.value(s) for s in stats)
-    return SystemScore(
-        system_id=system_id,
-        metric=scorer.metric,
-        mode=mode,
-        per_sentence=per,
-        mean_sentence_score=analysis.mean_score(per),
-        corpus_score=None if scorer.pool is None else scorer.pool(stats),
-    )
+def _system_scores(scorer: _Scorer, systems, mode: str = "sentence") -> dict:
+    """Every system's :class:`SystemScore` under one metric, by system id."""
+    table, scores = _stats(scorer, systems), {}
+    for sid in sorted(table):
+        stats = table[sid]
+        per = tuple(scorer.value(s) for s in stats)
+        scores[sid] = SystemScore(
+            system_id=sid,
+            metric=scorer.metric,
+            mode=mode,
+            per_sentence=per,
+            mean_sentence_score=analysis.mean_score(per),
+            corpus_score=None if scorer.pool is None else scorer.pool(stats),
+        )
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +442,7 @@ def _scored_systems(args, seed: int) -> dict[str, SystemScore]:
                 f"metric {args.metric!r} has no corpus-level aggregation; "
                 "use --mode sentence"
             )
-        return {
-            sid: _system_score(scorer, sid, systems[sid], args.mode)
-            for sid in sorted(systems)
-        }
+        return _system_scores(scorer, systems, args.mode)
 
 
 def _summary_table(scores: Mapping[str, SystemScore]) -> list[str]:
@@ -479,14 +507,6 @@ def _cmd_correlate(args) -> int:
     return _emit(args, doc, lines)
 
 
-def _score_tables(systems, scorers) -> list[dict[str, SystemScore]]:
-    """Each scorer's sentence-mode score of every system."""
-    return [
-        {sid: _system_score(scorer, sid, systems[sid]) for sid in sorted(systems)}
-        for scorer in scorers
-    ]
-
-
 def _sweep(human: HumanRanking, fluency, reference) -> analysis.LambdaSweepResult:
     return analysis.sweep_lambda(
         {sid: s.per_sentence for sid, s in fluency.items()},
@@ -503,8 +523,18 @@ def _sweep_system_entries(fluency, reference) -> list[dict]:
     ]
 
 
-def _permuted_scores(scorer: _Scorer, hyps: Sequence[Sentence], perm) -> list[float]:
-    return _sentence_scores(scorer, hyps, [scorer.rows[p] for p in perm])
+def _permuted(scorer: _Scorer, systems) -> Callable[[str, Sequence[int]], list[float]]:
+    """``(sid, perm) -> `` system ``sid``'s per-sentence scores with
+    sentence ``i`` against the row of sentence ``perm[i]``. The gaming
+    permutation depends only on the seed and the sentence count, so every
+    system is rescored in one batch, the first time it is asked for."""
+
+    @functools.cache
+    def table(perm: tuple[int, ...]) -> dict[str, list[float]]:
+        stats = _stats(scorer, systems, [scorer.rows[p] for p in perm])
+        return {sid: [scorer.value(s) for s in per] for sid, per in stats.items()}
+
+    return lambda sid, perm: table(tuple(perm))[sid]
 
 
 def _cmd_sweep(args) -> int:
@@ -514,7 +544,7 @@ def _cmd_sweep(args) -> int:
         raise _UsageError(f"--gaming needs a reference metric in {ROW_METRICS}")
     metrics = [args.fluency_metric, args.reference_metric]
     with _scorers(args, metrics, seed) as (systems, scorers):
-        fluency, reference = _score_tables(systems, scorers)
+        fluency, reference = (_system_scores(scorer, systems) for scorer in scorers)
         result = _sweep(human, fluency, reference)
         section = _sweep_section(result)
         lines = [
@@ -524,11 +554,12 @@ def _cmd_sweep(args) -> int:
         ]
         if args.gaming:
             gaming = []
+            permuted = _permuted(scorers[1], systems)
             for sid in sorted(systems):
                 report = analysis.gaming_check(
                     fluency[sid].per_sentence,
                     reference[sid].per_sentence,
-                    functools.partial(_permuted_scores, scorers[1], systems[sid]),
+                    functools.partial(permuted, sid),
                     seed=seed,
                     lam=args.gaming_lambda,
                 )
@@ -554,10 +585,17 @@ def _cmd_sweep(args) -> int:
     return _emit(args, doc, lines)
 
 
-def _subset_scores(scorer: _Scorer, systems, picks) -> dict[str, list[float]]:
-    rows = [tuple(scorer.rows[i][j] for j in pick) for i, pick in enumerate(picks)]
+def _subset_table(scorer: _Scorer, systems, picks) -> dict[str, list[float]]:
+    """Every system's per-sentence scores against the references
+    ``picks[i]`` of each sentence ``i``, derived once per distinct
+    (sentence, hypothesis) from its statistics against the full row."""
+    values = {
+        (i, tokens): scorer.value(scorer.subset(stats, i, picks[i]))
+        for (i, tokens), stats in scorer.shared.items()
+    }
     return {
-        sid: _sentence_scores(scorer, systems[sid], rows) for sid in sorted(systems)
+        sid: [values[i, hyp.tokens] for i, hyp in enumerate(hyps)]
+        for sid, hyps in systems.items()
     }
 
 
@@ -568,12 +606,12 @@ def _cmd_ablate(args) -> int:
         raise _UsageError(f"ablate needs a reference metric in {ROW_METRICS}")
     metrics = [args.fluency_metric, args.reference_metric]
     with _scorers(args, metrics, seed) as (systems, scorers):
-        fluency, reference = _score_tables(systems, scorers)
+        fluency, reference = (_system_scores(scorer, systems) for scorer in scorers)
         result = _sweep(human, fluency, reference)
         scorer = scorers[1]
         points = analysis.ablate_references(
             {sid: s.per_sentence for sid, s in fluency.items()},
-            functools.partial(_subset_scores, scorer, systems),
+            functools.partial(_subset_table, scorer, systems),
             len(scorer.rows[0]),
             human.scores,
             sizes=args.sizes,

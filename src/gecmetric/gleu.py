@@ -19,11 +19,13 @@ on single sentences.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import groupby
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,8 +33,9 @@ from .analysis import mean_score
 from .corpus import Sentence
 from .errors import ValidationError
 
-__all__ = ["GleuConfig", "GleuStats", "gleu_sentence", "gleu_stats", "gleu_multi_ref",
-           "gleu_pool", "gleu_corpus", "sample_draws", "SAMPLED", "MEAN_OVER_ALL"]
+__all__ = ["GleuConfig", "GleuStats", "gleu_sentence", "gleu_stats", "gleu_stats_many",
+           "gleu_subset", "gleu_multi_ref", "gleu_pool", "gleu_corpus", "sample_draws",
+           "SAMPLED", "MEAN_OVER_ALL"]
 
 SAMPLED = "sampled"
 MEAN_OVER_ALL = "mean-over-all"
@@ -75,17 +78,20 @@ def _orders(tokens: Sequence[str], max_n: int) -> list[Counter]:
 
 
 def _sentence_stats(
-    source: list[Counter], hypothesis: list[Counter], reference: Sentence, hyp_len: int
+    source: list[Counter],
+    hypothesis: list[Counter],
+    reference: list[Counter],
+    hyp_len: int,
+    ref_len: int,
 ) -> tuple[int, ...]:
     """Hypothesis counts against one reference, given the :func:`_orders`
-    of the source and hypothesis: the per-order matched, source-penalty
-    and total n-gram counts, then the hypothesis and reference lengths.
-    Counts of several sentences pool by summing."""
+    of the source, hypothesis and reference: the per-order matched,
+    source-penalty and total n-gram counts, then the hypothesis and
+    reference lengths. Counts of several sentences pool by summing."""
     matched: list[int] = []
     penalty: list[int] = []
     total: list[int] = []
-    for n, (c_src, c_hyp) in enumerate(zip(source, hypothesis), 1):
-        c_ref = _ngrams(reference.tokens, n)
+    for c_src, c_hyp, c_ref in zip(source, hypothesis, reference):
         m = p = 0
         for g, c in c_hyp.items():
             r = c_ref.get(g, 0)
@@ -96,7 +102,7 @@ def _sentence_stats(
         matched.append(m)
         penalty.append(p)
         total.append(sum(c_hyp.values()))
-    return (*matched, *penalty, *total, hyp_len, len(reference))
+    return (*matched, *penalty, *total, hyp_len, ref_len)
 
 
 def _assemble(counts: Sequence[int], max_n: int) -> float:
@@ -127,8 +133,9 @@ def gleu_sentence(
     counts = _sentence_stats(
         _orders(source.tokens, cfg.max_n),
         _orders(hypothesis.tokens, cfg.max_n),
-        reference,
+        _orders(reference.tokens, cfg.max_n),
         len(hypothesis),
+        len(reference),
     )
     return _assemble(counts, cfg.max_n)
 
@@ -138,20 +145,36 @@ def sample_draws(
 ) -> Sequence[int]:
     """The reference drawn at each iteration for one sentence, from a
     stream of its own, so independent of scheduling order. Draws fit in a
-    bytes object up to 256 references."""
+    bytes object up to 256 references.
+
+    The draws are ``rng.randrange(n_refs)`` of the stream, read in bulk:
+    randrange takes the top ``n_refs.bit_length()`` bits of one 32-bit
+    word and draws again while the value is ``>= n_refs``, and one
+    ``getrandbits(32 * m)`` holds the next ``m`` words, first word lowest.
+    """
+    if n_refs < 1:
+        raise ValidationError(f"n_refs must be >= 1, got {n_refs}")
     if n_refs == 1:
         # randrange(1) is always 0, and no other sentence shares this stream
         return bytes(iterations)
     rng = random.Random(f"{seed}:{sentence_index}")
-    draws = [rng.randrange(n_refs) for _ in range(iterations)]
-    return bytes(draws) if n_refs <= 256 else draws
+    shift = 32 - n_refs.bit_length()
+    kept = np.empty(0, np.uint32)
+    while len(kept) < iterations:
+        m = 2 * (iterations - len(kept)) + 64  # at least half the words are kept
+        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+        words = words >> shift
+        kept = np.concatenate([kept, words[words < n_refs]])
+    kept = kept[:iterations]
+    return kept.astype(np.uint8).tobytes() if n_refs <= 256 else kept.tolist()
 
 
 class GleuStats(NamedTuple):
     """One hypothesis's statistics against each of its references.
 
-    ``counts[j]`` holds the counts against reference ``j``; ``draws`` is
-    the reference drawn at each iteration in ``sampled`` mode (any int
+    ``counts[j]`` holds the counts against reference ``j`` and
+    ``per_reference[j]`` the score against it alone; ``draws`` is the
+    reference drawn at each iteration in ``sampled`` mode (any int
     sequence; :func:`sample_draws` gives bytes) and None in
     ``mean-over-all`` mode.
     """
@@ -159,6 +182,30 @@ class GleuStats(NamedTuple):
     score: float
     counts: tuple[tuple[int, ...], ...]
     draws: Sequence[int] | None
+    per_reference: tuple[float, ...]
+
+
+def _score(counts, per_reference, cfg: GleuConfig, draws) -> GleuStats:
+    if cfg.multi_ref_mode == MEAN_OVER_ALL:
+        return GleuStats(mean_score(per_reference), counts, None, per_reference)
+    return GleuStats(_mean_over_draws(per_reference, draws), counts, draws, per_reference)
+
+
+def _mean_over_draws(scores: Sequence[float], draws: Sequence[int]) -> float:
+    """``mean_score([scores[j] for j in draws])`` from how often each
+    reference is drawn. ``c`` draws of a score sum exactly to the score
+    times each power of two in ``c``, and fsum correctly rounds the exact
+    sum of whatever terms it is given."""
+    first = scores[draws[0]]
+    drawn = [(score, draws.count(j)) for j, score in enumerate(scores)]
+    if all(score == first for score, c in drawn if c):
+        return first
+    return math.fsum(
+        math.ldexp(score, b)
+        for score, c in drawn
+        for b in range(c.bit_length())
+        if c >> b & 1
+    ) / len(draws)
 
 
 def gleu_stats(
@@ -173,19 +220,64 @@ def gleu_stats(
 
     In ``sampled`` mode ``draws`` defaults to :func:`sample_draws` of the
     sentence; a caller scoring many hypotheses of one sentence draws once
-    and passes them.
+    and passes them, or uses :func:`gleu_stats_many`.
     """
-    references = tuple(references)
-    if not references:
-        raise ValidationError("at least one reference is required")
-    src, hyp = _orders(source.tokens, cfg.max_n), _orders(hypothesis.tokens, cfg.max_n)
-    counts = tuple(_sentence_stats(src, hyp, ref, len(hypothesis)) for ref in references)
-    scores = [_assemble(c, cfg.max_n) for c in counts]
-    if cfg.multi_ref_mode == MEAN_OVER_ALL:
-        return GleuStats(mean_score(scores), counts, None)
-    if draws is None:
-        draws = sample_draws(len(references), cfg.iterations, cfg.rng_seed, sentence_index)
-    return GleuStats(mean_score([scores[j] for j in draws]), counts, draws)
+    given = None if draws is None else (lambda i, n_refs: draws)
+    item = (sentence_index, hypothesis, tuple(references))
+    return gleu_stats_many({sentence_index: source}, [item], cfg, given)[0]
+
+
+def gleu_stats_many(
+    sources: Sequence[Sentence] | Mapping[int, Sentence],
+    items: Sequence[tuple[int, Sentence, tuple[Sentence, ...]]],
+    cfg: GleuConfig = GleuConfig(),
+    draws: Callable[[int, int], Sequence[int]] | None = None,
+) -> list[GleuStats]:
+    """:func:`gleu_stats` of each (sentence index, hypothesis, references)
+    item, in item order.
+
+    Items are taken sentence by sentence: each group of one sentence and
+    one reference row builds the n-gram counts of its source, references
+    and distinct hypotheses once and drops them after the group.
+    ``draws(i, n_refs)`` gives sentence ``i``'s draws in ``sampled`` mode
+    (default: :func:`sample_draws`).
+    """
+    draws = draws or (lambda i, k: sample_draws(k, cfg.iterations, cfg.rng_seed, i))
+    out: list = [None] * len(items)
+    order = sorted(range(len(items)), key=lambda k: items[k][0])
+    for (i, row), group in groupby(order, key=lambda k: (items[k][0], items[k][2])):
+        if not row:
+            raise ValidationError("at least one reference is required")
+        orders = functools.cache(lambda tokens: _orders(tokens, cfg.max_n))
+        src = orders(sources[i].tokens)
+        refs = [(orders(ref.tokens), len(ref)) for ref in row]
+        picked = draws(i, len(row)) if cfg.multi_ref_mode == SAMPLED else None
+        for k in group:
+            hyp = items[k][1]
+            ngrams = orders(hyp.tokens)
+            counts = tuple(_sentence_stats(src, ngrams, r, len(hyp), n) for r, n in refs)
+            scores = tuple(_assemble(c, cfg.max_n) for c in counts)
+            out[k] = _score(counts, scores, cfg, picked)
+    return out
+
+
+def gleu_subset(
+    stats: GleuStats,
+    pick: Sequence[int],
+    cfg: GleuConfig = GleuConfig(),
+    draws: Sequence[int] | None = None,
+) -> GleuStats:
+    """The statistics of the same hypothesis against the references
+    ``pick`` of its row alone. The counts and score against a reference
+    depend on that reference only, so they are the picked columns of
+    ``stats``; ``draws`` are the subset's own draws in ``sampled`` mode
+    (:func:`sample_draws` of ``len(pick)`` references)."""
+    return _score(
+        tuple(stats.counts[j] for j in pick),
+        tuple(stats.per_reference[j] for j in pick),
+        cfg,
+        draws,
+    )
 
 
 def gleu_multi_ref(
@@ -269,8 +361,5 @@ def gleu_corpus(
     for i, row in enumerate(references):
         if not row:
             raise ValidationError(f"sentence {i} has no references")
-    stats = [
-        gleu_stats(src, hyp, refs, cfg, sentence_index=i)
-        for i, (src, hyp, refs) in enumerate(zip(sources, hypotheses, references))
-    ]
-    return gleu_pool(stats, cfg)
+    items = [(i, hyp, tuple(references[i])) for i, hyp in enumerate(hypotheses)]
+    return gleu_pool(gleu_stats_many(sources, items, cfg), cfg)

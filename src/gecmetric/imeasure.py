@@ -21,7 +21,7 @@ mean the system made the text worse. An unchanged hypothesis is exactly 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from . import _levenshtein
@@ -38,6 +38,7 @@ __all__ = [
     "ReferenceSide",
     "reference_side",
     "i_measure_stats",
+    "i_measure_subset",
     "i_measure_sentence",
     "i_measure_pool",
     "i_measure_corpus",
@@ -179,14 +180,18 @@ def _improvement(wacc_sys: float, wacc_base: float) -> float:
     return wacc_sys / wacc_base - 1.0
 
 
-class IMeasureStats(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class IMeasureStats:
     """One hypothesis's statistics: its best improvement score over the
     references, with the system and do-nothing baseline token counts
-    against that reference (the first one on ties)."""
+    against that reference (the first one on ties). ``references`` holds
+    the statistics against each reference alone, and does not take part
+    in comparisons."""
 
     score: float
     system: TokenCounts
     baseline: TokenCounts
+    references: tuple["IMeasureStats", ...] = field(default=(), compare=False, repr=False)
 
 
 class ReferenceSide(NamedTuple):
@@ -234,7 +239,16 @@ def i_measure_stats(
         )
         return IMeasureStats(score, system, side.baseline)
 
-    return max((against(side) for side in sides), key=lambda stats: stats.score)
+    per_reference = tuple(against(side) for side in sides)
+    best = max(per_reference, key=lambda stats: stats.score)
+    return IMeasureStats(best.score, best.system, best.baseline, per_reference)
+
+
+def i_measure_subset(stats: IMeasureStats, pick: Sequence[int]) -> IMeasureStats:
+    """The statistics of the same hypothesis against the references
+    ``pick`` of its row alone: the first best of the picked references'
+    own statistics, as :func:`i_measure_stats` takes it."""
+    return max((stats.references[j] for j in pick), key=lambda s: s.score)
 
 
 def i_measure_sentence(

@@ -23,7 +23,6 @@ from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .corpus import Sentence
 from .errors import ModelError, ParseError, ValidationError
@@ -283,6 +282,9 @@ def train_ridge(
     if k == 0:
         weights = np.zeros(0)
     else:
+        # imported here: scipy is the costliest import, and only training needs it
+        from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
         gram = centered.T @ centered + alpha * np.eye(k)
         rhs = centered.T @ y_centered
         try:

@@ -38,6 +38,47 @@ def test_mean_score():
         mean_score([])
 
 
+def _scanned_mean(values):
+    """mean_score with its identical-values test written as a Python scan."""
+    first = values[0]
+    if all(v == first for v in values):
+        return first
+    return math.fsum(values) / len(values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [math.nan],
+        [math.nan, math.nan],
+        [1.0, math.nan],
+        [math.nan, 1.0],
+        [0.0, -0.0],
+        [-0.0, 0.0, -0.0],
+        [math.inf, math.inf],
+        [-math.inf],
+        [math.inf, 1.0],
+        [0.7],
+        [0.1] * 7,
+        [0.1, 0.2, 0.3],
+        [0.5, 0.5, 0.25],
+    ],
+)
+def test_mean_score_equals_the_scan(values):
+    want = repr(_scanned_mean(values))  # so that nan and the sign of zero count
+    assert repr(mean_score(values)) == repr(mean_score(tuple(values))) == want
+
+
+@pytest.mark.parametrize(
+    "values, error", [([math.inf, -math.inf], ValueError), ([1e308, 1e308, 1.0], OverflowError)]
+)
+def test_mean_score_fails_like_the_scan(values, error):
+    with pytest.raises(error):
+        _scanned_mean(values)
+    with pytest.raises(error):
+        mean_score(values)
+
+
 def test_interpolate_endpoints_are_bit_exact():
     f, r = 0.123456789, 0.987654321
     assert interpolate_value(f, r, 0.0) == f

@@ -794,6 +794,12 @@ GOLDEN_REPORTS = {
         "b49c9f2dc2f548e75497fd32ca38c7e194e692a9d4c3b483c17fd42926ddeb8a",
     "ablate":
         "3bd02da6b4498e20edd5c5f84b9b2abaeb38b45e35a97f38bbe520ecf68dc3fe",
+    "ablate --reference-metric imeasure --trials 2":
+        "461f66172496103278594f9987a570b07308997493d33096d6b503d3fc217062",
+    "sweep --gaming --reference-metric imeasure":
+        "29052fe8dc45301307cc9e28499d79606a3333c858a7f304bb3b596a13347e28",
+    "ablate --gleu-mode mean-over-all --sizes 1,2 --trials 2":
+        "81c47bd796c7462dae8e8f1bb6aa0e0fceb2318fb8d5157c72a075a5495d4fb6",
 }
 
 
@@ -814,8 +820,9 @@ def _golden_argv(corpus, model_path, name):
     }
     command, *rest = name.split()
     if command in ("sweep", "ablate"):
-        extra = ["--gaming"] if rest == ["gaming"] else ["--trials", "2"]
-        return [command, "--seed", "7"] + extra + _sweep_args(corpus)
+        # a name past the command is either "gaming" or the options themselves
+        extra = {"": ["--trials", "2"], "gaming": ["--gaming"]}.get(" ".join(rest), rest)
+        return [command, "--seed", "7"] + _sweep_args(corpus) + extra
     metric, mode = rest
     argv = [command, "--metric", metric, "--seed", "7"] + inputs[metric]
     if mode == "mean-over-all":
@@ -1036,6 +1043,44 @@ def test_reference_metrics_do_system_independent_work_once(corpus, capsys, monke
         assert (len(tables), len(lattices)) == (n_tables, n_lattices), argv
     assert _run(capsys, ["score", "--metric", "gleu"] + refs + _hyp_args(corpus))[0] == 0
     assert sorted(args[3] for args in draws) == [0, 1, 2]
+
+
+def test_ablation_and_gaming_reuse_the_runs_statistics(corpus, capsys, monkeypatch):
+    """A sweep's main pass builds the n-grams of 9 distinct token
+    sequences (per sentence: the source, which system c repeats, the
+    references and the other hypotheses; ref1 and ref2 of sentence 2 and
+    systems a and b on sentences 2 and 3 coincide). ablate selects each
+    subset's statistics from that pass and builds no more. The gaming
+    check rescores the three systems in one batch, so each source's
+    n-grams are built once there, not once per system."""
+    from gecmetric import gleu
+
+    orders = _count_calls(monkeypatch, gleu, "_orders")
+    assert _run(capsys, ["sweep", "--seed", "7"] + _sweep_args(corpus))[0] == 0
+    assert len(orders) == 9
+    orders.clear()
+    ablate = ["ablate", "--seed", "7", "--trials", "2", "--sizes", "1,2"]
+    assert _run(capsys, ablate + _sweep_args(corpus))[0] == 0
+    assert len(orders) == 9
+    orders.clear()
+    assert _run(capsys, ["sweep", "--seed", "7", "--gaming"] + _sweep_args(corpus))[0] == 0
+    sources = [tuple(line.split()) for line in SOURCE.splitlines()]
+    assert [sum(args[0] == src for args in orders) for src in sources] == [2, 2, 2]
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    """scipy is imported by ridge training alone."""
+    src = Path(gecmetric.__file__).resolve().parents[1]
+    code = "import sys, gecmetric.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_fluency_metrics_featurize_each_distinct_hypothesis_once(

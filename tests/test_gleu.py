@@ -16,8 +16,12 @@ from gecmetric.gleu import (
     gleu_corpus,
     gleu_multi_ref,
     gleu_pool,
+    _mean_over_draws,
     gleu_sentence,
     gleu_stats,
+    gleu_stats_many,
+    gleu_subset,
+    sample_draws,
 )
 from oracles import gleu_reference
 
@@ -327,3 +331,80 @@ def test_stats_with_passed_draws_equal_own_draws():
     passed = gleu_stats(src, hyp, refs, cfg, sentence_index=6, draws=list(own.draws))
     assert passed.score == own.score
     assert passed.counts == own.counts
+
+
+def _randrange_draws(n_refs, iterations, seed, sentence_index):
+    """The draw loop that sample_draws reads in bulk."""
+    if n_refs == 1:
+        return bytes(iterations)
+    rng = random.Random(f"{seed}:{sentence_index}")
+    draws = [rng.randrange(n_refs) for _ in range(iterations)]
+    return bytes(draws) if n_refs <= 256 else draws
+
+
+@pytest.mark.parametrize("n_refs", [1, 2, 3, 7, 255, 256, 257, 1000])
+def test_bulk_draws_equal_the_randrange_loop(n_refs):
+    for iterations in (1, 7, 500, 2000):
+        for seed in (0, 5, 123456789):
+            for index in (0, 1, 1311):
+                got = sample_draws(n_refs, iterations, seed, index)
+                want = _randrange_draws(n_refs, iterations, seed, index)
+                assert type(got) is type(want)
+                assert got == want
+
+
+@pytest.mark.parametrize("n_refs", [0, -1, -300])
+def test_draws_need_a_reference(n_refs):
+    with pytest.raises(ValidationError):
+        sample_draws(n_refs, 10, 0, 0)
+
+
+def test_mean_over_draws_equals_the_mean_of_the_drawn_scores():
+    rng = random.Random(8)
+    for trial in range(3000):
+        n_refs = rng.choice([1, 2, 3, 5, 300])
+        pool = [0.0, 1.0, 5e-324, rng.random() * 1e-300, rng.random()]
+        scores = [rng.choice(pool) if rng.random() < 0.5 else rng.random() for _ in range(n_refs)]
+        draws = sample_draws(n_refs, rng.choice([1, 2, 7, 500, 1000]), trial, 0)
+        assert _mean_over_draws(scores, draws) == mean_score([scores[j] for j in draws])
+
+
+@pytest.mark.parametrize("mode", [SAMPLED, MEAN_OVER_ALL])
+def test_subset_equals_stats_against_the_picked_references(mode):
+    """A subset's statistics, taken from the full row's, are those of
+    scoring against the picked references alone."""
+    rng = random.Random(f"subset:{mode}")
+    vocab = ["a", "b", "c", "d", "e"]
+
+    def sentence():
+        return Sentence(tuple(rng.choice(vocab) for _ in range(rng.randint(0, 8))))
+
+    cfg = GleuConfig(iterations=50, rng_seed=4, multi_ref_mode=mode)
+    for i in range(150):
+        src, hyp = sentence(), sentence()
+        refs = tuple(sentence() for _ in range(rng.randint(1, 4)))
+        full = gleu_stats(src, hyp, refs, cfg, sentence_index=i)
+        pick = sorted(rng.sample(range(len(refs)), rng.randint(1, len(refs))))
+        draws = sample_draws(len(pick), cfg.iterations, cfg.rng_seed, i) if mode == SAMPLED else None
+        want = gleu_stats(src, hyp, [refs[j] for j in pick], cfg, sentence_index=i)
+        assert gleu_subset(full, pick, cfg, draws) == want
+        if len(pick) == 1:
+            assert want.score == _assemble(full.counts[pick[0]], cfg.max_n)
+
+
+def test_stats_many_equals_stats_per_item_in_item_order():
+    rng = random.Random(3)
+    vocab = ["a", "b", "c", "d"]
+
+    def sentence():
+        return Sentence(tuple(rng.choice(vocab) for _ in range(rng.randint(0, 6))))
+
+    cfg = GleuConfig(iterations=30, rng_seed=1)
+    sources = [sentence() for _ in range(6)]
+    rows = [tuple(sentence() for _ in range(rng.randint(1, 3))) for _ in range(6)]
+    items = [
+        (i, rng.choice([sentence(), sources[i]]), rng.choice(rows))
+        for i in (rng.randrange(6) for _ in range(40))
+    ]
+    want = [gleu_stats(sources[i], hyp, row, cfg, sentence_index=i) for i, hyp, row in items]
+    assert gleu_stats_many(sources, items, cfg) == want

@@ -14,6 +14,7 @@ from gecmetric.imeasure import (
     i_measure_corpus,
     i_measure_sentence,
     i_measure_stats,
+    i_measure_subset,
     weighted_accuracy,
 )
 
@@ -228,3 +229,17 @@ def test_unchanged_and_restored_hypotheses_match_per_reference_classification():
         assert identity == i_measure_stats(src, Sentence(tuple(restored)), refs)
         assert identity.score == 0.0
         assert identity.system == identity.baseline
+
+
+def test_subset_equals_stats_against_the_picked_references():
+    """A subset's statistics, taken from the full row's, are those of
+    scoring against the picked references alone, ties included."""
+    rng = random.Random(29)
+    for _ in range(300):
+        src = _random_sentence(rng, low=1)
+        refs = tuple(_random_sentence(rng) for _ in range(rng.randint(1, 4)))
+        refs += refs[: rng.randint(0, 1)]  # a repeated reference ties
+        hyp = rng.choice([_random_sentence(rng), src])
+        full = i_measure_stats(src, hyp, refs)
+        pick = sorted(rng.sample(range(len(refs)), rng.randint(1, len(refs))))
+        assert i_measure_subset(full, pick) == i_measure_stats(src, hyp, [refs[j] for j in pick])
