@@ -26,8 +26,6 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from .errors import ValidationError
 
 __all__ = [
@@ -263,6 +261,8 @@ def sweep_lambda(
     if missing:
         raise ValidationError(f"human ranking is missing systems: {missing}")
     human_values = [human[s] for s in systems]
+    import numpy as np  # imported here: only the sweep needs it
+
     # interpolate() of every system at once: the same two products and one
     # sum per element, so the same floats
     flu = np.array([fluency[s] for s in systems], dtype=np.float64)
@@ -308,6 +308,7 @@ def ablate_references(
     For every subset size, each trial draws an independent reference
     subset per sentence, asks ``reference_scorer`` to rescore all systems
     with those subsets, reruns the lambda sweep, and records the oracle
+    Spearman; a trial whose picks repeat an earlier trial's reuses its
     Spearman. Points carry the trial mean and a normal-approximation 95%
     half-width (0 when there is a single trial).
     """
@@ -322,15 +323,20 @@ def ablate_references(
         raise ValidationError("empty score table")
     n_sentences = len(fluency[systems[0]])
     points = []
+    # oracle Spearman by pick set: a size equal to n_refs picks every
+    # reference in every trial, so its sweep runs once
+    oracles: dict[tuple[tuple[int, ...], ...], float] = {}
     for size in sizes:
         per_trial = []
         for trial in range(trials):
-            picks = [
-                sample_reference_subset(n_refs, size, seed, trial, i)
+            picks = tuple(
+                tuple(sample_reference_subset(n_refs, size, seed, trial, i))
                 for i in range(n_sentences)
-            ]
-            table = reference_scorer(picks)
-            per_trial.append(sweep_lambda(fluency, table, human).oracle.spearman)
+            )
+            if picks not in oracles:
+                table = reference_scorer(picks)
+                oracles[picks] = sweep_lambda(fluency, table, human).oracle.spearman
+            per_trial.append(oracles[picks])
         mean = math.fsum(per_trial) / trials
         if trials > 1:
             var = math.fsum((v - mean) ** 2 for v in per_trial) / (trials - 1)

@@ -62,7 +62,11 @@ def tokenize(raw: str) -> Sentence:
     No case or punctuation normalization is performed; inputs are assumed
     to be pre-tokenized text where whitespace is the only separator.
     """
-    return Sentence(tuple(raw.split()))
+    # str.split() yields no empty token and none holding whitespace, so
+    # the tokens skip the check Sentence() runs
+    sentence = object.__new__(Sentence)
+    object.__setattr__(sentence, "tokens", tuple(raw.split()))
+    return sentence
 
 
 @dataclass(frozen=True)

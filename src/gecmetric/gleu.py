@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .analysis import mean_score
 from .corpus import Sentence
 from .errors import ValidationError
@@ -157,6 +155,8 @@ def sample_draws(
     if n_refs == 1:
         # randrange(1) is always 0, and no other sentence shares this stream
         return bytes(iterations)
+    import numpy as np  # imported where used: most commands never load it
+
     rng = random.Random(f"{seed}:{sentence_index}")
     shift = 32 - n_refs.bit_length()
     kept = np.empty(0, np.uint32)
@@ -327,7 +327,12 @@ def gleu_pool(stats: Sequence[GleuStats], cfg: GleuConfig = GleuConfig()) -> flo
     # of one-hot picks (iterations x N) with the counts (N x C), a block of
     # iterations at a time so that the one-hot stays small. Sentences with
     # fewer references get zero rows, which they never pick.
-    picks = np.array([_row(s.draws) for s in stats]).T
+    import numpy as np
+
+    picks = np.array([
+        np.frombuffer(s.draws, np.uint8) if isinstance(s.draws, bytes) else s.draws
+        for s in stats
+    ]).T
     width = max(len(s.counts) for s in stats)
     zeros = (0,) * len(stats[0].counts[0])
     columns = [
@@ -340,10 +345,6 @@ def gleu_pool(stats: Sequence[GleuStats], cfg: GleuConfig = GleuConfig()) -> flo
         totals = sum((block == j).astype(np.int64) @ col for j, col in enumerate(columns))
         scores.extend(_assemble(row, cfg.max_n) for row in totals.tolist())
     return mean_score(scores)
-
-
-def _row(draws: Sequence[int]):
-    return np.frombuffer(draws, np.uint8) if isinstance(draws, bytes) else draws
 
 
 def gleu_corpus(

@@ -67,7 +67,8 @@ class ErrorSpan:
     category: str
 
     def __post_init__(self):
-        if not isinstance(self.start, int) or not isinstance(self.end, int):
+        # bools are ints to isinstance, so check the type
+        if type(self.start) is not int or type(self.end) is not int:
             raise ValidationError(f"span bounds must be ints, got {self!r}")
         if self.start < 0 or self.end < self.start:
             raise ValidationError(f"bad span ({self.start}, {self.end})")

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .corpus import Sentence
 from .errors import ModelError, ParseError, ValidationError
 from .formats import _read_text, split_lines
@@ -247,6 +245,8 @@ def train_ridge(
         )
     if not features:
         raise ValidationError("no training rows")
+    import numpy as np  # imported here: only training needs it
+
     x = np.asarray(
         [
             row.as_tuple() if isinstance(row, FeatureVector) else tuple(row)

@@ -23,6 +23,7 @@ with the gold set, and F_beta favors precision with beta = 0.5 by default.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from dataclasses import dataclass
@@ -103,10 +104,12 @@ def _build_graph(src: tuple[str, ...], hyp: tuple[str, ...], max_unchanged: int)
     # distances of suffixes: the table of the reversed sequences, read backwards
     bwd = [row[::-1] for row in reversed(_levenshtein.table(src[::-1], hyp[::-1]))]
     total = fwd[n][m]
+    # a minimal path stays within |i - j| <= total, the band where both
+    # tables are exact
     nodes = [
         (i, j)
         for i in range(n + 1)
-        for j in range(m + 1)
+        for j in range(max(0, i - total), min(m, i + total) + 1)
         if fwd[i][j] + bwd[i][j] == total
     ]
     elem: dict[_Node, list[tuple[_Node, _EditKey | None]]] = {u: [] for u in nodes}
@@ -134,17 +137,21 @@ def _build_graph(src: tuple[str, ...], hyp: tuple[str, ...], max_unchanged: int)
     order = {u: k for k, u in enumerate(topo)}
     adj = {u: list(edges) for u, edges in elem.items()}
     for u in nodes:
-        # fewest matched tokens on any lattice path u -> v, pruned at budget
+        # fewest matched tokens on any lattice path u -> v, pruned at
+        # budget; reached nodes are relaxed in topological order
         fewest: dict[_Node, int] = {u: 0}
-        for x in topo[order[u]:]:
-            got = fewest.get(x)
-            if got is None:
-                continue
+        queue = [order[u]]
+        while queue:
+            x = topo[heapq.heappop(queue)]
+            got = fewest[x]
             for v, edit in elem[x]:
                 matches = got + (1 if edit is None else 0)
                 if matches > max_unchanged:
                     continue
-                if matches < fewest.get(v, matches + 1):
+                if v not in fewest:
+                    fewest[v] = matches
+                    heapq.heappush(queue, order[v])
+                elif matches < fewest[v]:
                     fewest[v] = matches
         ui, uj = u
         for (vi, vj), matches in fewest.items():

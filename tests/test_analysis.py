@@ -306,6 +306,43 @@ def test_ablate_references_shapes_and_determinism():
     assert all(p.half_width >= 0.0 for p in points)
 
 
+def test_ablation_sweeps_each_distinct_pick_set_once(monkeypatch):
+    """Size 2 of 2 references picks both in every trial, so its trials
+    share one sweep; each size-1 pick set is swept once. ``per_trial``
+    still holds every trial's Spearman, as sweeping each trial gives."""
+    from gecmetric import analysis
+
+    fluency, reference = _tables()
+    human = {"A": 4.0, "B": 3.0, "C": 2.0, "D": 1.0}
+
+    def scorer(picks):
+        return {
+            sid: [v * (1 + 0.1 * sum(p)) * len(p) for v, p in zip(rows, picks)]
+            for sid, rows in reference.items()
+        }
+
+    sweep = analysis.sweep_lambda
+    calls = []
+    monkeypatch.setattr(
+        analysis, "sweep_lambda", lambda *args: calls.append(args) or sweep(*args)
+    )
+    points = ablate_references(fluency, scorer, n_refs=2, human=human, trials=10)
+    size_one = {
+        tuple(tuple(sample_reference_subset(2, 1, 0, t, i)) for i in range(3))
+        for t in range(10)
+    }
+    assert 1 < len(size_one) < 10
+    assert len(calls) == len(size_one) + 1
+    for point in points:
+        assert point.per_trial == tuple(
+            sweep(fluency, scorer(picks), human).oracle.spearman
+            for picks in (
+                [sample_reference_subset(2, point.size, 0, t, i) for i in range(3)]
+                for t in range(10)
+            )
+        )
+
+
 def test_ablate_single_trial_has_zero_half_width():
     fluency, reference = _tables()
     human = {"A": 4.0, "B": 3.0, "C": 2.0, "D": 1.0}

@@ -58,6 +58,8 @@ ROUTING_CHECKER = textwrap.dedent(
             out.write(b'{"id": 1000, "errors": []}\\n')
         elif mode == "bad-bytes":
             out.write(b"\\xff\\n")
+        elif mode == "bool-span":
+            reply["errors"] = [{"start": False, "end": True, "category": "X"}]
         out.write((json.dumps(reply) + "\\n").encode() * (2 if mode == "duplicate" else 1))
         out.flush()
     """

@@ -1083,6 +1083,43 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+NUMPY_FREE = {
+    "version": ["--version"],
+    "m2": ["score", "--metric", "m2", "--m2", "{d}/gold.m2"],
+    "imeasure": ["score", "--metric", "imeasure", "--source", "{d}/source.txt",
+                 "--ref", "{d}/ref1.txt", "--ref", "{d}/ref2.txt"],
+    "errorcount": ["score", "--metric", "errorcount", "--wordlist", "{d}/words.txt"],
+    "lfm": ["score", "--metric", "lfm", "--model", "{d}/model.json",
+            "--lm-corpus", "{d}/source.txt", "--wordlist", "{d}/words.txt"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMPY_FREE))
+def test_commands_that_need_no_numpy_leave_it_unloaded(corpus, model_path, case):
+    """numpy is imported by GLEU, the lambda sweep and ridge training alone."""
+    argv = [arg.format(d=corpus) for arg in NUMPY_FREE[case]]
+    if case != "version":
+        argv += _hyp_args(corpus) + ["--out", str(corpus / "report.json")]
+    code = (
+        "import sys\n"
+        "from gecmetric.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "finally:\n"
+        "    print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))\n"
+    )
+    src = Path(gecmetric.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_fluency_metrics_featurize_each_distinct_hypothesis_once(
     corpus, capsys, monkeypatch, model_path
 ):
@@ -1146,6 +1183,7 @@ MALFORMED = {
     "checker-list-id": [*_CHECK, "{checker} list-id"],
     "checker-unknown-id": [*_CHECK, "{checker} unknown-id"],
     "checker-bad-bytes": [*_CHECK, "{checker} bad-bytes"],
+    "checker-bool-span": [*_CHECK, "{checker} bool-span"],
 }
 
 

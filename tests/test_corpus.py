@@ -42,6 +42,20 @@ def test_tokenize_splits_on_any_whitespace():
     assert tokenize("").tokens == ()
 
 
+def test_tokenize_equals_the_checked_sentence():
+    """tokenize skips the token check, as str.split() makes no empty token
+    and none holding whitespace; its Sentence equals and hashes as the
+    checked one. Direct construction still checks."""
+    spaces = "".join(chr(c) for c in range(0x110000) if chr(c).isspace())
+    for raw in ("", spaces, "the  cat\tsat ", f"a{spaces}b\u00e9{spaces}", "\u3000x\x85y\u2028z"):
+        got = tokenize(raw)
+        checked = Sentence(tuple(raw.split()))
+        assert type(got) is Sentence and got.tokens == tuple(raw.split())
+        assert got == checked and hash(got) == hash(checked)
+    with pytest.raises(ValidationError, match="whitespace"):
+        Sentence(("a b",))
+
+
 def test_detokenize_round_trip():
     """Detokenizing is ``Sentence.text``."""
     s = tokenize("a b c")

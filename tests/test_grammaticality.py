@@ -155,6 +155,8 @@ def test_error_span_validation():
         ErrorSpan(2, 1, "X")
     with pytest.raises(ValidationError):
         ErrorSpan(0, 1, "")
+    with pytest.raises(ValidationError):  # bools are ints to isinstance
+        ErrorSpan(False, True, "X")
 
 
 def test_suite_merges_and_sorts(suite):
