@@ -65,7 +65,7 @@ from .gleu import (
     gleu_pool,
     gleu_stats_many,
     gleu_subset,
-    sample_draws,
+    reference_draws,
 )
 from .grammaticality import (
     DetectorSuite,
@@ -167,10 +167,7 @@ def _gleu(args, inputs: _Inputs, seed: int) -> _Scorer:
         rng_seed=seed,
         multi_ref_mode=args.gleu_mode,
     )
-    sampled = cfg.multi_ref_mode == SAMPLED
-    draws = functools.cache(
-        lambda i, n_refs: sample_draws(n_refs, cfg.iterations, seed, i) if sampled else None
-    )
+    draws = functools.cache(functools.partial(reference_draws, cfg))
     return _Scorer(
         "gleu",
         lambda items: gleu_stats_many(sources, items, cfg, draws),
@@ -297,8 +294,6 @@ def _parse_hyp_spec(spec: str) -> tuple[str, str]:
 
 
 def _load_systems(args) -> dict[str, list[Sentence]]:
-    if not getattr(args, "hyp", None):
-        raise _UsageError("at least one --hyp is required")
     pairs = [_parse_hyp_spec(spec) for spec in args.hyp]
     ids = [sid for sid, _ in pairs]
     if len(set(ids)) != len(ids):
@@ -385,12 +380,6 @@ def _resolve_seed(args) -> int:
         return value
     log.info("seed 0 (default)")
     return 0
-
-
-def _load_human(args) -> HumanRanking:
-    if not getattr(args, "human", None):
-        raise _UsageError("--human is required")
-    return read_human_ranking(args.human)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +473,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_correlate(args) -> int:
     seed = _resolve_seed(args)
-    human = _load_human(args)
+    human = read_human_ranking(args.human)
     scores = _scored_systems(args, seed)
     ids = sorted(scores)
     missing = [sid for sid in ids if sid not in human.scores]
@@ -539,7 +528,7 @@ def _permuted(scorer: _Scorer, systems) -> Callable[[str, Sequence[int]], list[f
 
 def _cmd_sweep(args) -> int:
     seed = _resolve_seed(args)
-    human = _load_human(args)
+    human = read_human_ranking(args.human)
     if args.gaming and args.reference_metric not in ROW_METRICS:
         raise _UsageError(f"--gaming needs a reference metric in {ROW_METRICS}")
     metrics = [args.fluency_metric, args.reference_metric]
@@ -601,7 +590,7 @@ def _subset_table(scorer: _Scorer, systems, picks) -> dict[str, list[float]]:
 
 def _cmd_ablate(args) -> int:
     seed = _resolve_seed(args)
-    human = _load_human(args)
+    human = read_human_ranking(args.human)
     if args.reference_metric not in ROW_METRICS:
         raise _UsageError(f"ablate needs a reference metric in {ROW_METRICS}")
     metrics = [args.fluency_metric, args.reference_metric]
@@ -700,7 +689,7 @@ def _add_input_options(p: _Parser) -> None:
     p.add_argument("--m2", help="gold annotation file (source + edits)")
     p.add_argument("--ref", action="append", default=[],
                    help="reference file; repeat for multiple references")
-    p.add_argument("--hyp", action="append", default=[],
+    p.add_argument("--hyp", action="append", required=True,
                    help="system output as ID=PATH (or PATH; id = stem)")
     p.add_argument("--wordlist", help="one known word per line")
     p.add_argument("--checker", help="external checker command line")
@@ -752,7 +741,8 @@ def build_parser() -> _Parser:
     )
     scoring_command("rank", "score and rank systems").set_defaults(func=_cmd_rank)
     correlate = scoring_command("correlate", "correlate scores with human judgments")
-    correlate.add_argument("--human", help="tab-separated system<TAB>score file")
+    correlate.add_argument("--human", required=True,
+                           help="tab-separated system<TAB>score file")
     correlate.set_defaults(func=_cmd_correlate)
 
     def sweep_command(name: str, help_text: str) -> _Parser:
@@ -760,7 +750,8 @@ def build_parser() -> _Parser:
         p.add_argument("--fluency-metric", required=True, choices=FLUENCY_METRICS)
         p.add_argument("--reference-metric", required=True,
                        choices=REFERENCE_METRICS)
-        p.add_argument("--human", help="tab-separated system<TAB>score file")
+        p.add_argument("--human", required=True,
+                       help="tab-separated system<TAB>score file")
         _add_input_options(p)
         _add_metric_options(p)
         _add_io_options(p)

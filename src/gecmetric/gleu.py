@@ -33,7 +33,7 @@ from .errors import ValidationError
 
 __all__ = ["GleuConfig", "GleuStats", "gleu_sentence", "gleu_stats", "gleu_stats_many",
            "gleu_subset", "gleu_multi_ref", "gleu_pool", "gleu_corpus", "sample_draws",
-           "SAMPLED", "MEAN_OVER_ALL"]
+           "reference_draws", "SAMPLED", "MEAN_OVER_ALL"]
 
 SAMPLED = "sampled"
 MEAN_OVER_ALL = "mean-over-all"
@@ -72,7 +72,7 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
 
 
 def _orders(tokens: Sequence[str], max_n: int) -> list[Counter]:
-    return [_ngrams(tokens, n) for n in range(1, max_n + 1)]
+    return [_ngrams(tokens, n) for n in range(1, min(max_n, len(tokens)) + 1)]
 
 
 def _sentence_stats(
@@ -81,15 +81,17 @@ def _sentence_stats(
     reference: list[Counter],
     hyp_len: int,
     ref_len: int,
+    max_n: int,
 ) -> tuple[int, ...]:
     """Hypothesis counts against one reference, given the :func:`_orders`
     of the source, hypothesis and reference: the per-order matched,
     source-penalty and total n-gram counts, then the hypothesis and
-    reference lengths. Counts of several sentences pool by summing."""
-    matched: list[int] = []
-    penalty: list[int] = []
-    total: list[int] = []
-    for c_src, c_hyp, c_ref in zip(source, hypothesis, reference):
+    reference lengths. Orders the hypothesis is too short for count 0.
+    Counts of several sentences pool by summing."""
+    matched, penalty, total = [0] * max_n, [0] * max_n, [0] * max_n
+    for n, c_hyp in enumerate(hypothesis):
+        c_src = source[n] if n < len(source) else {}
+        c_ref = reference[n] if n < len(reference) else {}
         m = p = 0
         for g, c in c_hyp.items():
             r = c_ref.get(g, 0)
@@ -97,9 +99,7 @@ def _sentence_stats(
             extra = c_src.get(g, 0) - r
             if extra > 0:
                 p += c if c < extra else extra
-        matched.append(m)
-        penalty.append(p)
-        total.append(sum(c_hyp.values()))
+        matched[n], penalty[n], total[n] = m, p, sum(c_hyp.values())
     return (*matched, *penalty, *total, hyp_len, ref_len)
 
 
@@ -128,14 +128,7 @@ def gleu_sentence(
     cfg: GleuConfig = GleuConfig(),
 ) -> float:
     """Score one hypothesis against a single reference. Result is in [0, 1]."""
-    counts = _sentence_stats(
-        _orders(source.tokens, cfg.max_n),
-        _orders(hypothesis.tokens, cfg.max_n),
-        _orders(reference.tokens, cfg.max_n),
-        len(hypothesis),
-        len(reference),
-    )
-    return _assemble(counts, cfg.max_n)
+    return gleu_stats(source, hypothesis, (reference,), cfg).score
 
 
 def sample_draws(
@@ -169,25 +162,31 @@ def sample_draws(
     return kept.astype(np.uint8).tobytes() if n_refs <= 256 else kept.tolist()
 
 
+def reference_draws(cfg: GleuConfig, sentence_index: int, n_refs: int) -> Sequence[int]:
+    """The references a sentence's score averages over: its
+    :func:`sample_draws`, or in ``mean-over-all`` mode each reference once."""
+    if cfg.multi_ref_mode == MEAN_OVER_ALL:
+        return range(n_refs)
+    return sample_draws(n_refs, cfg.iterations, cfg.rng_seed, sentence_index)
+
+
 class GleuStats(NamedTuple):
     """One hypothesis's statistics against each of its references.
 
     ``counts[j]`` holds the counts against reference ``j`` and
-    ``per_reference[j]`` the score against it alone; ``draws`` is the
-    reference drawn at each iteration in ``sampled`` mode (any int
-    sequence; :func:`sample_draws` gives bytes) and None in
-    ``mean-over-all`` mode.
+    ``per_reference[j]`` the score against it alone; ``score`` averages
+    it over ``draws`` (any int sequence; :func:`reference_draws`): each
+    iteration's drawn reference in ``sampled`` mode, every reference once
+    in ``mean-over-all`` mode.
     """
 
     score: float
     counts: tuple[tuple[int, ...], ...]
-    draws: Sequence[int] | None
+    draws: Sequence[int]
     per_reference: tuple[float, ...]
 
 
-def _score(counts, per_reference, cfg: GleuConfig, draws) -> GleuStats:
-    if cfg.multi_ref_mode == MEAN_OVER_ALL:
-        return GleuStats(mean_score(per_reference), counts, None, per_reference)
+def _score(counts, per_reference, draws) -> GleuStats:
     return GleuStats(_mean_over_draws(per_reference, draws), counts, draws, per_reference)
 
 
@@ -218,9 +217,9 @@ def gleu_stats(
 ) -> GleuStats:
     """Sentence statistics; ``score`` is the multi-reference sentence score.
 
-    In ``sampled`` mode ``draws`` defaults to :func:`sample_draws` of the
-    sentence; a caller scoring many hypotheses of one sentence draws once
-    and passes them, or uses :func:`gleu_stats_many`.
+    ``draws`` defaults to :func:`reference_draws` of the sentence; a
+    caller scoring many hypotheses of one sentence draws once and passes
+    them, or uses :func:`gleu_stats_many`.
     """
     given = None if draws is None else (lambda i, n_refs: draws)
     item = (sentence_index, hypothesis, tuple(references))
@@ -239,25 +238,27 @@ def gleu_stats_many(
     Items are taken sentence by sentence: each group of one sentence and
     one reference row builds the n-gram counts of its source, references
     and distinct hypotheses once and drops them after the group.
-    ``draws(i, n_refs)`` gives sentence ``i``'s draws in ``sampled`` mode
-    (default: :func:`sample_draws`).
+    ``draws(i, n_refs)`` gives sentence ``i``'s draws (default:
+    :func:`reference_draws`).
     """
-    draws = draws or (lambda i, k: sample_draws(k, cfg.iterations, cfg.rng_seed, i))
+    draws = draws or functools.partial(reference_draws, cfg)
     out: list = [None] * len(items)
     order = sorted(range(len(items)), key=lambda k: items[k][0])
     for (i, row), group in groupby(order, key=lambda k: (items[k][0], items[k][2])):
         if not row:
-            raise ValidationError("at least one reference is required")
+            raise ValidationError(f"sentence {i} has no references")
         orders = functools.cache(lambda tokens: _orders(tokens, cfg.max_n))
         src = orders(sources[i].tokens)
         refs = [(orders(ref.tokens), len(ref)) for ref in row]
-        picked = draws(i, len(row)) if cfg.multi_ref_mode == SAMPLED else None
+        picked = draws(i, len(row))
         for k in group:
             hyp = items[k][1]
             ngrams = orders(hyp.tokens)
-            counts = tuple(_sentence_stats(src, ngrams, r, len(hyp), n) for r, n in refs)
+            counts = tuple(
+                _sentence_stats(src, ngrams, r, len(hyp), n, cfg.max_n) for r, n in refs
+            )
             scores = tuple(_assemble(c, cfg.max_n) for c in counts)
-            out[k] = _score(counts, scores, cfg, picked)
+            out[k] = _score(counts, scores, picked)
     return out
 
 
@@ -270,13 +271,12 @@ def gleu_subset(
     """The statistics of the same hypothesis against the references
     ``pick`` of its row alone. The counts and score against a reference
     depend on that reference only, so they are the picked columns of
-    ``stats``; ``draws`` are the subset's own draws in ``sampled`` mode
-    (:func:`sample_draws` of ``len(pick)`` references)."""
+    ``stats``; ``draws`` are the subset's own :func:`reference_draws` of
+    ``len(pick)`` references (default: those of sentence 0)."""
     return _score(
         tuple(stats.counts[j] for j in pick),
         tuple(stats.per_reference[j] for j in pick),
-        cfg,
-        draws,
+        reference_draws(cfg, 0, len(pick)) if draws is None else draws,
     )
 
 
@@ -359,8 +359,5 @@ def gleu_corpus(
             f"size mismatch: {len(sources)} sources, {len(hypotheses)} hypotheses, "
             f"{len(references)} reference lists"
         )
-    for i, row in enumerate(references):
-        if not row:
-            raise ValidationError(f"sentence {i} has no references")
     items = [(i, hyp, tuple(references[i])) for i, hyp in enumerate(hypotheses)]
     return gleu_pool(gleu_stats_many(sources, items, cfg), cfg)

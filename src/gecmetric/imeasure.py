@@ -80,8 +80,8 @@ def _align(a: tuple[str, ...], b: tuple[str, ...]):
     Returns (partner, gaps): ``partner[i]`` is the b-token aligned to
     ``a[i]`` or None if deleted; ``gaps[slot]`` lists b-tokens inserted
     before a-position ``slot`` (slot ``len(a)`` holds trailing inserts).
-    Backtrace prefers match, then substitution, deletion, insertion, so
-    equal sides align position by position; that case skips the table.
+    Backtrace prefers a match or substitution, then deletion, insertion,
+    so equal sides align position by position; that case skips the table.
     """
     n, m = len(a), len(b)
     if a == b:
@@ -90,10 +90,7 @@ def _align(a: tuple[str, ...], b: tuple[str, ...]):
     ops: list[tuple[int | None, int | None]] = []
     i, j = n, m
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and a[i - 1] == b[j - 1] and d[i][j] == d[i - 1][j - 1]:
-            ops.append((i - 1, j - 1))
-            i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and d[i][j] == d[i - 1][j - 1] + 1:
+        if i > 0 and j > 0 and d[i][j] == d[i - 1][j - 1] + (a[i - 1] != b[j - 1]):
             ops.append((i - 1, j - 1))
             i, j = i - 1, j - 1
         elif i > 0 and d[i][j] == d[i - 1][j] + 1:

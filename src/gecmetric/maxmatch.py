@@ -112,39 +112,31 @@ def _build_graph(src: tuple[str, ...], hyp: tuple[str, ...], max_unchanged: int)
         for j in range(max(0, i - total), min(m, i + total) + 1)
         if fwd[i][j] + bwd[i][j] == total
     ]
-    elem: dict[_Node, list[tuple[_Node, _EditKey | None]]] = {u: [] for u in nodes}
-    seen: set[tuple[_Node, _Node, _EditKey | None]] = set()
-
-    def add(u: _Node, v: _Node, edit: _EditKey | None) -> None:
-        key = (u, v, edit)
-        if key not in seen:
-            seen.add(key)
-            elem[u].append((v, edit))
-
+    # the elementary edges, at most one per direction out of each node
+    adj: dict[_Node, list[tuple[_Node, _EditKey | None]]] = {u: [] for u in nodes}
     for i, j in nodes:
-        base = fwd[i][j]
+        base, out = fwd[i][j], adj[(i, j)]
         if i < n and j < m:
             cost = 0 if src[i] == hyp[j] else 1
             if base + cost + bwd[i + 1][j + 1] == total:
-                edit = None if cost == 0 else (i, i + 1, (hyp[j],))
-                add((i, j), (i + 1, j + 1), edit)
+                out.append(((i + 1, j + 1), None if cost == 0 else (i, i + 1, (hyp[j],))))
         if i < n and base + 1 + bwd[i + 1][j] == total:
-            add((i, j), (i + 1, j), (i, i + 1, ()))
+            out.append(((i + 1, j), (i, i + 1, ())))
         if j < m and base + 1 + bwd[i][j + 1] == total:
-            add((i, j), (i, j + 1), (i, i, (hyp[j],)))
+            out.append(((i, j + 1), (i, i, (hyp[j],))))
 
     topo = sorted(nodes, key=lambda u: (u[0] + u[1], u[0]))
     order = {u: k for k, u in enumerate(topo)}
-    adj = {u: list(edges) for u, edges in elem.items()}
     for u in nodes:
         # fewest matched tokens on any lattice path u -> v, pruned at
-        # budget; reached nodes are relaxed in topological order
+        # budget; reached nodes (u and nodes after it, whose edges are
+        # still elementary) are relaxed in topological order
         fewest: dict[_Node, int] = {u: 0}
         queue = [order[u]]
         while queue:
             x = topo[heapq.heappop(queue)]
             got = fewest[x]
-            for v, edit in elem[x]:
+            for v, edit in adj[x]:
                 matches = got + (1 if edit is None else 0)
                 if matches > max_unchanged:
                     continue
@@ -155,13 +147,11 @@ def _build_graph(src: tuple[str, ...], hyp: tuple[str, ...], max_unchanged: int)
                     fewest[v] = matches
         ui, uj = u
         for (vi, vj), matches in fewest.items():
-            if fwd[vi][vj] - fwd[ui][uj] < 1:
-                continue  # pure-match stretch: nothing to merge
-            edit = (ui, vi, tuple(hyp[uj:vj]))
-            key = (u, (vi, vj), edit)
-            if key not in seen:
-                seen.add(key)
-                adj[u].append(((vi, vj), edit))
+            # a pure-match stretch has nothing to merge, and the merged
+            # edge to an adjacent node is the elementary edge already there
+            if fwd[vi][vj] - fwd[ui][uj] < 1 or (vi - ui <= 1 and vj - uj <= 1):
+                continue
+            adj[u].append(((vi, vj), (ui, vi, tuple(hyp[uj:vj]))))
     return topo, adj
 
 

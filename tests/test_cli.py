@@ -147,6 +147,25 @@ def test_missing_hyp_is_usage_error(corpus, capsys):
     assert "--hyp" in err
 
 
+@pytest.mark.parametrize("command, option", [
+    ("score", "--hyp"), ("correlate", "--hyp"), ("correlate", "--human"),
+    ("sweep", "--hyp"), ("sweep", "--human"), ("ablate", "--hyp"), ("ablate", "--human"),
+])
+def test_required_options_are_one_line_usage_errors(corpus, capsys, command, option):
+    argv = _sweep_args(corpus) if command in ("sweep", "ablate") else (
+        ["--metric", "errorcount", "--wordlist", str(corpus / "words.txt")]
+        + (["--human", str(corpus / "human.tsv")] if command == "correlate" else [])
+        + _hyp_args(corpus)
+    )
+    # drop every occurrence of the option and its value
+    kept = [
+        arg for k, arg in enumerate(argv) if option not in (arg, argv[k - 1] if k else None)
+    ]
+    code, out, err = _run(capsys, [command] + kept)
+    assert code == 1
+    assert out == "" and len(err.splitlines()) == 1 and option in err
+
+
 def test_duplicate_system_ids_rejected(corpus, capsys):
     code, _, err = _run(
         capsys,
@@ -1017,11 +1036,11 @@ def test_reference_metrics_do_system_independent_work_once(corpus, capsys, monke
     5 distinct (sentence, reference) pairs (both references of sentence 2
     are the same) gets one reference alignment; unchanged hypotheses get
     none. GLEU draws once per sentence."""
-    from gecmetric import _levenshtein, cli, maxmatch
+    from gecmetric import _levenshtein, gleu, maxmatch
 
     tables = _count_calls(monkeypatch, _levenshtein, "table")
     lattices = _count_calls(monkeypatch, maxmatch, "_build_graph")
-    draws = _count_calls(monkeypatch, cli, "sample_draws")
+    draws = _count_calls(monkeypatch, gleu, "sample_draws")
     refs = [
         "--source", str(corpus / "source.txt"),
         "--ref", str(corpus / "ref1.txt"),
@@ -1089,6 +1108,9 @@ NUMPY_FREE = {
     "imeasure": ["score", "--metric", "imeasure", "--source", "{d}/source.txt",
                  "--ref", "{d}/ref1.txt", "--ref", "{d}/ref2.txt"],
     "errorcount": ["score", "--metric", "errorcount", "--wordlist", "{d}/words.txt"],
+    "gleu-mean-over-all": ["score", "--metric", "gleu", "--gleu-mode", "mean-over-all",
+                           "--source", "{d}/source.txt", "--ref", "{d}/ref1.txt",
+                           "--ref", "{d}/ref2.txt"],
     "lfm": ["score", "--metric", "lfm", "--model", "{d}/model.json",
             "--lm-corpus", "{d}/source.txt", "--wordlist", "{d}/words.txt"],
 }
@@ -1096,7 +1118,7 @@ NUMPY_FREE = {
 
 @pytest.mark.parametrize("case", sorted(NUMPY_FREE))
 def test_commands_that_need_no_numpy_leave_it_unloaded(corpus, model_path, case):
-    """numpy is imported by GLEU, the lambda sweep and ridge training alone."""
+    """numpy is imported by sampled GLEU, the lambda sweep and ridge training alone."""
     argv = [arg.format(d=corpus) for arg in NUMPY_FREE[case]]
     if case != "version":
         argv += _hyp_args(corpus) + ["--out", str(corpus / "report.json")]

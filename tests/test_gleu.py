@@ -21,6 +21,7 @@ from gecmetric.gleu import (
     gleu_stats,
     gleu_stats_many,
     gleu_subset,
+    reference_draws,
     sample_draws,
 )
 from oracles import gleu_reference
@@ -210,6 +211,12 @@ def test_multi_ref_requires_at_least_one_reference():
         gleu_multi_ref(tokenize("a"), tokenize("a"), (), GleuConfig())
 
 
+def test_corpus_names_the_sentence_without_references():
+    sentences = [tokenize("a b"), tokenize("c d")]
+    with pytest.raises(ValidationError, match="sentence 1 has no references"):
+        gleu_corpus(sentences, sentences, [(sentences[0],), ()], GleuConfig())
+
+
 def test_corpus_pools_counts_rather_than_averaging():
     sources = [tokenize("a b"), tokenize("c d")]
     hyps = [tokenize("a b"), tokenize("x y")]
@@ -385,7 +392,7 @@ def test_subset_equals_stats_against_the_picked_references(mode):
         refs = tuple(sentence() for _ in range(rng.randint(1, 4)))
         full = gleu_stats(src, hyp, refs, cfg, sentence_index=i)
         pick = sorted(rng.sample(range(len(refs)), rng.randint(1, len(refs))))
-        draws = sample_draws(len(pick), cfg.iterations, cfg.rng_seed, i) if mode == SAMPLED else None
+        draws = reference_draws(cfg, i, len(pick))
         want = gleu_stats(src, hyp, [refs[j] for j in pick], cfg, sentence_index=i)
         assert gleu_subset(full, pick, cfg, draws) == want
         if len(pick) == 1:
@@ -408,3 +415,48 @@ def test_stats_many_equals_stats_per_item_in_item_order():
     ]
     want = [gleu_stats(sources[i], hyp, row, cfg, sentence_index=i) for i, hyp, row in items]
     assert gleu_stats_many(sources, items, cfg) == want
+
+
+@pytest.mark.parametrize("n_refs", [1, 2, 3, 300])
+def test_mean_over_all_draws_every_reference_once(n_refs):
+    """mean-over-all is the sampled path with every reference drawn once."""
+    rng = random.Random(n_refs)
+    vocab = ["a", "b", "c", "d"]
+
+    def sentence():
+        return Sentence(tuple(rng.choice(vocab) for _ in range(rng.randint(1, 7))))
+
+    cfg = GleuConfig(multi_ref_mode=MEAN_OVER_ALL)
+    assert list(reference_draws(cfg, 5, n_refs)) == list(range(n_refs))
+    refs = tuple(sentence() for _ in range(n_refs))
+    stats = gleu_stats(sentence(), sentence(), refs, cfg, sentence_index=5)
+    assert list(stats.draws) == list(range(n_refs))
+    assert stats.score == mean_score(stats.per_reference)  # bit-identical
+
+
+def test_ngrams_are_never_built_longer_than_the_tokens(monkeypatch):
+    """Orders longer than a sentence are counted as zeros without building
+    their (empty) n-grams, so a large --max-n costs no more than the
+    sentences' own lengths."""
+    from gecmetric import gleu
+
+    calls = []
+    original = gleu._ngrams
+
+    def checked(tokens, n):
+        calls.append(n)
+        assert n <= len(tokens), (tokens, n)
+        return original(tokens, n)
+
+    monkeypatch.setattr(gleu, "_ngrams", checked)
+    src, hyp = tokenize("a b c d e"), tokenize("a b x d e f g")
+    refs = (tokenize("a b c"), tokenize("a b y d e f g h"))
+    for max_n in (1, 4, 100):
+        cfg = GleuConfig(max_n=max_n, multi_ref_mode=MEAN_OVER_ALL)
+        stats = gleu_stats(src, hyp, refs, cfg)
+        assert all(len(c) == 3 * max_n + 2 for c in stats.counts)
+        assert stats.score == pytest.approx(
+            mean_score([gleu_reference(src.tokens, hyp.tokens, r.tokens, max_n) for r in refs]),
+            abs=1e-12,
+        )
+    assert calls and max(calls) == 8
