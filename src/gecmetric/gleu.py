@@ -22,9 +22,9 @@ from __future__ import annotations
 import functools
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby, repeat, zip_longest
+from operator import add, itemgetter, mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .analysis import mean_score
@@ -67,40 +67,57 @@ class GleuConfig:
             )
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(zip(*(tokens[k:] for k in range(n))))
+# One order's n-grams: the set of their int keys, and the counts of repeated keys.
+_Bag = tuple[set, dict]
+_EMPTY: _Bag = (frozenset(), {})
 
 
-def _orders(tokens: Sequence[str], max_n: int) -> list[Counter]:
-    return [_ngrams(tokens, n) for n in range(1, min(max_n, len(tokens)) + 1)]
+def _ngrams(ids: Sequence[int], n: int, base: int, shorter: Sequence[int]) -> list[int]:
+    """The keys of the order-``n`` n-grams of the token numbers ``ids``
+    (each below ``base``), from the keys of the order-``n - 1`` ones (all 0
+    for ``n == 1``): the prefix's key times ``base`` plus the last token's
+    number, so two keys of one order are equal exactly when their n-grams are."""
+    return list(map(add, map(mul, shorter, repeat(base)), ids[n - 1 :]))
 
 
-def _sentence_stats(
-    source: list[Counter],
-    hypothesis: list[Counter],
-    reference: list[Counter],
-    hyp_len: int,
-    ref_len: int,
-    max_n: int,
-) -> tuple[int, ...]:
-    """Hypothesis counts against one reference, given the :func:`_orders`
-    of the source, hypothesis and reference: the per-order matched,
-    source-penalty and total n-gram counts, then the hypothesis and
-    reference lengths. Orders the hypothesis is too short for count 0.
-    Counts of several sentences pool by summing."""
-    matched, penalty, total = [0] * max_n, [0] * max_n, [0] * max_n
-    for n, c_hyp in enumerate(hypothesis):
-        c_src = source[n] if n < len(source) else {}
-        c_ref = reference[n] if n < len(reference) else {}
-        m = p = 0
-        for g, c in c_hyp.items():
-            r = c_ref.get(g, 0)
-            m += c if c < r else r
-            extra = c_src.get(g, 0) - r
-            if extra > 0:
-                p += c if c < extra else extra
-        matched[n], penalty[n], total[n] = m, p, sum(c_hyp.values())
-    return (*matched, *penalty, *total, hyp_len, ref_len)
+def _orders(tokens: Sequence[str], max_n: int, numbers: Mapping[str, int]) -> list[_Bag]:
+    """Each order's n-grams of ``tokens`` up to ``max_n``, as :data:`_Bag`
+    keys under the token numbering ``numbers``."""
+    ids = list(map(numbers.__getitem__, tokens))
+    keys, out = [0] * len(ids), []
+    for n in range(1, min(max_n, len(ids)) + 1):
+        keys = _ngrams(ids, n, len(numbers), keys)
+        distinct, repeated = set(keys), {}
+        if len(distinct) < len(keys):
+            for g in keys:
+                repeated[g] = repeated.get(g, 0) + 1
+            repeated = {g: c for g, c in repeated.items() if c > 1}
+        out.append((distinct, repeated))
+    return out
+
+
+def _common(a: list[_Bag], b: list[_Bag]) -> list[int]:
+    """``sum_g min(c_a(g), c_b(g))`` per order: each shared key once, plus
+    the rest of the smaller count where both repeat it."""
+    return [
+        len(x & y)
+        + (sum(min(c, ry[g]) - 1 for g, c in rx.items() if g in ry) if rx and ry else 0)
+        for (x, rx), (y, ry) in zip(a, b)
+    ]
+
+
+def _surplus(source: _Bag, reference: _Bag) -> _Bag:
+    """``max(0, c_S(g) - c_R(g))`` as a bag: the source n-grams the
+    reference has fewer of, with how many fewer."""
+    (s_keys, s_rep), (r_keys, r_rep) = source, reference
+    keys, rep = s_keys - r_keys, {}
+    for g, c in s_rep.items():
+        c -= r_rep.get(g, 1) if g in r_keys else 0
+        if c > 0:
+            keys.add(g)
+        if c > 1:
+            rep[g] = c
+    return keys, rep
 
 
 def _assemble(counts: Sequence[int], max_n: int) -> float:
@@ -177,7 +194,9 @@ class GleuStats(NamedTuple):
     ``per_reference[j]`` the score against it alone; ``score`` averages
     it over ``draws`` (any int sequence; :func:`reference_draws`): each
     iteration's drawn reference in ``sampled`` mode, every reference once
-    in ``mean-over-all`` mode.
+    in ``mean-over-all`` mode. The counts are each order's matched, then
+    source-penalty, then total n-gram counts (0 for orders longer than
+    the hypothesis), then the two lengths; sentences pool by summing them.
     """
 
     score: float
@@ -235,29 +254,41 @@ def gleu_stats_many(
     """:func:`gleu_stats` of each (sentence index, hypothesis, references)
     item, in item order.
 
-    Items are taken sentence by sentence: each group of one sentence and
-    one reference row builds the n-gram counts of its source, references
-    and distinct hypotheses once and drops them after the group.
+    Items are taken sentence by sentence. Each group of one sentence and
+    one reference row numbers its tokens, builds the int-keyed n-grams of
+    its source, references and distinct hypotheses and each reference's
+    surplus once, counts by set intersection and drops it all after.
     ``draws(i, n_refs)`` gives sentence ``i``'s draws (default:
     :func:`reference_draws`).
     """
     draws = draws or functools.partial(reference_draws, cfg)
+    max_n = cfg.max_n
     out: list = [None] * len(items)
     order = sorted(range(len(items)), key=lambda k: items[k][0])
     for (i, row), group in groupby(order, key=lambda k: (items[k][0], items[k][2])):
         if not row:
             raise ValidationError(f"sentence {i} has no references")
-        orders = functools.cache(lambda tokens: _orders(tokens, cfg.max_n))
-        src = orders(sources[i].tokens)
-        refs = [(orders(ref.tokens), len(ref)) for ref in row]
+        hyps = [(k, items[k][1]) for k in group]
+        seen = chain(
+            sources[i].tokens, *(r.tokens for r in row), *(h.tokens for _, h in hyps)
+        )
+        numbers = {t: k for k, t in enumerate(dict.fromkeys(seen))}
+        orders = functools.cache(lambda tokens: _orders(tokens, max_n, numbers))
+        top = min(max_n, max(len(h) for _, h in hyps))
+        pad = [_EMPTY] * top
+        src = orders(sources[i].tokens)[:top]
+        padded = [(orders(ref.tokens) + pad, len(ref)) for ref in row]
+        refs = [(r, [*map(_surplus, src, r), *pad], n) for r, n in padded]
         picked = draws(i, len(row))
-        for k in group:
-            hyp = items[k][1]
-            ngrams = orders(hyp.tokens)
+        for k, hyp in hyps:
+            h, length = orders(hyp.tokens), len(hyp)
+            zeros = (0,) * (max_n - len(h))
+            totals = (*range(length, length - len(h), -1), *zeros, length)
             counts = tuple(
-                _sentence_stats(src, ngrams, r, len(hyp), n, cfg.max_n) for r, n in refs
+                (*_common(h, r), *zeros, *_common(h, u), *zeros, *totals, n)
+                for r, u, n in refs
             )
-            scores = tuple(_assemble(c, cfg.max_n) for c in counts)
+            scores = tuple(_assemble(c, max_n) for c in counts)
             out[k] = _score(counts, scores, picked)
     return out
 
@@ -326,24 +357,27 @@ def gleu_pool(stats: Sequence[GleuStats], cfg: GleuConfig = GleuConfig()) -> flo
     # drawn at iteration k: per reference column, an exact integer matmul
     # of one-hot picks (iterations x N) with the counts (N x C), a block of
     # iterations at a time so that the one-hot stays small. Sentences with
-    # fewer references get zero rows, which they never pick.
+    # fewer references get zero rows, which they never pick. Orders longer
+    # than the longest hypothesis count 0 everywhere, so their columns are
+    # left out of the matmul and put back as zeros.
     import numpy as np
 
+    max_n = cfg.max_n
+    top = min(max_n, max(s.counts[0][3 * max_n] for s in stats))
+    keep = [k for k in range(3 * max_n + 2) if k % max_n < top or k >= 3 * max_n]
+    take, zeros = itemgetter(*keep), (0,) * len(keep)
     picks = np.array([
         np.frombuffer(s.draws, np.uint8) if isinstance(s.draws, bytes) else s.draws
         for s in stats
     ]).T
-    width = max(len(s.counts) for s in stats)
-    zeros = (0,) * len(stats[0].counts[0])
-    columns = [
-        np.array([s.counts[j] if j < len(s.counts) else zeros for s in stats], np.int64)
-        for j in range(width)
-    ]
+    rows = (map(take, s.counts) for s in stats)
+    cols = [np.array(col, np.int64) for col in zip_longest(*rows, fillvalue=zeros)]
     scores = []
     for start in range(0, len(picks), _BLOCK):
         block = picks[start : start + _BLOCK]
-        totals = sum((block == j).astype(np.int64) @ col for j, col in enumerate(columns))
-        scores.extend(_assemble(row, cfg.max_n) for row in totals.tolist())
+        totals = np.zeros((len(block), 3 * max_n + 2), np.int64)
+        totals[:, keep] = sum((block == j).astype(np.int64) @ c for j, c in enumerate(cols))
+        scores.extend(_assemble(row, max_n) for row in totals.tolist())
     return mean_score(scores)
 
 

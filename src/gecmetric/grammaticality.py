@@ -89,13 +89,15 @@ class Wordlist:
     A token is *known* if, after stripping punctuation from both ends, the
     core appears in the list verbatim, lowercased, or with only its first
     letter lowercased (so sentence-initial capitalization never counts as
-    a misspelling). Cores without any letters are always known.
+    a misspelling). Cores without any letters are always known. Each
+    distinct token is looked up once; later calls read the memo.
     """
 
     def __init__(self, words: Iterable[str]):
         self._words = frozenset(words)
         if not self._words:
             raise ValidationError("empty wordlist")
+        self._known: dict[str, bool] = {}
 
     def __len__(self) -> int:
         return len(self._words)
@@ -108,14 +110,16 @@ class Wordlist:
         return token.strip(string.punctuation)
 
     def knows(self, token: str) -> bool:
-        core = self.core(token)
-        if not core or not any(ch.isalpha() for ch in core):
-            return True
-        return (
-            core in self._words
-            or core.lower() in self._words
-            or core[0].lower() + core[1:] in self._words
-        )
+        known = self._known.get(token)
+        if known is None:
+            core = self.core(token)
+            known = self._known[token] = (
+                not any(ch.isalpha() for ch in core)
+                or core in self._words
+                or core.lower() in self._words
+                or core[0].lower() + core[1:] in self._words
+            )
+        return known
 
     @classmethod
     def from_file(cls, path) -> "Wordlist":

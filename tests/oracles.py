@@ -46,6 +46,27 @@ def gleu_reference(source, hypothesis, reference, max_n=4):
     return brevity * math.exp(sum(log_parts) / max_n)
 
 
+def gleu_reference_counts(source, hypothesis, reference, max_n=4):
+    """The n-gram counts behind :func:`gleu_reference`, brute force: for
+    each order 1..max_n the hypothesis n-grams matched in the reference,
+    those penalized as left from the source, and all of them; laid out as
+    every order's matched count, then every penalty, then every total,
+    then the hypothesis and reference lengths."""
+    src, hyp, ref = list(source), list(hypothesis), list(reference)
+    per_order = []
+    for n in range(1, max_n + 1):
+        h = [tuple(hyp[i : i + n]) for i in range(len(hyp) - n + 1)]
+        r = [tuple(ref[i : i + n]) for i in range(len(ref) - n + 1)]
+        s = [tuple(src[i : i + n]) for i in range(len(src) - n + 1)]
+        matched = sum(min(h.count(g), r.count(g)) for g in set(h))
+        penalty = sum(
+            min(h.count(g), max(0, s.count(g) - r.count(g))) for g in set(h)
+        )
+        per_order.append((matched, penalty, len(h)))
+    matched, penalty, total = zip(*per_order)
+    return (*matched, *penalty, *total, len(hyp), len(ref))
+
+
 # ---------------------------------------------------------------------------
 # token alignment primitives
 

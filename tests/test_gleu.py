@@ -24,7 +24,7 @@ from gecmetric.gleu import (
     reference_draws,
     sample_draws,
 )
-from oracles import gleu_reference
+from oracles import gleu_reference, gleu_reference_counts
 
 tokens_st = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=6)
 
@@ -75,6 +75,39 @@ def test_matches_oracle_on_random_triples(src, hyp, ref):
     want = gleu_reference(src, hyp, ref)
     assert got == pytest.approx(want, abs=1e-12)
     assert 0.0 <= got <= 1.0
+
+
+@st.composite
+def _count_batches(draw):
+    """Sentences over a 2-3 token vocabulary, so that n-grams repeat, each
+    with 1-3 references (possibly empty sentences) and 1-3 hypotheses.
+    Every hypothesis is scored against its own row and, as in the gaming
+    check, against the row of the sentence ``shift`` places on."""
+    vocab = draw(st.sampled_from(["ab", "abc"]))
+    sentence = st.lists(st.sampled_from(vocab), max_size=9).map(lambda t: Sentence(tuple(t)))
+    n = draw(st.integers(1, 3))
+    sources = draw(st.lists(sentence, min_size=n, max_size=n))
+    rows = [tuple(draw(st.lists(sentence, min_size=1, max_size=3))) for _ in range(n)]
+    shift = draw(st.integers(1, 3))
+    items = [
+        (i, hyp, row)
+        for i in range(n)
+        for hyp in draw(st.lists(sentence, min_size=1, max_size=3))
+        for row in (rows[i], rows[(i + shift) % n])
+    ]
+    return sources, items, draw(st.integers(1, 6))
+
+
+@given(_count_batches())
+@settings(max_examples=300, deadline=None)
+def test_counts_equal_the_brute_force_oracle(batch):
+    sources, items, max_n = batch
+    cfg = GleuConfig(max_n=max_n, multi_ref_mode=MEAN_OVER_ALL)
+    for (i, hyp, row), stats in zip(items, gleu_stats_many(sources, items, cfg)):
+        assert stats.counts == tuple(
+            gleu_reference_counts(sources[i].tokens, hyp.tokens, ref.tokens, max_n)
+            for ref in row
+        )
 
 
 @given(tokens_st, tokens_st, tokens_st)
@@ -300,10 +333,13 @@ def _plain_pool(stats, cfg):
     return mean_score(scores)
 
 
+@pytest.mark.parametrize("max_n", [4, 12])
 @pytest.mark.parametrize("ref_counts", [(1,), (2,), (3,), (1, 2, 3)])
-def test_pool_equals_plain_pooled_sum(ref_counts):
+def test_pool_equals_plain_pooled_sum(ref_counts, max_n):
+    """With max_n 12 every order above the longest (8-token) hypothesis
+    is left out of the pool's matmul and put back as zeros."""
     rng = random.Random(f"pool:{ref_counts}")
-    cfg = GleuConfig(iterations=40, rng_seed=3)
+    cfg = GleuConfig(max_n=max_n, iterations=40, rng_seed=3)
     for n_sentences in (1, 2, 17):
         stats = _random_stats(rng, n_sentences, ref_counts, cfg)
         assert gleu_pool(stats, cfg) == _plain_pool(stats, cfg)
@@ -443,10 +479,10 @@ def test_ngrams_are_never_built_longer_than_the_tokens(monkeypatch):
     calls = []
     original = gleu._ngrams
 
-    def checked(tokens, n):
+    def checked(tokens, n, *rest):
         calls.append(n)
         assert n <= len(tokens), (tokens, n)
-        return original(tokens, n)
+        return original(tokens, n, *rest)
 
     monkeypatch.setattr(gleu, "_ngrams", checked)
     src, hyp = tokenize("a b c d e"), tokenize("a b x d e f g")

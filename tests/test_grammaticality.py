@@ -1,3 +1,5 @@
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +55,39 @@ def test_wordlist_ignores_non_alpha_cores(wordlist):
     assert wordlist.knows(",")
     assert wordlist.knows("42")
     assert wordlist.knows("...")
+
+
+_MIXED_CASE = WORDS + ["Paris", "iPhone", "eBay"]
+_piece = st.text(alphabet=".,'!?\"-(", max_size=2)
+# Few words in many cases and wrappings, so that one list holds tokens
+# that differ only in case or punctuation and must not share an answer.
+_word = st.builds(
+    lambda word, case: case(word),
+    st.sampled_from(["cat", "a", "Paris", "iPhone", "eBay", "zq", "Cat2"]),
+    st.sampled_from([str, str.upper, str.lower, str.capitalize, str.swapcase]),
+)
+_token = st.one_of(
+    st.builds(lambda a, w, b: a + w + b, _piece, _word, _piece),
+    st.text(alphabet="aCtP.,'9-", min_size=1, max_size=5),
+)
+
+
+@given(st.lists(_token, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_memoized_knows_follows_the_documented_rules(tokens):
+    """Known means: the core (punctuation stripped from both ends) has no
+    letter, or it, its lowercase, or it with the first letter lowercased
+    is listed. The answer is the same on a token's first and later calls."""
+    wordlist = Wordlist(_MIXED_CASE)
+    listed = set(_MIXED_CASE)
+
+    def documented(token):
+        core = token.strip(string.punctuation)
+        variants = {core, core.lower(), core[:1].lower() + core[1:]}
+        return not any(ch.isalpha() for ch in core) or bool(variants & listed)
+
+    for token in tokens + tokens[::-1]:
+        assert wordlist.knows(token) == documented(token), token
 
 
 def test_wordlist_from_file(tmp_path):
