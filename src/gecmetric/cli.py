@@ -26,7 +26,8 @@ without it the report JSON itself goes to stdout. Identical invocations
 with identical seeds produce byte-identical reports.
 
 The random seed comes from ``--seed``, else the ``GECMETRIC_SEED``
-environment variable, else 0; the choice is logged.
+environment variable, else 0; the choice is logged once the command has
+succeeded.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from . import analysis
+from . import __version__, analysis
 from .analysis import SystemScore
 from .corpus import AnnotatedSource, Sentence
 from .errors import DetectorError, ModelError, ParseError, ValidationError
@@ -97,8 +98,6 @@ __all__ = ["main", "build_parser"]
 
 log = logging.getLogger("gecmetric")
 
-REFERENCE_METRICS = ("gleu", "m2", "imeasure")
-FLUENCY_METRICS = ("errorcount", "lfm")
 ROW_METRICS = ("gleu", "imeasure")  # reference material is per-sentence rows
 
 
@@ -150,7 +149,6 @@ class _Scorer:
     rows: tuple[tuple[Sentence, ...], ...] | None = None
     value: Callable[[Any], float] = operator.attrgetter("score")
     subset: Callable[[Any, int, Sequence[int]], Any] | None = None
-    closers: tuple = ()
     shared: dict = field(default_factory=dict)
 
 
@@ -159,12 +157,12 @@ def _each(stats: Callable[[int, Sentence, Any], Any]) -> Callable[[list], list]:
     return lambda items: [stats(*item) for item in items]
 
 
-def _gleu(args, inputs: _Inputs, seed: int) -> _Scorer:
+def _gleu(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
     sources, rows = inputs.sources_and_rows("gleu")
     cfg = GleuConfig(
         max_n=args.max_n,
         iterations=args.iterations,
-        rng_seed=seed,
+        rng_seed=args.seed,
         multi_ref_mode=args.gleu_mode,
     )
     draws = functools.cache(functools.partial(reference_draws, cfg))
@@ -177,7 +175,7 @@ def _gleu(args, inputs: _Inputs, seed: int) -> _Scorer:
     )
 
 
-def _m2(args, inputs: _Inputs, seed: int) -> _Scorer:
+def _m2(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
     units = inputs.units
     if units is None:
         raise _UsageError("m2 needs --m2 with gold annotations")
@@ -190,7 +188,7 @@ def _m2(args, inputs: _Inputs, seed: int) -> _Scorer:
     )
 
 
-def _imeasure(args, inputs: _Inputs, seed: int) -> _Scorer:
+def _imeasure(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
     sources, rows = inputs.sources_and_rows("imeasure")
     cfg = IMeasureConfig(weight=args.weight)
     side = functools.cache(lambda i, ref: reference_side(sources[i], ref))
@@ -207,17 +205,16 @@ def _imeasure(args, inputs: _Inputs, seed: int) -> _Scorer:
     )
 
 
-def _errorcount(args, inputs: _Inputs, seed: int) -> _Scorer:
-    suite = _build_suite(args)
+def _errorcount(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
+    suite = _build_suite(args, stack)
     return _Scorer(
         "errorcount",
         lambda items: error_count_stats_many([hyp for _, hyp, _ in items], suite),
         error_count_pool,
-        closers=tuple(d for d in suite.detectors if isinstance(d, ExternalChecker)),
     )
 
 
-def _lfm(args, inputs: _Inputs, seed: int) -> _Scorer:
+def _lfm(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
     for opt in ("model", "lm_corpus", "wordlist"):
         if not getattr(args, opt):
             raise _UsageError(f"lfm needs --{opt.replace('_', '-')}")
@@ -232,13 +229,9 @@ def _lfm(args, inputs: _Inputs, seed: int) -> _Scorer:
     )
 
 
-METRICS: dict[str, Callable[..., _Scorer]] = {
-    "gleu": _gleu,
-    "m2": _m2,
-    "imeasure": _imeasure,
-    "errorcount": _errorcount,
-    "lfm": _lfm,
-}
+REFERENCE_METRICS = {"gleu": _gleu, "m2": _m2, "imeasure": _imeasure}
+FLUENCY_METRICS = {"errorcount": _errorcount, "lfm": _lfm}
+METRICS: dict[str, Callable[..., _Scorer]] = {**REFERENCE_METRICS, **FLUENCY_METRICS}
 
 
 def _stats(scorer: _Scorer, systems: Mapping[str, Sequence[Sentence]], rows=None):
@@ -332,54 +325,46 @@ def _check_lengths(systems: Mapping[str, list[Sentence]], inputs: _Inputs) -> No
 
 
 @contextlib.contextmanager
-def _scorers(args, metrics: Sequence[str], seed: int):
+def _scorers(args, metrics: Sequence[str]):
     """Load the systems and inputs once and bind each metric to them;
     yields (systems, scorers) and closes external checkers afterwards."""
     systems = _load_systems(args)
     inputs = _load_inputs(args)
-    scorers: list[_Scorer] = []
-    try:
-        for metric in metrics:
-            scorers.append(METRICS[metric](args, inputs, seed))
+    with contextlib.ExitStack() as stack:
+        scorers = [METRICS[metric](args, inputs, stack) for metric in metrics]
         _check_lengths(systems, inputs)
         yield systems, scorers
-    finally:
-        for scorer in scorers:
-            for closer in scorer.closers:
-                closer.close()
 
 
-def _build_suite(args) -> DetectorSuite:
+def _build_suite(args, stack: contextlib.ExitStack) -> DetectorSuite:
+    """The detectors the options name; ``stack`` closes the checker."""
     detectors: list = []
-    if getattr(args, "wordlist", None):
+    if args.wordlist:
         wordlist = Wordlist.from_file(args.wordlist)
         detectors.extend(build_default_suite(wordlist).detectors)
-    if getattr(args, "checker", None):
+    if args.checker:
         command = shlex.split(args.checker)
-        detectors.append(
-            ExternalChecker(command, timeout=args.checker_timeout)
-        )
+        checker = ExternalChecker(command, timeout=args.checker_timeout)
+        stack.callback(checker.close)
+        detectors.append(checker)
     if not detectors:
         raise _UsageError("need --wordlist and/or --checker")
     return DetectorSuite(detectors)
 
 
-def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
-        log.info("seed %d (from --seed)", args.seed)
-        return args.seed
+def _resolve_seed(flag: int | None) -> tuple[int, str]:
+    """The run's seed and where it came from."""
+    if flag is not None:
+        return flag, "from --seed"
     raw = os.environ.get("GECMETRIC_SEED")
     if raw is not None and raw.strip():
         try:
-            value = int(raw)
+            return int(raw), "from GECMETRIC_SEED"
         except ValueError:
             raise _UsageError(
                 f"GECMETRIC_SEED must be an integer, got {raw!r}"
             ) from None
-        log.info("seed %d (from GECMETRIC_SEED)", value)
-        return value
-    log.info("seed 0 (default)")
-    return 0
+    return 0, "default"
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +395,7 @@ def _sweep_section(result: analysis.LambdaSweepResult) -> dict:
 
 
 def _emit(args, doc: dict, summary_lines: list[str]) -> int:
-    if getattr(args, "out", None):
+    if args.out:
         write_report(args.out, doc)
         for line in summary_lines:
             print(line)
@@ -424,8 +409,8 @@ def _emit(args, doc: dict, summary_lines: list[str]) -> int:
 # subcommands
 
 
-def _scored_systems(args, seed: int) -> dict[str, SystemScore]:
-    with _scorers(args, [args.metric], seed) as (systems, (scorer,)):
+def _scored_systems(args) -> dict[str, SystemScore]:
+    with _scorers(args, [args.metric]) as (systems, (scorer,)):
         if args.mode == "corpus" and scorer.pool is None:
             raise ValidationError(
                 f"metric {args.metric!r} has no corpus-level aggregation; "
@@ -446,8 +431,7 @@ def _summary_table(scores: Mapping[str, SystemScore]) -> list[str]:
 
 
 def _cmd_score(args) -> int:
-    seed = _resolve_seed(args)
-    scores = _scored_systems(args, seed)
+    scores = _scored_systems(args)
     doc = build_report(
         systems=[_system_entry(scores[sid]) for sid in sorted(scores)]
     )
@@ -455,8 +439,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    seed = _resolve_seed(args)
-    scores = _scored_systems(args, seed)
+    scores = _scored_systems(args)
     ranked = analysis.rank_systems({sid: s.headline for sid, s in scores.items()})
     doc = build_report(
         systems=[_system_entry(scores[sid]) for sid in sorted(scores)],
@@ -472,9 +455,8 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    seed = _resolve_seed(args)
     human = read_human_ranking(args.human)
-    scores = _scored_systems(args, seed)
+    scores = _scored_systems(args)
     ids = sorted(scores)
     missing = [sid for sid in ids if sid not in human.scores]
     if missing:
@@ -527,12 +509,11 @@ def _permuted(scorer: _Scorer, systems) -> Callable[[str, Sequence[int]], list[f
 
 
 def _cmd_sweep(args) -> int:
-    seed = _resolve_seed(args)
     human = read_human_ranking(args.human)
     if args.gaming and args.reference_metric not in ROW_METRICS:
         raise _UsageError(f"--gaming needs a reference metric in {ROW_METRICS}")
     metrics = [args.fluency_metric, args.reference_metric]
-    with _scorers(args, metrics, seed) as (systems, scorers):
+    with _scorers(args, metrics) as (systems, scorers):
         fluency, reference = (_system_scores(scorer, systems) for scorer in scorers)
         result = _sweep(human, fluency, reference)
         section = _sweep_section(result)
@@ -549,7 +530,7 @@ def _cmd_sweep(args) -> int:
                     fluency[sid].per_sentence,
                     reference[sid].per_sentence,
                     functools.partial(permuted, sid),
-                    seed=seed,
+                    seed=args.seed,
                     lam=args.gaming_lambda,
                 )
                 gaming.append(
@@ -589,12 +570,11 @@ def _subset_table(scorer: _Scorer, systems, picks) -> dict[str, list[float]]:
 
 
 def _cmd_ablate(args) -> int:
-    seed = _resolve_seed(args)
     human = read_human_ranking(args.human)
     if args.reference_metric not in ROW_METRICS:
         raise _UsageError(f"ablate needs a reference metric in {ROW_METRICS}")
     metrics = [args.fluency_metric, args.reference_metric]
-    with _scorers(args, metrics, seed) as (systems, scorers):
+    with _scorers(args, metrics) as (systems, scorers):
         fluency, reference = (_system_scores(scorer, systems) for scorer in scorers)
         result = _sweep(human, fluency, reference)
         scorer = scorers[1]
@@ -605,7 +585,7 @@ def _cmd_ablate(args) -> int:
             human.scores,
             sizes=args.sizes,
             trials=args.trials,
-            seed=seed,
+            seed=args.seed,
         )
     doc = build_report(
         systems=_sweep_system_entries(fluency, reference),
@@ -647,27 +627,23 @@ def _cmd_train_lfm(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    suite = _build_suite(args)
-    sentences = read_parallel_text(args.input)
-    closers = [d for d in suite.detectors if isinstance(d, ExternalChecker)]
-    try:
-        detections = []
-        by_category: dict[str, int] = {}
+    with contextlib.ExitStack() as stack:
+        suite = _build_suite(args, stack)
+        sentences = read_parallel_text(args.input)
         found = suite.run_many([sentence.tokens for sentence in sentences])
-        for index, spans in enumerate(found):
-            for span in spans:
-                detections.append(
-                    {
-                        "sentence": index,
-                        "start": span.start,
-                        "end": span.end,
-                        "category": span.category,
-                    }
-                )
-                by_category[span.category] = by_category.get(span.category, 0) + 1
-    finally:
-        for checker in closers:
-            checker.close()
+    detections = []
+    by_category: dict[str, int] = {}
+    for index, spans in enumerate(found):
+        for span in spans:
+            detections.append(
+                {
+                    "sentence": index,
+                    "start": span.start,
+                    "end": span.end,
+                    "category": span.category,
+                }
+            )
+            by_category[span.category] = by_category.get(span.category, 0) + 1
     doc = build_report(detections=detections)
     lines = [f"{len(detections)} errors in {len(sentences)} sentences"] + [
         f"  {cat}: {count}" for cat, count in sorted(by_category.items())
@@ -722,7 +698,7 @@ def _sizes(text: str) -> list[int]:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="gecmetric", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version="%(prog)s 0.1.0")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.set_defaults(func=None)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
@@ -805,8 +781,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.func is None:
         parser.print_usage(sys.stderr)
         return 1
+    seeded = "seed" in args
     try:
-        return args.func(args)
+        if seeded:
+            args.seed, origin = _resolve_seed(args.seed)
+        code = args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -819,6 +798,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         log.error("%s", exc)
         return 1
+    if seeded:  # logged on success only, so a failure prints one line
+        log.info("seed %d (%s)", args.seed, origin)
+    return code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Mapping, Sequence
 
@@ -143,18 +143,6 @@ def train_lm(
     )
 
 
-FEATURE_NAMES = (
-    "token_count",
-    "misspelling_rate",
-    "oov_rate",
-    "lm_mean_logprob",
-    "lm_min_logprob",
-    "mean_token_logfreq",
-    "max_char_repeat_len",
-    "punct_ratio",
-)
-
-
 @dataclass(frozen=True)
 class FeatureVector:
     token_count: float
@@ -171,6 +159,9 @@ class FeatureVector:
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in FEATURE_NAMES}
+
+
+FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
 
 
 def _max_char_run(token: str) -> int:
@@ -382,9 +373,7 @@ def load_lfm_model(path) -> LfmModel:
             bias=float(bias),
             alpha=float(alpha),
         )
-    except ModelError:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
+    except OverflowError as exc:  # an integer too large for a float
         raise ModelError(f"model file is inconsistent: {exc}") from exc
 
 

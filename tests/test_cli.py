@@ -128,8 +128,9 @@ def test_help_exits_zero(capsys):
 
 
 def test_version_exits_zero(capsys):
-    code, _, _ = _run(capsys, ["--version"])
+    code, out, _ = _run(capsys, ["--version"])
     assert code == 0
+    assert out == f"gecmetric {gecmetric.__version__}\n"
 
 
 def test_unknown_metric_is_usage_error(capsys):
@@ -1102,8 +1103,29 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_importing_one_layer_loads_only_what_it_imports():
+    """The package root re-exports nothing, so a layer loads alone."""
+    src = Path(gecmetric.__file__).resolve().parents[1]
+    code = (
+        "import sys, gecmetric.formats\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'gecmetric'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(
+        ["gecmetric", "gecmetric.corpus", "gecmetric.errors", "gecmetric.formats"]
+    )
+
+
 NUMPY_FREE = {
     "version": ["--version"],
+    "check": ["check", "--input", "{d}/a.txt", "--wordlist", "{d}/words.txt"],
     "m2": ["score", "--metric", "m2", "--m2", "{d}/gold.m2"],
     "imeasure": ["score", "--metric", "imeasure", "--source", "{d}/source.txt",
                  "--ref", "{d}/ref1.txt", "--ref", "{d}/ref2.txt"],
@@ -1120,7 +1142,7 @@ NUMPY_FREE = {
 def test_commands_that_need_no_numpy_leave_it_unloaded(corpus, model_path, case):
     """numpy is imported by sampled GLEU, the lambda sweep and ridge training alone."""
     argv = [arg.format(d=corpus) for arg in NUMPY_FREE[case]]
-    if case != "version":
+    if case not in ("version", "check"):
         argv += _hyp_args(corpus) + ["--out", str(corpus / "report.json")]
     code = (
         "import sys\n"
@@ -1166,16 +1188,9 @@ def test_fluency_metrics_featurize_each_distinct_hypothesis_once(
 # ---------------------------------------------------------------------------
 # malformed input: exit 1, 2 or 3 with one line on stderr, and no report
 
-# The CLI runs as its own process, so that a traceback from any thread
-# reaches stderr. Logging is set to WARNING beforehand: the INFO line
-# naming the seed is not a message about the input.
-CLI_AT_WARNING = """\
-import logging, sys
-logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(message)s")
-from gecmetric.cli import main
-sys.exit(main(sys.argv[1:]))
-"""
-
+# The CLI runs as its own process with its own logging, so that a
+# traceback from any thread, or any log line besides the error, reaches
+# stderr.
 BAD_UTF8 = b"the cat sat.\nan \xff apple.\nhe goes home.\n"
 
 _A = ["--hyp", "a={d}/a.txt"]
@@ -1195,6 +1210,9 @@ MALFORMED = {
     "utf8-lm-corpus": ["score", "--metric", "lfm", "--model", "{d}/model.json",
                        "--lm-corpus", "{d}/bad.txt", "--wordlist", "{d}/words.txt", *_A],
     "utf8-train": ["train-lfm", "--train", "{d}/bad.txt"],
+    "model-int-too-large": ["score", "--metric", "lfm", "--model", "{d}/huge.json",
+                            "--lm-corpus", "{d}/source.txt", "--wordlist",
+                            "{d}/words.txt", *_A],
     "beta-nan": ["score", "--metric", "m2", "--m2", "{d}/gold.m2", "--beta", "nan", *_A],
     "beta-inf": ["score", "--metric", "m2", "--m2", "{d}/gold.m2", "--beta", "inf", *_A],
     "weight-nan": ["score", "--metric", "imeasure", "--source", "{d}/source.txt",
@@ -1212,6 +1230,8 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_with_one_line(corpus, model_path, case):
     (corpus / "bad.txt").write_bytes(BAD_UTF8)
+    model = json.loads(model_path.read_text(encoding="utf-8"))
+    (corpus / "huge.json").write_text(json.dumps({**model, "bias": 10**400}))
     routing = corpus / "routing.py"
     routing.write_text(ROUTING_CHECKER, encoding="utf-8")
     checker = f"{shlex.quote(sys.executable)} {shlex.quote(str(routing))}"
@@ -1219,7 +1239,7 @@ def test_malformed_input_exits_with_one_line(corpus, model_path, case):
     argv = [arg.format(d=corpus, checker=checker) for arg in MALFORMED[case]]
     src = Path(gecmetric.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", CLI_AT_WARNING, *argv, "--out", str(out)],
+        [sys.executable, "-m", "gecmetric", *argv, "--out", str(out)],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
