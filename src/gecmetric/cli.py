@@ -171,7 +171,7 @@ def _gleu(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
         lambda items: gleu_stats_many(sources, items, cfg, draws),
         functools.partial(gleu_pool, cfg=cfg),
         rows,
-        subset=lambda stats, i, pick: gleu_subset(stats, pick, cfg, draws(i, len(pick))),
+        subset=lambda stats, i, pick: gleu_subset(stats, pick, draws(i, len(pick))),
     )
 
 
@@ -219,11 +219,12 @@ def _lfm(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
         if not getattr(args, opt):
             raise _UsageError(f"lfm needs --{opt.replace('_', '-')}")
     model = load_lfm_model(args.model)
-    lm = train_lm(read_parallel_text(args.lm_corpus))
+    corpus = read_parallel_text(args.lm_corpus)
     wordlist = Wordlist.from_file(args.wordlist)
+    lm = functools.cache(lambda: train_lm(corpus))  # trained once there is work
     return _Scorer(
         "lfm",
-        _each(lambda i, hyp, row: featurize(hyp, lm, wordlist)),
+        _each(lambda i, hyp, row: featurize(hyp, lm(), wordlist)),
         None,  # a per-sentence regression has nothing to pool
         value=functools.partial(lfm_score, model),
     )
@@ -660,6 +661,12 @@ def _add_io_options(p: _Parser) -> None:
     p.add_argument("--seed", type=int, help="random seed (else GECMETRIC_SEED, else 0)")
 
 
+def _add_checker_options(p: _Parser) -> None:
+    p.add_argument("--wordlist", help="one known word per line")
+    p.add_argument("--checker", help="external checker command line")
+    p.add_argument("--checker-timeout", type=float, default=10.0)
+
+
 def _add_input_options(p: _Parser) -> None:
     p.add_argument("--source", help="tokenized source sentences, one per line")
     p.add_argument("--m2", help="gold annotation file (source + edits)")
@@ -667,23 +674,23 @@ def _add_input_options(p: _Parser) -> None:
                    help="reference file; repeat for multiple references")
     p.add_argument("--hyp", action="append", required=True,
                    help="system output as ID=PATH (or PATH; id = stem)")
-    p.add_argument("--wordlist", help="one known word per line")
-    p.add_argument("--checker", help="external checker command line")
-    p.add_argument("--checker-timeout", type=float, default=10.0)
+    _add_checker_options(p)
     p.add_argument("--model", help="fluency model JSON (lfm)")
     p.add_argument("--lm-corpus", help="text corpus to build the n-gram LM (lfm)")
 
 
 def _add_metric_options(p: _Parser) -> None:
-    p.add_argument("--max-n", type=int, default=4, help="n-gram order (gleu)")
-    p.add_argument("--iterations", type=int, default=500,
+    p.add_argument("--max-n", type=int, default=GleuConfig.max_n,
+                   help="n-gram order (gleu)")
+    p.add_argument("--iterations", type=int, default=GleuConfig.iterations,
                    help="reference draws in sampled mode (gleu)")
     p.add_argument("--gleu-mode", choices=(SAMPLED, MEAN_OVER_ALL),
-                   default=SAMPLED, help="multi-reference handling (gleu)")
-    p.add_argument("--beta", type=float, default=0.5, help="F weight (m2)")
-    p.add_argument("--max-unchanged", type=int, default=2,
+                   default=GleuConfig.multi_ref_mode,
+                   help="multi-reference handling (gleu)")
+    p.add_argument("--beta", type=float, default=M2Config.beta, help="F weight (m2)")
+    p.add_argument("--max-unchanged", type=int, default=M2Config.max_unchanged_words,
                    help="max matched tokens inside a merged edit (m2)")
-    p.add_argument("--weight", type=float, default=2.0,
+    p.add_argument("--weight", type=float, default=IMeasureConfig.weight,
                    help="true-positive weight (imeasure)")
 
 
@@ -757,9 +764,7 @@ def build_parser() -> _Parser:
     check = sub.add_parser("check", help="run error detectors over a text file")
     check.add_argument("--input", required=True,
                        help="tokenized sentences, one per line")
-    check.add_argument("--wordlist", help="one known word per line")
-    check.add_argument("--checker", help="external checker command line")
-    check.add_argument("--checker-timeout", type=float, default=10.0)
+    _add_checker_options(check)
     check.add_argument("--out", help="write the JSON report here")
     check.set_defaults(func=_cmd_check)
 

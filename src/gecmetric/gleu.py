@@ -294,20 +294,17 @@ def gleu_stats_many(
 
 
 def gleu_subset(
-    stats: GleuStats,
-    pick: Sequence[int],
-    cfg: GleuConfig = GleuConfig(),
-    draws: Sequence[int] | None = None,
+    stats: GleuStats, pick: Sequence[int], draws: Sequence[int]
 ) -> GleuStats:
     """The statistics of the same hypothesis against the references
     ``pick`` of its row alone. The counts and score against a reference
     depend on that reference only, so they are the picked columns of
     ``stats``; ``draws`` are the subset's own :func:`reference_draws` of
-    ``len(pick)`` references (default: those of sentence 0)."""
+    ``len(pick)`` references for the sentence ``stats`` belongs to."""
     return _score(
         tuple(stats.counts[j] for j in pick),
         tuple(stats.per_reference[j] for j in pick),
-        reference_draws(cfg, 0, len(pick)) if draws is None else draws,
+        draws,
     )
 
 

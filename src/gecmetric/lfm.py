@@ -72,24 +72,19 @@ class NgramLm:
         count = self.ngram_counts[1].get((self._normalize(token),), 0)
         return (count + 1) / (self.total_tokens + len(self.vocab) + 1)
 
-    def _order_prob(self, k: int, token: str, context: tuple[str, ...]) -> float:
-        if k == 1:
-            count = self.ngram_counts[1].get((token,), 0)
-            return (count + 1) / (self.total_tokens + len(self.vocab) + 1)
-        ctx = context[len(context) - (k - 1) :]
-        ctx_count = self.context_counts[k].get(ctx, 0)
-        if ctx_count == 0:
-            return self._order_prob(k - 1, token, context)
-        return self.ngram_counts[k].get(ctx + (token,), 0) / ctx_count
-
     def prob(self, token: str, context: Sequence[str] = ()) -> float:
         """Interpolated probability of ``token`` after ``context``."""
         t = self._normalize(token)
         ctx = self._normalize_context(context)
-        return math.fsum(
-            self.weights[k - 1] * self._order_prob(k, t, ctx)
-            for k in range(1, self.order + 1)
-        )
+        p = self.unigram_prob(t)
+        terms = [self.weights[0] * p]
+        for k in range(2, self.order + 1):
+            kctx = ctx[len(ctx) - (k - 1) :]
+            ctx_count = self.context_counts[k].get(kctx, 0)
+            if ctx_count:  # an unseen context keeps the order below's estimate
+                p = self.ngram_counts[k].get(kctx + (t,), 0) / ctx_count
+            terms.append(self.weights[k - 1] * p)
+        return math.fsum(terms)
 
     def logprob(self, token: str, context: Sequence[str] = ()) -> float:
         return math.log(self.prob(token, context))
@@ -269,21 +264,15 @@ def train_ridge(
     bias = float(y.mean())
     centered = (x_kept - mu) / sigma
     y_centered = y - bias
-    k = centered.shape[1]
-    if k == 0:
-        weights = np.zeros(0)
-    else:
-        # imported here: scipy is the costliest import, and only training needs it
-        from scipy.linalg import LinAlgError, cho_factor, cho_solve
-
-        gram = centered.T @ centered + alpha * np.eye(k)
-        rhs = centered.T @ y_centered
-        try:
-            weights = cho_solve(cho_factor(gram), rhs)
-        except LinAlgError as exc:
-            raise ValidationError(
-                f"ridge system is singular (alpha={alpha}); increase alpha"
-            ) from exc
+    gram = centered.T @ centered + alpha * np.eye(centered.shape[1])
+    try:
+        lower = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(
+            f"ridge system is singular (alpha={alpha}); increase alpha"
+        ) from exc
+    # gram = L L^T: solve L z = rhs, then L^T w = z
+    weights = np.linalg.solve(lower.T, np.linalg.solve(lower, centered.T @ y_centered))
     return LfmModel(
         feature_names=tuple(n for n, kept in zip(feature_names, keep) if kept),
         means=tuple(float(v) for v in mu),

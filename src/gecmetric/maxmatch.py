@@ -161,10 +161,8 @@ def _best_edits(lattice, gold: frozenset[_EditKey], cfg: M2Config) -> list[_Edit
     start, goal = topo[0], topo[-1]
     dist: dict[_Node, float] = {start: 0.0}
     back: dict[_Node, tuple[_Node, _EditKey | None]] = {}
-    for u in topo:
-        du = dist.get(u)
-        if du is None:
-            continue
+    for u in topo:  # every node lies on a minimal path, so ``dist`` reaches it
+        du = dist[u]
         for v, edit in adj[u]:
             if edit is None:
                 weight = 0.0

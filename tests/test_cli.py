@@ -1088,19 +1088,33 @@ def test_ablation_and_gaming_reuse_the_runs_statistics(corpus, capsys, monkeypat
     assert [sum(args[0] == src for args in orders) for src in sources] == [2, 2, 2]
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
-    """scipy is imported by ridge training alone."""
-    src = Path(gecmetric.__file__).resolve().parents[1]
-    code = "import sys, gecmetric.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=120,
+def test_train_lfm_runs_without_scipy(corpus, model_path):
+    """Ridge training needs numpy alone: with scipy blocked, a good table
+    trains (exit 0) and a singular one still exits 2."""
+    (corpus / "singular.tsv").write_text(SINGULAR_TSV, encoding="utf-8")
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from gecmetric.cli import main\n"
+        "print(main(sys.argv[1:]))\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    src = Path(gecmetric.__file__).resolve().parents[1]
+    codes = []
+    for table, alpha in (("train.tsv", "1"), ("singular.tsv", "0")):
+        argv = ["train-lfm", "--train", str(corpus / table), "--alpha", alpha,
+                "--out", str(corpus / f"{table}.json")]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert "Traceback" not in proc.stderr, proc.stderr
+        codes.append(proc.stdout.splitlines()[-1])
+    assert codes == ["0", "2"]
+    assert (corpus / "train.tsv.json").exists()
+    assert not (corpus / "singular.tsv.json").exists()
 
 
 def test_importing_one_layer_loads_only_what_it_imports():
@@ -1164,6 +1178,26 @@ def test_commands_that_need_no_numpy_leave_it_unloaded(corpus, model_path, case)
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_lfm_trains_its_lm_only_when_there_is_something_to_score(
+    corpus, capsys, monkeypatch, model_path
+):
+    """A run that fails before scoring never trains the n-gram LM."""
+    from gecmetric import cli
+
+    trained = _count_calls(monkeypatch, cli, "train_lm")
+    (corpus / "short.txt").write_text("the cat sat on the mat.\n", encoding="utf-8")
+    lfm = [
+        "score", "--metric", "lfm", "--model", str(model_path),
+        "--lm-corpus", str(corpus / "source.txt"),
+        "--wordlist", str(corpus / "words.txt"),
+    ]
+    assert _run(capsys, lfm + ["--mode", "corpus"] + _hyp_args(corpus))[0] == 2
+    assert _run(capsys, lfm + _hyp_args(corpus) + ["--hyp", f"s={corpus / 'short.txt'}"])[0] == 2
+    assert len(trained) == 0
+    assert _run(capsys, lfm + _hyp_args(corpus))[0] == 0
+    assert len(trained) == 1
+
+
 def test_fluency_metrics_featurize_each_distinct_hypothesis_once(
     corpus, capsys, monkeypatch, model_path
 ):
@@ -1192,6 +1226,8 @@ def test_fluency_metrics_featurize_each_distinct_hypothesis_once(
 # traceback from any thread, or any log line besides the error, reaches
 # stderr.
 BAD_UTF8 = b"the cat sat.\nan \xff apple.\nhe goes home.\n"
+# two equal feature columns: with alpha 0 the ridge system is singular
+SINGULAR_TSV = "a\tb\ttarget\n1\t1\t0.1\n2\t2\t0.4\n3\t3\t0.2\n5\t5\t0.9\n"
 
 _A = ["--hyp", "a={d}/a.txt"]
 _CHECK = ["check", "--input", "{d}/a.txt", "--checker-timeout", "2", "--checker"]
@@ -1218,6 +1254,7 @@ MALFORMED = {
     "weight-nan": ["score", "--metric", "imeasure", "--source", "{d}/source.txt",
                    "--ref", "{d}/ref1.txt", "--weight", "nan", *_A],
     "alpha-nan": ["train-lfm", "--train", "{d}/train.tsv", "--alpha", "nan"],
+    "ridge-singular": ["train-lfm", "--train", "{d}/singular.tsv", "--alpha", "0"],
     "checker-timeout-nan": ["check", "--input", "{d}/a.txt", "--checker-timeout", "nan",
                             "--checker", "{checker} plain"],
     "checker-list-id": [*_CHECK, "{checker} list-id"],
@@ -1230,6 +1267,7 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_exits_with_one_line(corpus, model_path, case):
     (corpus / "bad.txt").write_bytes(BAD_UTF8)
+    (corpus / "singular.tsv").write_text(SINGULAR_TSV, encoding="utf-8")
     model = json.loads(model_path.read_text(encoding="utf-8"))
     (corpus / "huge.json").write_text(json.dumps({**model, "bias": 10**400}))
     routing = corpus / "routing.py"

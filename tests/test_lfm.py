@@ -74,6 +74,16 @@ def test_unseen_context_backs_off_to_unigram():
     assert lm.prob("a", ("zzz",)) == lm.prob("a", ("qqq",))
 
 
+def test_unseen_context_keeps_the_estimate_of_the_order_below():
+    lm = lm_from("a b c", "x b d")
+    # the trigram context (<unk>, b) was never seen, the bigram context
+    # (b,) was, so order 3 repeats the bigram estimate 1/2, not 2/12
+    third = 1.0 / 3
+    assert lm.prob("c", ("q", "b")) == math.fsum(
+        [third * (2 / 12), third * 0.5, third * 0.5]
+    )
+
+
 def test_bos_is_context_only():
     lm = lm_from("a b")
     assert BOS not in lm.vocab
