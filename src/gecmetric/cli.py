@@ -69,6 +69,7 @@ from .gleu import (
     reference_draws,
 )
 from .grammaticality import (
+    CHECKER_TIMEOUT,
     DetectorSuite,
     ExternalChecker,
     Wordlist,
@@ -221,10 +222,18 @@ def _lfm(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
     model = load_lfm_model(args.model)
     corpus = read_parallel_text(args.lm_corpus)
     wordlist = Wordlist.from_file(args.wordlist)
-    lm = functools.cache(lambda: train_lm(corpus))  # trained once there is work
+
+    def stats(items):
+        # one batch per run holds every hypothesis: the LM is trained for
+        # them alone, and not at all when there is nothing to score
+        if not items:
+            return []
+        lm = train_lm(corpus, scope=[hyp.tokens for _, hyp, _ in items])
+        return [featurize(hyp, lm, wordlist) for _, hyp, _ in items]
+
     return _Scorer(
         "lfm",
-        _each(lambda i, hyp, row: featurize(hyp, lm(), wordlist)),
+        stats,
         None,  # a per-sentence regression has nothing to pool
         value=functools.partial(lfm_score, model),
     )
@@ -556,16 +565,17 @@ def _cmd_sweep(args) -> int:
     return _emit(args, doc, lines)
 
 
-def _subset_table(scorer: _Scorer, systems, picks) -> dict[str, list[float]]:
+def _subset_table(scorer: _Scorer, systems, memo: dict, picks) -> dict[str, list[float]]:
     """Every system's per-sentence scores against the references
-    ``picks[i]`` of each sentence ``i``, derived once per distinct
-    (sentence, hypothesis) from its statistics against the full row."""
-    values = {
-        (i, tokens): scorer.value(scorer.subset(stats, i, picks[i]))
-        for (i, tokens), stats in scorer.shared.items()
-    }
+    ``picks[i]`` of each sentence ``i``, derived from the full-row
+    statistics once per distinct (sentence, hypothesis, pick) across all
+    the calls that share ``memo``."""
+    for (i, tokens), stats in scorer.shared.items():
+        key = (i, tokens, tuple(picks[i]))
+        if key not in memo:
+            memo[key] = scorer.value(scorer.subset(stats, i, picks[i]))
     return {
-        sid: [values[i, hyp.tokens] for i, hyp in enumerate(hyps)]
+        sid: [memo[i, hyp.tokens, tuple(picks[i])] for i, hyp in enumerate(hyps)]
         for sid, hyps in systems.items()
     }
 
@@ -581,7 +591,7 @@ def _cmd_ablate(args) -> int:
         scorer = scorers[1]
         points = analysis.ablate_references(
             {sid: s.per_sentence for sid, s in fluency.items()},
-            functools.partial(_subset_table, scorer, systems),
+            functools.partial(_subset_table, scorer, systems, {}),
             len(scorer.rows[0]),
             human.scores,
             sizes=args.sizes,
@@ -664,7 +674,7 @@ def _add_io_options(p: _Parser) -> None:
 def _add_checker_options(p: _Parser) -> None:
     p.add_argument("--wordlist", help="one known word per line")
     p.add_argument("--checker", help="external checker command line")
-    p.add_argument("--checker-timeout", type=float, default=10.0)
+    p.add_argument("--checker-timeout", type=float, default=CHECKER_TIMEOUT)
 
 
 def _add_input_options(p: _Parser) -> None:

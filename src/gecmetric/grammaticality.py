@@ -53,6 +53,8 @@ __all__ = [
 
 # Requests an external checker has in flight at once (see check_many).
 CHECKER_WINDOW = 32
+# Seconds an external checker may take to answer one request.
+CHECKER_TIMEOUT = 10.0
 
 _VOWELS = frozenset("aeiou")
 _CLAUSE_PUNCT = frozenset({",", ".", ";", ":", "!", "?"})
@@ -336,7 +338,7 @@ class ExternalChecker:
         self,
         command: Sequence[str],
         detector_id: str = "external",
-        timeout: float = 10.0,
+        timeout: float = CHECKER_TIMEOUT,
     ):
         if not command:
             raise ValidationError("empty checker command")

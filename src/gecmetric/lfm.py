@@ -7,6 +7,10 @@ not count toward the unigram distribution, which is add-one smoothed
 over the vocabulary plus an unknown-word type. When a higher-order
 context was never observed, that order falls back to the next lower one,
 so every order's conditional sums to one over the vocabulary.
+``train_lm(..., scope=...)`` stores only the orders-2-and-up counts that
+the scoped token sequences query; any other query reads as unseen, so a
+scoped LM is for those sequences only. The unigrams, the vocabulary and
+``total_tokens`` always cover the whole corpus.
 
 Eight surface and LM features feed a ridge regression trained against
 human fluency judgments; scores are clipped to [0, 1]. Models serialize
@@ -20,7 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import Sentence
 from .errors import ModelError, ParseError, ValidationError
@@ -72,17 +76,26 @@ class NgramLm:
         count = self.ngram_counts[1].get((self._normalize(token),), 0)
         return (count + 1) / (self.total_tokens + len(self.vocab) + 1)
 
-    def prob(self, token: str, context: Sequence[str] = ()) -> float:
-        """Interpolated probability of ``token`` after ``context``."""
+    def _keys(self, token: str, context: Sequence[str]):
+        """The normalized ``token`` and, for each order 2..N, the context
+        key and n-gram key that :meth:`prob` reads for it after
+        ``context``; ``train_lm(scope=...)`` keeps exactly these."""
         t = self._normalize(token)
         ctx = self._normalize_context(context)
+        return t, [
+            (ctx[self.order - k :], ctx[self.order - k :] + (t,))
+            for k in range(2, self.order + 1)
+        ]
+
+    def prob(self, token: str, context: Sequence[str] = ()) -> float:
+        """Interpolated probability of ``token`` after ``context``."""
+        t, keys = self._keys(token, context)
         p = self.unigram_prob(t)
         terms = [self.weights[0] * p]
-        for k in range(2, self.order + 1):
-            kctx = ctx[len(ctx) - (k - 1) :]
+        for k, (kctx, gram) in enumerate(keys, 2):
             ctx_count = self.context_counts[k].get(kctx, 0)
             if ctx_count:  # an unseen context keeps the order below's estimate
-                p = self.ngram_counts[k].get(kctx + (t,), 0) / ctx_count
+                p = self.ngram_counts[k].get(gram, 0) / ctx_count
             terms.append(self.weights[k - 1] * p)
         return math.fsum(terms)
 
@@ -101,7 +114,10 @@ def train_lm(
     sentences: Sequence[Sentence],
     order: int = 3,
     weights: Sequence[float] | None = None,
+    scope: Iterable[Sequence[str]] | None = None,
 ) -> NgramLm:
+    """Count an order-``order`` LM over ``sentences``, for the token
+    sequences in ``scope`` only if it is given (see the module docstring)."""
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
     if weights is None:
@@ -117,25 +133,37 @@ def train_lm(
         raise ValidationError(f"interpolation weights must sum to 1: {weights}")
     pad = (BOS,) * (order - 1)
 
-    def grams(n: int, shift: int) -> Counter:
+    def grams(n: int, shift: int, keep: set | None = None) -> Counter:
         # for each sentence token, the n-gram ending ``shift`` tokens
         # before it, counted over the padded sentences in corpus order
         first = order - shift - n
-        return Counter(
-            chain.from_iterable(
-                zip(*(padded[first + j : len(padded) - shift] for j in range(n)))
-                for padded in (pad + s.tokens for s in sentences)
-            )
+        found = chain.from_iterable(
+            zip(*(padded[first + j : len(padded) - shift] for j in range(n)))
+            for padded in (pad + s.tokens for s in sentences)
         )
+        return Counter(found if keep is None else filter(keep.__contains__, found))
 
-    return NgramLm(
+    lm = NgramLm(
         order=order,
         weights=weights,
         vocab=frozenset(chain.from_iterable(s.tokens for s in sentences)),
         total_tokens=sum(len(s.tokens) for s in sentences),
-        ngram_counts={k: grams(k, 0) for k in range(1, order + 1)},
-        context_counts={k: grams(k - 1, 1) for k in range(2, order + 1)},
+        ngram_counts={1: grams(1, 0)},
+        context_counts={},
     )
+    # orders 2..N are counted once ``lm`` can normalize the scope's keys
+    keep = {k: (None, None) for k in range(2, order + 1)}
+    if scope is not None:
+        keep = {k: (set(), set()) for k in keep}
+        for tokens in scope:
+            for i, token in enumerate(tokens):
+                for k, (kctx, gram) in enumerate(lm._keys(token, tokens[:i])[1], 2):
+                    keep[k][0].add(kctx)
+                    keep[k][1].add(gram)
+    for k, (contexts, ngrams) in keep.items():
+        lm.context_counts[k] = grams(k - 1, 1, contexts)
+        lm.ngram_counts[k] = grams(k, 0, ngrams)
+    return lm
 
 
 @dataclass(frozen=True)

@@ -1196,6 +1196,70 @@ def test_lfm_trains_its_lm_only_when_there_is_something_to_score(
     assert len(trained) == 0
     assert _run(capsys, lfm + _hyp_args(corpus))[0] == 0
     assert len(trained) == 1
+    # all of a sweep's systems are featurized in one batch: one LM
+    sweep = ["sweep"] + _sweep_args(corpus) + [
+        "--fluency-metric", "lfm", "--model", str(model_path),
+        "--lm-corpus", str(corpus / "source.txt"),
+    ]
+    assert _run(capsys, sweep)[0] == 0
+    assert len(trained) == 2
+
+
+def test_lfm_keeps_only_the_lm_counts_its_hypotheses_query(
+    corpus, capsys, monkeypatch, model_path
+):
+    """The LM a run trains holds, for orders 2 and up, the full LM's counts
+    at exactly the keys its hypotheses query, derived here by hand: a
+    context keeps <s> (padding or literal) and maps any other unknown token
+    to <unk>, and a predicted token maps every unknown token to <unk>."""
+    from gecmetric import cli
+    from gecmetric.formats import read_parallel_text
+    from gecmetric.lfm import BOS, UNK, train_lm
+
+    lms = []
+
+    def recorded(*args, **kwargs):
+        lms.append(train_lm(*args, **kwargs))
+        return lms[-1]
+
+    monkeypatch.setattr(cli, "train_lm", recorded)
+    (corpus / "lm.txt").write_text(SOURCE + REF2, encoding="utf-8")
+    argv = [
+        "score", "--metric", "lfm", "--model", str(model_path),
+        "--lm-corpus", str(corpus / "lm.txt"), "--wordlist", str(corpus / "words.txt"),
+    ]
+    assert _run(capsys, argv + _hyp_args(corpus))[0] == 0
+    [scoped] = lms
+    full = train_lm(read_parallel_text(corpus / "lm.txt"))
+    order = full.order
+    contexts = {k: set() for k in range(2, order + 1)}
+    grams = {k: set() for k in range(2, order + 1)}
+    for name in ("a.txt", "b.txt", "c.txt"):
+        for hyp in read_parallel_text(corpus / name):
+            known = [t if t == BOS or t in full.vocab else UNK for t in hyp.tokens]
+            padded = (BOS,) * (order - 1) + tuple(known)
+            for i, token in enumerate(hyp.tokens, order - 1):
+                for k in range(2, order + 1):
+                    context = padded[i - k + 1 : i]
+                    contexts[k].add(context)
+                    grams[k].add(context + (token if token in full.vocab else UNK,))
+    for k in range(2, order + 1):
+        for got, counts, queried in (
+            (scoped.context_counts[k], full.context_counts[k], contexts[k]),
+            (scoped.ngram_counts[k], full.ngram_counts[k], grams[k]),
+        ):
+            assert set(got) <= queried
+            assert dict(got) == {key: n for key, n in counts.items() if key in queried}
+    assert (scoped.vocab, scoped.total_tokens) == (full.vocab, full.total_tokens)
+    assert dict(scoped.ngram_counts[1]) == dict(full.ngram_counts[1])
+
+    def stored(lm):
+        return sum(
+            len(lm.context_counts[k]) + len(lm.ngram_counts[k])
+            for k in range(2, order + 1)
+        )
+
+    assert stored(scoped) < stored(full)
 
 
 def test_fluency_metrics_featurize_each_distinct_hypothesis_once(

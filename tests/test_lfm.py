@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gecmetric.corpus import Sentence, tokenize
 from gecmetric.errors import ModelError, ParseError, ValidationError
@@ -146,6 +148,36 @@ def test_train_lm_counts_equal_a_per_position_loop(order):
             assert list(got[k].items()) == list(want[k].items())  # same key order
     assert lm.vocab == {t for s in sentences for t in s.tokens}
     assert lm.total_tokens == sum(len(s) for s in sentences)
+
+
+def _sentences(words, max_size):
+    sentence = st.lists(st.sampled_from(words), max_size=6).map(
+        lambda tokens: Sentence(tuple(tokens))
+    )
+    return st.lists(sentence, max_size=max_size)
+
+
+SCOPE_WORDLIST = Wordlist(["a", "b", "c"])
+
+
+@given(
+    corpus=_sentences(["a", "b", "c", BOS, UNK], 8),
+    hyps=_sentences(["a", "b", "c", "zzz", BOS, UNK], 5),
+    order=st.integers(1, 4),
+)
+# the context "a" is seen, but never before "c"
+@example(corpus=[tokenize("a b"), tokenize("c")], hyps=[tokenize("a c")], order=2)
+# an out-of-vocabulary <s> stays <s> in a context but is <unk> as a token
+@example(corpus=[tokenize("a b"), Sentence(())], hyps=[tokenize("<s> a <s> zzz")], order=3)
+@settings(max_examples=300, deadline=None)
+def test_scoped_lm_featurizes_its_scope_like_the_full_lm(corpus, hyps, order):
+    full = train_lm(corpus, order=order)
+    scoped = train_lm(corpus, order=order, scope=[h.tokens for h in hyps])
+    for hyp in hyps:
+        assert (
+            featurize(hyp, scoped, SCOPE_WORDLIST).as_tuple()
+            == featurize(hyp, full, SCOPE_WORDLIST).as_tuple()
+        )
 
 
 # ---------------------------------------------------------------------------
