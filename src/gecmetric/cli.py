@@ -225,9 +225,7 @@ def _lfm(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
 
     def stats(items):
         # one batch per run holds every hypothesis: the LM is trained for
-        # them alone, and not at all when there is nothing to score
-        if not items:
-            return []
+        # them alone
         lm = train_lm(corpus, scope=[hyp.tokens for _, hyp, _ in items])
         return [featurize(hyp, lm, wordlist) for _, hyp, _ in items]
 

@@ -20,7 +20,6 @@ __all__ = [
     "AnnotationSet",
     "AnnotatedSource",
     "tokenize",
-    "apply_edits",
 ]
 
 
@@ -75,17 +74,13 @@ class Edit:
 
     ``start``/``end`` index source tokens (0-based, end-exclusive);
     ``start == end`` inserts ``replacement`` before position ``start``.
-    ``required_flag`` and ``comment`` are carried through from annotation
-    files for round-tripping and are ignored by all scoring.
+    An edit holds only what scoring reads; the annotator that made it is
+    the one of the :class:`AnnotationSet` holding it.
     """
 
     start: int
     end: int
     replacement: tuple[str, ...] = ()
-    category: str = "UNK"
-    annotator: int = 0
-    required_flag: str = "REQUIRED"
-    comment: str = "-NONE-"
 
     def __post_init__(self):
         object.__setattr__(self, "replacement", tuple(self.replacement))
@@ -99,8 +94,6 @@ class Edit:
             )
         for tok in self.replacement:
             _check_token(tok)
-        if self.annotator < 0:
-            raise ValidationError(f"annotator id {self.annotator} is negative")
 
     @property
     def key(self) -> tuple[int, int, tuple[str, ...]]:
@@ -143,12 +136,6 @@ class AnnotationSet:
         object.__setattr__(self, "edits", tuple(self.edits))
         if self.annotator < 0:
             raise ValidationError(f"annotator id {self.annotator} is negative")
-        for edit in self.edits:
-            if edit.annotator != self.annotator:
-                raise ValidationError(
-                    f"edit {edit} carries annotator {edit.annotator}, "
-                    f"expected {self.annotator}"
-                )
         _check_edit_sequence(self.edits)
 
 
@@ -173,27 +160,3 @@ class AnnotatedSource:
                     raise ValidationError(
                         f"edit {edit} exceeds source length {len(self.source)}"
                     )
-
-
-def apply_edits(source: Sentence, edits: Sequence[Edit]) -> Sentence:
-    """Apply ``edits`` to ``source`` and return the corrected sentence.
-
-    Edits must be sorted by span, non-overlapping, and within bounds;
-    violations raise :class:`ValidationError` naming the offending edit.
-    The result is independent of application order for valid inputs.
-    """
-    edits = tuple(edits)
-    for edit in edits:
-        if edit.end > len(source):
-            raise ValidationError(
-                f"edit {edit} exceeds source length {len(source)}"
-            )
-    _check_edit_sequence(edits)
-    out: list[str] = []
-    cursor = 0
-    for edit in edits:
-        out.extend(source.tokens[cursor : edit.start])
-        out.extend(edit.replacement)
-        cursor = edit.end
-    out.extend(source.tokens[cursor:])
-    return Sentence(tuple(out))

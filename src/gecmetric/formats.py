@@ -9,7 +9,10 @@ A unit starts at an ``S`` line, collects ``A`` lines, and ends at a blank
 line or end of input. Edits are grouped per annotator. The correction
 ``-NONE-`` with type ``noop`` marks an annotator who made no edits and
 yields an empty annotation set; a unit with no ``A`` lines at all gets a
-single empty annotation set for annotator 0.
+single empty annotation set for annotator 0. Every field must be present,
+but scoring reads only the span, the correction and the annotator: the
+type serves the noop test, and the type, required flag and comment are
+not kept.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .errors import ParseError, ValidationError
 
 __all__ = [
     "parse_m2",
-    "serialize_m2",
     "read_m2_file",
     "read_parallel_text",
     "read_reference_files",
@@ -43,14 +45,15 @@ _NONE_FIELD = "-NONE-"
 _SIG_DIGITS = 6  # significant digits of every real number in a report
 
 
-def _parse_a_line(line: str, lineno: int) -> tuple[int, int, str, str, str, str, int]:
+def _parse_a_line(line: str, lineno: int) -> tuple[int, int, str, str, int]:
+    """The span, type, correction and annotator id of an ``A`` line."""
     body = line[2:]
     parts = body.split("|||")
     if len(parts) != 6:
         raise ParseError(
             f"expected 6 |||-separated fields in annotation, got {len(parts)}", lineno
         )
-    span_field, category, correction, required, comment, annot_field = parts
+    span_field, category, correction, _required, _comment, annot_field = parts
     span = span_field.split()
     if len(span) != 2:
         raise ParseError(f"bad span field {span_field!r}", lineno)
@@ -62,7 +65,9 @@ def _parse_a_line(line: str, lineno: int) -> tuple[int, int, str, str, str, str,
         annotator = int(annot_field)
     except ValueError:
         raise ParseError(f"non-integer annotator id {annot_field!r}", lineno) from None
-    return start, end, category, correction, required, comment, annotator
+    if annotator < 0:
+        raise ParseError(f"annotator id {annotator} is negative", lineno)
+    return start, end, category, correction, annotator
 
 
 class _UnitBuilder:
@@ -73,9 +78,7 @@ class _UnitBuilder:
         self.noop: set[int] = set()
 
     def add(self, line: str, lineno: int) -> None:
-        start, end, category, correction, required, comment, annotator = _parse_a_line(
-            line, lineno
-        )
+        start, end, category, correction, annotator = _parse_a_line(line, lineno)
         if category == _NOOP_TYPE and correction == _NONE_FIELD:
             if annotator in self.edits:
                 raise ParseError(
@@ -86,15 +89,7 @@ class _UnitBuilder:
         if annotator in self.noop:
             raise ParseError(f"annotator {annotator} has both noop and edits", lineno)
         try:
-            edit = Edit(
-                start,
-                end,
-                tuple(correction.split()),
-                category=category,
-                annotator=annotator,
-                required_flag=required,
-                comment=comment,
-            )
+            edit = Edit(start, end, tuple(correction.split()))
         except ValidationError as exc:
             raise ParseError(str(exc), lineno) from exc
         self.edits.setdefault(annotator, []).append(edit)
@@ -166,28 +161,6 @@ def parse_m2(text: str) -> list[AnnotatedSource]:
     return units
 
 
-def serialize_m2(units: Iterable[AnnotatedSource]) -> str:
-    """Inverse of :func:`parse_m2`; parsing the result round-trips."""
-    blocks: list[str] = []
-    for unit in units:
-        lines = [("S " + unit.source.text).rstrip()]
-        for aset in sorted(unit.annotations, key=lambda a: a.annotator):
-            if not aset.edits:
-                lines.append(
-                    f"A -1 -1|||{_NOOP_TYPE}|||{_NONE_FIELD}|||REQUIRED|||"
-                    f"{_NONE_FIELD}|||{aset.annotator}"
-                )
-                continue
-            for edit in aset.edits:
-                lines.append(
-                    f"A {edit.start} {edit.end}|||{edit.category}|||"
-                    f"{' '.join(edit.replacement)}|||{edit.required_flag}|||"
-                    f"{edit.comment}|||{aset.annotator}"
-                )
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n" if blocks else ""
-
-
 def read_m2_file(path: str | Path) -> list[AnnotatedSource]:
     return parse_m2(_read_text(path))
 
@@ -231,13 +204,6 @@ class HumanRanking:
                 raise ValidationError("system id must be non-empty")
             if not math.isfinite(value):
                 raise ValidationError(f"score of {system_id!r} is not finite: {value}")
-
-    @property
-    def systems(self) -> tuple[str, ...]:
-        return tuple(self.scores)
-
-    def __len__(self) -> int:
-        return len(self.scores)
 
     def score_for(self, system_id: str) -> float:
         if system_id not in self.scores:

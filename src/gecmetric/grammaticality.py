@@ -23,7 +23,7 @@ import subprocess
 import threading
 import time
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Protocol, Sequence, runtime_checkable
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 from .analysis import mean_score
 from .corpus import Sentence
@@ -78,7 +78,6 @@ class ErrorSpan:
             raise ValidationError(f"bad category {self.category!r}")
 
 
-@runtime_checkable
 class Detector(Protocol):
     detector_id: str
 

@@ -11,7 +11,7 @@ agreement with the gold annotation. Concretely:
    edit and at most ``max_unchanged_words`` matched tokens, one merged
    edge is added for the whole span (source span -> hypothesis span);
 3. an edit edge costs ``1 + 0.001 * tokens_spanned`` so that fewer and
-   smaller edits win ties, minus ``gold_match_reward`` when its
+   smaller edits win ties, minus a fixed reward of 1000 when its
    (span, replacement) exactly equals a gold edit — the reward dwarfs all
    path costs, so gold-matching edits are always preferred;
 4. the minimal-cost path through the lattice yields the system edits
@@ -50,6 +50,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _EPS = 0.001  # tie-breaker: prefers fewer and smaller unmatched edits
+_GOLD_REWARD = 1000.0  # taken off a gold-matching edit's cost (step 3 above)
 
 _Node = tuple[int, int]
 _EditKey = tuple[int, int, tuple[str, ...]]
@@ -61,7 +62,6 @@ _Gold = tuple[tuple[int, frozenset[_EditKey]], ...]
 class M2Config:
     beta: float = 0.5
     max_unchanged_words: int = 2
-    gold_match_reward: float = 1000.0
 
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta >= 0):
@@ -69,10 +69,6 @@ class M2Config:
         if self.max_unchanged_words < 0:
             raise ValidationError(
                 f"max_unchanged_words must be >= 0, got {self.max_unchanged_words}"
-            )
-        if self.gold_match_reward <= 0:
-            raise ValidationError(
-                f"gold_match_reward must be positive, got {self.gold_match_reward}"
             )
 
 
@@ -155,7 +151,7 @@ def _build_graph(src: tuple[str, ...], hyp: tuple[str, ...], max_unchanged: int)
     return topo, adj
 
 
-def _best_edits(lattice, gold: frozenset[_EditKey], cfg: M2Config) -> list[_EditKey]:
+def _best_edits(lattice, gold: frozenset[_EditKey]) -> list[_EditKey]:
     """The cheapest path through a :func:`_build_graph` lattice against ``gold``."""
     topo, adj = lattice
     start, goal = topo[0], topo[-1]
@@ -170,7 +166,7 @@ def _best_edits(lattice, gold: frozenset[_EditKey], cfg: M2Config) -> list[_Edit
                 e_start, e_end, repl = edit
                 weight = 1.0 + _EPS * ((e_end - e_start) + len(repl))
                 if edit in gold:
-                    weight -= cfg.gold_match_reward
+                    weight -= _GOLD_REWARD
             cand = du + weight
             if cand < dist.get(v, math.inf):
                 dist[v] = cand
@@ -241,7 +237,7 @@ def extract_system_edits(
     keys, ignored = _gold_keys(source, gold_edits)
     _warn_identity(ignored)
     lattice = _build_graph(source.tokens, hypothesis.tokens, cfg.max_unchanged_words)
-    chosen = _best_edits(lattice, keys, cfg)
+    chosen = _best_edits(lattice, keys)
     return tuple(Edit(s, e, repl) for s, e, repl in chosen)
 
 
@@ -272,7 +268,7 @@ def m2_stats(
         lattice = _build_graph(source.tokens, hypothesis.tokens, cfg.max_unchanged_words)
     counts = []
     for annotator, keys in gold:
-        system = [] if lattice is None else _best_edits(lattice, keys, cfg)
+        system = [] if lattice is None else _best_edits(lattice, keys)
         found = set(system)
         tp = len([g for g in keys if g in found])
         fp = len([e for e in system if e not in keys])

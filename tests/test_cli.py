@@ -1292,6 +1292,8 @@ def test_fluency_metrics_featurize_each_distinct_hypothesis_once(
 BAD_UTF8 = b"the cat sat.\nan \xff apple.\nhe goes home.\n"
 # two equal feature columns: with alpha 0 the ridge system is singular
 SINGULAR_TSV = "a\tb\ttarget\n1\t1\t0.1\n2\t2\t0.4\n3\t3\t0.2\n5\t5\t0.9\n"
+# a noop line that names annotator -1
+NEGATIVE_M2 = "S the cat sat.\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||-1\n"
 
 _A = ["--hyp", "a={d}/a.txt"]
 _CHECK = ["check", "--input", "{d}/a.txt", "--checker-timeout", "2", "--checker"]
@@ -1325,6 +1327,17 @@ MALFORMED = {
     "checker-unknown-id": [*_CHECK, "{checker} unknown-id"],
     "checker-bad-bytes": [*_CHECK, "{checker} bad-bytes"],
     "checker-bool-span": [*_CHECK, "{checker} bool-span"],
+    "m2-negative-annotator": ["score", "--metric", "m2", "--m2", "{d}/negative.m2", *_A],
+    "m2-without-gold": ["score", "--metric", "m2", *_A],
+    "ref-too-short": ["score", "--metric", "gleu", "--source", "{d}/source.txt",
+                      "--ref", "{d}/one.txt", *_A],
+    "hyp-empty": ["score", "--metric", "errorcount", "--wordlist", "{d}/words.txt",
+                  "--hyp", "x={d}/empty.txt"],
+    "hyp-without-id": ["score", "--metric", "errorcount", "--wordlist", "{d}/words.txt",
+                       "--hyp", "={d}/a.txt"],
+    "gaming-m2": ["sweep", "--fluency-metric", "errorcount", "--wordlist", "{d}/words.txt",
+                  "--reference-metric", "m2", "--m2", "{d}/gold.m2", "--human",
+                  "{d}/human.tsv", "--gaming", *_A],
 }
 
 
@@ -1332,6 +1345,9 @@ MALFORMED = {
 def test_malformed_input_exits_with_one_line(corpus, model_path, case):
     (corpus / "bad.txt").write_bytes(BAD_UTF8)
     (corpus / "singular.tsv").write_text(SINGULAR_TSV, encoding="utf-8")
+    (corpus / "negative.m2").write_text(NEGATIVE_M2, encoding="utf-8")
+    (corpus / "one.txt").write_text("the cat sat.\n", encoding="utf-8")
+    (corpus / "empty.txt").write_text("", encoding="utf-8")
     model = json.loads(model_path.read_text(encoding="utf-8"))
     (corpus / "huge.json").write_text(json.dumps({**model, "bias": 10**400}))
     routing = corpus / "routing.py"

@@ -5,7 +5,6 @@ from gecmetric.corpus import (
     AnnotationSet,
     Edit,
     Sentence,
-    apply_edits,
     tokenize,
 )
 from gecmetric.errors import ValidationError
@@ -87,61 +86,24 @@ def test_edit_rejects_non_integer_indices():
         Edit(0.0, 1)
 
 
-def test_apply_edits_substitution():
-    out = apply_edits(tokenize("he go home"), [Edit(1, 2, ("goes",))])
-    assert out.text == "he goes home"
-
-
-def test_apply_edits_insert_delete_combo():
-    src = tokenize("a b c d")
-    out = apply_edits(src, [Edit(0, 0, ("X",)), Edit(2, 3)])
-    assert out.text == "X a b d"
-
-
-def test_apply_edits_empty_sequence_is_identity():
-    src = tokenize("a b")
-    assert apply_edits(src, []) == src
-
-
-def test_apply_edits_order_independent_result():
-    """A valid sorted sequence applies left to right in one pass."""
-    src = tokenize("a b c")
-    out = apply_edits(src, [Edit(0, 1, ("A",)), Edit(2, 3, ("C", "C2"))])
-    assert out.tokens == ("A", "b", "C", "C2")
-
-
-def test_apply_edits_rejects_overlap():
-    src = tokenize("a b c")
-    with pytest.raises(ValidationError, match="overlaps"):
-        apply_edits(src, [Edit(0, 2, ("x",)), Edit(1, 3, ("y",))])
-
-
-def test_apply_edits_rejects_unsorted():
-    src = tokenize("a b c")
-    with pytest.raises(ValidationError, match="out of order"):
-        apply_edits(src, [Edit(2, 3, ("x",)), Edit(0, 1, ("y",))])
-
-
-def test_apply_edits_rejects_double_insertion_at_point():
-    src = tokenize("a b")
-    with pytest.raises(ValidationError, match="same point"):
-        apply_edits(src, [Edit(1, 1, ("x",)), Edit(1, 1, ("y",))])
-
-
-def test_apply_edits_allows_insertion_then_edit_at_same_start():
-    src = tokenize("a b")
-    out = apply_edits(src, [Edit(1, 1, ("x",)), Edit(1, 2, ("B",))])
-    assert out.tokens == ("a", "x", "B")
-
-
-def test_apply_edits_rejects_out_of_bounds():
-    with pytest.raises(ValidationError, match="exceeds source length"):
-        apply_edits(tokenize("a"), [Edit(0, 2, ("x",))])
-
-
-def test_annotation_set_checks_annotator_consistency():
-    with pytest.raises(ValidationError, match="carries annotator"):
-        AnnotationSet(1, (Edit(0, 1, ("x",), annotator=0),))
+@pytest.mark.parametrize(
+    "edits,error",
+    [
+        ([Edit(0, 2, ("x",)), Edit(1, 3, ("y",))], "overlaps"),
+        ([Edit(2, 3, ("x",)), Edit(0, 1, ("y",))], "out of order"),
+        ([Edit(1, 1, ("x",)), Edit(1, 1, ("y",))], "same point"),
+        ([Edit(1, 1, ("x",)), Edit(1, 2, ("B",))], None),
+    ],
+    ids=["overlap", "out-of-order", "two-insertions-at-one-point", "insertion-then-edit"],
+)
+def test_annotation_set_checks_edit_sequence(edits, error):
+    """Edits are sorted and disjoint, with at most one insertion at a
+    point; an insertion may precede an edit starting at the same index."""
+    if error is None:
+        assert AnnotationSet(0, edits).edits == tuple(edits)
+    else:
+        with pytest.raises(ValidationError, match=error):
+            AnnotationSet(0, edits)
 
 
 def test_annotation_set_accepts_empty_edits():

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from gecmetric.corpus import AnnotatedSource, AnnotationSet, Edit, Sentence, apply_edits
 from gecmetric.errors import ParseError, ValidationError
 from gecmetric.formats import (
     HumanRanking,
@@ -13,7 +12,6 @@ from gecmetric.formats import (
     read_parallel_text,
     read_reference_files,
     render_report,
-    serialize_m2,
     write_report,
 )
 
@@ -55,33 +53,27 @@ def test_parse_deletion_edit_has_empty_replacement():
     assert units[0].annotations[0].edits[0].replacement == ()
 
 
-def test_parse_applies_give_reference():
-    units = parse_m2(SAMPLE)
-    unit = units[0]
-    fixed = apply_edits(unit.source, unit.annotations[0].edits)
-    assert fixed.text == "he goes home"
-
-
 def test_parse_empty_source_line():
     units = parse_m2("S\n\nS b\n")
     assert units[0].source.tokens == ()
     assert units[1].source.tokens == ("b",)
 
 
-def test_round_trip_through_serialize():
-    units = parse_m2(SAMPLE)
-    again = parse_m2(serialize_m2(units))
-    assert again == units
-
-
-def test_serialize_preserves_flags_and_comments():
-    edit = Edit(
-        0, 1, ("x",), category="Orth", required_flag="OPTIONAL", comment="note"
+def test_parse_keeps_span_replacement_and_annotator_only():
+    """Type, required flag and comment must be present but are not kept."""
+    units = parse_m2(
+        "S a b c\n"
+        "A 0 1|||Orth|||x|||OPTIONAL|||note|||2\n"
+        "A 2 2|||M:DET|||the y|||REQUIRED|||-NONE-|||2\n"
+        "A -1 -1|||noop|||-NONE-|||OPTIONAL|||why not|||0\n"
     )
-    unit = AnnotatedSource(Sentence(("a",)), (AnnotationSet(0, (edit,)),))
-    text = serialize_m2([unit])
-    assert "|||OPTIONAL|||note|||" in text
-    assert parse_m2(text)[0].annotations[0].edits[0] == edit
+    [unit] = units
+    assert [a.annotator for a in unit.annotations] == [0, 2]
+    assert unit.annotations[0].edits == ()
+    assert [e.key for e in unit.annotations[1].edits] == [
+        (0, 1, ("x",)),
+        (2, 2, ("the", "y")),
+    ]
 
 
 def test_parse_error_reports_line_number():
@@ -103,6 +95,19 @@ def test_parse_rejects_mixed_noop_and_edits():
     )
     with pytest.raises(ParseError, match="noop and edits"):
         parse_m2(bad)
+
+
+@pytest.mark.parametrize(
+    "a_line",
+    [
+        "A 0 1|||X|||y|||REQUIRED|||-NONE-|||-1",
+        "A -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||-1",
+    ],
+    ids=["edit", "noop"],
+)
+def test_parse_rejects_negative_annotator_on_its_line(a_line):
+    with pytest.raises(ParseError, match="^line 3: annotator id -1 is negative$"):
+        parse_m2(f"S a b\nA 0 1|||X|||y|||REQUIRED|||-NONE-|||0\n{a_line}\n")
 
 
 def test_parse_rejects_garbage_line():
@@ -149,7 +154,7 @@ def test_read_reference_files_rejects_ragged(tmp_path):
 
 def test_parse_human_ranking():
     ranking = parse_human_ranking("sysA\t0.5\nsysB\t-1\n\n")
-    assert ranking.systems == ("sysA", "sysB")
+    assert tuple(ranking.scores) == ("sysA", "sysB")
     assert ranking.score_for("sysB") == -1.0
 
 

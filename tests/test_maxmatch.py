@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gecmetric import maxmatch
 from gecmetric.corpus import AnnotatedSource, AnnotationSet, Edit, Sentence, tokenize
 from gecmetric.errors import ValidationError
 from gecmetric.maxmatch import (
@@ -116,8 +117,8 @@ def test_identity_gold_edit_is_ignored_with_warning(caplog):
 
 def test_annotator_tie_goes_to_lowest_id():
     anns = (
-        AnnotationSet(1, (Edit(1, 2, ("x",), annotator=1),)),
-        AnnotationSet(0, (Edit(1, 2, ("x",), annotator=0),)),
+        AnnotationSet(1, (Edit(1, 2, ("x",)),)),
+        AnnotationSet(0, (Edit(1, 2, ("x",)),)),
     )
     counts, f = m2_sentence(tokenize("a b c"), tokenize("a x c"), anns)
     assert f == 1.0
@@ -126,8 +127,8 @@ def test_annotator_tie_goes_to_lowest_id():
 
 def test_best_annotator_wins():
     anns = (
-        AnnotationSet(0, (Edit(0, 1, ("q",), annotator=0),)),
-        AnnotationSet(1, (Edit(1, 2, ("x",), annotator=1),)),
+        AnnotationSet(0, (Edit(0, 1, ("q",)),)),
+        AnnotationSet(1, (Edit(1, 2, ("x",)),)),
     )
     counts, f = m2_sentence(tokenize("a b c"), tokenize("a x c"), anns)
     assert counts.annotator == 1
@@ -215,22 +216,22 @@ def test_counts_match_exhaustive_oracle():
     assert exact >= 450  # ambiguity is a rare corner, not the norm
 
 
-def test_raising_reward_never_changes_chosen_edits():
+def test_raising_reward_never_changes_chosen_edits(monkeypatch):
     rng = random.Random(7)
     for _ in range(150):
         src = [rng.choice(VOCAB) for _ in range(rng.randint(0, 5))]
         gold = _random_gold(rng, src)
         hyp = _apply_subset_with_noise(rng, src, gold)
         base = edits_of(" ".join(src), " ".join(hyp), gold)
-        boosted = edits_of(
-            " ".join(src), " ".join(hyp), gold, gold_match_reward=50000.0
-        )
+        with monkeypatch.context() as patch:
+            patch.setattr(maxmatch, "_GOLD_REWARD", 50000.0)
+            boosted = edits_of(" ".join(src), " ".join(hyp), gold)
         assert [e.key for e in base] == [e.key for e in boosted]
 
 
 def _replay(src, edits):
-    """Apply a system edit sequence; unlike apply_edits this tolerates the
-    same-point insertion runs a lattice path can legitimately produce."""
+    """Apply a system edit sequence; unlike an AnnotationSet this tolerates
+    the same-point insertion runs a lattice path can legitimately produce."""
     out = []
     cursor = 0
     for e in edits:
@@ -284,8 +285,8 @@ def test_corpus_mode_pools_counts():
 
 def test_corpus_greedy_annotator_choice_uses_running_f():
     """The annotator picked for sentence 2 depends on sentence 1's pool."""
-    anns_a = (Edit(0, 1, ("x",), annotator=0),)
-    anns_b = (Edit(1, 2, ("y",), annotator=1),)
+    anns_a = (Edit(0, 1, ("x",)),)
+    anns_b = (Edit(1, 2, ("y",)),)
     units = [
         _unit("a b", [anns_a]),
         AnnotatedSource(
@@ -340,7 +341,7 @@ def _random_unit(rng):
             start = rng.randint(start, len(source) - 1)
             end = start + rng.randint(0, 1)
             repl = tuple(rng.choice(VOCAB + ["x"]) for _ in range(rng.randint(0, 2)))
-            edits.append(Edit(start, end, repl, annotator=annotator))
+            edits.append(Edit(start, end, repl))
             start = end + 1
         annotations.append(AnnotationSet(annotator, tuple(edits)))
     return AnnotatedSource(source, tuple(annotations))

@@ -3,7 +3,8 @@
 Each ``from gecmetric... import ...`` line in the README's python blocks
 must run, and each function, class or module attribute that the Library
 section names in backticks must resolve, so that deleting documented API
-fails here.
+fails here. Each name a public module lists in ``__all__`` must resolve
+too, so that a deleted name cannot stay listed.
 """
 
 import importlib
@@ -70,3 +71,9 @@ def test_readme_import_runs(line):
 @pytest.mark.parametrize("name", NAMES)
 def test_library_name_resolves(name):
     _resolve(name)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_all_names_resolve(module):
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"{module.__name__}.__all__ lists undefined {missing}"
