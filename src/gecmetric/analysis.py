@@ -10,9 +10,9 @@ smallest ``lam`` on ties.
 Also here: rank aggregation with tie-averaged ranks, Spearman/Pearson
 correlation, Fisher-z comparison of two correlations, reference
 ablation (oracle correlation as a function of how many references each
-sentence keeps), and a gaming check that rescores a system against
-permuted sentence slots — a reference metric that does not drop under
-that permutation is not actually using the references.
+sentence keeps), and a gaming check that compares a system's scores with
+its scores against permuted sentence slots — a reference metric that does
+not drop under that permutation is not actually using the references.
 
 Score tables are mappings from system id to per-sentence score lists;
 all table operations order systems by sorted id so results never depend
@@ -48,6 +48,7 @@ __all__ = [
     "sweep_lambda",
     "sample_reference_subset",
     "ablate_references",
+    "gaming_permutation",
     "gaming_check",
 ]
 
@@ -120,7 +121,6 @@ class AblationPoint:
 
 @dataclass(frozen=True)
 class GamingCheckReport:
-    permutation: tuple[int, ...]
     lam: float
     rbm_true_mean: float
     rbm_shuffled_mean: float
@@ -354,7 +354,12 @@ def ablate_references(
     return points
 
 
-def _derangement(n: int, rng: random.Random) -> list[int]:
+def gaming_permutation(n: int, seed: int = 0) -> list[int]:
+    """The gaming check's fixed-point-free permutation of ``n`` sentence
+    slots, from a stream of the seed's own."""
+    if n < 2:
+        raise ValidationError(f"gaming check needs at least 2 sentences, got {n}")
+    rng = random.Random(f"{seed}:gaming")
     for _ in range(100):
         perm = list(range(n))
         rng.shuffle(perm)
@@ -366,40 +371,29 @@ def _derangement(n: int, rng: random.Random) -> list[int]:
 def gaming_check(
     fluency: Sequence[float],
     reference: Sequence[float],
-    reference_scorer: Callable[[Sequence[int]], Sequence[float]],
-    seed: int = 0,
+    shuffled: Sequence[float],
     lam: float = 0.5,
 ) -> GamingCheckReport:
-    """Rescore one system against permuted sentence slots.
+    """Compare one system's scores with its scores against permuted
+    sentence slots.
 
-    ``reference_scorer`` receives a fixed-point-free permutation ``perm``
-    and must return per-sentence reference scores where sentence ``i`` is
-    scored against the reference material of sentence ``perm[i]``. A
-    metric that truly uses the references should drop; the report gives
-    the reference-metric and interpolated-metric means before and after.
+    ``shuffled`` holds the per-sentence reference scores with sentence
+    ``i`` scored against the reference material of sentence ``perm[i]``,
+    for a :func:`gaming_permutation` ``perm``. A metric that truly uses
+    the references should drop; the report gives the reference-metric and
+    interpolated-metric means before and after. Unequal lengths and
+    ``lam`` outside [0, 1] raise :class:`ValidationError`.
     """
-    if len(fluency) != len(reference):
+    if not len(fluency) == len(reference) == len(shuffled):
         raise ValidationError(
-            f"size mismatch: {len(fluency)} fluency scores, "
-            f"{len(reference)} reference scores"
+            f"size mismatch: {len(fluency)} fluency, {len(reference)} reference "
+            f"and {len(shuffled)} shuffled scores"
         )
-    n = len(fluency)
-    if n < 2:
-        raise ValidationError(f"gaming check needs at least 2 sentences, got {n}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"lambda must be in [0, 1], got {lam}")
-    perm = _derangement(n, random.Random(f"{seed}:gaming"))
-    shuffled = list(reference_scorer(perm))
-    if len(shuffled) != n:
-        raise ValidationError(
-            f"reference scorer returned {len(shuffled)} scores for {n} sentences"
-        )
-    rbm_true = mean_score(reference)
-    rbm_shuffled = mean_score(shuffled)
     interp_true = mean_score(interpolate(fluency, reference, lam))
     interp_shuffled = mean_score(interpolate(fluency, shuffled, lam))
+    rbm_true = mean_score(reference)
+    rbm_shuffled = mean_score(shuffled)
     return GamingCheckReport(
-        permutation=tuple(perm),
         lam=lam,
         rbm_true_mean=rbm_true,
         rbm_shuffled_mean=rbm_shuffled,

@@ -16,8 +16,8 @@ the statistics of each (system, sentence) pair once; the per-sentence
 scores, their mean (the ``sentence`` headline) and the pooled corpus
 score (the ``corpus`` headline; lfm has none) are all read from those
 statistics. The reference ablation selects each subset's statistics from
-them, and the gaming check rescores every system in one batch against
-the permuted reference rows.
+them, and the gaming check compares them with every system's scores
+against the permuted reference rows, from one batch.
 
 Exit codes: 0 success; 1 usage error or unreadable file; 2 malformed or
 inconsistent data; 3 external checker failure. Logs go to stderr. With
@@ -40,7 +40,7 @@ import operator
 import os
 import shlex
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -137,11 +137,9 @@ class _Scorer:
     item, where ``row`` is sentence ``i``'s reference row (None for
     metrics without rows). ``value`` maps statistics to the sentence score
     and ``pool`` reduces a system's statistics to its corpus score (None:
-    lfm). Through ``shared``, a (sentence, hypothesis) pair that several
-    systems output is scored once against the run's own rows. For row
-    metrics, ``subset(stats, i, pick)`` derives the statistics against
-    the references ``pick`` of sentence ``i``'s row from the full-row
-    statistics.
+    lfm). For row metrics, ``subset(stats, i, pick)`` derives the
+    statistics against the references ``pick`` of sentence ``i``'s row
+    from the full-row statistics.
     """
 
     metric: str
@@ -150,7 +148,6 @@ class _Scorer:
     rows: tuple[tuple[Sentence, ...], ...] | None = None
     value: Callable[[Any], float] = operator.attrgetter("score")
     subset: Callable[[Any, int, Sequence[int]], Any] | None = None
-    shared: dict = field(default_factory=dict)
 
 
 def _each(stats: Callable[[int, Sentence, Any], Any]) -> Callable[[list], list]:
@@ -242,29 +239,26 @@ FLUENCY_METRICS = {"errorcount": _errorcount, "lfm": _lfm}
 METRICS: dict[str, Callable[..., _Scorer]] = {**REFERENCE_METRICS, **FLUENCY_METRICS}
 
 
-def _stats(scorer: _Scorer, systems: Mapping[str, Sequence[Sentence]], rows=None):
-    """The statistics of every system's sentences, by system id, from one
-    ``stats`` batch of the distinct (sentence, hypothesis) pairs. Against
-    the scorer's own rows, pairs already in ``shared`` are not scored
-    again; other ``rows`` get a memo of their own."""
-    memo = scorer.shared if rows is None else {}
-    rows = scorer.rows if rows is None else rows
+def _stats(scorer: _Scorer, systems: Mapping[str, Sequence[Sentence]], rows) -> dict:
+    """The statistics of every system's sentences against ``rows`` (sentence
+    ``i`` against ``rows[i]``; None for metrics without rows), by system
+    id, from one ``stats`` batch of the distinct (sentence, hypothesis)
+    pairs."""
     todo: dict = {}
     for sid in sorted(systems):
         for i, hyp in enumerate(systems[sid]):
-            key = (i, hyp.tokens)
-            if key not in memo:
-                todo.setdefault(key, (i, hyp, None if rows is None else rows[i]))
-    memo.update(zip(todo, scorer.stats(list(todo.values()))))
+            todo.setdefault((i, hyp.tokens), (i, hyp, None if rows is None else rows[i]))
+    done = dict(zip(todo, scorer.stats(list(todo.values()))))
     return {
-        sid: [memo[i, hyp.tokens] for i, hyp in enumerate(hyps)]
+        sid: [done[i, hyp.tokens] for i, hyp in enumerate(hyps)]
         for sid, hyps in systems.items()
     }
 
 
-def _system_scores(scorer: _Scorer, systems, mode: str = "sentence") -> dict:
-    """Every system's :class:`SystemScore` under one metric, by system id."""
-    table, scores = _stats(scorer, systems), {}
+def _system_scores(scorer: _Scorer, table: Mapping[str, list], mode="sentence") -> dict:
+    """Every system's :class:`SystemScore` under one metric, by system id,
+    from its statistics ``table`` (see :func:`_stats`)."""
+    scores = {}
     for sid in sorted(table):
         stats = table[sid]
         per = tuple(scorer.value(s) for s in stats)
@@ -424,7 +418,7 @@ def _scored_systems(args) -> dict[str, SystemScore]:
                 f"metric {args.metric!r} has no corpus-level aggregation; "
                 "use --mode sentence"
             )
-        return _system_scores(scorer, systems, args.mode)
+        return _system_scores(scorer, _stats(scorer, systems, scorer.rows), args.mode)
 
 
 def _summary_table(scores: Mapping[str, SystemScore]) -> list[str]:
@@ -502,27 +496,14 @@ def _sweep_system_entries(fluency, reference) -> list[dict]:
     ]
 
 
-def _permuted(scorer: _Scorer, systems) -> Callable[[str, Sequence[int]], list[float]]:
-    """``(sid, perm) -> `` system ``sid``'s per-sentence scores with
-    sentence ``i`` against the row of sentence ``perm[i]``. The gaming
-    permutation depends only on the seed and the sentence count, so every
-    system is rescored in one batch, the first time it is asked for."""
-
-    @functools.cache
-    def table(perm: tuple[int, ...]) -> dict[str, list[float]]:
-        stats = _stats(scorer, systems, [scorer.rows[p] for p in perm])
-        return {sid: [scorer.value(s) for s in per] for sid, per in stats.items()}
-
-    return lambda sid, perm: table(tuple(perm))[sid]
-
-
 def _cmd_sweep(args) -> int:
     human = read_human_ranking(args.human)
     if args.gaming and args.reference_metric not in ROW_METRICS:
         raise _UsageError(f"--gaming needs a reference metric in {ROW_METRICS}")
     metrics = [args.fluency_metric, args.reference_metric]
     with _scorers(args, metrics) as (systems, scorers):
-        fluency, reference = (_system_scores(scorer, systems) for scorer in scorers)
+        tables = [_stats(scorer, systems, scorer.rows) for scorer in scorers]
+        fluency, reference = map(_system_scores, scorers, tables)
         result = _sweep(human, fluency, reference)
         section = _sweep_section(result)
         lines = [
@@ -531,14 +512,16 @@ def _cmd_sweep(args) -> int:
             f"pearson={result.oracle.pearson:.6f}"
         ]
         if args.gaming:
-            gaming = []
-            permuted = _permuted(scorers[1], systems)
+            # every system is rescored in one batch against the rows of
+            # one permutation, which depends on the seed and length alone
+            scorer, gaming = scorers[1], []
+            perm = analysis.gaming_permutation(len(scorer.rows), args.seed)
+            shuffled = _stats(scorer, systems, [scorer.rows[p] for p in perm])
             for sid in sorted(systems):
                 report = analysis.gaming_check(
                     fluency[sid].per_sentence,
                     reference[sid].per_sentence,
-                    functools.partial(permuted, sid),
-                    seed=args.seed,
+                    [scorer.value(s) for s in shuffled[sid]],
                     lam=args.gaming_lambda,
                 )
                 gaming.append(
@@ -563,19 +546,23 @@ def _cmd_sweep(args) -> int:
     return _emit(args, doc, lines)
 
 
-def _subset_table(scorer: _Scorer, systems, memo: dict, picks) -> dict[str, list[float]]:
+def _subset_table(
+    scorer: _Scorer, systems, table: Mapping[str, list], memo: dict, picks
+) -> dict[str, list[float]]:
     """Every system's per-sentence scores against the references
-    ``picks[i]`` of each sentence ``i``, derived from the full-row
-    statistics once per distinct (sentence, hypothesis, pick) across all
-    the calls that share ``memo``."""
-    for (i, tokens), stats in scorer.shared.items():
-        key = (i, tokens, tuple(picks[i]))
-        if key not in memo:
-            memo[key] = scorer.value(scorer.subset(stats, i, picks[i]))
-    return {
-        sid: [memo[i, hyp.tokens, tuple(picks[i])] for i, hyp in enumerate(hyps)]
-        for sid, hyps in systems.items()
-    }
+    ``picks[i]`` of each sentence ``i``, derived from its full-row
+    statistics ``table`` once per distinct (sentence, hypothesis, pick)
+    across all the calls that share ``memo``."""
+    out = {}
+    for sid, hyps in systems.items():
+        scores = out[sid] = []
+        for i, (hyp, stats) in enumerate(zip(hyps, table[sid])):
+            key = (i, hyp.tokens, picks[i])
+            value = memo.get(key)
+            if value is None:
+                value = memo[key] = scorer.value(scorer.subset(stats, i, picks[i]))
+            scores.append(value)
+    return out
 
 
 def _cmd_ablate(args) -> int:
@@ -584,12 +571,13 @@ def _cmd_ablate(args) -> int:
         raise _UsageError(f"ablate needs a reference metric in {ROW_METRICS}")
     metrics = [args.fluency_metric, args.reference_metric]
     with _scorers(args, metrics) as (systems, scorers):
-        fluency, reference = (_system_scores(scorer, systems) for scorer in scorers)
+        tables = [_stats(scorer, systems, scorer.rows) for scorer in scorers]
+        fluency, reference = map(_system_scores, scorers, tables)
         result = _sweep(human, fluency, reference)
         scorer = scorers[1]
         points = analysis.ablate_references(
             {sid: s.per_sentence for sid, s in fluency.items()},
-            functools.partial(_subset_table, scorer, systems, {}),
+            functools.partial(_subset_table, scorer, systems, tables[1], {}),
             len(scorer.rows[0]),
             human.scores,
             sizes=args.sizes,

@@ -22,8 +22,9 @@ from __future__ import annotations
 import functools
 import math
 import random
+import sys
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat, zip_longest
+from itertools import chain, groupby, repeat
 from operator import add, itemgetter, mul
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -37,7 +38,6 @@ __all__ = ["GleuConfig", "GleuStats", "gleu_sentence", "gleu_stats", "gleu_stats
 
 SAMPLED = "sampled"
 MEAN_OVER_ALL = "mean-over-all"
-_BLOCK = 64  # iterations per one-hot matmul in the sampled corpus pool
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,10 @@ class GleuConfig:
     multi_ref_mode: str = SAMPLED
 
     def __post_init__(self):
-        if self.max_n < 1:
-            raise ValidationError(f"max_n must be >= 1, got {self.max_n}")
-        if self.iterations < 1:
-            raise ValidationError(f"iterations must be >= 1, got {self.iterations}")
+        for name in ("max_n", "iterations"):
+            value = getattr(self, name)
+            if not 1 <= value <= sys.maxsize:  # beyond it, no tuple or buffer fits
+                raise ValidationError(f"{name} must be in [1, {sys.maxsize}], got {value}")
         if self.multi_ref_mode not in (SAMPLED, MEAN_OVER_ALL):
             raise ValidationError(
                 f"multi_ref_mode must be {SAMPLED!r} or {MEAN_OVER_ALL!r}, "
@@ -351,31 +351,26 @@ def gleu_pool(stats: Sequence[GleuStats], cfg: GleuConfig = GleuConfig()) -> flo
                 )
         return mean_score([pooled([j] * len(stats)) for j in range(width)])
     # totals[k] = sum over sentences of the counts against the reference
-    # drawn at iteration k: per reference column, an exact integer matmul
-    # of one-hot picks (iterations x N) with the counts (N x C), a block of
-    # iterations at a time so that the one-hot stays small. Sentences with
-    # fewer references get zero rows, which they never pick. Orders longer
-    # than the longest hypothesis count 0 everywhere, so their columns are
-    # left out of the matmul and put back as zeros.
+    # drawn at iteration k: each sentence's counts, one row per reference,
+    # gathered by its draws. Orders longer than the longest hypothesis
+    # count 0 everywhere, so only the other columns are summed, and the
+    # zeros are put back once.
     import numpy as np
 
-    max_n = cfg.max_n
+    max_n, iterations = cfg.max_n, len(stats[0].draws)
     top = min(max_n, max(s.counts[0][3 * max_n] for s in stats))
     keep = [k for k in range(3 * max_n + 2) if k % max_n < top or k >= 3 * max_n]
-    take, zeros = itemgetter(*keep), (0,) * len(keep)
-    picks = np.array([
-        np.frombuffer(s.draws, np.uint8) if isinstance(s.draws, bytes) else s.draws
-        for s in stats
-    ]).T
-    rows = (map(take, s.counts) for s in stats)
-    cols = [np.array(col, np.int64) for col in zip_longest(*rows, fillvalue=zeros)]
-    scores = []
-    for start in range(0, len(picks), _BLOCK):
-        block = picks[start : start + _BLOCK]
-        totals = np.zeros((len(block), 3 * max_n + 2), np.int64)
-        totals[:, keep] = sum((block == j).astype(np.int64) @ c for j, c in enumerate(cols))
-        scores.extend(_assemble(row, max_n) for row in totals.tolist())
-    return mean_score(scores)
+    take, kept = itemgetter(*keep), np.zeros((iterations, len(keep)), np.int64)
+    for i, s in enumerate(stats):
+        if len(s.draws) != iterations:
+            raise ValidationError(
+                f"sentence {i} has {len(s.draws)} draws, expected {iterations}"
+            )
+        draws = np.frombuffer(s.draws, np.uint8) if isinstance(s.draws, bytes) else s.draws
+        kept += np.array([take(c) for c in s.counts], np.int64)[draws]
+    totals = np.zeros((iterations, 3 * max_n + 2), np.int64)
+    totals[:, keep] = kept
+    return mean_score([_assemble(row, max_n) for row in totals.tolist()])
 
 
 def gleu_corpus(

@@ -17,7 +17,6 @@ than the per-sentence mean does.
 from __future__ import annotations
 
 import json
-import math
 import string
 import subprocess
 import threading
@@ -341,8 +340,10 @@ class ExternalChecker:
     ):
         if not command:
             raise ValidationError("empty checker command")
-        if not (math.isfinite(timeout) and timeout > 0):
-            raise ValidationError(f"timeout must be finite and positive, got {timeout}")
+        if not 0 < timeout <= threading.TIMEOUT_MAX:  # also rejects nan
+            raise ValidationError(
+                f"timeout must be in (0, {threading.TIMEOUT_MAX:.0f}] seconds, got {timeout}"
+            )
         self.command = tuple(command)
         self.detector_id = detector_id
         self.timeout = timeout

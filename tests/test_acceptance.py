@@ -23,6 +23,7 @@ from gecmetric.analysis import (
     compare_correlations,
     fisher_z,
     gaming_check,
+    gaming_permutation,
     interpolate_value,
     pearson,
     rank_systems,
@@ -396,16 +397,14 @@ def test_criterion_08_synthetic_corpus():
 
     gaming_ok = True
     worst_drop = float("inf")
+    perm = gaming_permutation(len(sources), 0)
     for system_id in _synthetic.SYSTEM_IDS:
         hyps = hyps_by_system[system_id]
-
-        def scorer(perm, hyps=hyps):
-            return [
-                gleu_multi_ref(sources[i], hyps[i], ref_rows[perm[i]], cfg, sentence_index=i)
-                for i in range(len(perm))
-            ]
-
-        report = gaming_check(fluency[system_id], reference[system_id], scorer, seed=0)
+        shuffled = [
+            gleu_multi_ref(sources[i], hyps[i], ref_rows[perm[i]], cfg, sentence_index=i)
+            for i in range(len(perm))
+        ]
+        report = gaming_check(fluency[system_id], reference[system_id], shuffled)
         gaming_ok &= report.rbm_drop > 0.0
         worst_drop = min(worst_drop, report.rbm_drop)
 

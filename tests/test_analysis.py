@@ -12,6 +12,7 @@ from gecmetric.analysis import (
     compare_correlations,
     fisher_z,
     gaming_check,
+    gaming_permutation,
     interpolate,
     interpolate_value,
     mean_score,
@@ -356,49 +357,43 @@ def test_gaming_check_penalizes_reference_use():
     rng = random.Random(4)
     fluency = [rng.uniform(0.5, 1.0) for _ in range(50)]
     reference = [rng.uniform(0.8, 1.0) for _ in range(50)]
-
-    def scorer(perm):
-        # scoring against the wrong sentence's reference tanks the score
-        return [0.1 for _ in perm]
-
-    report = gaming_check(fluency, reference, scorer, seed=3)
+    # scoring against the wrong sentence's reference tanks the score
+    report = gaming_check(fluency, reference, [0.1] * 50)
     assert report.rbm_drop > 0
     assert report.interpolated_drop > 0
     assert report.rbm_relative_drop is not None
-    n = len(report.permutation)
-    assert sorted(report.permutation) == list(range(n))
-    assert all(p != i for i, p in enumerate(report.permutation))
+    assert report.rbm_shuffled_mean == 0.1
+    assert report.interpolated_shuffled_mean == pytest.approx(
+        mean_score(interpolate(fluency, [0.1] * 50, 0.5))
+    )
 
 
-def test_gaming_check_passes_permutation_through():
-    seen = {}
-
-    def scorer(perm):
-        seen["perm"] = tuple(perm)
-        return [0.0] * len(perm)
-
-    report = gaming_check([0.5, 0.5, 0.5], [1.0, 1.0, 1.0], scorer, seed=0)
-    assert report.permutation == seen["perm"]
+def test_gaming_permutation_has_no_fixed_point():
+    for n in range(2, 40):
+        perm = gaming_permutation(n, seed=n)
+        assert sorted(perm) == list(range(n))
+        assert all(p != i for i, p in enumerate(perm))
 
 
-def test_gaming_check_is_seed_deterministic():
-    def scorer(perm):
-        return [0.0] * len(perm)
-
-    one = gaming_check([0.1] * 9, [0.9] * 9, scorer, seed=5)
-    two = gaming_check([0.1] * 9, [0.9] * 9, scorer, seed=5)
-    assert one.permutation == two.permutation
+def test_gaming_permutation_is_seed_deterministic():
+    assert gaming_permutation(9, seed=5) == gaming_permutation(9, seed=5)
+    assert len({tuple(gaming_permutation(9, seed)) for seed in range(10)}) > 1
 
 
 def test_gaming_check_validates():
-    with pytest.raises(ValidationError):
-        gaming_check([0.5], [0.5], lambda p: [0.0], seed=0)
-    with pytest.raises(ValidationError):
-        gaming_check([0.5, 0.5], [0.5], lambda p: [0.0, 0.0], seed=0)
-    with pytest.raises(ValidationError):
-        gaming_check(
-            [0.5, 0.5], [0.5, 0.5], lambda p: [0.0], seed=0
-        )  # scorer returned wrong length
+    for n in (0, 1):
+        with pytest.raises(ValidationError, match="at least 2 sentences"):
+            gaming_permutation(n, seed=0)
+    for fluency, reference, shuffled in (
+        ([0.5], [0.5, 0.5], [0.0, 0.0]),
+        ([0.5, 0.5], [0.5], [0.0, 0.0]),
+        ([0.5, 0.5], [0.5, 0.5], [0.0]),
+    ):
+        with pytest.raises(ValidationError, match="size mismatch"):
+            gaming_check(fluency, reference, shuffled)
+    for lam in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValidationError, match="lambda"):
+            gaming_check([0.5, 0.5], [0.5, 0.5], [0.0, 0.0], lam=lam)
 
 
 def test_system_score_headline():

@@ -1317,12 +1317,19 @@ MALFORMED = {
                             "{d}/words.txt", *_A],
     "beta-nan": ["score", "--metric", "m2", "--m2", "{d}/gold.m2", "--beta", "nan", *_A],
     "beta-inf": ["score", "--metric", "m2", "--m2", "{d}/gold.m2", "--beta", "inf", *_A],
+    "max-n-too-large": ["score", "--metric", "gleu", "--source", "{d}/source.txt",
+                        "--ref", "{d}/ref1.txt", "--max-n", "100000000000000000000", *_A],
+    "iterations-too-large": ["score", "--metric", "gleu", "--source", "{d}/source.txt",
+                             "--ref", "{d}/ref1.txt", "--iterations",
+                             "100000000000000000000", *_A],
     "weight-nan": ["score", "--metric", "imeasure", "--source", "{d}/source.txt",
                    "--ref", "{d}/ref1.txt", "--weight", "nan", *_A],
     "alpha-nan": ["train-lfm", "--train", "{d}/train.tsv", "--alpha", "nan"],
     "ridge-singular": ["train-lfm", "--train", "{d}/singular.tsv", "--alpha", "0"],
     "checker-timeout-nan": ["check", "--input", "{d}/a.txt", "--checker-timeout", "nan",
                             "--checker", "{checker} plain"],
+    "checker-timeout-too-large": ["check", "--input", "{d}/a.txt", "--checker-timeout",
+                                  "1e10", "--checker", "{checker} plain"],
     "checker-list-id": [*_CHECK, "{checker} list-id"],
     "checker-unknown-id": [*_CHECK, "{checker} unknown-id"],
     "checker-bad-bytes": [*_CHECK, "{checker} bad-bytes"],

@@ -1,5 +1,6 @@
 import sys
 import textwrap
+import threading
 
 import pytest
 
@@ -153,6 +154,9 @@ def test_checker_in_suite(checker_script):
 def test_checker_validation():
     with pytest.raises(ValidationError):
         ExternalChecker([])
-    with pytest.raises(ValidationError):
-        ExternalChecker(["x"], timeout=0.0)
+    # above threading.TIMEOUT_MAX, the first wait would overflow
+    for timeout in (0.0, float("nan"), float("inf"), 1e10):
+        with pytest.raises(ValidationError):
+            ExternalChecker(["x"], timeout=timeout)
+    assert ExternalChecker(["x"], timeout=threading.TIMEOUT_MAX).timeout > 0
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -286,6 +287,11 @@ def test_config_validation():
         GleuConfig(max_n=0)
     with pytest.raises(ValidationError):
         GleuConfig(iterations=0)
+    # above sys.maxsize no tuple or draw buffer of that size can be made
+    with pytest.raises(ValidationError):
+        GleuConfig(max_n=sys.maxsize + 1)
+    with pytest.raises(ValidationError):
+        GleuConfig(iterations=10**20)
     with pytest.raises(ValidationError):
         GleuConfig(multi_ref_mode="bogus")
 
@@ -337,7 +343,7 @@ def _plain_pool(stats, cfg):
 @pytest.mark.parametrize("ref_counts", [(1,), (2,), (3,), (1, 2, 3)])
 def test_pool_equals_plain_pooled_sum(ref_counts, max_n):
     """With max_n 12 every order above the longest (8-token) hypothesis
-    is left out of the pool's matmul and put back as zeros."""
+    is left out of the pool's gather and put back as zeros."""
     rng = random.Random(f"pool:{ref_counts}")
     cfg = GleuConfig(max_n=max_n, iterations=40, rng_seed=3)
     for n_sentences in (1, 2, 17):
@@ -352,6 +358,16 @@ def test_pool_accepts_draws_as_any_int_sequence():
     as_lists = [s._replace(draws=list(s.draws)) for s in stats]
     as_bytes = [s._replace(draws=bytes(s.draws)) for s in stats]
     assert gleu_pool(as_lists, cfg) == gleu_pool(as_bytes, cfg) == _plain_pool(stats, cfg)
+
+
+def test_pool_rejects_sentences_with_unequal_draw_counts():
+    """A one-draw sentence would otherwise be added to every iteration."""
+    rng = random.Random(12)
+    cfg = GleuConfig(iterations=25)
+    stats = _random_stats(rng, 3, (2,), cfg)
+    stats[1] = stats[1]._replace(draws=stats[1].draws[:1])
+    with pytest.raises(ValidationError, match="sentence 1 has 1 draws, expected 25"):
+        gleu_pool(stats, cfg)
 
 
 def test_single_reference_draws_are_the_documented_stream():
