@@ -30,7 +30,6 @@ from .errors import ValidationError
 
 __all__ = [
     "LAMBDA_GRID",
-    "SystemScore",
     "RankedSystem",
     "SignificanceEntry",
     "LambdaPoint",
@@ -53,28 +52,6 @@ __all__ = [
 ]
 
 LAMBDA_GRID = tuple(k / 100.0 for k in range(101))
-
-
-@dataclass(frozen=True)
-class SystemScore:
-    """All scores of one system under one metric and aggregation mode."""
-
-    system_id: str
-    metric: str
-    mode: str
-    per_sentence: tuple[float, ...]
-    mean_sentence_score: float
-    corpus_score: float | None
-
-    @property
-    def headline(self) -> float:
-        if self.mode == "sentence":
-            return self.mean_sentence_score
-        if self.corpus_score is None:
-            raise ValidationError(
-                f"metric {self.metric!r} has no corpus-level aggregation"
-            )
-        return self.corpus_score
 
 
 @dataclass(frozen=True)
@@ -221,7 +198,12 @@ def fisher_z(r: float) -> float:
 def compare_correlations(
     r1: float, n1: int, r2: float, n2: int
 ) -> SignificanceEntry:
-    """Two-sided z test for a difference of independent correlations."""
+    """Two-sided z test for a difference of independent correlations.
+
+    Two metrics correlated with the same human ranking are dependent, so
+    this is not the test for whether one beats the other (such as the
+    interpolated metric against lambda 0 or 1); Williams (1959) is.
+    """
     for n in (n1, n2):
         if n < 4:
             raise ValidationError(f"need at least 4 samples per correlation, got {n}")

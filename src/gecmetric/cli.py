@@ -20,10 +20,10 @@ them, and the gaming check compares them with every system's scores
 against the permuted reference rows, from one batch.
 
 Exit codes: 0 success; 1 usage error or unreadable file; 2 malformed or
-inconsistent data; 3 external checker failure. Logs go to stderr. With
-``--out`` the report goes to that file and a short summary to stdout;
-without it the report JSON itself goes to stdout. Identical invocations
-with identical seeds produce byte-identical reports.
+inconsistent data, or out of memory; 3 external checker failure. Logs go
+to stderr. With ``--out`` the report goes to that file and a short
+summary to stdout; without it the report JSON itself goes to stdout.
+Identical invocations with identical seeds produce byte-identical reports.
 
 The random seed comes from ``--seed``, else the ``GECMETRIC_SEED``
 environment variable, else 0; the choice is logged once the command has
@@ -45,11 +45,9 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__, analysis
-from .analysis import SystemScore
 from .corpus import AnnotatedSource, Sentence
 from .errors import DetectorError, ModelError, ParseError, ValidationError
 from .formats import (
-    HumanRanking,
     _read_text,
     build_report,
     read_human_ranking,
@@ -256,21 +254,27 @@ def _stats(scorer: _Scorer, systems: Mapping[str, Sequence[Sentence]], rows) -> 
 
 
 def _system_scores(scorer: _Scorer, table: Mapping[str, list], mode="sentence") -> dict:
-    """Every system's :class:`SystemScore` under one metric, by system id,
-    from its statistics ``table`` (see :func:`_stats`)."""
-    scores = {}
+    """Every system's report entry under one metric, by sorted system id,
+    from its statistics ``table`` (see :func:`_stats`): the per-sentence
+    scores, their mean and the pooled corpus score (None: lfm)."""
+    entries = {}
     for sid in sorted(table):
         stats = table[sid]
-        per = tuple(scorer.value(s) for s in stats)
-        scores[sid] = SystemScore(
-            system_id=sid,
-            metric=scorer.metric,
-            mode=mode,
-            per_sentence=per,
-            mean_sentence_score=analysis.mean_score(per),
-            corpus_score=None if scorer.pool is None else scorer.pool(stats),
-        )
-    return scores
+        per = [scorer.value(s) for s in stats]
+        entries[sid] = {
+            "id": sid,
+            "metric": scorer.metric,
+            "mode": mode,
+            "mean_sentence_score": analysis.mean_score(per),
+            "corpus_score": None if scorer.pool is None else scorer.pool(stats),
+            "per_sentence": per,
+        }
+    return entries
+
+
+def _headline(entry: Mapping[str, Any]) -> float:
+    """A system's score under its entry's mode."""
+    return entry["mean_sentence_score" if entry["mode"] == "sentence" else "corpus_score"]
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +377,6 @@ def _resolve_seed(flag: int | None) -> tuple[int, str]:
 # report assembly
 
 
-def _system_entry(score: SystemScore) -> dict:
-    return {
-        "id": score.system_id,
-        "metric": score.metric,
-        "mode": score.mode,
-        "mean_sentence_score": score.mean_sentence_score,
-        "corpus_score": score.corpus_score,
-        "per_sentence": list(score.per_sentence),
-    }
-
-
 def _sweep_section(result: analysis.LambdaSweepResult) -> dict:
     return {
         "points": [
@@ -411,7 +404,7 @@ def _emit(args, doc: dict, summary_lines: list[str]) -> int:
 # subcommands
 
 
-def _scored_systems(args) -> dict[str, SystemScore]:
+def _scored_systems(args) -> dict[str, dict]:
     with _scorers(args, [args.metric]) as (systems, (scorer,)):
         if args.mode == "corpus" and scorer.pool is None:
             raise ValidationError(
@@ -421,30 +414,27 @@ def _scored_systems(args) -> dict[str, SystemScore]:
         return _system_scores(scorer, _stats(scorer, systems, scorer.rows), args.mode)
 
 
-def _summary_table(scores: Mapping[str, SystemScore]) -> list[str]:
+def _summary_table(scores: Mapping[str, dict]) -> list[str]:
     width = max(len("system"), max(len(sid) for sid in scores))
     lines = [f"{'system':<{width}}  {'metric':<10}  {'mode':<8}  score"]
-    for sid in sorted(scores):
-        s = scores[sid]
+    for sid, s in scores.items():
         lines.append(
-            f"{sid:<{width}}  {s.metric:<10}  {s.mode:<8}  {s.headline:.6f}"
+            f"{sid:<{width}}  {s['metric']:<10}  {s['mode']:<8}  {_headline(s):.6f}"
         )
     return lines
 
 
 def _cmd_score(args) -> int:
     scores = _scored_systems(args)
-    doc = build_report(
-        systems=[_system_entry(scores[sid]) for sid in sorted(scores)]
-    )
+    doc = build_report(systems=scores.values())
     return _emit(args, doc, _summary_table(scores))
 
 
 def _cmd_rank(args) -> int:
     scores = _scored_systems(args)
-    ranked = analysis.rank_systems({sid: s.headline for sid, s in scores.items()})
+    ranked = analysis.rank_systems({sid: _headline(s) for sid, s in scores.items()})
     doc = build_report(
-        systems=[_system_entry(scores[sid]) for sid in sorted(scores)],
+        systems=scores.values(),
         rankings=[
             {"system": r.system_id, "score": r.score, "rank": r.rank}
             for r in ranked
@@ -460,16 +450,16 @@ def _cmd_correlate(args) -> int:
     human = read_human_ranking(args.human)
     scores = _scored_systems(args)
     ids = sorted(scores)
-    missing = [sid for sid in ids if sid not in human.scores]
+    missing = [sid for sid in ids if sid not in human]
     if missing:
         raise ValidationError(f"human ranking is missing systems: {missing}")
-    ours = [scores[sid].headline for sid in ids]
-    theirs = [human.score_for(sid) for sid in ids]
+    ours = [_headline(scores[sid]) for sid in ids]
+    theirs = [human[sid] for sid in ids]
     rho = analysis.spearman(ours, theirs)
     r = analysis.pearson(ours, theirs)
     label = f"{args.metric}:{args.mode}"
     doc = build_report(
-        systems=[_system_entry(scores[sid]) for sid in ids],
+        systems=scores.values(),
         correlations=[
             {"label": label, "spearman": rho, "pearson": r, "n_systems": len(ids)}
         ],
@@ -480,20 +470,16 @@ def _cmd_correlate(args) -> int:
     return _emit(args, doc, lines)
 
 
-def _sweep(human: HumanRanking, fluency, reference) -> analysis.LambdaSweepResult:
-    return analysis.sweep_lambda(
-        {sid: s.per_sentence for sid, s in fluency.items()},
-        {sid: s.per_sentence for sid, s in reference.items()},
-        human.scores,
-    )
+def _per_sentence(entries: Mapping[str, dict]) -> dict[str, list[float]]:
+    return {sid: entry["per_sentence"] for sid, entry in entries.items()}
+
+
+def _sweep(human: Mapping[str, float], fluency, reference) -> analysis.LambdaSweepResult:
+    return analysis.sweep_lambda(_per_sentence(fluency), _per_sentence(reference), human)
 
 
 def _sweep_system_entries(fluency, reference) -> list[dict]:
-    return [
-        _system_entry(table[sid])
-        for sid in sorted(fluency)
-        for table in (fluency, reference)
-    ]
+    return [table[sid] for sid in sorted(fluency) for table in (fluency, reference)]
 
 
 def _cmd_sweep(args) -> int:
@@ -519,8 +505,8 @@ def _cmd_sweep(args) -> int:
             shuffled = _stats(scorer, systems, [scorer.rows[p] for p in perm])
             for sid in sorted(systems):
                 report = analysis.gaming_check(
-                    fluency[sid].per_sentence,
-                    reference[sid].per_sentence,
+                    fluency[sid]["per_sentence"],
+                    reference[sid]["per_sentence"],
                     [scorer.value(s) for s in shuffled[sid]],
                     lam=args.gaming_lambda,
                 )
@@ -576,10 +562,10 @@ def _cmd_ablate(args) -> int:
         result = _sweep(human, fluency, reference)
         scorer = scorers[1]
         points = analysis.ablate_references(
-            {sid: s.per_sentence for sid, s in fluency.items()},
+            _per_sentence(fluency),
             functools.partial(_subset_table, scorer, systems, tables[1], {}),
             len(scorer.rows[0]),
-            human.scores,
+            human,
             sizes=args.sizes,
             trials=args.trials,
             seed=args.seed,
@@ -799,6 +785,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         log.error("%s", exc)
         return 1
+    except MemoryError:  # e.g. a knob whose buffers cannot be allocated
+        log.error("out of memory")
+        return 2
     if seeded:  # logged on success only, so a failure prints one line
         log.info("seed %d (%s)", args.seed, origin)
     return code

@@ -20,7 +20,6 @@ from __future__ import annotations
 import codecs
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -32,7 +31,6 @@ __all__ = [
     "read_m2_file",
     "read_parallel_text",
     "read_reference_files",
-    "HumanRanking",
     "parse_human_ranking",
     "read_human_ranking",
     "build_report",
@@ -188,34 +186,12 @@ def read_reference_files(paths: Sequence[str | Path]) -> tuple[tuple[Sentence, .
     return tuple(zip(*columns))
 
 
-@dataclass(frozen=True)
-class HumanRanking:
-    """System-level human judgments: higher score means better."""
-
-    scores: dict[str, float]
-
-    def __post_init__(self):
-        if not all(isinstance(v, float) for v in self.scores.values()):
-            object.__setattr__(
-                self, "scores", {k: float(v) for k, v in self.scores.items()}
-            )
-        for system_id, value in self.scores.items():
-            if not system_id:
-                raise ValidationError("system id must be non-empty")
-            if not math.isfinite(value):
-                raise ValidationError(f"score of {system_id!r} is not finite: {value}")
-
-    def score_for(self, system_id: str) -> float:
-        if system_id not in self.scores:
-            raise ValidationError(f"no human score for system {system_id!r}")
-        return self.scores[system_id]
-
-
-def parse_human_ranking(text: str) -> HumanRanking:
-    """Parse tab-separated ``system<TAB>score`` lines."""
+def parse_human_ranking(text: str) -> dict[str, float]:
+    """Parse tab-separated ``system<TAB>score`` lines into a dict from
+    system id to score, in file order; higher means better."""
     scores: dict[str, float] = {}
     for lineno, raw in enumerate(split_lines(text), 1):
-        line = raw.strip()
+        line = raw.rstrip()  # a leading tab leaves the id column empty
         if not line:
             continue
         parts = line.split("\t")
@@ -224,6 +200,8 @@ def parse_human_ranking(text: str) -> HumanRanking:
                 f"expected two tab-separated columns, got {len(parts)}", lineno
             )
         system_id, score_field = parts[0].strip(), parts[1].strip()
+        if not system_id:
+            raise ParseError("empty system id", lineno)
         if system_id in scores:
             raise ParseError(f"duplicate system id {system_id!r}", lineno)
         try:
@@ -233,10 +211,10 @@ def parse_human_ranking(text: str) -> HumanRanking:
         if not math.isfinite(score):
             raise ParseError(f"non-finite score {score_field!r}", lineno)
         scores[system_id] = score
-    return HumanRanking(scores)
+    return scores
 
 
-def read_human_ranking(path: str | Path) -> HumanRanking:
+def read_human_ranking(path: str | Path) -> dict[str, float]:
     return parse_human_ranking(_read_text(path))
 
 

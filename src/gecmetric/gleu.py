@@ -58,8 +58,12 @@ class GleuConfig:
     def __post_init__(self):
         for name in ("max_n", "iterations"):
             value = getattr(self, name)
-            if not 1 <= value <= sys.maxsize:  # beyond it, no tuple or buffer fits
-                raise ValidationError(f"{name} must be in [1, {sys.maxsize}], got {value}")
+            # no tuple holds more than sys.maxsize // 8 items; a knob below
+            # that can still ask for more memory than there is
+            if not 1 <= value <= sys.maxsize // 8:
+                raise ValidationError(
+                    f"{name} must be in [1, {sys.maxsize // 8}], got {value}"
+                )
         if self.multi_ref_mode not in (SAMPLED, MEAN_OVER_ALL):
             raise ValidationError(
                 f"multi_ref_mode must be {SAMPLED!r} or {MEAN_OVER_ALL!r}, "

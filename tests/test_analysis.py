@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gecmetric.analysis import (
     LAMBDA_GRID,
-    SystemScore,
     ablate_references,
     compare_correlations,
     fisher_z,
@@ -394,25 +393,3 @@ def test_gaming_check_validates():
     for lam in (-0.1, 1.5, float("nan")):
         with pytest.raises(ValidationError, match="lambda"):
             gaming_check([0.5, 0.5], [0.5, 0.5], [0.0, 0.0], lam=lam)
-
-
-def test_system_score_headline():
-    sentence = SystemScore(
-        system_id="a",
-        metric="lfm",
-        mode="sentence",
-        per_sentence=(0.2, 0.6),
-        mean_sentence_score=0.4,
-        corpus_score=None,
-    )
-    assert sentence.headline == 0.4
-    corpus = SystemScore(
-        system_id="a",
-        metric="lfm",
-        mode="corpus",
-        per_sentence=(0.2, 0.6),
-        mean_sentence_score=0.4,
-        corpus_score=None,
-    )
-    with pytest.raises(ValidationError):
-        _ = corpus.headline

@@ -623,6 +623,29 @@ def test_correlate_nan_human_score_exits_two(corpus, capsys, caplog):
     assert "non-finite score" in caplog.text
 
 
+def test_out_of_memory_exits_two_with_one_line(corpus, capsys, caplog, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(gecmetric.cli, "gleu_stats_many", exhausted)
+    out = corpus / "report.json"
+    with caplog.at_level(logging.ERROR, logger="gecmetric"):
+        code, stdout, _ = _run(
+            capsys,
+            [
+                "score", "--metric", "gleu",
+                "--source", str(corpus / "source.txt"),
+                "--ref", str(corpus / "ref1.txt"),
+                "--out", str(out),
+            ]
+            + _hyp_args(corpus),
+        )
+    assert code == 2
+    assert stdout == ""
+    assert [r.getMessage() for r in caplog.records] == ["out of memory"]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep / ablate
 
@@ -1308,6 +1331,8 @@ MALFORMED = {
     "utf8-m2": ["score", "--metric", "m2", "--m2", "{d}/bad.txt", *_A],
     "utf8-human": ["correlate", "--metric", "errorcount", "--wordlist", "{d}/words.txt",
                    "--human", "{d}/bad.txt", *_A],
+    "human-empty-id": ["correlate", "--metric", "errorcount", "--wordlist",
+                       "{d}/words.txt", "--human", "{d}/empty-id.tsv", *_A],
     "utf8-wordlist": ["score", "--metric", "errorcount", "--wordlist", "{d}/bad.txt", *_A],
     "utf8-lm-corpus": ["score", "--metric", "lfm", "--model", "{d}/model.json",
                        "--lm-corpus", "{d}/bad.txt", "--wordlist", "{d}/words.txt", *_A],
@@ -1322,6 +1347,12 @@ MALFORMED = {
     "iterations-too-large": ["score", "--metric", "gleu", "--source", "{d}/source.txt",
                              "--ref", "{d}/ref1.txt", "--iterations",
                              "100000000000000000000", *_A],
+    # sys.maxsize: no tuple of that length or draw buffer of that size fits
+    "max-n-maxsize": ["score", "--metric", "gleu", "--source", "{d}/source.txt",
+                      "--ref", "{d}/ref1.txt", "--max-n", "9223372036854775807", *_A],
+    "iterations-maxsize": ["score", "--metric", "gleu", "--source", "{d}/source.txt",
+                           "--ref", "{d}/ref1.txt", "--iterations",
+                           "9223372036854775807", *_A],
     "weight-nan": ["score", "--metric", "imeasure", "--source", "{d}/source.txt",
                    "--ref", "{d}/ref1.txt", "--weight", "nan", *_A],
     "alpha-nan": ["train-lfm", "--train", "{d}/train.tsv", "--alpha", "nan"],
@@ -1355,6 +1386,7 @@ def test_malformed_input_exits_with_one_line(corpus, model_path, case):
     (corpus / "negative.m2").write_text(NEGATIVE_M2, encoding="utf-8")
     (corpus / "one.txt").write_text("the cat sat.\n", encoding="utf-8")
     (corpus / "empty.txt").write_text("", encoding="utf-8")
+    (corpus / "empty-id.tsv").write_text("a\t1\n\t0.5\n", encoding="utf-8")
     model = json.loads(model_path.read_text(encoding="utf-8"))
     (corpus / "huge.json").write_text(json.dumps({**model, "bias": 10**400}))
     routing = corpus / "routing.py"

@@ -287,9 +287,13 @@ def test_config_validation():
         GleuConfig(max_n=0)
     with pytest.raises(ValidationError):
         GleuConfig(iterations=0)
-    # above sys.maxsize no tuple or draw buffer of that size can be made
+    # above sys.maxsize // 8 no tuple of that length can be made
     with pytest.raises(ValidationError):
         GleuConfig(max_n=sys.maxsize + 1)
+    for name in ("max_n", "iterations"):
+        with pytest.raises(ValidationError, match=name):
+            GleuConfig(**{name: sys.maxsize // 8 + 1})
+        assert getattr(GleuConfig(**{name: sys.maxsize // 8}), name) == sys.maxsize // 8
     with pytest.raises(ValidationError):
         GleuConfig(iterations=10**20)
     with pytest.raises(ValidationError):
