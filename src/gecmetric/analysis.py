@@ -16,27 +16,25 @@ not drop under that permutation is not actually using the references.
 
 Score tables are mappings from system id to per-sentence score lists;
 all table operations order systems by sorted id so results never depend
-on dict insertion order.
+on dict insertion order. Results are the report's own sections, as plain
+dicts and lists with the report's key names and order: the ``rankings``
+rows, the ``sweep`` section, the ``ablation`` rows and a ``gaming`` row
+without its ``system`` key.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import ValidationError
 
 __all__ = [
     "LAMBDA_GRID",
-    "RankedSystem",
-    "SignificanceEntry",
-    "LambdaPoint",
-    "LambdaSweepResult",
-    "AblationPoint",
-    "GamingCheckReport",
+    "MAX_TRIALS",
     "mean_score",
+    "check_lambda",
     "interpolate_value",
     "interpolate",
     "rank_systems",
@@ -52,60 +50,7 @@ __all__ = [
 ]
 
 LAMBDA_GRID = tuple(k / 100.0 for k in range(101))
-
-
-@dataclass(frozen=True)
-class RankedSystem:
-    system_id: str
-    score: float
-    rank: float
-
-
-@dataclass(frozen=True)
-class SignificanceEntry:
-    r1: float
-    n1: int
-    r2: float
-    n2: int
-    z: float
-    p_value: float
-
-
-@dataclass(frozen=True)
-class LambdaPoint:
-    lam: float
-    spearman: float
-    pearson: float
-
-
-@dataclass(frozen=True)
-class LambdaSweepResult:
-    points: tuple[LambdaPoint, ...]
-    oracle: LambdaPoint
-
-    @property
-    def oracle_lambda(self) -> float:
-        return self.oracle.lam
-
-
-@dataclass(frozen=True)
-class AblationPoint:
-    size: int
-    mean_oracle_spearman: float
-    half_width: float
-    per_trial: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class GamingCheckReport:
-    lam: float
-    rbm_true_mean: float
-    rbm_shuffled_mean: float
-    rbm_drop: float
-    rbm_relative_drop: float | None
-    interpolated_true_mean: float
-    interpolated_shuffled_mean: float
-    interpolated_drop: float
+MAX_TRIALS = 10_000  # ablation trials per subset size
 
 
 def mean_score(values: Sequence[float]) -> float:
@@ -118,10 +63,15 @@ def mean_score(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-def interpolate_value(fluency: float, reference: float, lam: float) -> float:
-    """(1 - lam) * fluency + lam * reference; endpoints are exact."""
+def check_lambda(lam: float) -> None:
+    """Raise :class:`ValidationError` unless ``lam`` is in [0, 1]."""
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"lambda must be in [0, 1], got {lam}")
+
+
+def interpolate_value(fluency: float, reference: float, lam: float) -> float:
+    """(1 - lam) * fluency + lam * reference; endpoints are exact."""
+    check_lambda(lam)
     return (1.0 - lam) * fluency + lam * reference
 
 
@@ -152,15 +102,16 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
     return ranks
 
 
-def rank_systems(scores: Mapping[str, float]) -> tuple[RankedSystem, ...]:
-    """Rank descending by score (rank 1 is best), averaging tied ranks."""
+def rank_systems(scores: Mapping[str, float]) -> list[dict]:
+    """``{"system", "score", "rank"}`` rows, ranked descending by score
+    (rank 1 is best) with tied ranks averaged, best first."""
     if not scores:
         raise ValidationError("no systems to rank")
     ids = sorted(scores)
     ranks = _average_ranks([-scores[s] for s in ids])
-    ranked = [RankedSystem(s, scores[s], r) for s, r in zip(ids, ranks)]
-    ranked.sort(key=lambda rs: (rs.rank, rs.system_id))
-    return tuple(ranked)
+    ranked = [{"system": s, "score": scores[s], "rank": r} for s, r in zip(ids, ranks)]
+    ranked.sort(key=lambda row: (row["rank"], row["system"]))
+    return ranked
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -195,10 +146,9 @@ def fisher_z(r: float) -> float:
     return math.atanh(r)
 
 
-def compare_correlations(
-    r1: float, n1: int, r2: float, n2: int
-) -> SignificanceEntry:
-    """Two-sided z test for a difference of independent correlations.
+def compare_correlations(r1: float, n1: int, r2: float, n2: int) -> tuple[float, float]:
+    """Two-sided z test for a difference of independent correlations:
+    ``(z, p_value)``.
 
     Two metrics correlated with the same human ranking are dependent, so
     this is not the test for whether one beats the other (such as the
@@ -211,7 +161,7 @@ def compare_correlations(
         1.0 / (n1 - 3) + 1.0 / (n2 - 3)
     )
     p = math.erfc(abs(z) / math.sqrt(2.0))
-    return SignificanceEntry(r1=r1, n1=n1, r2=r2, n2=n2, z=z, p_value=p)
+    return z, p
 
 
 def _check_tables(
@@ -236,8 +186,10 @@ def sweep_lambda(
     fluency: Mapping[str, Sequence[float]],
     reference: Mapping[str, Sequence[float]],
     human: Mapping[str, float],
-) -> LambdaSweepResult:
-    """Correlation with the human ranking at every grid value of lambda."""
+) -> dict:
+    """Correlation with the human ranking at every grid value of lambda:
+    ``points`` of ``{"lambda", "spearman", "pearson"}``, then the oracle's
+    ``oracle_lambda``, ``oracle_spearman`` and ``oracle_pearson``."""
     systems = _check_tables(fluency, reference)
     missing = [s for s in systems if s not in human]
     if missing:
@@ -253,17 +205,22 @@ def sweep_lambda(
     for lam in LAMBDA_GRID:
         means = [mean_score(row) for row in ((1.0 - lam) * flu + lam * ref).tolist()]
         points.append(
-            LambdaPoint(
-                lam=lam,
-                spearman=spearman(means, human_values),
-                pearson=pearson(means, human_values),
-            )
+            {
+                "lambda": lam,
+                "spearman": spearman(means, human_values),
+                "pearson": pearson(means, human_values),
+            }
         )
     oracle = points[0]
     for point in points[1:]:
-        if point.spearman > oracle.spearman:
+        if point["spearman"] > oracle["spearman"]:
             oracle = point
-    return LambdaSweepResult(points=tuple(points), oracle=oracle)
+    return {
+        "points": points,
+        "oracle_lambda": oracle["lambda"],
+        "oracle_spearman": oracle["spearman"],
+        "oracle_pearson": oracle["pearson"],
+    }
 
 
 def sample_reference_subset(
@@ -284,20 +241,22 @@ def ablate_references(
     sizes: Sequence[int] | None = None,
     trials: int = 10,
     seed: int = 0,
-) -> list[AblationPoint]:
+) -> list[dict]:
     """Oracle correlation as a function of the per-sentence reference budget.
 
     For every subset size, each trial draws an independent reference
     subset per sentence, asks ``reference_scorer`` to rescore all systems
     with those subsets, reruns the lambda sweep, and records the oracle
     Spearman; a trial whose picks repeat an earlier trial's reuses its
-    Spearman. Points carry the trial mean and a normal-approximation 95%
-    half-width (0 when there is a single trial).
+    Spearman. Each size gives a ``{"size", "mean_oracle_spearman",
+    "half_width", "per_trial"}`` row: the trial mean, a
+    normal-approximation 95% half-width (0 when there is a single trial)
+    and each trial's Spearman. ``trials`` must be in [1, ``MAX_TRIALS``].
     """
     if n_refs < 1:
         raise ValidationError(f"n_refs must be >= 1, got {n_refs}")
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValidationError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
     if sizes is None:
         sizes = range(1, n_refs + 1)
     systems = sorted(fluency)
@@ -317,7 +276,7 @@ def ablate_references(
             )
             if picks not in oracles:
                 table = reference_scorer(picks)
-                oracles[picks] = sweep_lambda(fluency, table, human).oracle.spearman
+                oracles[picks] = sweep_lambda(fluency, table, human)["oracle_spearman"]
             per_trial.append(oracles[picks])
         mean = math.fsum(per_trial) / trials
         if trials > 1:
@@ -326,12 +285,12 @@ def ablate_references(
         else:
             half = 0.0
         points.append(
-            AblationPoint(
-                size=size,
-                mean_oracle_spearman=mean,
-                half_width=half,
-                per_trial=tuple(per_trial),
-            )
+            {
+                "size": size,
+                "mean_oracle_spearman": mean,
+                "half_width": half,
+                "per_trial": per_trial,
+            }
         )
     return points
 
@@ -355,16 +314,17 @@ def gaming_check(
     reference: Sequence[float],
     shuffled: Sequence[float],
     lam: float = 0.5,
-) -> GamingCheckReport:
+) -> dict:
     """Compare one system's scores with its scores against permuted
     sentence slots.
 
     ``shuffled`` holds the per-sentence reference scores with sentence
     ``i`` scored against the reference material of sentence ``perm[i]``,
     for a :func:`gaming_permutation` ``perm``. A metric that truly uses
-    the references should drop; the report gives the reference-metric and
-    interpolated-metric means before and after. Unequal lengths and
-    ``lam`` outside [0, 1] raise :class:`ValidationError`.
+    the references should drop; the row gives ``lambda`` and the
+    reference-metric (``rbm_*``) and interpolated-metric
+    (``interpolated_*``) means before and after, and their drops. Unequal
+    lengths and ``lam`` outside [0, 1] raise :class:`ValidationError`.
     """
     if not len(fluency) == len(reference) == len(shuffled):
         raise ValidationError(
@@ -375,15 +335,15 @@ def gaming_check(
     interp_shuffled = mean_score(interpolate(fluency, shuffled, lam))
     rbm_true = mean_score(reference)
     rbm_shuffled = mean_score(shuffled)
-    return GamingCheckReport(
-        lam=lam,
-        rbm_true_mean=rbm_true,
-        rbm_shuffled_mean=rbm_shuffled,
-        rbm_drop=rbm_true - rbm_shuffled,
-        rbm_relative_drop=(
+    return {
+        "lambda": lam,
+        "rbm_true_mean": rbm_true,
+        "rbm_shuffled_mean": rbm_shuffled,
+        "rbm_drop": rbm_true - rbm_shuffled,
+        "rbm_relative_drop": (
             (rbm_true - rbm_shuffled) / rbm_true if rbm_true != 0.0 else None
         ),
-        interpolated_true_mean=interp_true,
-        interpolated_shuffled_mean=interp_shuffled,
-        interpolated_drop=interp_true - interp_shuffled,
-    )
+        "interpolated_true_mean": interp_true,
+        "interpolated_shuffled_mean": interp_shuffled,
+        "interpolated_drop": interp_true - interp_shuffled,
+    }

@@ -377,18 +377,6 @@ def _resolve_seed(flag: int | None) -> tuple[int, str]:
 # report assembly
 
 
-def _sweep_section(result: analysis.LambdaSweepResult) -> dict:
-    return {
-        "points": [
-            {"lambda": p.lam, "spearman": p.spearman, "pearson": p.pearson}
-            for p in result.points
-        ],
-        "oracle_lambda": result.oracle.lam,
-        "oracle_spearman": result.oracle.spearman,
-        "oracle_pearson": result.oracle.pearson,
-    }
-
-
 def _emit(args, doc: dict, summary_lines: list[str]) -> int:
     if args.out:
         write_report(args.out, doc)
@@ -433,15 +421,9 @@ def _cmd_score(args) -> int:
 def _cmd_rank(args) -> int:
     scores = _scored_systems(args)
     ranked = analysis.rank_systems({sid: _headline(s) for sid, s in scores.items()})
-    doc = build_report(
-        systems=scores.values(),
-        rankings=[
-            {"system": r.system_id, "score": r.score, "rank": r.rank}
-            for r in ranked
-        ],
-    )
+    doc = build_report(systems=scores.values(), rankings=ranked)
     lines = ["rank  system  score"] + [
-        f"{r.rank:>4g}  {r.system_id}  {r.score:.6f}" for r in ranked
+        f"{r['rank']:>4g}  {r['system']}  {r['score']:.6f}" for r in ranked
     ]
     return _emit(args, doc, lines)
 
@@ -474,7 +456,7 @@ def _per_sentence(entries: Mapping[str, dict]) -> dict[str, list[float]]:
     return {sid: entry["per_sentence"] for sid, entry in entries.items()}
 
 
-def _sweep(human: Mapping[str, float], fluency, reference) -> analysis.LambdaSweepResult:
+def _sweep(human: Mapping[str, float], fluency, reference) -> dict:
     return analysis.sweep_lambda(_per_sentence(fluency), _per_sentence(reference), human)
 
 
@@ -484,18 +466,19 @@ def _sweep_system_entries(fluency, reference) -> list[dict]:
 
 def _cmd_sweep(args) -> int:
     human = read_human_ranking(args.human)
-    if args.gaming and args.reference_metric not in ROW_METRICS:
-        raise _UsageError(f"--gaming needs a reference metric in {ROW_METRICS}")
+    if args.gaming:
+        if args.reference_metric not in ROW_METRICS:
+            raise _UsageError(f"--gaming needs a reference metric in {ROW_METRICS}")
+        analysis.check_lambda(args.gaming_lambda)
     metrics = [args.fluency_metric, args.reference_metric]
     with _scorers(args, metrics) as (systems, scorers):
         tables = [_stats(scorer, systems, scorer.rows) for scorer in scorers]
         fluency, reference = map(_system_scores, scorers, tables)
-        result = _sweep(human, fluency, reference)
-        section = _sweep_section(result)
+        section = _sweep(human, fluency, reference)
         lines = [
-            f"oracle lambda={result.oracle.lam:.2f} "
-            f"spearman={result.oracle.spearman:.6f} "
-            f"pearson={result.oracle.pearson:.6f}"
+            f"oracle lambda={section['oracle_lambda']:.2f} "
+            f"spearman={section['oracle_spearman']:.6f} "
+            f"pearson={section['oracle_pearson']:.6f}"
         ]
         if args.gaming:
             # every system is rescored in one batch against the rows of
@@ -504,28 +487,16 @@ def _cmd_sweep(args) -> int:
             perm = analysis.gaming_permutation(len(scorer.rows), args.seed)
             shuffled = _stats(scorer, systems, [scorer.rows[p] for p in perm])
             for sid in sorted(systems):
-                report = analysis.gaming_check(
+                row = analysis.gaming_check(
                     fluency[sid]["per_sentence"],
                     reference[sid]["per_sentence"],
                     [scorer.value(s) for s in shuffled[sid]],
                     lam=args.gaming_lambda,
                 )
-                gaming.append(
-                    {
-                        "system": sid,
-                        "lambda": report.lam,
-                        "rbm_true_mean": report.rbm_true_mean,
-                        "rbm_shuffled_mean": report.rbm_shuffled_mean,
-                        "rbm_drop": report.rbm_drop,
-                        "rbm_relative_drop": report.rbm_relative_drop,
-                        "interpolated_true_mean": report.interpolated_true_mean,
-                        "interpolated_shuffled_mean": report.interpolated_shuffled_mean,
-                        "interpolated_drop": report.interpolated_drop,
-                    }
-                )
+                gaming.append({"system": sid, **row})
                 lines.append(
-                    f"gaming {sid}: reference drop {report.rbm_drop:+.6f}, "
-                    f"interpolated drop {report.interpolated_drop:+.6f}"
+                    f"gaming {sid}: reference drop {row['rbm_drop']:+.6f}, "
+                    f"interpolated drop {row['interpolated_drop']:+.6f}"
                 )
             section["gaming"] = gaming
     doc = build_report(systems=_sweep_system_entries(fluency, reference), sweep=section)
@@ -559,7 +530,7 @@ def _cmd_ablate(args) -> int:
     with _scorers(args, metrics) as (systems, scorers):
         tables = [_stats(scorer, systems, scorer.rows) for scorer in scorers]
         fluency, reference = map(_system_scores, scorers, tables)
-        result = _sweep(human, fluency, reference)
+        section = _sweep(human, fluency, reference)
         scorer = scorers[1]
         points = analysis.ablate_references(
             _per_sentence(fluency),
@@ -571,22 +542,12 @@ def _cmd_ablate(args) -> int:
             seed=args.seed,
         )
     doc = build_report(
-        systems=_sweep_system_entries(fluency, reference),
-        sweep=_sweep_section(result),
-        ablation=[
-            {
-                "size": p.size,
-                "mean_oracle_spearman": p.mean_oracle_spearman,
-                "half_width": p.half_width,
-                "per_trial": list(p.per_trial),
-            }
-            for p in points
-        ],
+        systems=_sweep_system_entries(fluency, reference), sweep=section, ablation=points
     )
     lines = [
-        f"refs={p.size}: oracle spearman "
-        f"{p.mean_oracle_spearman:.6f} +- {p.half_width:.6f} "
-        f"({len(p.per_trial)} trials)"
+        f"refs={p['size']}: oracle spearman "
+        f"{p['mean_oracle_spearman']:.6f} +- {p['half_width']:.6f} "
+        f"({len(p['per_trial'])} trials)"
         for p in points
     ]
     return _emit(args, doc, lines)

@@ -32,7 +32,7 @@ from .analysis import mean_score
 from .corpus import Sentence
 from .errors import ValidationError
 
-__all__ = ["GleuConfig", "GleuStats", "gleu_sentence", "gleu_stats", "gleu_stats_many",
+__all__ = ["GleuConfig", "GleuStats", "gleu_stats", "gleu_stats_many",
            "gleu_subset", "gleu_multi_ref", "gleu_pool", "gleu_corpus", "sample_draws",
            "reference_draws", "SAMPLED", "MEAN_OVER_ALL"]
 
@@ -140,16 +140,6 @@ def _assemble(counts: Sequence[int], max_n: int) -> float:
             log_sum += math.log(1.0 / (2 * (denominator + 1)))
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return brevity * math.exp(log_sum / max_n)
-
-
-def gleu_sentence(
-    source: Sentence,
-    hypothesis: Sentence,
-    reference: Sentence,
-    cfg: GleuConfig = GleuConfig(),
-) -> float:
-    """Score one hypothesis against a single reference. Result is in [0, 1]."""
-    return gleu_stats(source, hypothesis, (reference,), cfg).score
 
 
 def sample_draws(
@@ -321,8 +311,8 @@ def gleu_multi_ref(
 ) -> float:
     """Score against multiple references per ``cfg.multi_ref_mode``.
 
-    With a single reference both modes reduce exactly to
-    :func:`gleu_sentence`.
+    With a single reference both modes give exactly the score against it
+    alone.
     """
     return gleu_stats(source, hypothesis, references, cfg, sentence_index).score
 

@@ -32,7 +32,6 @@ from .errors import ValidationError
 __all__ = [
     "IMeasureConfig",
     "TokenCounts",
-    "classify_tokens",
     "weighted_accuracy",
     "IMeasureStats",
     "ReferenceSide",
@@ -110,17 +109,6 @@ def _align(a: tuple[str, ...], b: tuple[str, ...]):
             partner[ai] = None if bj is None else b[bj]
             cursor = ai + 1
     return partner, gaps
-
-
-def classify_tokens(
-    source: Sentence, reference: Sentence, hypothesis: Sentence
-) -> TokenCounts:
-    """Classify the joined source/reference/hypothesis token triples."""
-    return _classify(
-        source.tokens,
-        _align(source.tokens, reference.tokens),
-        _align(source.tokens, hypothesis.tokens),
-    )
 
 
 def _classify(tokens: tuple[str, ...], ref_alignment, hyp_alignment) -> TokenCounts:

@@ -38,7 +38,6 @@ __all__ = [
     "M2Config",
     "M2SentenceCounts",
     "f_beta",
-    "extract_system_edits",
     "M2Stats",
     "gold_edit_keys",
     "m2_stats",
@@ -217,28 +216,6 @@ def gold_edit_keys(units: Sequence[AnnotatedSource]) -> list[_Gold]:
     gold = [_unit_gold(unit.source, unit.annotations) for unit in units]
     _warn_identity(sum(ignored for _, ignored in gold))
     return [pairs for pairs, _ in gold]
-
-
-def extract_system_edits(
-    source: Sentence,
-    hypothesis: Sentence,
-    gold: AnnotationSet | Iterable[Edit],
-    cfg: M2Config = M2Config(),
-) -> tuple[Edit, ...]:
-    """Edits the system is credited with, biased toward the gold set.
-
-    Among all ways to explain the source-to-hypothesis transformation with
-    minimal alignments and merged phrase edits, returns the sequence that
-    matches the most gold edits, breaking ties toward fewer and smaller
-    edits. Identity gold edits (replacement equals the source span) are
-    ignored with a warning.
-    """
-    gold_edits = gold.edits if isinstance(gold, AnnotationSet) else tuple(gold)
-    keys, ignored = _gold_keys(source, gold_edits)
-    _warn_identity(ignored)
-    lattice = _build_graph(source.tokens, hypothesis.tokens, cfg.max_unchanged_words)
-    chosen = _best_edits(lattice, keys)
-    return tuple(Edit(s, e, repl) for s, e, repl in chosen)
 
 
 class M2Stats(NamedTuple):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gecmetric.analysis import (
     LAMBDA_GRID,
+    MAX_TRIALS,
     ablate_references,
     compare_correlations,
     fisher_z,
@@ -119,14 +120,16 @@ def test_interpolation_linearity_against_two_point_line(f, r, k):
 
 def test_rank_systems_average_ties():
     ranked = rank_systems({"A": 0.5, "B": 0.5, "C": 0.1})
-    by_id = {r.system_id: r.rank for r in ranked}
-    assert by_id == {"A": 1.5, "B": 1.5, "C": 3.0}
-    assert [r.system_id for r in ranked] == ["A", "B", "C"]
+    assert ranked == [
+        {"system": "A", "score": 0.5, "rank": 1.5},
+        {"system": "B", "score": 0.5, "rank": 1.5},
+        {"system": "C", "score": 0.1, "rank": 3.0},
+    ]
 
 
 def test_rank_systems_descending():
     ranked = rank_systems({"x": 0.2, "y": 0.9, "z": 0.5})
-    assert [(r.system_id, r.rank) for r in ranked] == [
+    assert [(r["system"], r["rank"]) for r in ranked] == [
         ("y", 1.0),
         ("z", 2.0),
         ("x", 3.0),
@@ -181,15 +184,15 @@ def test_fisher_z_hand_value():
 
 
 def test_compare_correlations_equal_inputs_give_p_one():
-    entry = compare_correlations(0.8, 30, 0.8, 30)
-    assert entry.z == 0.0
-    assert entry.p_value == pytest.approx(1.0, abs=1e-15)
+    z, p_value = compare_correlations(0.8, 30, 0.8, 30)
+    assert z == 0.0
+    assert p_value == pytest.approx(1.0, abs=1e-15)
 
 
 def test_compare_correlations_direction():
-    entry = compare_correlations(0.9, 50, 0.1, 50)
-    assert entry.z > 0
-    assert entry.p_value < 0.05
+    z, p_value = compare_correlations(0.9, 50, 0.1, 50)
+    assert z > 0
+    assert p_value < 0.05
 
 
 def test_compare_correlations_validates():
@@ -222,20 +225,24 @@ def test_sweep_lambda_endpoints_match_component_metrics():
     fluency, reference = _tables()
     human = {"A": 4.0, "B": 3.0, "C": 2.0, "D": 1.0}
     result = sweep_lambda(fluency, reference, human)
-    assert len(result.points) == 101
-    assert result.points[0].lam == 0.0
-    assert result.points[0].spearman == pytest.approx(1.0)  # fluency order
-    assert result.points[-1].spearman == pytest.approx(-1.0)  # reference order
+    assert list(result) == ["points", "oracle_lambda", "oracle_spearman", "oracle_pearson"]
+    assert len(result["points"]) == 101
+    assert list(result["points"][0]) == ["lambda", "spearman", "pearson"]
+    assert result["points"][0]["lambda"] == 0.0
+    assert result["points"][0]["spearman"] == pytest.approx(1.0)  # fluency order
+    assert result["points"][-1]["spearman"] == pytest.approx(-1.0)  # reference order
 
 
 def test_sweep_lambda_oracle_maximizes_spearman():
     fluency, reference = _tables()
     human = {"A": 4.0, "B": 3.0, "C": 2.0, "D": 1.0}
     result = sweep_lambda(fluency, reference, human)
-    best = max(p.spearman for p in result.points)
-    assert result.oracle.spearman == best
-    assert result.oracle.spearman >= max(
-        result.points[0].spearman, result.points[-1].spearman
+    best = max(result["points"], key=lambda p: p["spearman"])  # first of ties
+    assert result["oracle_spearman"] == best["spearman"]
+    assert result["oracle_lambda"] == best["lambda"]
+    assert result["oracle_pearson"] == best["pearson"]
+    assert result["oracle_spearman"] >= max(
+        result["points"][0]["spearman"], result["points"][-1]["spearman"]
     )
 
 
@@ -243,7 +250,7 @@ def test_sweep_lambda_tie_takes_smallest_lambda():
     fluency, _ = _tables()
     human = {"A": 4.0, "B": 3.0, "C": 2.0, "D": 1.0}
     result = sweep_lambda(fluency, fluency, human)  # flat sweep
-    assert result.oracle_lambda == 0.0
+    assert result["oracle_lambda"] == 0.0
 
 
 def test_sweep_lambda_missing_system_raises():
@@ -299,11 +306,15 @@ def test_ablate_references_shapes_and_determinism():
         }
 
     points = ablate_references(fluency, scorer, n_refs=2, human=human, trials=3)
-    assert [p.size for p in points] == [1, 2]
+    assert [p["size"] for p in points] == [1, 2]
+    assert all(
+        list(p) == ["size", "mean_oracle_spearman", "half_width", "per_trial"]
+        for p in points
+    )
     again = ablate_references(fluency, scorer, n_refs=2, human=human, trials=3)
     assert points == again
-    assert all(len(p.per_trial) == 3 for p in points)
-    assert all(p.half_width >= 0.0 for p in points)
+    assert all(len(p["per_trial"]) == 3 for p in points)
+    assert all(p["half_width"] >= 0.0 for p in points)
 
 
 def test_ablation_sweeps_each_distinct_pick_set_once(monkeypatch):
@@ -334,13 +345,13 @@ def test_ablation_sweeps_each_distinct_pick_set_once(monkeypatch):
     assert 1 < len(size_one) < 10
     assert len(calls) == len(size_one) + 1
     for point in points:
-        assert point.per_trial == tuple(
-            sweep(fluency, scorer(picks), human).oracle.spearman
+        assert point["per_trial"] == [
+            sweep(fluency, scorer(picks), human)["oracle_spearman"]
             for picks in (
-                [sample_reference_subset(2, point.size, 0, t, i) for i in range(3)]
+                [sample_reference_subset(2, point["size"], 0, t, i) for i in range(3)]
                 for t in range(10)
             )
-        )
+        ]
 
 
 def test_ablate_single_trial_has_zero_half_width():
@@ -349,7 +360,21 @@ def test_ablate_single_trial_has_zero_half_width():
     points = ablate_references(
         fluency, lambda picks: reference, n_refs=2, human=human, trials=1
     )
-    assert all(p.half_width == 0.0 for p in points)
+    assert all(p["half_width"] == 0.0 for p in points)
+
+
+def test_ablate_rejects_trials_outside_the_cap_before_any_pick(monkeypatch):
+    from gecmetric import analysis
+
+    def drawn(*args):
+        raise AssertionError("no pick may be drawn")
+
+    monkeypatch.setattr(analysis, "sample_reference_subset", drawn)
+    fluency, reference = _tables()
+    human = {"A": 4.0, "B": 3.0, "C": 2.0, "D": 1.0}
+    for trials in (0, MAX_TRIALS + 1, 10**20):
+        with pytest.raises(ValidationError, match=rf"trials must be in \[1, {MAX_TRIALS}\]"):
+            ablate_references(fluency, drawn, n_refs=2, human=human, trials=trials)
 
 
 def test_gaming_check_penalizes_reference_use():
@@ -357,12 +382,23 @@ def test_gaming_check_penalizes_reference_use():
     fluency = [rng.uniform(0.5, 1.0) for _ in range(50)]
     reference = [rng.uniform(0.8, 1.0) for _ in range(50)]
     # scoring against the wrong sentence's reference tanks the score
-    report = gaming_check(fluency, reference, [0.1] * 50)
-    assert report.rbm_drop > 0
-    assert report.interpolated_drop > 0
-    assert report.rbm_relative_drop is not None
-    assert report.rbm_shuffled_mean == 0.1
-    assert report.interpolated_shuffled_mean == pytest.approx(
+    row = gaming_check(fluency, reference, [0.1] * 50)
+    assert list(row) == [
+        "lambda",
+        "rbm_true_mean",
+        "rbm_shuffled_mean",
+        "rbm_drop",
+        "rbm_relative_drop",
+        "interpolated_true_mean",
+        "interpolated_shuffled_mean",
+        "interpolated_drop",
+    ]
+    assert row["lambda"] == 0.5
+    assert row["rbm_drop"] > 0
+    assert row["interpolated_drop"] > 0
+    assert row["rbm_relative_drop"] is not None
+    assert row["rbm_shuffled_mean"] == 0.1
+    assert row["interpolated_shuffled_mean"] == pytest.approx(
         mean_score(interpolate(fluency, [0.1] * 50, 0.5))
     )
 

@@ -698,6 +698,23 @@ def test_sweep_gaming_lambda_out_of_range_exits_two(corpus, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("lam", ["1.5", "nan"])
+def test_sweep_gaming_lambda_is_checked_before_anything_is_scored(
+    corpus, capsys, caplog, lam
+):
+    """A checker that cannot start would fail the first scoring batch with
+    exit 3; the bad lambda is reported first."""
+    argv = ["sweep", "--gaming", "--gaming-lambda", lam, "--checker",
+            str(corpus / "no-such-checker")] + _sweep_args(corpus)
+    with caplog.at_level(logging.INFO, logger="gecmetric"):
+        code, out, _ = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert [r.getMessage() for r in caplog.records] == [
+        f"lambda must be in [0, 1], got {float(lam)}"
+    ]
+
+
 def test_sweep_rejects_reference_metric_as_fluency(corpus, capsys):
     code, _, err = _run(
         capsys,
@@ -882,6 +899,48 @@ def test_report_bytes_match_golden(corpus, capsys, model_path, name):
     code, out, _ = _run(capsys, _golden_argv(corpus, model_path, name))
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_REPORTS[name]
+
+
+# The stdout summary of an ``--out`` run, on the inputs of the golden
+# report of the same name; the report file keeps that report's bytes.
+GOLDEN_SUMMARIES = {
+    "rank m2 corpus": """\
+rank  system  score
+   1  a  1.000000
+   2  b  0.961538
+   3  c  0.000000
+""",
+    "sweep gaming": """\
+oracle lambda=0.00 spearman=1.000000 pearson=0.917663
+gaming a: reference drop +0.645762, interpolated drop +0.322881
+gaming b: reference drop +0.566881, interpolated drop +0.283440
+gaming c: reference drop +0.098222, interpolated drop +0.049111
+""",
+    "sweep --gaming --reference-metric imeasure": """\
+oracle lambda=0.00 spearman=1.000000 pearson=0.917663
+gaming a: reference drop +1.000000, interpolated drop +0.500000
+gaming b: reference drop +0.857143, interpolated drop +0.428571
+gaming c: reference drop +0.000000, interpolated drop +0.000000
+""",
+    "ablate": """\
+refs=1: oracle spearman 1.000000 +- 0.000000 (2 trials)
+refs=2: oracle spearman 1.000000 +- 0.000000 (2 trials)
+""",
+    "ablate --reference-metric imeasure --trials 2": """\
+refs=1: oracle spearman 1.000000 +- 0.000000 (2 trials)
+refs=2: oracle spearman 1.000000 +- 0.000000 (2 trials)
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SUMMARIES))
+def test_out_summary_matches_golden(corpus, capsys, name):
+    report = corpus / "report.json"
+    argv = _golden_argv(corpus, None, name) + ["--out", str(report)]  # no lfm: no model
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    assert out == GOLDEN_SUMMARIES[name]
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_REPORTS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -1373,6 +1432,12 @@ MALFORMED = {
                   "--hyp", "x={d}/empty.txt"],
     "hyp-without-id": ["score", "--metric", "errorcount", "--wordlist", "{d}/words.txt",
                        "--hyp", "={d}/a.txt"],
+    # ablation trials above analysis.MAX_TRIALS: rejected before any pick
+    "trials-too-large": ["ablate", "--fluency-metric", "errorcount", "--wordlist",
+                         "{d}/words.txt", "--reference-metric", "gleu", "--source",
+                         "{d}/source.txt", "--ref", "{d}/ref1.txt", "--ref", "{d}/ref2.txt",
+                         "--human", "{d}/human.tsv", "--trials", "100000000000000000000",
+                         *_A, "--hyp", "b={d}/b.txt", "--hyp", "c={d}/c.txt"],
     "gaming-m2": ["sweep", "--fluency-metric", "errorcount", "--wordlist", "{d}/words.txt",
                   "--reference-metric", "m2", "--m2", "{d}/gold.m2", "--human",
                   "{d}/human.tsv", "--gaming", *_A],

@@ -18,7 +18,6 @@ from gecmetric.gleu import (
     gleu_multi_ref,
     gleu_pool,
     _mean_over_draws,
-    gleu_sentence,
     gleu_stats,
     gleu_stats_many,
     gleu_subset,
@@ -32,7 +31,7 @@ tokens_st = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=6)
 
 def score(src, hyp, ref, **kw):
     cfg = GleuConfig(**kw) if kw else GleuConfig()
-    return gleu_sentence(tokenize(src), tokenize(hyp), tokenize(ref), cfg)
+    return gleu_stats(tokenize(src), tokenize(hyp), (tokenize(ref),), cfg).score
 
 
 def test_perfect_match_scores_one():
@@ -70,9 +69,9 @@ def test_brevity_penalty_applies_to_short_hypotheses():
 @given(tokens_st, tokens_st, tokens_st)
 @settings(max_examples=300, deadline=None)
 def test_matches_oracle_on_random_triples(src, hyp, ref):
-    got = gleu_sentence(
-        Sentence(tuple(src)), Sentence(tuple(hyp)), Sentence(tuple(ref)), GleuConfig()
-    )
+    got = gleu_stats(
+        Sentence(tuple(src)), Sentence(tuple(hyp)), (Sentence(tuple(ref)),), GleuConfig()
+    ).score
     want = gleu_reference(src, hyp, ref)
     assert got == pytest.approx(want, abs=1e-12)
     assert 0.0 <= got <= 1.0
@@ -114,9 +113,9 @@ def test_counts_equal_the_brute_force_oracle(batch):
 @given(tokens_st, tokens_st, tokens_st)
 @settings(max_examples=200, deadline=None)
 def test_score_bounded_and_finite(src, hyp, ref):
-    got = gleu_sentence(
-        Sentence(tuple(src)), Sentence(tuple(hyp)), Sentence(tuple(ref)), GleuConfig()
-    )
+    got = gleu_stats(
+        Sentence(tuple(src)), Sentence(tuple(hyp)), (Sentence(tuple(ref)),), GleuConfig()
+    ).score
     assert math.isfinite(got)
     assert 0.0 <= got <= 1.0
 
@@ -144,9 +143,9 @@ def test_clean_reference_copy_scores_one(src, ref):
             )
             if s_count > r_count:
                 return
-    got = gleu_sentence(
-        Sentence(src_t), Sentence(ref_t), Sentence(ref_t), GleuConfig()
-    )
+    got = gleu_stats(
+        Sentence(src_t), Sentence(ref_t), (Sentence(ref_t),), GleuConfig()
+    ).score
     assert got == pytest.approx(1.0, abs=1e-12)
 
 
@@ -171,15 +170,15 @@ def test_adding_source_error_never_helps_long_hypotheses(src, ref):
         hyp = ["pad"]
     marker = "err"
     source = tuple(src) + (marker,)
-    base = gleu_sentence(
-        Sentence(source), Sentence(tuple(hyp)), Sentence(tuple(ref)), GleuConfig()
-    )
-    worse = gleu_sentence(
+    base = gleu_stats(
+        Sentence(source), Sentence(tuple(hyp)), (Sentence(tuple(ref)),), GleuConfig()
+    ).score
+    worse = gleu_stats(
         Sentence(source),
         Sentence(tuple(hyp) + (marker,)),
-        Sentence(tuple(ref)),
+        (Sentence(tuple(ref)),),
         GleuConfig(),
-    )
+    ).score
     assert worse <= base + 1e-12
 
 
@@ -189,7 +188,7 @@ def test_multi_ref_mean_over_all_is_mean_of_single_ref_scores():
     refs = (tokenize("he goes home"), tokenize("he went home"))
     cfg = GleuConfig(multi_ref_mode=MEAN_OVER_ALL)
     got = gleu_multi_ref(src, hyp, refs, cfg)
-    parts = [gleu_sentence(src, hyp, r, GleuConfig()) for r in refs]
+    parts = [gleu_stats(src, hyp, (r,), GleuConfig()).score for r in refs]
     assert got == pytest.approx(sum(parts) / 2, abs=1e-15)
 
 
@@ -199,7 +198,7 @@ def test_sampled_mode_equals_deterministic_with_identical_refs():
     ref = tokenize("a b y d")
     cfg = GleuConfig(multi_ref_mode=SAMPLED)
     got = gleu_multi_ref(src, hyp, (ref, ref, ref), cfg)
-    want = gleu_sentence(src, hyp, ref, GleuConfig())
+    want = gleu_stats(src, hyp, (ref,), GleuConfig()).score
     assert got == want  # bit-exact: all draws see the same reference
 
 
@@ -233,7 +232,7 @@ def test_sampled_draw_stream_matches_documented_form():
     rng = random.Random("5:2")
     picks = [rng.randrange(2) for _ in range(4)]
     per_iter = [
-        gleu_sentence(src, hyp, refs[p], GleuConfig()) for p in picks
+        gleu_stats(src, hyp, (refs[p],), GleuConfig()).score for p in picks
     ]
     want = sum(per_iter) / len(per_iter)
     got = gleu_multi_ref(src, hyp, refs, cfg, sentence_index=2)
@@ -257,7 +256,7 @@ def test_corpus_pools_counts_rather_than_averaging():
     refs = [(tokenize("a b"),), (tokenize("c d"),)]
     pooled = gleu_corpus(sources, hyps, refs, GleuConfig())
     per_sentence = [
-        gleu_sentence(s, h, r[0], GleuConfig())
+        gleu_stats(s, h, (r[0],), GleuConfig()).score
         for s, h, r in zip(sources, hyps, refs)
     ]
     mean = sum(per_sentence) / 2
@@ -329,7 +328,7 @@ def test_sampled_score_is_the_mean_over_draws():
         src, hyp = sentence(), sentence()
         refs = tuple(sentence() for _ in range(rng.randint(1, 3)))
         stats = gleu_stats(src, hyp, refs, cfg, sentence_index=i)
-        per_ref = [gleu_sentence(src, hyp, ref, GleuConfig()) for ref in refs]
+        per_ref = [gleu_stats(src, hyp, (ref,), GleuConfig()).score for ref in refs]
         assert stats.score == mean_score([per_ref[j] for j in stats.draws])
 
 
@@ -382,7 +381,7 @@ def test_single_reference_draws_are_the_documented_stream():
         stats = gleu_stats(src, hyp, (ref,), cfg, sentence_index=index)
         rng = random.Random(f"4:{index}")
         assert list(stats.draws) == [rng.randrange(1) for _ in range(30)]
-        assert stats.score == gleu_sentence(src, hyp, ref, GleuConfig())
+        assert stats.score == gleu_stats(src, hyp, (ref,), GleuConfig()).score
         assert gleu_multi_ref(src, hyp, (ref,), cfg, sentence_index=index) == stats.score
 
 

@@ -10,7 +10,7 @@ from gecmetric.imeasure import (
     IMeasureConfig,
     TokenCounts,
     _align,
-    classify_tokens,
+    _classify,
     i_measure_corpus,
     i_measure_sentence,
     i_measure_stats,
@@ -26,6 +26,12 @@ def score(src, hyp, *refs, **kw):
     return i_measure_sentence(
         tokenize(src), tokenize(hyp), tuple(tokenize(r) for r in refs), cfg
     )
+
+
+def classify(source, reference, hypothesis):
+    """Counts of the joined source/reference/hypothesis token triples."""
+    tokens = source.tokens
+    return _classify(tokens, _align(tokens, reference.tokens), _align(tokens, hypothesis.tokens))
 
 
 def test_perfect_correction_scores_one():
@@ -51,7 +57,7 @@ def test_breaking_a_correct_source_goes_negative():
 
 
 def test_classification_counts_on_hand_example():
-    counts = classify_tokens(
+    counts = classify(
         tokenize("he go home"), tokenize("he goes home"), tokenize("he gone home")
     )
     # "go" was changed but to the wrong thing: one fp and one fn, noted as fpn
@@ -62,16 +68,14 @@ def test_classification_counts_on_hand_example():
 
 
 def test_classification_true_positive():
-    counts = classify_tokens(
-        tokenize("he go"), tokenize("he goes"), tokenize("he goes")
-    )
+    counts = classify(tokenize("he go"), tokenize("he goes"), tokenize("he goes"))
     assert counts.tp == 1
     assert counts.tn == 1
     assert counts.fp == counts.fn == counts.fpn == 0
 
 
 def test_classification_handles_insertions_via_gap_slots():
-    counts = classify_tokens(tokenize("a c"), tokenize("a b c"), tokenize("a b c"))
+    counts = classify(tokenize("a c"), tokenize("a b c"), tokenize("a b c"))
     assert counts.tp == 1  # the inserted token is a needed correction
     assert counts.tn == 2
 
@@ -223,8 +227,8 @@ def test_unchanged_and_restored_hypotheses_match_per_reference_classification():
             singles = [i_measure_stats(src, hyp, (ref,)) for ref in refs]
             assert stats == max(singles, key=lambda s: s.score)
             for ref, single in zip(refs, singles):
-                assert single.system == classify_tokens(src, ref, hyp)
-                assert single.baseline == classify_tokens(src, ref, src)
+                assert single.system == classify(src, ref, hyp)
+                assert single.baseline == classify(src, ref, src)
         identity = i_measure_stats(src, src, refs)
         assert identity == i_measure_stats(src, Sentence(tuple(restored)), refs)
         assert identity.score == 0.0

@@ -8,7 +8,9 @@ from gecmetric.corpus import AnnotatedSource, AnnotationSet, Edit, Sentence, tok
 from gecmetric.errors import ValidationError
 from gecmetric.maxmatch import (
     M2Config,
-    extract_system_edits,
+    _best_edits,
+    _build_graph,
+    _gold_keys,
     f_beta,
     gold_edit_keys,
     m2_corpus,
@@ -20,10 +22,17 @@ from oracles import f_beta_reference, m2_reference_count_set
 VOCAB = ["a", "b", "c"]
 
 
+def system_edits(source, hypothesis, gold_edits, cfg):
+    """The (start, end, replacement) edits the lattice credits the system
+    with, biased toward the non-identity ``gold_edits``."""
+    keys, _ = _gold_keys(source, gold_edits)
+    lattice = _build_graph(source.tokens, hypothesis.tokens, cfg.max_unchanged_words)
+    return _best_edits(lattice, keys)
+
+
 def edits_of(src, hyp, gold, **kw):
     cfg = M2Config(**kw) if kw else M2Config()
-    ann = AnnotationSet(0, tuple(gold))
-    return extract_system_edits(tokenize(src), tokenize(hyp), ann, cfg)
+    return system_edits(tokenize(src), tokenize(hyp), gold, cfg)
 
 
 def counts_of(src, hyp, gold, **kw):
@@ -35,38 +44,38 @@ def counts_of(src, hyp, gold, **kw):
 
 def test_single_substitution_matches_gold():
     edits = edits_of("a b c", "a x c", [Edit(1, 2, ("x",))])
-    assert [e.key for e in edits] == [(1, 2, ("x",))]
+    assert edits == [(1, 2, ("x",))]
 
 
 def test_unchanged_hypothesis_yields_no_edits():
-    assert edits_of("a b c", "a b c", [Edit(1, 2, ("x",))]) == ()
+    assert edits_of("a b c", "a b c", [Edit(1, 2, ("x",))]) == []
 
 
 def test_gold_reward_merges_phrase_edit():
     edits = edits_of("a b c d", "a x y d", [Edit(1, 3, ("x", "y"))])
-    assert [e.key for e in edits] == [(1, 3, ("x", "y"))]
+    assert edits == [(1, 3, ("x", "y"))]
 
 
 def test_adjacent_changes_merge_even_without_gold():
     """One merged edit costs less than two unit substitutions."""
     edits = edits_of("a b c d", "a x y d", [])
-    assert [e.key for e in edits] == [(1, 3, ("x", "y"))]
+    assert edits == [(1, 3, ("x", "y"))]
 
 
 def test_widely_separated_changes_stay_split():
     # three matched tokens between the changes exceed max_unchanged_words,
     # so no compound edge can bridge them
     edits = edits_of("a b c d e f", "a x c d e y", [])
-    assert [e.key for e in edits] == [(1, 2, ("x",)), (5, 6, ("y",))]
+    assert edits == [(1, 2, ("x",)), (5, 6, ("y",))]
 
 
 def test_compound_edge_respects_max_unchanged_words():
     # gold wants one phrase edit spanning an unchanged token
     gold = [Edit(1, 4, ("x", "b", "y"))]
     spanning = edits_of("a q b r d", "a x b y d", gold, max_unchanged_words=2)
-    assert [e.key for e in spanning] == [(1, 4, ("x", "b", "y"))]
+    assert spanning == [(1, 4, ("x", "b", "y"))]
     split = edits_of("a q b r d", "a x b y d", gold, max_unchanged_words=0)
-    assert [e.key for e in split] == [(1, 2, ("x",)), (3, 4, ("y",))]
+    assert split == [(1, 2, ("x",)), (3, 4, ("y",))]
 
 
 def test_hand_counts():
@@ -226,7 +235,7 @@ def test_raising_reward_never_changes_chosen_edits(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(maxmatch, "_GOLD_REWARD", 50000.0)
             boosted = edits_of(" ".join(src), " ".join(hyp), gold)
-        assert [e.key for e in base] == [e.key for e in boosted]
+        assert base == boosted
 
 
 def _replay(src, edits):
@@ -234,10 +243,10 @@ def _replay(src, edits):
     the same-point insertion runs a lattice path can legitimately produce."""
     out = []
     cursor = 0
-    for e in edits:
-        out.extend(src[cursor : e.start])
-        out.extend(e.replacement)
-        cursor = e.end
+    for start, end, replacement in edits:
+        out.extend(src[cursor:start])
+        out.extend(replacement)
+        cursor = end
     out.extend(src[cursor:])
     return tuple(out)
 
@@ -348,11 +357,11 @@ def _random_unit(rng):
 
 
 def _counts_from_extracted_edits(unit, hypothesis, cfg):
-    """Per-annotator counts, each from its own extract_system_edits call."""
+    """Per-annotator counts, each from its own lattice."""
     out = []
     for aset in unit.annotations:
         keys = {e.key for e in aset.edits if unit.source.tokens[e.start : e.end] != e.replacement}
-        found = {e.key for e in extract_system_edits(unit.source, hypothesis, aset, cfg)}
+        found = set(system_edits(unit.source, hypothesis, aset.edits, cfg))
         tp = len(keys & found)
         out.append((tp, len(found) - tp, len(keys) - tp, aset.annotator))
     return out

@@ -1,9 +1,10 @@
 """The README's Library section and the package agree.
 
-Each ``from gecmetric... import ...`` line in the README's python blocks
-must run, and each function, class or module attribute that the Library
-section names in backticks must resolve, so that deleting documented API
-fails here. Each name a public module lists in ``__all__`` must resolve
+Each of the README's python blocks must run as a whole, and so must each
+``from gecmetric... import ...`` line in them; each function, class or
+module attribute that the Library section names in backticks must
+resolve, so that deleting documented API or breaking an example fails
+here. Each name a public module lists in ``__all__`` must resolve
 too, so that a deleted name cannot stay listed.
 """
 
@@ -19,12 +20,16 @@ import gecmetric
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 LIBRARY = README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
 
-IMPORTS = [
-    line.strip()
-    for block in re.findall(r"```python\n(.*?)```", README, re.S)
-    for line in block.splitlines()
-    if re.match(r"\s*from gecmetric[\w.]* import \w", line)
-]
+BLOCKS = re.findall(r"```python\n(.*?)```", README, re.S)
+
+IMPORTS = list(
+    dict.fromkeys(
+        line.strip()
+        for block in BLOCKS
+        for line in block.splitlines()
+        if re.match(r"\s*from gecmetric[\w.]* import \w", line)
+    )
+)
 
 # Backticked words in the prose that are argument or field names, not API.
 PROSE_WORDS = {"i", "refs", "score"}
@@ -52,7 +57,8 @@ def _resolve(dotted: str):
 
 
 def test_readme_shows_the_documented_api():
-    assert any("gleu_sentence" in line for line in IMPORTS)
+    assert any("gleu_stats" in line for line in IMPORTS)
+    assert any("gleu_pool" in line for line in IMPORTS)
     assert {
         "gleu_multi_ref",
         "m2_sentence",
@@ -66,6 +72,11 @@ def test_readme_shows_the_documented_api():
 @pytest.mark.parametrize("line", IMPORTS)
 def test_readme_import_runs(line):
     exec(line, {})
+
+
+@pytest.mark.parametrize("block", BLOCKS, ids=lambda block: block.splitlines()[-1])
+def test_readme_block_runs(block, capsys):
+    exec(block, {})
 
 
 @pytest.mark.parametrize("name", NAMES)
