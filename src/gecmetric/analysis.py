@@ -35,6 +35,7 @@ __all__ = [
     "MAX_TRIALS",
     "mean_score",
     "check_lambda",
+    "check_ablation",
     "interpolate_value",
     "interpolate",
     "rank_systems",
@@ -223,6 +224,19 @@ def sweep_lambda(
     }
 
 
+def check_ablation(n_refs: int, sizes: Sequence[int] | None, trials: int) -> None:
+    """Raise :class:`ValidationError` unless there is a reference, each of
+    ``sizes`` (None: every size) is in [1, ``n_refs``] and ``trials`` is
+    in [1, ``MAX_TRIALS``]."""
+    if n_refs < 1:
+        raise ValidationError(f"n_refs must be >= 1, got {n_refs}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValidationError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
+    for size in sizes or ():
+        if not 1 <= size <= n_refs:
+            raise ValidationError(f"subset size {size} not in [1, {n_refs}]")
+
+
 def sample_reference_subset(
     n_refs: int, size: int, seed: int, trial: int, sentence_index: int
 ) -> list[int]:
@@ -251,12 +265,10 @@ def ablate_references(
     Spearman. Each size gives a ``{"size", "mean_oracle_spearman",
     "half_width", "per_trial"}`` row: the trial mean, a
     normal-approximation 95% half-width (0 when there is a single trial)
-    and each trial's Spearman. ``trials`` must be in [1, ``MAX_TRIALS``].
+    and each trial's Spearman. The knobs are checked by
+    :func:`check_ablation` before anything is scored.
     """
-    if n_refs < 1:
-        raise ValidationError(f"n_refs must be >= 1, got {n_refs}")
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValidationError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
+    check_ablation(n_refs, sizes, trials)
     if sizes is None:
         sizes = range(1, n_refs + 1)
     systems = sorted(fluency)

@@ -91,7 +91,7 @@ from .lfm import (
     train_lm,
     train_ridge,
 )
-from .maxmatch import M2Config, gold_edit_keys, m2_pool, m2_stats
+from .maxmatch import M2Config, _warn_identity, m2_pool, m2_stats
 
 __all__ = ["main", "build_parser"]
 
@@ -176,10 +176,10 @@ def _m2(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
     if units is None:
         raise _UsageError("m2 needs --m2 with gold annotations")
     cfg = M2Config(beta=args.beta, max_unchanged_words=args.max_unchanged)
-    gold = gold_edit_keys(units)
+    _warn_identity(units)
     return _Scorer(
         "m2",
-        _each(lambda i, hyp, row: m2_stats(units[i].source, hyp, gold[i], cfg)),
+        _each(lambda i, hyp, row: m2_stats(units[i].source, hyp, units[i].gold, cfg)),
         functools.partial(m2_pool, cfg=cfg),
     )
 
@@ -466,10 +466,9 @@ def _sweep_system_entries(fluency, reference) -> list[dict]:
 
 def _cmd_sweep(args) -> int:
     human = read_human_ranking(args.human)
-    if args.gaming:
-        if args.reference_metric not in ROW_METRICS:
-            raise _UsageError(f"--gaming needs a reference metric in {ROW_METRICS}")
-        analysis.check_lambda(args.gaming_lambda)
+    if args.gaming and args.reference_metric not in ROW_METRICS:
+        raise _UsageError(f"--gaming needs a reference metric in {ROW_METRICS}")
+    analysis.check_lambda(args.gaming_lambda)
     metrics = [args.fluency_metric, args.reference_metric]
     with _scorers(args, metrics) as (systems, scorers):
         tables = [_stats(scorer, systems, scorer.rows) for scorer in scorers]
@@ -528,10 +527,12 @@ def _cmd_ablate(args) -> int:
         raise _UsageError(f"ablate needs a reference metric in {ROW_METRICS}")
     metrics = [args.fluency_metric, args.reference_metric]
     with _scorers(args, metrics) as (systems, scorers):
+        scorer = scorers[1]
+        # checked before the first batch: an external checker starts there
+        analysis.check_ablation(len(scorer.rows[0]), args.sizes, args.trials)
         tables = [_stats(scorer, systems, scorer.rows) for scorer in scorers]
         fluency, reference = map(_system_scores, scorers, tables)
         section = _sweep(human, fluency, reference)
-        scorer = scorers[1]
         points = analysis.ablate_references(
             _per_sentence(fluency),
             functools.partial(_subset_table, scorer, systems, tables[1], {}),

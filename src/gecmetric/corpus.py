@@ -1,23 +1,22 @@
-"""Core data model: sentences, edits and annotations.
+"""Core data model: sentences and annotated sources.
 
 Tokens are plain strings validated at container boundaries: a token is
 non-empty and contains no whitespace. Token comparison is case-sensitive
-everywhere; no normalization is applied. Edit spans are 0-based and
-end-exclusive (``start == end`` marks an insertion point). All types are
-immutable after construction.
+everywhere; no normalization is applied. A gold edit is the key
+``(start, end, replacement)``: its span is 0-based and end-exclusive
+(``start == end`` marks an insertion point). All types are immutable
+after construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple
 
 from .errors import ValidationError
 
 __all__ = [
     "Sentence",
-    "Edit",
-    "AnnotationSet",
     "AnnotatedSource",
     "tokenize",
 ]
@@ -68,95 +67,12 @@ def tokenize(raw: str) -> Sentence:
     return sentence
 
 
-@dataclass(frozen=True)
-class Edit:
-    """A span replacement on a source sentence.
-
-    ``start``/``end`` index source tokens (0-based, end-exclusive);
-    ``start == end`` inserts ``replacement`` before position ``start``.
-    An edit holds only what scoring reads; the annotator that made it is
-    the one of the :class:`AnnotationSet` holding it.
-    """
-
-    start: int
-    end: int
-    replacement: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "replacement", tuple(self.replacement))
-        if not isinstance(self.start, int) or not isinstance(self.end, int):
-            raise ValidationError("edit span indices must be integers")
-        if self.start < 0:
-            raise ValidationError(f"edit start {self.start} is negative")
-        if self.end < self.start:
-            raise ValidationError(
-                f"edit span ({self.start}, {self.end}) has end before start"
-            )
-        for tok in self.replacement:
-            _check_token(tok)
-
-    @property
-    def key(self) -> tuple[int, int, tuple[str, ...]]:
-        """Identity used for edit matching: (start, end, replacement)."""
-        return (self.start, self.end, self.replacement)
-
-    def __str__(self) -> str:
-        repl = " ".join(self.replacement)
-        return f"({self.start},{self.end})->{repl!r}"
-
-
-def _check_edit_sequence(edits: Sequence[Edit]) -> None:
-    """Raise unless edits are sorted, non-overlapping, and insertion-distinct."""
-    prev: Edit | None = None
-    for edit in edits:
-        if prev is not None:
-            if (edit.start, edit.end) < (prev.start, prev.end):
-                raise ValidationError(
-                    f"edits out of order: {prev} precedes {edit}"
-                )
-            if edit.start < prev.end:
-                raise ValidationError(f"edit {edit} overlaps {prev}")
-            if (
-                prev.start == prev.end == edit.start == edit.end
-            ):
-                raise ValidationError(
-                    f"two insertions at the same point: {prev} and {edit}"
-                )
-        prev = edit
-
-
-@dataclass(frozen=True)
-class AnnotationSet:
-    """All edits of one annotator for one source sentence."""
-
-    annotator: int
-    edits: tuple[Edit, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "edits", tuple(self.edits))
-        if self.annotator < 0:
-            raise ValidationError(f"annotator id {self.annotator} is negative")
-        _check_edit_sequence(self.edits)
-
-
-@dataclass(frozen=True)
-class AnnotatedSource:
-    """A source sentence together with one or more annotation sets."""
+class AnnotatedSource(NamedTuple):
+    """A source sentence and its gold edits, as the annotation parser reads
+    them: ``gold`` holds an ``(annotator, frozenset of edit keys)`` pair per
+    annotator, by id, and ``identity`` counts the edits left out of it
+    because their replacement equals the source span."""
 
     source: Sentence
-    annotations: tuple[AnnotationSet, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "annotations", tuple(self.annotations))
-        if not self.annotations:
-            raise ValidationError("annotated source needs at least one annotation set")
-        seen: set[int] = set()
-        for aset in self.annotations:
-            if aset.annotator in seen:
-                raise ValidationError(f"duplicate annotator id {aset.annotator}")
-            seen.add(aset.annotator)
-            for edit in aset.edits:
-                if edit.end > len(self.source):
-                    raise ValidationError(
-                        f"edit {edit} exceeds source length {len(self.source)}"
-                    )
+    gold: tuple[tuple[int, frozenset[tuple[int, int, tuple[str, ...]]]], ...]
+    identity: int = 0

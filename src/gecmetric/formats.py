@@ -6,13 +6,15 @@ The annotation format is line-oriented UTF-8 (a leading BOM is stripped):
     A <start> <end>|||<type>|||<correction>|||<required>|||<comment>|||<annotator>
 
 A unit starts at an ``S`` line, collects ``A`` lines, and ends at a blank
-line or end of input. Edits are grouped per annotator. The correction
-``-NONE-`` with type ``noop`` marks an annotator who made no edits and
-yields an empty annotation set; a unit with no ``A`` lines at all gets a
-single empty annotation set for annotator 0. Every field must be present,
-but scoring reads only the span, the correction and the annotator: the
-type serves the noop test, and the type, required flag and comment are
-not kept.
+line or end of input. Its ``gold`` holds each annotator's edit keys
+``(start, end, replacement)``, which M2 matches on; an annotator's edits
+must not overlap, reach past the source or put two insertions at a point.
+Identity edits (replacement equals the source span) are checked, then
+only counted. The correction ``-NONE-`` with type ``noop`` marks an
+annotator who made no edits; a unit with no ``A`` lines gets no edits
+for annotator 0. Every field must be present, but scoring reads only the
+span, the correction and the annotator: the type serves the noop test,
+and the type, required flag and comment are not kept.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .corpus import AnnotatedSource, AnnotationSet, Edit, Sentence, tokenize
+from .corpus import AnnotatedSource, Sentence, tokenize
 from .errors import ParseError, ValidationError
 
 __all__ = [
@@ -68,11 +70,16 @@ def _parse_a_line(line: str, lineno: int) -> tuple[int, int, str, str, int]:
     return start, end, category, correction, annotator
 
 
+def _show(edit: tuple[int, int, tuple[str, ...]]) -> str:
+    start, end, replacement = edit
+    return f"({start},{end})->{' '.join(replacement)!r}"
+
+
 class _UnitBuilder:
-    def __init__(self, tokens: Sequence[str], lineno: int):
-        self.tokens = tuple(tokens)
+    def __init__(self, source: Sentence, lineno: int):
+        self.source = source
         self.lineno = lineno
-        self.edits: dict[int, list[Edit]] = {}
+        self.edits: dict[int, list[tuple[int, int, tuple[str, ...]]]] = {}
         self.noop: set[int] = set()
 
     def add(self, line: str, lineno: int) -> None:
@@ -86,24 +93,36 @@ class _UnitBuilder:
             return
         if annotator in self.noop:
             raise ParseError(f"annotator {annotator} has both noop and edits", lineno)
-        try:
-            edit = Edit(start, end, tuple(correction.split()))
-        except ValidationError as exc:
-            raise ParseError(str(exc), lineno) from exc
+        if start < 0:
+            raise ParseError(f"edit start {start} is negative", lineno)
+        if end < start:
+            raise ParseError(f"edit span ({start}, {end}) has end before start", lineno)
+        edit = (start, end, tuple(correction.split()))
         self.edits.setdefault(annotator, []).append(edit)
+
+    def _fail(self, message: str):
+        raise ParseError(f"in unit starting here: {message}", self.lineno)
 
     def finish(self) -> AnnotatedSource:
         ids = sorted(set(self.edits) | self.noop) or [0]
-        sets = []
-        try:
-            for annotator in ids:
-                edits = sorted(
-                    self.edits.get(annotator, ()), key=lambda e: (e.start, e.end)
-                )
-                sets.append(AnnotationSet(annotator, tuple(edits)))
-            return AnnotatedSource(Sentence(self.tokens), tuple(sets))
-        except ValidationError as exc:
-            raise ParseError(f"in unit starting here: {exc}", self.lineno) from exc
+        sorted_edits = [sorted(self.edits.get(a, ()), key=lambda e: e[:2]) for a in ids]
+        for edits in sorted_edits:
+            for prev, edit in zip(edits, edits[1:]):
+                if edit[0] < prev[1]:
+                    self._fail(f"edit {_show(edit)} overlaps {_show(prev)}")
+                if prev[0] == prev[1] == edit[0] == edit[1]:
+                    self._fail(
+                        f"two insertions at the same point: {_show(prev)} and {_show(edit)}"
+                    )
+        tokens = self.source.tokens
+        for edits in sorted_edits:
+            for edit in edits:
+                if edit[1] > len(tokens):
+                    self._fail(f"edit {_show(edit)} exceeds source length {len(tokens)}")
+        # identity edits leave only now, so that they are checked like the rest
+        live = [[e for e in edits if tokens[e[0] : e[1]] != e[2]] for edits in sorted_edits]
+        identity = sum(map(len, sorted_edits)) - sum(map(len, live))
+        return AnnotatedSource(self.source, tuple(zip(ids, map(frozenset, live))), identity)
 
 
 def split_lines(text: str) -> list[str]:
@@ -147,7 +166,7 @@ def parse_m2(text: str) -> list[AnnotatedSource]:
         if line == "S" or line.startswith("S "):
             if current is not None:
                 units.append(current.finish())
-            current = _UnitBuilder(line[2:].split(), lineno)
+            current = _UnitBuilder(tokenize(line[2:]), lineno)
         elif line.startswith("A "):
             if current is None:
                 raise ParseError("annotation line before any source line", lineno)

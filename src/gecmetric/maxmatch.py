@@ -1,4 +1,4 @@
-"""Edit-based precision/recall scoring against gold annotations.
+"""Precision/recall of a system's edits against gold annotations.
 
 The scorer does not trust any single alignment: it builds the lattice of
 *all* minimal-cost token alignments between source and hypothesis
@@ -19,6 +19,9 @@ agreement with the gold annotation. Concretely:
 
 True/false positives then follow from exact (span, replacement) equality
 with the gold set, and F_beta favors precision with beta = 0.5 by default.
+
+The gold sets are :attr:`~.corpus.AnnotatedSource.gold`, which holds no
+identity edit (replacement equals the source span); scoring logs their count.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import _levenshtein
 from .analysis import mean_score
-from .corpus import AnnotatedSource, AnnotationSet, Edit, Sentence
+from .corpus import AnnotatedSource, Sentence
 from .errors import ValidationError
 
 __all__ = [
@@ -39,7 +42,6 @@ __all__ = [
     "M2SentenceCounts",
     "f_beta",
     "M2Stats",
-    "gold_edit_keys",
     "m2_stats",
     "m2_sentence",
     "m2_pool",
@@ -180,42 +182,12 @@ def _best_edits(lattice, gold: frozenset[_EditKey]) -> list[_EditKey]:
     return edits
 
 
-def _gold_keys(
-    source: Sentence, edits: Sequence[Edit]
-) -> tuple[frozenset[_EditKey], int]:
-    """Keys of the gold edits, and the number of identity edits left out."""
-    keys = [e.key for e in edits if source.tokens[e.start : e.end] != e.replacement]
-    return frozenset(keys), len(edits) - len(keys)
-
-
-def _warn_identity(ignored: int) -> None:
+def _warn_identity(units: Sequence[AnnotatedSource]) -> None:
+    """One warning giving how many identity gold edits ``units`` left out."""
+    ignored = sum(unit.identity for unit in units)
     if ignored:
         log.warning("ignored %d identity gold edit(s): replacement equals the "
                     "source span", ignored)
-
-
-def _unit_gold(
-    source: Sentence, annotations: Iterable[AnnotationSet]
-) -> tuple[_Gold, int]:
-    pairs = []
-    ignored = 0
-    for aset in sorted(annotations, key=lambda a: a.annotator):
-        keys, n = _gold_keys(source, aset.edits)
-        pairs.append((aset.annotator, keys))
-        ignored += n
-    return tuple(pairs), ignored
-
-
-def gold_edit_keys(units: Sequence[AnnotatedSource]) -> list[_Gold]:
-    """Each unit's gold edit keys as (annotator, keys) pairs by annotator id.
-
-    They do not depend on the system, so a run builds them once. Identity
-    gold edits (replacement equals the source span) are left out, with
-    one warning giving their number.
-    """
-    gold = [_unit_gold(unit.source, unit.annotations) for unit in units]
-    _warn_identity(sum(ignored for _, ignored in gold))
-    return [pairs for pairs, _ in gold]
 
 
 class M2Stats(NamedTuple):
@@ -232,7 +204,7 @@ def m2_stats(
     gold: _Gold,
     cfg: M2Config = M2Config(),
 ) -> M2Stats:
-    """Sentence statistics against ``gold`` (one item of :func:`gold_edit_keys`).
+    """Sentence statistics against one unit's ``AnnotatedSource.gold``.
 
     One lattice serves every annotator. An unchanged hypothesis builds
     none: its only minimal path is the all-match diagonal, which holds no
@@ -257,16 +229,15 @@ def m2_stats(
 def m2_sentence(
     source: Sentence,
     hypothesis: Sentence,
-    annotations: Sequence[AnnotationSet],
+    gold: _Gold,
     cfg: M2Config = M2Config(),
 ) -> tuple[M2SentenceCounts, float]:
-    """Score one sentence, choosing the annotator that maximizes F_beta.
+    """Score one sentence against ``gold``, choosing the annotator that
+    maximizes F_beta.
 
     Ties go to the lowest annotator id. ``tp + fn`` always equals the
-    number of (non-identity) gold edits of the chosen annotator.
+    number of gold edits of the chosen annotator.
     """
-    gold, ignored = _unit_gold(source, annotations)
-    _warn_identity(ignored)
     stats = m2_stats(source, hypothesis, gold, cfg)
     best = max(stats.counts, key=lambda c: f_beta(c.tp, c.fp, c.fn, cfg.beta))
     return best, stats.score
@@ -305,10 +276,8 @@ def m2_corpus(
         raise ValidationError("empty corpus")
     if mode not in ("sentence", "corpus"):
         raise ValidationError(f"unknown aggregation mode {mode!r}")
-    stats = [
-        m2_stats(unit.source, hyp, gold, cfg)
-        for unit, hyp, gold in zip(units, hypotheses, gold_edit_keys(units))
-    ]
+    _warn_identity(units)
+    stats = [m2_stats(u.source, hyp, u.gold, cfg) for u, hyp in zip(units, hypotheses)]
     if mode == "sentence":
         return mean_score([s.score for s in stats])
     return m2_pool(stats, cfg)

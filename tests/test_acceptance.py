@@ -31,7 +31,7 @@ from gecmetric.analysis import (
     sweep_lambda,
 )
 from gecmetric.cli import main
-from gecmetric.corpus import AnnotatedSource, AnnotationSet, Edit, Sentence, tokenize
+from gecmetric.corpus import AnnotatedSource, Sentence, tokenize
 from gecmetric.gleu import MEAN_OVER_ALL, GleuConfig, gleu_corpus, gleu_multi_ref, gleu_stats
 from gecmetric.grammaticality import (
     DetectorSuite,
@@ -116,20 +116,20 @@ def _random_gold(rng, src):
         repl = tuple(rng.choice(VOCAB) for _ in range(rng.randint(0, 2)))
         if tuple(src[start:end]) == repl:
             continue
-        if edits and edits[-1].start == edits[-1].end == start == end:
+        if edits and edits[-1][0] == edits[-1][1] == start == end:
             continue
-        edits.append(Edit(start, end, repl))
+        edits.append((start, end, repl))
         pos = end if end > start else (start if rng.random() < 0.5 else start + 1)
     return edits
 
 
 def _noisy_hypothesis(rng, src, gold):
     out, pos = [], 0
-    for e in gold:
+    for start, end, replacement in gold:
         if rng.random() < 0.6:
-            out.extend(src[pos : e.start])
-            out.extend(e.replacement)
-            pos = e.end
+            out.extend(src[pos:start])
+            out.extend(replacement)
+            pos = end
     out.extend(src[pos:])
     for _ in range(rng.randint(0, 2)):
         if out and rng.random() < 0.5:
@@ -153,11 +153,11 @@ def test_criterion_02_edit_counts_match_oracle():
         counts, _ = m2_sentence(
             Sentence(tuple(src)),
             Sentence(tuple(hyp)),
-            (AnnotationSet(0, tuple(gold)),),
+            ((0, frozenset(gold)),),
             M2Config(),
         )
         got = (counts.tp, counts.fp, counts.fn)
-        want = m2_reference_count_set(src, hyp, [e.key for e in gold], 2)
+        want = m2_reference_count_set(src, hyp, gold, 2)
         if got not in want:
             mismatches += 1
         elif len(want) == 1:
@@ -465,11 +465,9 @@ def test_criterion_09_aggregation_modes(tmp_path):
         src = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
         gold = _random_gold(rng, src)
         hyp = _noisy_hypothesis(rng, src, gold)
-        unit = AnnotatedSource(
-            Sentence(tuple(src)), (AnnotationSet(0, tuple(gold)),)
-        )
+        unit = AnnotatedSource(Sentence(tuple(src)), ((0, frozenset(gold)),))
         hyp_sentence = Sentence(tuple(hyp)) if hyp else Sentence(("x",))
-        _, sentence_f = m2_sentence(unit.source, hyp_sentence, unit.annotations)
+        _, sentence_f = m2_sentence(unit.source, hyp_sentence, unit.gold)
         for mode in ("sentence", "corpus"):
             m2_ok &= m2_corpus([unit], [hyp_sentence], mode=mode) == sentence_f
 

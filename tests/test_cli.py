@@ -359,6 +359,36 @@ def test_score_m2_means(corpus, capsys):
     assert means["c"] == 0.0
 
 
+IDENTITY_WARNING = "ignored 1 identity gold edit(s): replacement equals the source span"
+
+
+@pytest.mark.parametrize(
+    "metric,warnings",
+    [(["--metric", "m2"], 1), (["--metric", "gleu", "--ref", "{d}/ref1.txt"], 0)],
+    ids=["m2", "gleu"],
+)
+def test_identity_gold_edit_is_reported_only_when_m2_scores(
+    corpus, capsys, caplog, metric, warnings
+):
+    """A gold edit whose replacement equals its source span is left out
+    with one warning when M2 scores, and none when the file only gives
+    the sources."""
+    gold = GOLD_M2.replace(
+        "A 0 1|||Det|||An|||REQUIRED|||-NONE-|||0\n",
+        "A 0 1|||Det|||An|||REQUIRED|||-NONE-|||0\n"
+        "A 2 3|||Verb|||fell|||REQUIRED|||-NONE-|||0\n",
+    )
+    (corpus / "identity.m2").write_text(gold, encoding="utf-8")
+    argv = ["score", "--m2", str(corpus / "identity.m2")]
+    argv += [arg.format(d=corpus) for arg in metric] + _hyp_args(corpus)
+    with caplog.at_level(logging.INFO, logger="gecmetric"):
+        code, _, _ = _run(capsys, argv)
+    assert code == 0
+    messages = [r.getMessage() for r in caplog.records]
+    assert messages.count(IDENTITY_WARNING) == warnings
+    assert sum("identity" in m for m in messages) == warnings
+
+
 def test_score_imeasure_extremes(corpus, capsys):
     code, out, _ = _run(
         capsys,
@@ -715,6 +745,19 @@ def test_sweep_gaming_lambda_is_checked_before_anything_is_scored(
     ]
 
 
+@pytest.mark.parametrize("lam", ["1.5", "nan"])
+def test_sweep_gaming_lambda_is_checked_without_gaming(corpus, capsys, caplog, lam):
+    """--gaming-lambda is checked whether or not --gaming is given."""
+    argv = ["sweep", "--gaming-lambda", lam] + _sweep_args(corpus)
+    with caplog.at_level(logging.INFO, logger="gecmetric"):
+        code, out, _ = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert [r.getMessage() for r in caplog.records] == [
+        f"lambda must be in [0, 1], got {float(lam)}"
+    ]
+
+
 def test_sweep_rejects_reference_metric_as_fluency(corpus, capsys):
     code, _, err = _run(
         capsys,
@@ -768,6 +811,30 @@ def test_ablate_sizes_out_of_range_exit_two(corpus, capsys, sizes):
         capsys, ["ablate", "--trials", "1", "--sizes", sizes] + _sweep_args(corpus)
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "knobs,message",
+    [
+        (["--sizes", "3"], "subset size 3 not in [1, 2]"),
+        (["--sizes", "1,3"], "subset size 3 not in [1, 2]"),
+        (["--trials", "100000000000000000000"],
+         "trials must be in [1, 10000], got 100000000000000000000"),
+    ],
+    ids=["size-above-refs", "one-size-above-refs", "trials-too-large"],
+)
+def test_ablate_knobs_are_checked_before_anything_is_scored(
+    corpus, capsys, caplog, knobs, message
+):
+    """A checker that cannot start would fail the first scoring batch with
+    exit 3; the bad knob is reported first."""
+    argv = ["ablate", "--checker", str(corpus / "no-such-checker")]
+    argv += knobs + _sweep_args(corpus)
+    with caplog.at_level(logging.INFO, logger="gecmetric"):
+        code, out, _ = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert [r.getMessage() for r in caplog.records] == [message]
 
 
 def test_ablate_rejects_errorcount_reference(corpus, capsys):
@@ -1376,6 +1443,14 @@ BAD_UTF8 = b"the cat sat.\nan \xff apple.\nhe goes home.\n"
 SINGULAR_TSV = "a\tb\ttarget\n1\t1\t0.1\n2\t2\t0.4\n3\t3\t0.2\n5\t5\t0.9\n"
 # a noop line that names annotator -1
 NEGATIVE_M2 = "S the cat sat.\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||-1\n"
+# one annotator's edits (0,2) and (1,3) share the token at 1
+OVERLAP_M2 = (
+    "S the cat sat.\n"
+    "A 0 2|||X|||A dog|||REQUIRED|||-NONE-|||0\n"
+    "A 1 3|||X|||ran|||REQUIRED|||-NONE-|||0\n"
+)
+# an edit ending past the source's three tokens
+BEYOND_M2 = "S the cat sat.\nA 2 4|||X|||sat|||REQUIRED|||-NONE-|||0\n"
 
 _A = ["--hyp", "a={d}/a.txt"]
 _CHECK = ["check", "--input", "{d}/a.txt", "--checker-timeout", "2", "--checker"]
@@ -1425,6 +1500,8 @@ MALFORMED = {
     "checker-bad-bytes": [*_CHECK, "{checker} bad-bytes"],
     "checker-bool-span": [*_CHECK, "{checker} bool-span"],
     "m2-negative-annotator": ["score", "--metric", "m2", "--m2", "{d}/negative.m2", *_A],
+    "m2-overlapping-edits": ["score", "--metric", "m2", "--m2", "{d}/overlap.m2", *_A],
+    "m2-span-beyond-source": ["score", "--metric", "m2", "--m2", "{d}/beyond.m2", *_A],
     "m2-without-gold": ["score", "--metric", "m2", *_A],
     "ref-too-short": ["score", "--metric", "gleu", "--source", "{d}/source.txt",
                       "--ref", "{d}/one.txt", *_A],
@@ -1449,6 +1526,8 @@ def test_malformed_input_exits_with_one_line(corpus, model_path, case):
     (corpus / "bad.txt").write_bytes(BAD_UTF8)
     (corpus / "singular.tsv").write_text(SINGULAR_TSV, encoding="utf-8")
     (corpus / "negative.m2").write_text(NEGATIVE_M2, encoding="utf-8")
+    (corpus / "overlap.m2").write_text(OVERLAP_M2, encoding="utf-8")
+    (corpus / "beyond.m2").write_text(BEYOND_M2, encoding="utf-8")
     (corpus / "one.txt").write_text("the cat sat.\n", encoding="utf-8")
     (corpus / "empty.txt").write_text("", encoding="utf-8")
     (corpus / "empty-id.tsv").write_text("a\t1\n\t0.5\n", encoding="utf-8")

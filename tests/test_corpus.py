@@ -1,13 +1,9 @@
 import pytest
 
-from gecmetric.corpus import (
-    AnnotatedSource,
-    AnnotationSet,
-    Edit,
-    Sentence,
-    tokenize,
-)
-from gecmetric.errors import ValidationError
+from gecmetric.corpus import Sentence, tokenize
+from gecmetric.errors import ParseError, ValidationError
+from gecmetric.formats import parse_m2
+from gecmetric.maxmatch import m2_corpus
 
 
 def test_sentence_basics():
@@ -62,65 +58,69 @@ def test_detokenize_round_trip():
     assert tokenize(s.text) == s
 
 
-def test_edit_key_and_str():
-    e = Edit(1, 2, ("goes",))
-    assert e.key == (1, 2, ("goes",))
-    assert str(e) == "(1,2)->'goes'"
-    assert str(Edit(0, 0, ("x", "y"))) == "(0,0)->'x y'"
+# An AnnotatedSource comes from the annotation parser alone, so what it
+# may hold is pinned on annotation text, with the parser's exact messages.
 
 
-def test_edit_replacement_coerced_to_tuple():
-    assert Edit(0, 1, ["a", "b"]).replacement == ("a", "b")
+def _a(span, correction, annotator=0):
+    return f"A {span}|||X|||{correction}|||REQUIRED|||-NONE-|||{annotator}\n"
+
+
+def _rejects(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_m2(text)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
     "start,end", [(-1, 0), (2, 1)],
 )
 def test_edit_rejects_bad_spans(start, end):
-    with pytest.raises(ValidationError):
-        Edit(start, end)
+    message = (
+        f"edit start {start} is negative" if start < 0
+        else f"edit span ({start}, {end}) has end before start"
+    )
+    _rejects("S a b c\n" + _a(f"{start} {end}", "y"), f"line 2: {message}")
 
 
 def test_edit_rejects_non_integer_indices():
-    with pytest.raises(ValidationError):
-        Edit(0.0, 1)
+    """Span indices are read with int(), so no other kind reaches a key."""
+    _rejects("S a b c\n" + _a("0.0 1", "y"), "line 2: non-integer span '0.0 1'")
 
 
 @pytest.mark.parametrize(
-    "edits,error",
+    "lines,error,hypothesis",
     [
-        ([Edit(0, 2, ("x",)), Edit(1, 3, ("y",))], "overlaps"),
-        ([Edit(2, 3, ("x",)), Edit(0, 1, ("y",))], "out of order"),
-        ([Edit(1, 1, ("x",)), Edit(1, 1, ("y",))], "same point"),
-        ([Edit(1, 1, ("x",)), Edit(1, 2, ("B",))], None),
+        ([_a("0 2", "y"), _a("1 3", "z")], "edit (1,3)->'z' overlaps (0,2)->'y'", None),
+        ([_a("2 3", "x"), _a("0 1", "y")], None, "y b x"),
+        (
+            [_a("1 1", "y"), _a("1 1", "z")],
+            "two insertions at the same point: (1,1)->'y' and (1,1)->'z'",
+            None,
+        ),
+        ([_a("1 1", "x"), _a("1 2", "B")], None, "a x B c"),
     ],
     ids=["overlap", "out-of-order", "two-insertions-at-one-point", "insertion-then-edit"],
 )
-def test_annotation_set_checks_edit_sequence(edits, error):
-    """Edits are sorted and disjoint, with at most one insertion at a
-    point; an insertion may precede an edit starting at the same index."""
+def test_annotation_set_checks_edit_sequence(lines, error, hypothesis):
+    """An annotator's edits are disjoint, with at most one insertion at a
+    point; they are sorted by span, and an insertion may precede an edit
+    starting at the same index. The hypothesis applying an accepted
+    sequence scores 1."""
+    text = "S a b c\n" + "".join(lines)
     if error is None:
-        assert AnnotationSet(0, edits).edits == tuple(edits)
+        assert m2_corpus(parse_m2(text), [tokenize(hypothesis)]) == 1.0
     else:
-        with pytest.raises(ValidationError, match=error):
-            AnnotationSet(0, edits)
+        _rejects(text, f"line 1: in unit starting here: {error}")
 
 
 def test_annotation_set_accepts_empty_edits():
-    assert AnnotationSet(0).edits == ()
+    units = parse_m2("S a b\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n")
+    assert m2_corpus(units, [tokenize("a b")]) == 1.0
 
 
 def test_annotated_source_rejects_out_of_bounds_edits():
-    with pytest.raises(ValidationError, match="exceeds source length"):
-        AnnotatedSource(
-            tokenize("a"),
-            (AnnotationSet(0, (Edit(0, 5, ("x",)),)),),
-        )
-
-
-def test_annotated_source_rejects_duplicate_annotators():
-    with pytest.raises(ValidationError, match="duplicate annotator"):
-        AnnotatedSource(
-            tokenize("a b"),
-            (AnnotationSet(0), AnnotationSet(0)),
-        )
+    _rejects(
+        "S a\n" + _a("0 5", "y"),
+        "line 1: in unit starting here: edit (0,5)->'y' exceeds source length 1",
+    )

@@ -13,6 +13,7 @@ from gecmetric.formats import (
     render_report,
     write_report,
 )
+from test_corpus import _a, _rejects
 
 SAMPLE = """\
 S he go home
@@ -29,27 +30,26 @@ def test_parse_basic_unit():
     assert len(units) == 2
     first = units[0]
     assert first.source.text == "he go home"
-    assert [a.annotator for a in first.annotations] == [0, 1]
-    assert first.annotations[0].edits[0].key == (1, 2, ("goes",))
-    assert first.annotations[1].edits[0].replacement == ("went",)
+    assert first.gold == (
+        (0, frozenset({(1, 2, ("goes",))})),
+        (1, frozenset({(1, 2, ("went",))})),
+    )
+    assert first.identity == 0
 
 
 def test_parse_noop_line_becomes_empty_annotation_set():
     units = parse_m2(SAMPLE)
-    noop = units[1].annotations[0]
-    assert noop.annotator == 0
-    assert noop.edits == ()
+    assert units[1].gold == ((0, frozenset()),)
 
 
 def test_parse_unit_without_annotations_gets_annotator_zero():
     units = parse_m2("S a b c\n")
-    assert len(units[0].annotations) == 1
-    assert units[0].annotations[0].edits == ()
+    assert units[0].gold == ((0, frozenset()),)
 
 
 def test_parse_deletion_edit_has_empty_replacement():
     units = parse_m2("S a b\nA 0 1|||Del||||||REQUIRED|||-NONE-|||0\n")
-    assert units[0].annotations[0].edits[0].replacement == ()
+    assert units[0].gold == ((0, frozenset({(0, 1, ())})),)
 
 
 def test_parse_empty_source_line():
@@ -67,12 +67,23 @@ def test_parse_keeps_span_replacement_and_annotator_only():
         "A -1 -1|||noop|||-NONE-|||OPTIONAL|||why not|||0\n"
     )
     [unit] = units
-    assert [a.annotator for a in unit.annotations] == [0, 2]
-    assert unit.annotations[0].edits == ()
-    assert [e.key for e in unit.annotations[1].edits] == [
-        (0, 1, ("x",)),
-        (2, 2, ("the", "y")),
-    ]
+    assert unit.gold == (
+        (0, frozenset()),
+        (2, frozenset({(0, 1, ("x",)), (2, 2, ("the", "y"))})),
+    )
+
+
+def test_parse_counts_and_leaves_out_identity_edits():
+    """An edit whose replacement equals its source span is counted and
+    left out of the gold keys."""
+    [unit] = parse_m2(
+        "S a b c\n"
+        "A 0 1|||X|||a|||REQUIRED|||-NONE-|||0\n"
+        "A 1 2|||X|||x|||REQUIRED|||-NONE-|||0\n"
+        "A 2 2|||Ins||||||REQUIRED|||-NONE-|||1\n"
+    )
+    assert unit.gold == ((0, frozenset({(1, 2, ("x",))})), (1, frozenset()))
+    assert unit.identity == 2
 
 
 def test_parse_error_reports_line_number():
@@ -117,6 +128,32 @@ def test_parse_rejects_garbage_line():
 def test_parse_rejects_non_integer_span():
     with pytest.raises(ParseError, match="span"):
         parse_m2("S a\nA x y|||T|||z|||REQUIRED|||-NONE-|||0\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        # edits are sorted by span before they are checked
+        (
+            "S a b c\n" + _a("1 3", "z") + _a("0 2", "y"),
+            "line 1: in unit starting here: edit (1,3)->'z' overlaps (0,2)->'y'",
+        ),
+        # an identity edit (its replacement equals the source span) is
+        # checked like any other
+        (
+            "S a b c\n" + _a("0 2", "a b") + _a("1 3", "z"),
+            "line 1: in unit starting here: edit (1,3)->'z' overlaps (0,2)->'a b'",
+        ),
+        # every annotator's order is checked before any span's bounds
+        (
+            "S a\n" + _a("0 5", "y", 0) + _a("0 1", "p", 1) + _a("0 1", "q", 1),
+            "line 1: in unit starting here: edit (0,1)->'q' overlaps (0,1)->'p'",
+        ),
+    ],
+    ids=["overlap-out-of-order", "identity-overlap", "order-before-bounds"],
+)
+def test_parse_rejects_bad_edits_with_exact_message(text, message):
+    _rejects(text, message)
 
 
 def test_read_m2_file_handles_bom(tmp_path):

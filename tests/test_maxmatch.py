@@ -4,15 +4,14 @@ import random
 import pytest
 
 from gecmetric import maxmatch
-from gecmetric.corpus import AnnotatedSource, AnnotationSet, Edit, Sentence, tokenize
+from gecmetric.corpus import AnnotatedSource, Sentence, tokenize
 from gecmetric.errors import ValidationError
+from gecmetric.formats import parse_m2
 from gecmetric.maxmatch import (
     M2Config,
     _best_edits,
     _build_graph,
-    _gold_keys,
     f_beta,
-    gold_edit_keys,
     m2_corpus,
     m2_sentence,
     m2_stats,
@@ -22,12 +21,17 @@ from oracles import f_beta_reference, m2_reference_count_set
 VOCAB = ["a", "b", "c"]
 
 
+def gold_keys(source, edits):
+    """The keys of the (start, end, replacement) ``edits`` without the
+    identity ones, as the annotation parser builds them."""
+    return frozenset(e for e in edits if source.tokens[e[0] : e[1]] != e[2])
+
+
 def system_edits(source, hypothesis, gold_edits, cfg):
     """The (start, end, replacement) edits the lattice credits the system
     with, biased toward the non-identity ``gold_edits``."""
-    keys, _ = _gold_keys(source, gold_edits)
     lattice = _build_graph(source.tokens, hypothesis.tokens, cfg.max_unchanged_words)
-    return _best_edits(lattice, keys)
+    return _best_edits(lattice, gold_keys(source, gold_edits))
 
 
 def edits_of(src, hyp, gold, **kw):
@@ -37,22 +41,22 @@ def edits_of(src, hyp, gold, **kw):
 
 def counts_of(src, hyp, gold, **kw):
     cfg = M2Config(**kw) if kw else M2Config()
-    unit_anns = (AnnotationSet(0, tuple(gold)),)
-    counts, _ = m2_sentence(tokenize(src), tokenize(hyp), unit_anns, cfg)
+    source = tokenize(src)
+    counts, _ = m2_sentence(source, tokenize(hyp), ((0, gold_keys(source, gold)),), cfg)
     return counts.tp, counts.fp, counts.fn
 
 
 def test_single_substitution_matches_gold():
-    edits = edits_of("a b c", "a x c", [Edit(1, 2, ("x",))])
+    edits = edits_of("a b c", "a x c", [(1, 2, ("x",))])
     assert edits == [(1, 2, ("x",))]
 
 
 def test_unchanged_hypothesis_yields_no_edits():
-    assert edits_of("a b c", "a b c", [Edit(1, 2, ("x",))]) == []
+    assert edits_of("a b c", "a b c", [(1, 2, ("x",))]) == []
 
 
 def test_gold_reward_merges_phrase_edit():
-    edits = edits_of("a b c d", "a x y d", [Edit(1, 3, ("x", "y"))])
+    edits = edits_of("a b c d", "a x y d", [(1, 3, ("x", "y"))])
     assert edits == [(1, 3, ("x", "y"))]
 
 
@@ -71,7 +75,7 @@ def test_widely_separated_changes_stay_split():
 
 def test_compound_edge_respects_max_unchanged_words():
     # gold wants one phrase edit spanning an unchanged token
-    gold = [Edit(1, 4, ("x", "b", "y"))]
+    gold = [(1, 4, ("x", "b", "y"))]
     spanning = edits_of("a q b r d", "a x b y d", gold, max_unchanged_words=2)
     assert spanning == [(1, 4, ("x", "b", "y"))]
     split = edits_of("a q b r d", "a x b y d", gold, max_unchanged_words=0)
@@ -79,22 +83,22 @@ def test_compound_edge_respects_max_unchanged_words():
 
 
 def test_hand_counts():
-    assert counts_of("a b c", "a x c", [Edit(1, 2, ("x",))]) == (1, 0, 0)
-    assert counts_of("a b c", "a b c", [Edit(1, 2, ("x",))]) == (0, 0, 1)
-    assert counts_of("a b c", "a y c", [Edit(1, 2, ("x",))]) == (0, 1, 1)
+    assert counts_of("a b c", "a x c", [(1, 2, ("x",))]) == (1, 0, 0)
+    assert counts_of("a b c", "a b c", [(1, 2, ("x",))]) == (0, 0, 1)
+    assert counts_of("a b c", "a y c", [(1, 2, ("x",))]) == (0, 1, 1)
 
 
 def test_hand_f_scores():
     _, f_hit = m2_sentence(
         tokenize("a b c"),
         tokenize("a x c"),
-        (AnnotationSet(0, (Edit(1, 2, ("x",)),)),),
+        ((0, frozenset({(1, 2, ("x",))})),),
     )
     assert f_hit == 1.0
     _, f_unchanged = m2_sentence(
         tokenize("a b c"),
         tokenize("a b c"),
-        (AnnotationSet(0, (Edit(1, 2, ("x",)),)),),
+        ((0, frozenset({(1, 2, ("x",))})),),
     )
     assert f_unchanged == 0.0  # P=1, R=0
 
@@ -117,27 +121,34 @@ def test_f_beta_matches_reference_formula():
 
 
 def test_identity_gold_edit_is_ignored_with_warning(caplog):
-    gold = [Edit(0, 1, ("a",)), Edit(1, 2, ("x",))]
+    units = parse_m2(
+        "S a b c\n"
+        "A 0 1|||X|||a|||REQUIRED|||-NONE-|||0\n"
+        "A 1 2|||X|||x|||REQUIRED|||-NONE-|||0\n"
+    )
+    hyps = [tokenize("a x c")]
+    counts, _ = m2_sentence(units[0].source, hyps[0], units[0].gold)
+    assert (counts.tp, counts.fp, counts.fn) == (1, 0, 0)
     with caplog.at_level(logging.WARNING, logger="gecmetric.maxmatch"):
-        tp, fp, fn = counts_of("a b c", "a x c", gold)
-    assert (tp, fp, fn) == (1, 0, 0)
+        assert m2_corpus(units, hyps) == 1.0
     assert any("identity gold edit" in rec.message for rec in caplog.records)
 
 
 def test_annotator_tie_goes_to_lowest_id():
-    anns = (
-        AnnotationSet(1, (Edit(1, 2, ("x",)),)),
-        AnnotationSet(0, (Edit(1, 2, ("x",)),)),
+    [unit] = parse_m2(
+        "S a b c\n"
+        "A 1 2|||X|||x|||REQUIRED|||-NONE-|||1\n"
+        "A 1 2|||X|||x|||REQUIRED|||-NONE-|||0\n"
     )
-    counts, f = m2_sentence(tokenize("a b c"), tokenize("a x c"), anns)
+    counts, f = m2_sentence(unit.source, tokenize("a x c"), unit.gold)
     assert f == 1.0
     assert counts.annotator == 0
 
 
 def test_best_annotator_wins():
     anns = (
-        AnnotationSet(0, (Edit(0, 1, ("q",)),)),
-        AnnotationSet(1, (Edit(1, 2, ("x",)),)),
+        (0, frozenset({(0, 1, ("q",))})),
+        (1, frozenset({(1, 2, ("x",))})),
     )
     counts, f = m2_sentence(tokenize("a b c"), tokenize("a x c"), anns)
     assert counts.annotator == 1
@@ -155,9 +166,7 @@ def test_tp_plus_fn_is_gold_size():
         src = [rng.choice(VOCAB) for _ in range(rng.randint(1, 5))]
         hyp = [rng.choice(VOCAB) for _ in range(rng.randint(0, 5))]
         gold = _random_gold(rng, src)
-        live = [
-            e for e in gold if tuple(src[e.start : e.end]) != e.replacement
-        ]
+        live = [e for e in gold if tuple(src[e[0] : e[1]]) != e[2]]
         tp, fp, fn = counts_of(" ".join(src), " ".join(hyp), gold)
         assert tp + fn == len(live)
 
@@ -173,9 +182,9 @@ def _random_gold(rng, src):
         repl = tuple(rng.choice(VOCAB) for _ in range(rng.randint(0, 2)))
         if tuple(src[start:end]) == repl:
             continue
-        if edits and edits[-1].start == edits[-1].end == start == end:
+        if edits and edits[-1][0] == edits[-1][1] == start == end:
             continue
-        edits.append(Edit(start, end, repl))
+        edits.append((start, end, repl))
         pos = end if end > start else (start if rng.random() < 0.5 else start + 1)
     return edits
 
@@ -184,10 +193,10 @@ def _apply_subset_with_noise(rng, src, gold):
     chosen = [e for e in gold if rng.random() < 0.6]
     out = []
     pos = 0
-    for e in chosen:
-        out.extend(src[pos : e.start])
-        out.extend(e.replacement)
-        pos = e.end
+    for start, end, replacement in chosen:
+        out.extend(src[pos:start])
+        out.extend(replacement)
+        pos = end
     out.extend(src[pos:])
     for _ in range(rng.randint(0, 2)):
         if out and rng.random() < 0.5:
@@ -217,7 +226,7 @@ def test_counts_match_exhaustive_oracle():
             " ".join(src), " ".join(hyp), gold, max_unchanged_words=max_unch
         )
         want = m2_reference_count_set(
-            src, hyp, [e.key for e in gold], max_unch
+            src, hyp, gold, max_unch
         )
         assert got in want
         if len(want) == 1:
@@ -239,7 +248,7 @@ def test_raising_reward_never_changes_chosen_edits(monkeypatch):
 
 
 def _replay(src, edits):
-    """Apply a system edit sequence; unlike an AnnotationSet this tolerates
+    """Apply a system edit sequence; unlike the annotation parser this tolerates
     the same-point insertion runs a lattice path can legitimately produce."""
     out = []
     cursor = 0
@@ -262,19 +271,14 @@ def test_system_edits_reconstruct_hypothesis():
 
 
 def _unit(src, gold_by_annotator):
-    anns = tuple(
-        AnnotationSet(
-            i, tuple(e for e in edits)
-        )
-        for i, edits in enumerate(gold_by_annotator)
-    )
-    return AnnotatedSource(tokenize(src), anns)
+    gold = tuple((i, frozenset(edits)) for i, edits in enumerate(gold_by_annotator))
+    return AnnotatedSource(tokenize(src), gold)
 
 
 def test_corpus_sentence_mode_is_mean_of_f():
     units = [
-        _unit("a b c", [(Edit(1, 2, ("x",)),)]),
-        _unit("a b c", [(Edit(1, 2, ("x",)),)]),
+        _unit("a b c", [((1, 2, ("x",)),)]),
+        _unit("a b c", [((1, 2, ("x",)),)]),
     ]
     hyps = [tokenize("a x c"), tokenize("a q c")]
     got = m2_corpus(units, hyps, mode="sentence")
@@ -283,8 +287,8 @@ def test_corpus_sentence_mode_is_mean_of_f():
 
 def test_corpus_mode_pools_counts():
     units = [
-        _unit("a b c", [(Edit(1, 2, ("x",)),)]),
-        _unit("a b c", [(Edit(1, 2, ("x",)),)]),
+        _unit("a b c", [((1, 2, ("x",)),)]),
+        _unit("a b c", [((1, 2, ("x",)),)]),
     ]
     hyps = [tokenize("a x c"), tokenize("a q c")]
     got = m2_corpus(units, hyps, mode="corpus")
@@ -294,22 +298,16 @@ def test_corpus_mode_pools_counts():
 
 def test_corpus_greedy_annotator_choice_uses_running_f():
     """The annotator picked for sentence 2 depends on sentence 1's pool."""
-    anns_a = (Edit(0, 1, ("x",)),)
-    anns_b = (Edit(1, 2, ("y",)),)
-    units = [
-        _unit("a b", [anns_a]),
-        AnnotatedSource(
-            tokenize("a b"),
-            (AnnotationSet(0, anns_a), AnnotationSet(1, anns_b)),
-        ),
-    ]
+    anns_a = ((0, 1, ("x",)),)
+    anns_b = ((1, 2, ("y",)),)
+    units = [_unit("a b", [anns_a]), _unit("a b", [anns_a, anns_b])]
     hyps = [tokenize("x b"), tokenize("x y")]
     pooled = m2_corpus(units, hyps, mode="corpus")
     assert 0.0 < pooled <= 1.0
 
 
 def test_corpus_single_sentence_matches_sentence_mode():
-    units = [_unit("a b c", [(Edit(1, 2, ("x",)),)])]
+    units = [_unit("a b c", [((1, 2, ("x",)),)])]
     hyps = [tokenize("a x c")]
     assert m2_corpus(units, hyps, mode="corpus") == m2_corpus(
         units, hyps, mode="sentence"
@@ -317,7 +315,7 @@ def test_corpus_single_sentence_matches_sentence_mode():
 
 
 def test_corpus_perfect_hypotheses_score_one_in_both_modes():
-    gold = (Edit(1, 2, ("x",)),)
+    gold = ((1, 2, ("x",)),)
     units = [_unit("a b c", [gold])] * 3
     hyps = [tokenize("a x c")] * 3
     assert m2_corpus(units, hyps, mode="sentence") == 1.0
@@ -343,27 +341,26 @@ def test_config_validation():
 
 def _random_unit(rng):
     source = tokenize(" ".join(rng.choice(VOCAB) for _ in range(rng.randint(1, 7))))
-    annotations = []
+    gold = []
     for annotator in (0, 1):
         edits, start = [], 0
         while start < len(source) and len(edits) < 2:
             start = rng.randint(start, len(source) - 1)
             end = start + rng.randint(0, 1)
             repl = tuple(rng.choice(VOCAB + ["x"]) for _ in range(rng.randint(0, 2)))
-            edits.append(Edit(start, end, repl))
+            edits.append((start, end, repl))
             start = end + 1
-        annotations.append(AnnotationSet(annotator, tuple(edits)))
-    return AnnotatedSource(source, tuple(annotations))
+        gold.append((annotator, gold_keys(source, edits)))
+    return AnnotatedSource(source, tuple(gold))
 
 
 def _counts_from_extracted_edits(unit, hypothesis, cfg):
     """Per-annotator counts, each from its own lattice."""
     out = []
-    for aset in unit.annotations:
-        keys = {e.key for e in aset.edits if unit.source.tokens[e.start : e.end] != e.replacement}
-        found = set(system_edits(unit.source, hypothesis, aset.edits, cfg))
+    for annotator, keys in unit.gold:
+        found = set(system_edits(unit.source, hypothesis, keys, cfg))
         tp = len(keys & found)
-        out.append((tp, len(found) - tp, len(keys) - tp, aset.annotator))
+        out.append((tp, len(found) - tp, len(keys) - tp, annotator))
     return out
 
 
@@ -374,7 +371,7 @@ def test_unchanged_and_restored_hypotheses_match_the_lattice_path():
     cfg = M2Config()
     for _ in range(150):
         unit = _random_unit(rng)
-        (gold,) = gold_edit_keys([unit])
+        gold = unit.gold
         tokens = list(unit.source.tokens)
         k = rng.randrange(len(tokens))
         changed = tokens[:k] + ["z"] + tokens[k + 1 :]
