@@ -38,6 +38,7 @@ __all__ = ["GleuConfig", "GleuStats", "gleu_stats", "gleu_stats_many",
 
 SAMPLED = "sampled"
 MEAN_OVER_ALL = "mean-over-all"
+_DRAW_WORDS = 1 << 24  # most words per getrandbits call: its bit count is a C int
 
 
 @dataclass(frozen=True)
@@ -163,13 +164,14 @@ def sample_draws(
 
     rng = random.Random(f"{seed}:{sentence_index}")
     shift = 32 - n_refs.bit_length()
-    kept = np.empty(0, np.uint32)
-    while len(kept) < iterations:
-        m = 2 * (iterations - len(kept)) + 64  # at least half the words are kept
+    chunks, n_kept = [], 0
+    while n_kept < iterations:
+        m = min(2 * (iterations - n_kept) + 64, _DRAW_WORDS)  # at least half are kept
         words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
         words = words >> shift
-        kept = np.concatenate([kept, words[words < n_refs]])
-    kept = kept[:iterations]
+        chunks.append(words[words < n_refs])
+        n_kept += len(chunks[-1])
+    kept = np.concatenate(chunks)[:iterations]
     return kept.astype(np.uint8).tobytes() if n_refs <= 256 else kept.tolist()
 
 

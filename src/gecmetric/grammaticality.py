@@ -16,7 +16,9 @@ than the per-sentence mean does.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import queue
 import string
 import subprocess
 import threading
@@ -325,11 +327,12 @@ class ExternalChecker:
     ``{"id": <int>, "tokens": [...]}`` and each response is
     ``{"id": <int>, "errors": [{"start": ..., "end": ..., "category": ...}]}``.
     Requests are pipelined (see :meth:`check_many`) and responses may
-    arrive out of order; a reader thread routes them by id.
-    Any malformed or unroutable response (an id that is not a request in
-    flight, or a line that is not UTF-8), early exit, or timeout raises
-    :class:`DetectorError` naming this detector — never a silent empty
-    result.
+    arrive out of order. A reader thread hands each output line to the
+    calling thread, which routes it by id; a checker serves one thread at
+    a time. Any malformed or unroutable response (an id that is not a
+    request in flight, or a line that is not UTF-8), early exit, or
+    timeout raises :class:`DetectorError` naming this detector — never a
+    silent empty result.
     """
 
     def __init__(
@@ -348,71 +351,51 @@ class ExternalChecker:
         self.detector_id = detector_id
         self.timeout = timeout
         self._proc: subprocess.Popen | None = None
-        self._reader: threading.Thread | None = None
-        self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
+        self._lines: queue.SimpleQueue | None = None  # filled by the reader thread
         self._responses: dict[int, object] = {}
         self._in_flight: set[int] = set()  # ids sent and not yet answered
         self._next_id = 0
         self._failure: str | None = None
 
     def _ensure_started(self) -> None:
-        with self._lock:  # threads sending at once must share one process
-            if self._proc is not None:
-                return
-            try:
-                self._proc = subprocess.Popen(
-                    self.command,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    text=True,
-                    encoding="utf-8",
-                )
-            except OSError as exc:
-                raise DetectorError(
-                    self.detector_id, f"failed to start: {exc}"
-                ) from exc
-            self._reader = threading.Thread(target=self._read_loop, daemon=True)
-            self._reader.start()
-
-    def _read_loop(self) -> None:
-        proc = self._proc
-        assert proc is not None and proc.stdout is not None
-        failure = None
+        if self._proc is not None:
+            return
         try:
-            for line in proc.stdout:
-                failure = self._route(line.strip())
-                if failure is not None:
-                    break
-        except UnicodeDecodeError as exc:
-            failure = f"response line is not UTF-8: {exc}"
-        with self._ready:
-            if failure is not None:
-                self._failure = failure
-            elif self._failure is None:
-                self._failure = "checker process closed its output"
-            self._ready.notify_all()
+            self._proc = subprocess.Popen(
+                self.command,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                text=True,
+                encoding="utf-8",
+            )
+        except OSError as exc:
+            raise DetectorError(self.detector_id, f"failed to start: {exc}") from exc
+        self._lines = queue.SimpleQueue()
+        threading.Thread(
+            target=_forward_lines, args=(self._proc.stdout, self._lines), daemon=True
+        ).start()
 
-    def _route(self, line: str) -> str | None:
-        """Store one response line under its request id; returns why the
-        line cannot be routed, if it cannot."""
+    def _route(self, item) -> str | None:
+        """Store one reply line under its request id; returns why the line
+        cannot be routed, or why the lines ended."""
+        if not isinstance(item, str):
+            return item[0]
+        line = item.strip()
         if not line:
             return None
         try:
             payload = json.loads(line)
             response_id = payload["id"]
-        except (ValueError, TypeError, KeyError):
+        except (ValueError, TypeError, KeyError, RecursionError):
             return f"malformed response line: {line[:200]!r}"
-        with self._ready:
-            # bools and floats compare equal to ints, so check the type
-            if type(response_id) is not int or response_id not in self._in_flight:
-                return (
-                    f"no response can be routed: reply id {response_id!r:.100} is "
-                    "not a request in flight (unknown or already answered)"
-                )
-            self._in_flight.remove(response_id)
-            self._responses[response_id] = payload
-            self._ready.notify_all()
+        # bools and floats compare equal to ints, so check the type
+        if type(response_id) is not int or response_id not in self._in_flight:
+            return (
+                f"no response can be routed: reply id {response_id!r:.100} is "
+                "not a request in flight (unknown or already answered)"
+            )
+        self._in_flight.remove(response_id)
+        self._responses[response_id] = payload
         return None
 
     def __call__(self, tokens: Sequence[str]) -> list[ErrorSpan]:
@@ -432,21 +415,18 @@ class ExternalChecker:
 
     def _send(self, tokens: Sequence[str]) -> int:
         self._ensure_started()
-        proc = self._proc
-        assert proc is not None and proc.stdin is not None
-        with self._lock:
-            request_id = self._next_id
-            self._next_id += 1
-            self._in_flight.add(request_id)
+        request_id = self._next_id
+        self._next_id += 1
+        self._in_flight.add(request_id)
         request = json.dumps({"id": request_id, "tokens": list(tokens)})
         try:
-            proc.stdin.write(request + "\n")
-            proc.stdin.flush()
+            self._proc.stdin.write(request + "\n")
+            self._proc.stdin.flush()
         except (OSError, ValueError) as exc:
             # A checker that exited while earlier requests were in flight:
             # report why it stopped, as waiting for those replies would.
-            if self._reader is not None:
-                self._reader.join(self.timeout)
+            with contextlib.suppress(DetectorError):
+                self._receive(request_id)  # routes lines until a failure or the timeout
             raise DetectorError(
                 self.detector_id, self._failure or f"write failed: {exc}"
             ) from exc
@@ -454,19 +434,21 @@ class ExternalChecker:
 
     def _receive(self, request_id: int):
         deadline = time.monotonic() + self.timeout
-        with self._ready:
-            while request_id not in self._responses:
-                if self._failure is not None:
-                    raise DetectorError(self.detector_id, self._failure)
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise DetectorError(
-                        self.detector_id,
-                        f"no response for request {request_id} "
-                        f"after {self.timeout:g}s",
-                    )
-                self._ready.wait(remaining)
-            return self._responses.pop(request_id)
+        while request_id not in self._responses:
+            if self._failure is not None:
+                raise DetectorError(self.detector_id, self._failure)
+            remaining = deadline - time.monotonic()
+            try:
+                if remaining <= 0:  # a checker that keeps writing lines times out too
+                    raise queue.Empty
+                item = self._lines.get(timeout=remaining)
+            except queue.Empty:
+                raise DetectorError(
+                    self.detector_id,
+                    f"no response for request {request_id} after {self.timeout:g}s",
+                ) from None
+            self._failure = self._route(item)
+        return self._responses.pop(request_id)
 
     def _parse_errors(self, payload, n_tokens: int) -> list[ErrorSpan]:
         errors = payload.get("errors") if isinstance(payload, dict) else None
@@ -495,22 +477,28 @@ class ExternalChecker:
         proc, self._proc = self._proc, None
         if proc is None:
             return
-        if proc.stdin is not None:
-            try:
-                proc.stdin.close()
-            except OSError:
-                pass
+        with contextlib.suppress(OSError):
+            proc.stdin.close()
         try:
             proc.wait(timeout=2.0)
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait()
-        if self._reader is not None:
-            self._reader.join(timeout=2.0)
-            self._reader = None
 
     def __enter__(self) -> "ExternalChecker":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _forward_lines(stream, lines: queue.SimpleQueue) -> None:
+    """Reader thread of an :class:`ExternalChecker`: put each line of
+    ``stream`` on ``lines``, then a 1-tuple holding why the lines ended."""
+    try:
+        for line in stream:
+            lines.put(line)
+        end = "checker process closed its output"
+    except UnicodeDecodeError as exc:
+        end = f"response line is not UTF-8: {exc}"
+    lines.put((end,))

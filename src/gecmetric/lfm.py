@@ -354,7 +354,7 @@ def save_lfm_model(path, model: LfmModel) -> None:
 def load_lfm_model(path) -> LfmModel:
     try:
         doc = json.loads(_read_text(path))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ModelError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelError("model file must hold a JSON object")

@@ -1,11 +1,14 @@
 """Pipelined external checker requests: ``check_many`` and ``run_many``."""
 
+import json
 import sys
 import textwrap
 import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gecmetric.errors import DetectorError
 from gecmetric.grammaticality import (
@@ -58,6 +61,8 @@ ROUTING_CHECKER = textwrap.dedent(
             out.write(b'{"id": 1000, "errors": []}\\n')
         elif mode == "bad-bytes":
             out.write(b"\\xff\\n")
+        elif mode == "deep":
+            out.write(b"[" * 100000 + b"\\n")
         elif mode == "bool-span":
             reply["errors"] = [{"start": False, "end": True, "category": "X"}]
         out.write((json.dumps(reply) + "\\n").encode() * (2 if mode == "duplicate" else 1))
@@ -161,6 +166,7 @@ def routing_script(tmp_path):
         ("unknown-id", "reply id 1000 is not a request in flight"),
         ("duplicate", "reply id 0 is not a request in flight"),
         ("bad-bytes", "response line is not UTF-8"),
+        ("deep", "malformed response line: '[[["),
     ],
 )
 def test_unroutable_reply_fails_at_once(routing_script, monkeypatch, mode, reason):
@@ -176,4 +182,80 @@ def test_unroutable_reply_fails_at_once(routing_script, monkeypatch, mode, reaso
     assert time.monotonic() - started < 5.0
     assert str(err.value).startswith("detector 'lint': ")
     assert reason in str(err.value)
+    assert thread_errors == []
+
+
+# Answers the first request with the bytes of the file named by argv[1],
+# then exits.
+ONE_REPLY_CHECKER = textwrap.dedent(
+    """
+    import sys
+
+    sys.stdin.readline()
+    with open(sys.argv[1], "rb") as f:
+        sys.stdout.buffer.write(f.read())
+    """
+)
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers(-1, 3) | st.text(max_size=3)
+    | st.integers(min_value=10**300, max_value=10**400),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+_BOUND = st.integers(-1, 3) | _JSON
+_ENTRY = _JSON | st.fixed_dictionaries(
+    {"start": _BOUND, "end": _BOUND,
+     "category": st.text(min_size=1, max_size=3) | _JSON}
+)
+_REPLY = _JSON | st.fixed_dictionaries(
+    {"id": st.just(0) | _JSON, "errors": st.lists(_ENTRY, max_size=3) | _JSON}
+)
+# Nesting about as deep as the JSON parser allows, in each place a reply
+# can hold it.
+_DEEP = st.builds(
+    lambda template, n: template % (b"[" * n + b"]" * n),
+    st.sampled_from([b"%b", b'{"id": %b}', b'{"id": 0, "errors": %b}',
+                     b'{"id": 0, "errors": [{"start": %b}]}',
+                     b'{"id": 0, "errors": {"x": %b}}']),
+    st.integers(1, 1500),
+)
+_LINE = st.one_of(
+    _REPLY.map(lambda value: json.dumps(value).encode()),
+    _DEEP,
+    st.just(b"[" * 100_000),
+    st.just(b'{"id": 1' + b"0" * 5000 + b', "errors": []}'),  # int past the digit limit
+    st.binary(max_size=12),  # non-UTF-8 bytes, stray newlines
+)
+_REPLY_BYTES = st.builds(
+    lambda blanks, line: blanks + line + b"\n",
+    st.sampled_from([b"", b"\n", b" \t\r\n"]),
+    _LINE,
+)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(reply=_REPLY_BYTES)
+def test_any_reply_gives_spans_or_a_detector_error(tmp_path, monkeypatch, reply):
+    """Whatever one reply line holds, the call returns spans inside the
+    sentence or raises DetectorError, and the reader thread ends cleanly."""
+    thread_errors = []
+    monkeypatch.setattr(threading, "excepthook", thread_errors.append)
+    script, reply_path = tmp_path / "one_reply.py", tmp_path / "reply.bin"
+    script.write_text(ONE_REPLY_CHECKER, encoding="utf-8")
+    reply_path.write_bytes(reply)
+    before = set(threading.enumerate())
+    try:
+        cmd = [sys.executable, "-S", str(script), str(reply_path)]
+        with ExternalChecker(cmd) as checker:
+            spans = checker(("a", "b"))
+    except DetectorError:
+        pass
+    else:
+        for span in spans:
+            assert 0 <= span.start <= span.end <= 2 and isinstance(span.category, str)
+    for thread in set(threading.enumerate()) - before:
+        thread.join(5.0)
     assert thread_errors == []

@@ -1474,6 +1474,9 @@ MALFORMED = {
     "model-int-too-large": ["score", "--metric", "lfm", "--model", "{d}/huge.json",
                             "--lm-corpus", "{d}/source.txt", "--wordlist",
                             "{d}/words.txt", *_A],
+    "model-deeply-nested": ["score", "--metric", "lfm", "--model", "{d}/deep.json",
+                            "--lm-corpus", "{d}/source.txt", "--wordlist",
+                            "{d}/words.txt", *_A],
     "beta-nan": ["score", "--metric", "m2", "--m2", "{d}/gold.m2", "--beta", "nan", *_A],
     "beta-inf": ["score", "--metric", "m2", "--m2", "{d}/gold.m2", "--beta", "inf", *_A],
     "max-n-too-large": ["score", "--metric", "gleu", "--source", "{d}/source.txt",
@@ -1499,6 +1502,7 @@ MALFORMED = {
     "checker-unknown-id": [*_CHECK, "{checker} unknown-id"],
     "checker-bad-bytes": [*_CHECK, "{checker} bad-bytes"],
     "checker-bool-span": [*_CHECK, "{checker} bool-span"],
+    "checker-deep-json": [*_CHECK, "{checker} deep"],
     "m2-negative-annotator": ["score", "--metric", "m2", "--m2", "{d}/negative.m2", *_A],
     "m2-overlapping-edits": ["score", "--metric", "m2", "--m2", "{d}/overlap.m2", *_A],
     "m2-span-beyond-source": ["score", "--metric", "m2", "--m2", "{d}/beyond.m2", *_A],
@@ -1533,6 +1537,7 @@ def test_malformed_input_exits_with_one_line(corpus, model_path, case):
     (corpus / "empty-id.tsv").write_text("a\t1\n\t0.5\n", encoding="utf-8")
     model = json.loads(model_path.read_text(encoding="utf-8"))
     (corpus / "huge.json").write_text(json.dumps({**model, "bias": 10**400}))
+    (corpus / "deep.json").write_text("[" * 200_000)
     routing = corpus / "routing.py"
     routing.write_text(ROUTING_CHECKER, encoding="utf-8")
     checker = f"{shlex.quote(sys.executable)} {shlex.quote(str(routing))}"

@@ -69,26 +69,6 @@ def test_flags_reported_spans(checker_script):
         assert checker(("ok",)) == []
 
 
-def test_out_of_order_responses_are_routed_by_id(checker_script):
-    """The swap mode answers request pairs in reverse order."""
-    with ExternalChecker(command(checker_script, "swap"), timeout=30.0) as checker:
-        import threading
-
-        results = {}
-
-        def ask(name, tokens):
-            results[name] = checker(tokens)
-
-        t1 = threading.Thread(target=ask, args=("first", ("bad",)))
-        t2 = threading.Thread(target=ask, args=("second", ("ok",)))
-        t1.start()
-        t2.start()
-        t1.join()
-        t2.join()
-    assert [(s.start, s.end) for s in results["first"]] == [(0, 1)]
-    assert results["second"] == []
-
-
 def test_malformed_response_raises_detector_error(checker_script):
     with ExternalChecker(
         command(checker_script, "garbage"), detector_id="lint"

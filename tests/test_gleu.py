@@ -415,6 +415,26 @@ def test_bulk_draws_equal_the_randrange_loop(n_refs):
                 assert got == want
 
 
+def test_draws_read_in_capped_chunks_are_unchanged(monkeypatch):
+    """getrandbits takes its bit count as a C int, so one call may not
+    ask for all of a large draw; consecutive calls continue the same
+    word stream, so the draws do not depend on the cap."""
+    cases = [(n, it) for n in (2, 3, 5, 300) for it in (1, 2, 7, 100, 500)]
+    want = {case: sample_draws(*case, 9, 4) for case in cases}
+    asked = []
+
+    class Recording(random.Random):
+        def getrandbits(self, k):
+            asked.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(random, "Random", Recording)
+    monkeypatch.setattr("gecmetric.gleu._DRAW_WORDS", 3)
+    for case in cases:
+        assert sample_draws(*case, 9, 4) == want[case]
+    assert asked and max(asked) <= 32 * 3
+
+
 @pytest.mark.parametrize("n_refs", [0, -1, -300])
 def test_draws_need_a_reference(n_refs):
     with pytest.raises(ValidationError):
