@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
 import queue
 import string
 import subprocess
@@ -52,7 +53,9 @@ __all__ = [
     "ExternalChecker",
 ]
 
-# Requests an external checker has in flight at once (see check_many).
+# Requests each external checker process has in flight at once; a batch
+# of more than this many is spread over one process per usable CPU (see
+# check_many).
 CHECKER_WINDOW = 32
 # Seconds an external checker may take to answer one request.
 CHECKER_TIMEOUT = 10.0
@@ -223,17 +226,20 @@ class DetectorSuite:
         return self.run_many([tokens])[0]
 
     def run_many(self, token_seqs: Sequence[Sequence[str]]) -> list[list[ErrorSpan]]:
-        """``run`` over each sequence; a detector with ``check_many`` (an
-        external checker) gets all of them in one pipelined call."""
+        """``run`` over each sequence. Each distinct sequence is run once;
+        a detector with ``check_many`` (an external checker) gets all of
+        them in one pipelined call."""
+        distinct = list(dict.fromkeys(map(tuple, token_seqs)))
         found = [
-            d.check_many(token_seqs) if hasattr(d, "check_many")
-            else [d(tokens) for tokens in token_seqs]
+            d.check_many(distinct) if hasattr(d, "check_many")
+            else [d(tokens) for tokens in distinct]
             for d in self.detectors
         ]
-        return [
-            self._merge(tokens, [spans[k] for spans in found])
-            for k, tokens in enumerate(token_seqs)
-        ]
+        merged = {
+            tokens: self._merge(tokens, [spans[k] for spans in found])
+            for k, tokens in enumerate(distinct)
+        }
+        return [list(merged[tuple(tokens)]) for tokens in token_seqs]
 
     def _merge(self, tokens, per_detector) -> list[ErrorSpan]:
         merged: dict[tuple[int, int, str], ErrorSpan] = {}
@@ -282,13 +288,12 @@ def error_count_stats(sentence: Sentence, suite: DetectorSuite) -> ErrorCountSta
 def error_count_stats_many(
     sentences: Sequence[Sentence], suite: DetectorSuite
 ) -> list[ErrorCountStats]:
-    """``error_count_stats`` of each sentence; each distinct token
-    sequence goes through ``suite.run_many`` once."""
-    distinct = list(dict.fromkeys(s.tokens for s in sentences))
-    errors = dict(zip(distinct, map(len, suite.run_many(distinct))))
+    """``error_count_stats`` of each sentence, from one ``suite.run_many``
+    call (which runs each distinct token sequence once)."""
+    found = suite.run_many([sentence.tokens for sentence in sentences])
     out = []
-    for sentence in sentences:
-        n_errors, tokens = errors[sentence.tokens], len(sentence)
+    for sentence, spans in zip(sentences, found):
+        n_errors, tokens = len(spans), len(sentence)
         score = max(0.0, 1.0 - n_errors / tokens) if tokens else 1.0
         out.append(ErrorCountStats(score, n_errors, tokens))
     return out
@@ -321,16 +326,20 @@ def error_count_corpus(
 
 
 class ExternalChecker:
-    """Error detector backed by a child process.
+    """Error detector backed by child processes.
 
     The protocol is line-delimited JSON on stdin/stdout: each request is
     ``{"id": <int>, "tokens": [...]}`` and each response is
     ``{"id": <int>, "errors": [{"start": ..., "end": ..., "category": ...}]}``.
-    Requests are pipelined (see :meth:`check_many`) and responses may
-    arrive out of order. A reader thread hands each output line to the
-    calling thread, which routes it by id; a checker serves one thread at
-    a time. Any malformed or unroutable response (an id that is not a
-    request in flight, or a line that is not UTF-8), early exit, or
+    Requests are pipelined (see :meth:`check_many`): each checker process
+    has up to ``CHECKER_WINDOW`` requests in flight, and a larger batch
+    is spread over one copy of the command per usable CPU. The copies
+    share no state, so a reply must depend only on its request's tokens.
+    Responses may arrive out of order. A reader thread per process hands
+    each output line to the calling thread, which routes it by id among
+    that process's requests; a checker serves one thread at a time. Any
+    malformed or unroutable response (an id that is not a request in
+    flight on that process, or a line that is not UTF-8), early exit, or
     timeout raises :class:`DetectorError` naming this detector — never a
     silent empty result.
     """
@@ -356,6 +365,8 @@ class ExternalChecker:
         self._in_flight: set[int] = set()  # ids sent and not yet answered
         self._next_id = 0
         self._failure: str | None = None
+        # copies of this checker that large batches are spread over
+        self._peers: list[ExternalChecker] = []
 
     def _ensure_started(self) -> None:
         if self._proc is not None:
@@ -402,15 +413,23 @@ class ExternalChecker:
         return self.check_many([tokens])[0]
 
     def check_many(self, token_seqs: Sequence[Sequence[str]]) -> list[list[ErrorSpan]]:
-        """Spans of each sequence, in order. Up to ``CHECKER_WINDOW``
-        requests are in flight at once; each reply's timeout starts when
-        the previous reply has been taken."""
+        """Spans of each sequence, in order. Request k goes to process
+        ``k % n``, where ``n`` is the number of usable CPUs or of
+        ``CHECKER_WINDOW``-sized slices of the batch, whichever is
+        smaller. Each process has up to ``CHECKER_WINDOW`` requests in
+        flight; each reply's timeout starts when the previous reply has
+        been taken."""
+        n = min(_usable_cpus(), -(-len(token_seqs) // CHECKER_WINDOW))
+        while len(self._peers) < n - 1:
+            self._peers.append(ExternalChecker(self.command, self.detector_id, self.timeout))
+        checkers = [self, *self._peers][:n]
         ids: list[int] = []
         out = []
         for k, tokens in enumerate(token_seqs):
-            while len(ids) < min(k + CHECKER_WINDOW, len(token_seqs)):
-                ids.append(self._send(token_seqs[len(ids)]))
-            out.append(self._parse_errors(self._receive(ids[k]), len(tokens)))
+            while len(ids) < min(k + n * CHECKER_WINDOW, len(token_seqs)):
+                ids.append(checkers[len(ids) % n]._send(token_seqs[len(ids)]))
+            reply = checkers[k % n]._receive(ids[k])
+            out.append(self._parse_errors(reply, len(tokens)))
         return out
 
     def _send(self, tokens: Sequence[str]) -> int:
@@ -454,7 +473,7 @@ class ExternalChecker:
         errors = payload.get("errors") if isinstance(payload, dict) else None
         if not isinstance(errors, list):
             raise DetectorError(
-                self.detector_id, f"response missing 'errors' list: {payload!r}"
+                self.detector_id, f"response missing 'errors' list: {payload!r:.200}"
             )
         spans = []
         for item in errors:
@@ -462,7 +481,7 @@ class ExternalChecker:
                 span = ErrorSpan(item["start"], item["end"], item["category"])
             except (TypeError, KeyError, ValidationError) as exc:
                 raise DetectorError(
-                    self.detector_id, f"bad error entry {item!r}: {exc}"
+                    self.detector_id, f"bad error entry {item!r:.200}: {exc!s:.200}"
                 ) from exc
             if span.end > n_tokens:
                 raise DetectorError(
@@ -474,16 +493,22 @@ class ExternalChecker:
         return spans
 
     def close(self) -> None:
-        proc, self._proc = self._proc, None
-        if proc is None:
-            return
-        with contextlib.suppress(OSError):
-            proc.stdin.close()
-        try:
-            proc.wait(timeout=2.0)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
+        """End every checker process's input; kill those that have not
+        exited 2 s later."""
+        checkers = [self, *self._peers]
+        procs = [c._proc for c in checkers if c._proc is not None]
+        for checker in checkers:
+            checker._proc = None
+        for proc in procs:
+            with contextlib.suppress(OSError):
+                proc.stdin.close()
+        deadline = time.monotonic() + 2.0
+        for proc in procs:
+            try:
+                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
 
     def __enter__(self) -> "ExternalChecker":
         return self
@@ -492,12 +517,21 @@ class ExternalChecker:
         self.close()
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _forward_lines(stream, lines: queue.SimpleQueue) -> None:
     """Reader thread of an :class:`ExternalChecker`: put each line of
-    ``stream`` on ``lines``, then a 1-tuple holding why the lines ended."""
+    ``stream`` on ``lines``, then a 1-tuple holding why the lines ended;
+    the thread owns ``stream`` and closes it."""
     try:
-        for line in stream:
-            lines.put(line)
+        with stream:
+            for line in stream:
+                lines.put(line)
         end = "checker process closed its output"
     except UnicodeDecodeError as exc:
         end = f"response line is not UTF-8: {exc}"

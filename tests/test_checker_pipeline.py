@@ -1,6 +1,8 @@
 """Pipelined external checker requests: ``check_many`` and ``run_many``."""
 
+import contextlib
 import json
+import subprocess
 import sys
 import textwrap
 import threading
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gecmetric import grammaticality
 from gecmetric.errors import DetectorError
 from gecmetric.grammaticality import (
     CHECKER_WINDOW,
@@ -259,3 +262,108 @@ def test_any_reply_gives_spans_or_a_detector_error(tmp_path, monkeypatch, reply)
     for thread in set(threading.enumerate()) - before:
         thread.join(5.0)
     assert thread_errors == []
+
+
+# ---------------------------------------------------------------------------
+# one checker process per CPU
+
+
+def _pool(monkeypatch, cpus):
+    """Let checkers see ``cpus`` usable CPUs; returns the list of the
+    processes they start from here on."""
+    monkeypatch.setattr(grammaticality, "_usable_cpus", lambda: cpus)
+    started = []
+    popen = subprocess.Popen
+
+    def record(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", record)
+    return started
+
+
+def _numbered(count):
+    """``count`` distinct sequences; the "bad" tokens of sequence k are
+    the set bits of k."""
+    return [tuple("bad" if k >> b & 1 else "ok" for b in range(8)) for k in range(count)]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_pool_gives_the_spans_of_one_process_in_request_order(
+    checker_script, monkeypatch, cpus
+):
+    """The swap mode answers each pair of a process's requests in
+    reverse order."""
+    started = _pool(monkeypatch, cpus)
+    seqs = _numbered(3 * CHECKER_WINDOW)
+    with ExternalChecker(command(checker_script, "swap"), timeout=30.0) as checker:
+        results = checker.check_many(seqs)
+    assert len(started) == cpus
+    assert _spans(results) == [
+        [(b, b + 1, "EXT") for b in range(8) if k >> b & 1] for k in range(len(seqs))
+    ]
+
+
+@pytest.mark.parametrize(
+    "count, processes",
+    [(1, 1), (CHECKER_WINDOW, 1), (CHECKER_WINDOW + 1, 2), (10 * CHECKER_WINDOW, 3)],
+)
+def test_one_process_per_window_of_the_batch_up_to_the_cpus(
+    checker_script, monkeypatch, count, processes
+):
+    started = _pool(monkeypatch, 3)
+    with ExternalChecker(command(checker_script, "flag")) as checker:
+        checker.check_many(_numbered(count))
+        assert checker(("bad",)) != []
+        checker.check_many(_numbered(count))
+    assert len(started) == processes
+
+
+@pytest.mark.parametrize("mode", ["flag", "die"])
+def test_close_ends_every_process(checker_script, monkeypatch, mode):
+    started = _pool(monkeypatch, 3)
+    with ExternalChecker(command(checker_script, mode)) as checker:
+        with pytest.raises(DetectorError) if mode == "die" else contextlib.nullcontext():
+            checker.check_many(_numbered(3 * CHECKER_WINDOW))
+    assert len(started) == 3
+    assert [proc.poll() is not None for proc in started] == [True] * 3
+
+
+@pytest.mark.parametrize("mode", ["unknown-id", "duplicate", "sleep"])
+def test_pool_fails_with_the_one_process_message(
+    checker_script, routing_script, monkeypatch, mode
+):
+    script = checker_script if mode == "sleep" else routing_script
+    messages = []
+    for cpus in (1, 3):
+        started = _pool(monkeypatch, cpus)
+        with ExternalChecker(
+            [sys.executable, str(script), mode],
+            detector_id="lint",
+            timeout=0.3 if mode == "sleep" else 10.0,
+        ) as checker:
+            with pytest.raises(DetectorError) as err:
+                checker.check_many(_numbered(3 * CHECKER_WINDOW))
+        messages.append(str(err.value))
+        assert [proc.poll() is not None for proc in started] == [True] * len(started)
+    assert messages[0] == messages[1]
+
+
+def test_a_copy_that_cannot_start_fails_and_the_first_is_closed(
+    checker_script, monkeypatch
+):
+    started = _pool(monkeypatch, 2)
+    popen = subprocess.Popen
+
+    def first_only(*args, **kwargs):
+        if started:
+            raise FileNotFoundError(2, "No such file or directory")
+        return popen(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", first_only)
+    with ExternalChecker(command(checker_script, "flag"), detector_id="lint") as checker:
+        with pytest.raises(DetectorError, match="^detector 'lint': failed to start: "):
+            checker.check_many(_numbered(2 * CHECKER_WINDOW))
+    assert len(started) == 1
+    assert started[0].poll() is not None

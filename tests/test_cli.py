@@ -1162,6 +1162,32 @@ def test_external_checker_gets_one_request_per_distinct_hypothesis(corpus, capsy
     assert len(requests.read_text(encoding="utf-8").splitlines()) == 3 * 3 - 2
 
 
+def test_check_sends_each_distinct_line_once(corpus, capsys):
+    """A line repeated in the input gets one checker request, and its
+    detections are repeated under each of its sentence indices."""
+    import sys as _sys
+
+    script = corpus / "count.py"
+    script.write_text(COUNTING_CHECKER, encoding="utf-8")
+    requests = corpus / "requests.log"
+    twice = corpus / "twice.txt"
+    twice.write_text(SYS_C * 2, encoding="utf-8")
+    code, out, _ = _run(
+        capsys,
+        [
+            "check", "--input", str(twice),
+            "--wordlist", str(corpus / "words.txt"),
+            "--checker", f"{_sys.executable} {script} {requests}",
+        ],
+    )
+    assert code == 0
+    assert len(requests.read_text(encoding="utf-8").splitlines()) == 3
+    detections = json.loads(out)["detections"]
+    first = [d for d in detections if d["sentence"] < 3]
+    assert len(first) == 5  # CAP 3, ART 1, TERM 1, as in test_check_with_wordlist
+    assert detections == first + [{**d, "sentence": d["sentence"] + 3} for d in first]
+
+
 # ---------------------------------------------------------------------------
 # work done once per run
 

@@ -37,6 +37,10 @@ CHECKER_SOURCE = textwrap.dedent(
             errors = [{"start": 0, "end": 99, "category": "EXT"}]
         if mode == "badshape":
             errors = [{"start": 0}]
+        if mode == "huge":
+            errors = "x" * 1000000
+        if mode == "huge-entry":
+            errors = [{"start": "x" * 1000000, "end": 1, "category": "X"}]
         reply = json.dumps({"id": req["id"], "errors": errors})
         if mode == "swap":
             held.append(reply)
@@ -108,6 +112,23 @@ def test_missing_fields_rejected(checker_script):
     with ExternalChecker(command(checker_script, "badshape")) as checker:
         with pytest.raises(DetectorError, match="bad error entry"):
             checker(("a",))
+
+
+@pytest.mark.parametrize(
+    "mode, reason",
+    [
+        ("huge", "response missing 'errors' list: {'id': 0, 'errors': 'xxx"),
+        ("huge-entry", "bad error entry {'start': 'xxx"),
+    ],
+)
+def test_huge_reply_gives_a_short_message(checker_script, mode, reason):
+    """A reply of a megabyte is cut in the message, which stays one
+    short line."""
+    with ExternalChecker(command(checker_script, mode), detector_id="lint") as checker:
+        with pytest.raises(DetectorError) as err:
+            checker(("a",))
+    assert reason in str(err.value)
+    assert len(str(err.value)) < 500
 
 
 def test_nonexistent_command_raises_detector_error():
