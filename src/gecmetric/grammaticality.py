@@ -54,9 +54,15 @@ __all__ = [
 ]
 
 # Requests each external checker process has in flight at once; a batch
-# of more than this many is spread over one process per usable CPU (see
+# of more than this many is spread over several processes (see
 # check_many).
 CHECKER_WINDOW = 32
+# Most checker processes one batch is spread over, and never more than
+# the usable CPUs. On a 2-core host, 1,758 requests of 2 ms took 3.7-4.0 s
+# on one process and 2.0 s on two, whether the checker slept or spun;
+# three or four copies of a spinning checker were slower than two. More
+# copies are unmeasured, and each costs a checker's start-up and memory.
+CHECKER_PROCESSES = 2
 # Seconds an external checker may take to answer one request.
 CHECKER_TIMEOUT = 10.0
 
@@ -333,8 +339,9 @@ class ExternalChecker:
     ``{"id": <int>, "errors": [{"start": ..., "end": ..., "category": ...}]}``.
     Requests are pipelined (see :meth:`check_many`): each checker process
     has up to ``CHECKER_WINDOW`` requests in flight, and a larger batch
-    is spread over one copy of the command per usable CPU. The copies
-    share no state, so a reply must depend only on its request's tokens.
+    is spread over up to ``CHECKER_PROCESSES`` copies of the command, one
+    per usable CPU. The copies share no state, so a reply must depend
+    only on its request's tokens.
     Responses may arrive out of order. A reader thread per process hands
     each output line to the calling thread, which routes it by id among
     that process's requests; a checker serves one thread at a time. Any
@@ -414,28 +421,29 @@ class ExternalChecker:
 
     def check_many(self, token_seqs: Sequence[Sequence[str]]) -> list[list[ErrorSpan]]:
         """Spans of each sequence, in order. Request k goes to process
-        ``k % n``, where ``n`` is the number of usable CPUs or of
-        ``CHECKER_WINDOW``-sized slices of the batch, whichever is
-        smaller. Each process has up to ``CHECKER_WINDOW`` requests in
-        flight; each reply's timeout starts when the previous reply has
-        been taken."""
-        n = min(_usable_cpus(), -(-len(token_seqs) // CHECKER_WINDOW))
+        ``k % n``, where ``n`` is ``CHECKER_PROCESSES``, the number of
+        usable CPUs or the number of ``CHECKER_WINDOW``-sized slices of
+        the batch, whichever is smallest. Each process has up to
+        ``CHECKER_WINDOW`` requests in flight; each reply's timeout
+        starts when the previous reply has been taken. Request ids are
+        numbered across all processes, as on one."""
+        n = min(CHECKER_PROCESSES, _usable_cpus(), -(-len(token_seqs) // CHECKER_WINDOW))
         while len(self._peers) < n - 1:
             self._peers.append(ExternalChecker(self.command, self.detector_id, self.timeout))
         checkers = [self, *self._peers][:n]
-        ids: list[int] = []
+        first_id, sent = self._next_id, 0
         out = []
         for k, tokens in enumerate(token_seqs):
-            while len(ids) < min(k + n * CHECKER_WINDOW, len(token_seqs)):
-                ids.append(checkers[len(ids) % n]._send(token_seqs[len(ids)]))
-            reply = checkers[k % n]._receive(ids[k])
+            while sent < min(k + n * CHECKER_WINDOW, len(token_seqs)):
+                checkers[sent % n]._send(first_id + sent, token_seqs[sent])
+                sent += 1
+                self._next_id += 1
+            reply = checkers[k % n]._receive(first_id + k)
             out.append(self._parse_errors(reply, len(tokens)))
         return out
 
-    def _send(self, tokens: Sequence[str]) -> int:
+    def _send(self, request_id: int, tokens: Sequence[str]) -> None:
         self._ensure_started()
-        request_id = self._next_id
-        self._next_id += 1
         self._in_flight.add(request_id)
         request = json.dumps({"id": request_id, "tokens": list(tokens)})
         try:
@@ -449,7 +457,6 @@ class ExternalChecker:
             raise DetectorError(
                 self.detector_id, self._failure or f"write failed: {exc}"
             ) from exc
-        return request_id
 
     def _receive(self, request_id: int):
         deadline = time.monotonic() + self.timeout

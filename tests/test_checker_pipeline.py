@@ -43,17 +43,21 @@ SLOW_CHECKER = textwrap.dedent(
 )
 
 
-# Replies that cannot be routed to a request in flight; any other mode
-# answers normally.
+# Replies that cannot be routed to a request in flight, or (silent) no
+# reply; any other mode answers normally. With a second argument, only
+# the request of that id gets the mode's reply.
 ROUTING_CHECKER = textwrap.dedent(
     """
     import json, sys
 
-    mode = sys.argv[1]
+    at = int(sys.argv[2]) if len(sys.argv) > 2 else None
     out = sys.stdout.buffer
     for line in sys.stdin:
         req = json.loads(line)
         reply = {"id": req["id"], "errors": []}
+        mode = sys.argv[1] if at in (None, req["id"]) else "answer"
+        if mode == "silent":
+            continue
         if mode == "list-id":
             reply["id"] = [req["id"]]
         elif mode == "float-id":
@@ -265,13 +269,15 @@ def test_any_reply_gives_spans_or_a_detector_error(tmp_path, monkeypatch, reply)
 
 
 # ---------------------------------------------------------------------------
-# one checker process per CPU
+# a batch spread over several checker processes
 
 
-def _pool(monkeypatch, cpus):
-    """Let checkers see ``cpus`` usable CPUs; returns the list of the
-    processes they start from here on."""
+def _pool(monkeypatch, cpus, processes=3):
+    """Let checkers see ``cpus`` usable CPUs and spread a batch over at
+    most ``processes`` copies; returns the list of the processes they
+    start from here on."""
     monkeypatch.setattr(grammaticality, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(grammaticality, "CHECKER_PROCESSES", processes)
     started = []
     popen = subprocess.Popen
 
@@ -330,24 +336,36 @@ def test_close_ends_every_process(checker_script, monkeypatch, mode):
     assert [proc.poll() is not None for proc in started] == [True] * 3
 
 
-@pytest.mark.parametrize("mode", ["unknown-id", "duplicate", "sleep"])
-def test_pool_fails_with_the_one_process_message(
-    checker_script, routing_script, monkeypatch, mode
-):
-    script = checker_script if mode == "sleep" else routing_script
+def test_a_batch_starts_at_most_checker_processes_copies(checker_script, monkeypatch):
+    """However many CPUs the host has, a batch of ten windows starts two
+    checkers."""
+    started = _pool(monkeypatch, 8, grammaticality.CHECKER_PROCESSES)
+    with ExternalChecker(command(checker_script, "flag")) as checker:
+        checker.check_many(_numbered(10 * CHECKER_WINDOW))
+    assert len(started) == grammaticality.CHECKER_PROCESSES == 2
+
+
+@pytest.mark.parametrize("at", [0, 50])
+@pytest.mark.parametrize("mode", ["unknown-id", "duplicate", "silent"])
+def test_pool_fails_with_the_one_process_message(routing_script, monkeypatch, mode, at):
+    """Request ``at`` gets a bad reply or none; 50 is past the first
+    window, and on three processes it is the 17th request of the third."""
     messages = []
     for cpus in (1, 3):
         started = _pool(monkeypatch, cpus)
         with ExternalChecker(
-            [sys.executable, str(script), mode],
+            [sys.executable, str(routing_script), mode, str(at)],
             detector_id="lint",
-            timeout=0.3 if mode == "sleep" else 10.0,
+            timeout=1.0 if mode == "silent" else 10.0,
         ) as checker:
             with pytest.raises(DetectorError) as err:
                 checker.check_many(_numbered(3 * CHECKER_WINDOW))
         messages.append(str(err.value))
-        assert [proc.poll() is not None for proc in started] == [True] * len(started)
+        assert len(started) == cpus
+        assert [proc.poll() is not None for proc in started] == [True] * cpus
     assert messages[0] == messages[1]
+    if mode != "unknown-id":
+        assert f" {at} " in messages[0]
 
 
 def test_a_copy_that_cannot_start_fails_and_the_first_is_closed(
