@@ -55,6 +55,7 @@ from .formats import (
     read_parallel_text,
     read_reference_files,
     render_report,
+    split_lines,
     write_report,
 )
 from .gleu import (
@@ -215,13 +216,14 @@ def _lfm(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
         if not getattr(args, opt):
             raise _UsageError(f"lfm needs --{opt.replace('_', '-')}")
     model = load_lfm_model(args.model)
-    corpus = read_parallel_text(args.lm_corpus)
+    # the corpus stays text until the LM reads it, once, as token numbers
+    lines = split_lines(_read_text(args.lm_corpus))
     wordlist = Wordlist.from_file(args.wordlist)
 
     def stats(items):
         # one batch per run holds every hypothesis: the LM is trained for
         # them alone
-        lm = train_lm(corpus, scope=[hyp.tokens for _, hyp, _ in items])
+        lm = train_lm(map(str.split, lines), scope=[hyp.tokens for _, hyp, _ in items])
         return [featurize(hyp, lm, wordlist) for _, hyp, _ in items]
 
     return _Scorer(

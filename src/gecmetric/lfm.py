@@ -7,6 +7,8 @@ not count toward the unigram distribution, which is add-one smoothed
 over the vocabulary plus an unknown-word type. When a higher-order
 context was never observed, that order falls back to the next lower one,
 so every order's conditional sums to one over the vocabulary.
+``train_lm`` reads its sentences once, from any iterable of token
+sequences, and holds the corpus only as token numbers while it counts.
 ``train_lm(..., scope=...)`` stores only the orders-2-and-up counts that
 the scoped token sequences query; any other query reads as unseen, so a
 scoped LM is for those sequences only. The unigrams, the vocabulary and
@@ -21,9 +23,11 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
+from array import array
+from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
-from itertools import chain
+from itertools import chain, compress, count, islice, repeat
+from operator import add, floordiv, mod, mul
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import Sentence
@@ -76,48 +80,62 @@ class NgramLm:
         count = self.ngram_counts[1].get((self._normalize(token),), 0)
         return (count + 1) / (self.total_tokens + len(self.vocab) + 1)
 
-    def _keys(self, token: str, context: Sequence[str]):
-        """The normalized ``token`` and, for each order 2..N, the context
-        key and n-gram key that :meth:`prob` reads for it after
-        ``context``; ``train_lm(scope=...)`` keeps exactly these."""
-        t = self._normalize(token)
-        ctx = self._normalize_context(context)
-        return t, [
-            (ctx[self.order - k :], ctx[self.order - k :] + (t,))
-            for k in range(2, self.order + 1)
-        ]
+    def _scored(self, tokens: Iterable[str]) -> list[tuple[int, float]]:
+        """Each token's unigram count (0 out of the vocabulary) and its
+        :meth:`logprob` after the tokens before it, in one left-to-right
+        pass: the normalized context slides along instead of being padded
+        again for every token."""
+        unigrams = self.ngram_counts[1]
+        context = (BOS,) * (self.order - 1)
+        scored = []
+        for token in tokens:
+            n = unigrams.get((token,), 0)
+            t = token if n else UNK
+            scored.append((n, math.log(self._prob(t, context))))
+            context = (*context, BOS if token == BOS else t)[1:]
+        return scored
+
+    def _prob(self, t: str, context: tuple[str, ...]) -> float:
+        """:meth:`prob` of the normalized token ``t`` after the normalized
+        ``context``; :meth:`train_lm` with a scope keeps exactly the
+        context and n-gram keys read here."""
+        p = self.unigram_prob(t)
+        terms = [self.weights[0] * p]
+        for k in range(2, self.order + 1):
+            kctx = context[self.order - k :]
+            ctx_count = self.context_counts[k].get(kctx, 0)
+            if ctx_count:  # an unseen context keeps the order below's estimate
+                p = self.ngram_counts[k].get(kctx + (t,), 0) / ctx_count
+            terms.append(self.weights[k - 1] * p)
+        return math.fsum(terms)
 
     def prob(self, token: str, context: Sequence[str] = ()) -> float:
         """Interpolated probability of ``token`` after ``context``."""
-        t, keys = self._keys(token, context)
-        p = self.unigram_prob(t)
-        terms = [self.weights[0] * p]
-        for k, (kctx, gram) in enumerate(keys, 2):
-            ctx_count = self.context_counts[k].get(kctx, 0)
-            if ctx_count:  # an unseen context keeps the order below's estimate
-                p = self.ngram_counts[k].get(gram, 0) / ctx_count
-            terms.append(self.weights[k - 1] * p)
-        return math.fsum(terms)
+        return self._prob(self._normalize(token), self._normalize_context(context))
 
     def logprob(self, token: str, context: Sequence[str] = ()) -> float:
         return math.log(self.prob(token, context))
 
     def sentence_logprobs(self, sentence: Sentence) -> list[float]:
-        tokens = sentence.tokens
-        return [self.logprob(tok, tokens[:i]) for i, tok in enumerate(tokens)]
-
-    def unigram_count(self, token: str) -> int:
-        return self.ngram_counts[1].get((token,), 0)
+        return [logprob for _, logprob in self._scored(sentence)]
 
 
 def train_lm(
-    sentences: Sequence[Sentence],
+    sentences: Iterable[Iterable[str]],
     order: int = 3,
     weights: Sequence[float] | None = None,
     scope: Iterable[Sequence[str]] | None = None,
 ) -> NgramLm:
     """Count an order-``order`` LM over ``sentences``, for the token
-    sequences in ``scope`` only if it is given (see the module docstring)."""
+    sequences in ``scope`` only if it is given (see the module docstring).
+
+    ``sentences`` is any iterable of token sequences and is read once.
+    Each token is numbered as it first appears, and the padded corpus is
+    held as one array of those numbers. Each order's n-grams are counted
+    as integer codes (the prefix's code times the number of token types
+    plus the last token's number); only the counted codes become string
+    tuples.
+    """
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
     if weights is None:
@@ -131,39 +149,85 @@ def train_lm(
         raise ValidationError(f"interpolation weights must be positive: {weights}")
     if abs(math.fsum(weights) - 1.0) > 1e-9:
         raise ValidationError(f"interpolation weights must sum to 1: {weights}")
-    pad = (BOS,) * (order - 1)
+    # <s> (padding or literal) is number 0; <unk> is 1 even if never seen
+    numbers = defaultdict(count(2).__next__, {BOS: 0, UNK: 1})
+    pad = bytes(order - 1)
+    ids, is_token = array("q"), bytearray()
+    for tokens in sentences:
+        ids.extend(pad)
+        is_token += pad
+        ids.extend(map(numbers.__getitem__, tokens))
+        is_token += b"\1" * (len(ids) - len(is_token))
+    names = list(numbers)
+    size = len(names)
 
-    def grams(n: int, shift: int, keep: set | None = None) -> Counter:
-        # for each sentence token, the n-gram ending ``shift`` tokens
-        # before it, counted over the padded sentences in corpus order
-        first = order - shift - n
-        found = chain.from_iterable(
-            zip(*(padded[first + j : len(padded) - shift] for j in range(n)))
-            for padded in (pad + s.tokens for s in sentences)
-        )
-        return Counter(found if keep is None else filter(keep.__contains__, found))
+    def tally(found: Iterable[int], width: int, keep: Iterable[int] | None) -> Counter:
+        # count the codes ``found`` (those in ``keep`` only, if given) in
+        # the order they come, keyed by their n-grams of ``width`` tokens
+        if keep is not None:
+            found = filter(set(keep).__contains__, found)
+        counts = Counter(found)
+        codes, columns = list(counts), []
+        for _ in range(width):  # the tokens from last to first
+            columns.append(map(names.__getitem__, map(mod, codes, repeat(size))))
+            codes = list(map(floordiv, codes, repeat(size)))
+        return Counter(dict(zip(zip(*reversed(columns)), counts.values())))
 
-    lm = NgramLm(
+    unigrams = tally(compress(ids, is_token), 1, None)
+    vocab = frozenset(t for (t,) in unigrams)
+    scoped = repeat((None, None))
+    if scope is not None:
+        # the scope numbered as the LM reads it: each token's number in a
+        # context and as the predicted token (<s> is <unk> in the latter
+        # unless the corpus holds it)
+        known, last, in_scope = array("q"), array("q"), bytearray()
+        for tokens in scope:
+            numbered = [numbers[t if t in vocab else UNK] for t in tokens]
+            known.extend(pad)
+            known.extend(0 if t == BOS else i for t, i in zip(tokens, numbered))
+            last.extend(pad)
+            last.extend(numbered)
+            in_scope += pad + b"\1" * len(numbered)
+        scoped = _ngram_codes(known, last, in_scope, size, order)
+    ngram_counts, context_counts = {1: unigrams}, {}
+    corpus = _ngram_codes(ids, ids, is_token, size, order)
+    for k, (contexts, grams), (kept_contexts, kept_grams) in zip(
+        range(2, order + 1), corpus, scoped
+    ):
+        context_counts[k] = tally(contexts, k - 1, kept_contexts)
+        ngram_counts[k] = tally(grams, k, kept_grams)
+    return NgramLm(
         order=order,
         weights=weights,
-        vocab=frozenset(chain.from_iterable(s.tokens for s in sentences)),
-        total_tokens=sum(len(s.tokens) for s in sentences),
-        ngram_counts={1: grams(1, 0)},
-        context_counts={},
+        vocab=vocab,
+        total_tokens=sum(unigrams.values()),
+        ngram_counts=ngram_counts,
+        context_counts=context_counts,
     )
-    # orders 2..N are counted once ``lm`` can normalize the scope's keys
-    keep = {k: (None, None) for k in range(2, order + 1)}
-    if scope is not None:
-        keep = {k: (set(), set()) for k in keep}
-        for tokens in scope:
-            for i, token in enumerate(tokens):
-                for k, (kctx, gram) in enumerate(lm._keys(token, tokens[:i])[1], 2):
-                    keep[k][0].add(kctx)
-                    keep[k][1].add(gram)
-    for k, (contexts, ngrams) in keep.items():
-        lm.context_counts[k] = grams(k - 1, 1, contexts)
-        lm.ngram_counts[k] = grams(k, 0, ngrams)
-    return lm
+
+
+def _ngram_codes(known: array, last: array, is_token: bytes, size: int, order: int):
+    """For each order k in 2..``order``, two iterators over the tokens that
+    ``is_token`` marks in the padded number sequence ``known``: the code of
+    each token's context of k - 1 numbers, and the code of that context
+    followed by the token's number in ``last``. A code is its prefix's
+    code times ``size`` plus the last number. Read both iterators before
+    asking for the next order's."""
+
+    def wider(codes, ends):
+        # each position's code of the n-gram ending there, one number longer
+        longer = map(add, map(mul, codes, repeat(size)), islice(ends, 1, None))
+        return chain((0,), longer)
+
+    codes = known
+    for k in range(2, order + 1):
+        contexts = compress(codes, islice(is_token, 1, None))
+        yield contexts, compress(wider(codes, last), is_token)
+        if k < order:
+            # codes of k numbers are below size**k; past 2**63 they stay
+            # Python ints
+            codes = wider(codes, known)
+            codes = array("q", codes) if size**k <= 2**63 else list(codes)
 
 
 @dataclass(frozen=True)
@@ -201,16 +265,15 @@ def featurize(sentence: Sentence, lm: NgramLm, wordlist: Wordlist) -> FeatureVec
     if not tokens:
         return FeatureVector(*([0.0] * len(FEATURE_NAMES)))
     n = len(tokens)
-    logprobs = lm.sentence_logprobs(sentence)
+    scored = lm._scored(tokens)
+    logprobs = [logprob for _, logprob in scored]
     return FeatureVector(
         token_count=float(n),
         misspelling_rate=sum(not wordlist.knows(t) for t in tokens) / n,
-        oov_rate=sum(t not in lm.vocab for t in tokens) / n,
+        oov_rate=sum(not seen for seen, _ in scored) / n,
         lm_mean_logprob=math.fsum(logprobs) / n,
         lm_min_logprob=min(logprobs),
-        mean_token_logfreq=math.fsum(
-            math.log(1 + lm.unigram_count(t)) for t in tokens
-        )
+        mean_token_logfreq=math.fsum(math.log(1 + seen) for seen, _ in scored)
         / n,
         max_char_repeat_len=float(max(_max_char_run(t) for t in tokens)),
         punct_ratio=sum(not any(ch.isalnum() for ch in t) for t in tokens) / n,

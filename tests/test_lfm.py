@@ -150,6 +150,46 @@ def test_train_lm_counts_equal_a_per_position_loop(order):
     assert lm.total_tokens == sum(len(s) for s in sentences)
 
 
+def _items(counters):
+    """Each order's Counter as its items, in key order."""
+    return [(k, list(c.items())) for k, c in counters.items()]
+
+
+def _layout(lm):
+    """Every field of ``lm``, with its Counters as :func:`_items`."""
+    return (
+        lm.order,
+        lm.weights,
+        lm.vocab,
+        lm.total_tokens,
+        _items(lm.ngram_counts),
+        _items(lm.context_counts),
+    )
+
+
+def test_train_lm_counts_past_int64_codes_equal_a_per_position_loop():
+    # 10 words plus <s> and <unk> make 12 token numbers: 12**20 > 2**63
+    rng = random.Random(20)
+    words = [f"w{i}" for i in range(10)]
+    sentences = [
+        Sentence(tuple(rng.choice(words) for _ in range(rng.randrange(0, 30))))
+        for _ in range(60)
+    ]
+    lm = train_lm(sentences, order=20)
+    ngrams, contexts = _naive_counts(sentences, 20)
+    assert _items(lm.ngram_counts) == _items(ngrams)
+    assert _items(lm.context_counts) == _items(contexts)
+
+
+@pytest.mark.parametrize("scoped", [False, True])
+def test_train_lm_reads_a_one_shot_iterable_of_token_sequences(scoped):
+    lines = ["a b <s> c", "", "<unk> a a", "<s>", "b c d a b"]
+    scope = [("a", "b"), ("<s>", "zzz", "a")] if scoped else None
+    from_sentences = train_lm([tokenize(line) for line in lines], scope=scope)
+    from_generator = train_lm((line.split() for line in lines), scope=scope)
+    assert _layout(from_generator) == _layout(from_sentences)
+
+
 def _sentences(words, max_size):
     sentence = st.lists(st.sampled_from(words), max_size=6).map(
         lambda tokens: Sentence(tuple(tokens))
@@ -178,6 +218,45 @@ def test_scoped_lm_featurizes_its_scope_like_the_full_lm(corpus, hyps, order):
             featurize(hyp, scoped, SCOPE_WORDLIST).as_tuple()
             == featurize(hyp, full, SCOPE_WORDLIST).as_tuple()
         )
+
+
+@given(
+    corpus=_sentences(["a", "b", "c", BOS, UNK], 8),
+    hyps=_sentences(["a", "b", "c", "zzz", BOS, UNK], 5),
+    order=st.integers(1, 4),
+)
+@settings(max_examples=200, deadline=None)
+def test_scoped_lm_counters_keep_the_full_lm_key_order(corpus, hyps, order):
+    full = train_lm(corpus, order=order)
+    scoped = train_lm(corpus, order=order, scope=[h.tokens for h in hyps])
+    for got, want in (
+        (scoped.ngram_counts, full.ngram_counts),
+        (scoped.context_counts, full.context_counts),
+    ):
+        assert list(got) == list(want)
+        for k in want:
+            assert list(got[k].items()) == [
+                (key, n) for key, n in want[k].items() if key in got[k]
+            ]
+
+
+@given(
+    corpus=_sentences(["a", "b", "c", BOS, UNK], 8),
+    hyps=_sentences(["a", "b", "c", "zzz", BOS, UNK], 3),
+    order=st.integers(1, 4),
+    scoped=st.booleans(),
+)
+# <s> and <unk> are out of the vocabulary: a context keeps <s>, a token does not
+@example(corpus=[tokenize("a b")], hyps=[tokenize("<s> <unk> a <s> zzz b")],
+         order=4, scoped=True)
+@settings(max_examples=300, deadline=None)
+def test_sentence_logprobs_equal_logprob_after_each_prefix(corpus, hyps, order, scoped):
+    scope = [h.tokens for h in hyps] if scoped else None
+    lm = train_lm(corpus, order=order, scope=scope)
+    for hyp in hyps:
+        assert lm.sentence_logprobs(hyp) == [
+            lm.logprob(t, hyp.tokens[:i]) for i, t in enumerate(hyp.tokens)
+        ]
 
 
 # ---------------------------------------------------------------------------
