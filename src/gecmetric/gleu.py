@@ -34,11 +34,12 @@ from .errors import ValidationError
 
 __all__ = ["GleuConfig", "GleuStats", "gleu_stats", "gleu_stats_many",
            "gleu_subset", "gleu_multi_ref", "gleu_pool", "gleu_corpus", "sample_draws",
-           "reference_draws", "SAMPLED", "MEAN_OVER_ALL"]
+           "reference_draws", "SAMPLED", "MEAN_OVER_ALL", "MAX_ITERATIONS"]
 
 SAMPLED = "sampled"
 MEAN_OVER_ALL = "mean-over-all"
 _DRAW_WORDS = 1 << 24  # most words per getrandbits call: its bit count is a C int
+MAX_ITERATIONS = 10_000  # reference draws per sentence, as analysis.MAX_TRIALS
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,8 @@ class GleuConfig:
 
     ``multi_ref_mode`` selects how multiple references combine: ``sampled``
     averages over ``iterations`` draws of one reference per sentence
-    (seeded, reproducible); ``mean-over-all`` averages over every
-    reference deterministically.
+    (seeded, reproducible, at most ``MAX_ITERATIONS``); ``mean-over-all``
+    averages over every reference deterministically.
     """
 
     max_n: int = 4
@@ -57,14 +58,12 @@ class GleuConfig:
     multi_ref_mode: str = SAMPLED
 
     def __post_init__(self):
-        for name in ("max_n", "iterations"):
+        # no tuple holds more than sys.maxsize // 8 items; a max_n below
+        # that can still ask for more memory than there is
+        for name, top in (("max_n", sys.maxsize // 8), ("iterations", MAX_ITERATIONS)):
             value = getattr(self, name)
-            # no tuple holds more than sys.maxsize // 8 items; a knob below
-            # that can still ask for more memory than there is
-            if not 1 <= value <= sys.maxsize // 8:
-                raise ValidationError(
-                    f"{name} must be in [1, {sys.maxsize // 8}], got {value}"
-                )
+            if not 1 <= value <= top:
+                raise ValidationError(f"{name} must be in [1, {top}], got {value}")
         if self.multi_ref_mode not in (SAMPLED, MEAN_OVER_ALL):
             raise ValidationError(
                 f"multi_ref_mode must be {SAMPLED!r} or {MEAN_OVER_ALL!r}, "

@@ -7,11 +7,16 @@ not count toward the unigram distribution, which is add-one smoothed
 over the vocabulary plus an unknown-word type. When a higher-order
 context was never observed, that order falls back to the next lower one,
 so every order's conditional sums to one over the vocabulary.
-``train_lm`` reads its sentences once, from any iterable of token
-sequences, and holds the corpus only as token numbers while it counts.
+
+The LM keys everything by token numbers: ``NgramLm.numbers`` numbers each
+corpus token as it first appears (``<s>`` is 0, ``<unk>`` 1), and the
+vocabulary is the numbers with a unigram count. An n-gram's key is its
+integer code, its prefix's code times ``len(numbers)`` plus its last
+number, from counting in ``train_lm`` to each query. ``train_lm`` reads
+its sentences once, from any iterable of token sequences.
 ``train_lm(..., scope=...)`` stores only the orders-2-and-up counts that
 the scoped token sequences query; any other query reads as unseen, so a
-scoped LM is for those sequences only. The unigrams, the vocabulary and
+scoped LM is for those sequences only. The unigrams, the numbering and
 ``total_tokens`` always cover the whole corpus.
 
 Eight surface and LM features feed a ridge regression trained against
@@ -26,9 +31,10 @@ import math
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
+from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
-from operator import add, floordiv, mod, mul
-from typing import Iterable, Mapping, Sequence
+from operator import add, mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import Sentence
 from .errors import ModelError, ParseError, ValidationError
@@ -62,62 +68,71 @@ MODEL_FORMAT_VERSION = 1
 class NgramLm:
     order: int
     weights: tuple[float, ...]
-    vocab: frozenset[str]
+    numbers: dict[str, int]
     total_tokens: int
     ngram_counts: dict[int, Counter]
     context_counts: dict[int, Counter]
 
-    def _normalize(self, token: str) -> str:
-        return token if token in self.vocab else UNK
-
-    def _normalize_context(self, context: Sequence[str]) -> tuple[str, ...]:
-        padded = (BOS,) * (self.order - 1) + tuple(context)
-        tail = padded[len(padded) - (self.order - 1) :] if self.order > 1 else ()
-        return tuple(t if t == BOS or t in self.vocab else UNK for t in tail)
-
-    def unigram_prob(self, token: str) -> float:
-        """Add-one unigram probability over the vocabulary plus unknown."""
-        count = self.ngram_counts[1].get((self._normalize(token),), 0)
-        return (count + 1) / (self.total_tokens + len(self.vocab) + 1)
+    @cached_property
+    def _moduli(self) -> tuple[int, ...]:
+        # a context code modulo size**(k - 1) is its last k - 1 numbers
+        return tuple(len(self.numbers) ** (k - 1) for k in range(2, self.order + 1))
 
     def _scored(self, tokens: Iterable[str]) -> list[tuple[int, float]]:
         """Each token's unigram count (0 out of the vocabulary) and its
         :meth:`logprob` after the tokens before it, in one left-to-right
-        pass: the normalized context slides along instead of being padded
-        again for every token."""
-        unigrams = self.ngram_counts[1]
-        context = (BOS,) * (self.order - 1)
-        scored = []
-        for token in tokens:
-            n = unigrams.get((token,), 0)
-            t = token if n else UNK
-            scored.append((n, math.log(self._prob(t, context))))
-            context = (*context, BOS if token == BOS else t)[1:]
+        pass: the context's code slides along instead of being built again
+        for every token."""
+        size, context, scored = len(self.numbers), 0, []
+        width = size ** (self.order - 1)
+        for seen, token, in_context in _numbered(tokens, self.numbers, self.ngram_counts[1]):
+            scored.append((seen, math.log(self._prob(token, context))))
+            context = (context * size + in_context) % width
         return scored
 
-    def _prob(self, t: str, context: tuple[str, ...]) -> float:
-        """:meth:`prob` of the normalized token ``t`` after the normalized
-        ``context``; :meth:`train_lm` with a scope keeps exactly the
+    def _prob(self, token: int, context: int) -> float:
+        """:meth:`prob` of the token numbered ``token`` after the context
+        coded ``context``; :meth:`train_lm` with a scope keeps exactly the
         context and n-gram keys read here."""
-        p = self.unigram_prob(t)
+        unigrams, size = self.ngram_counts[1], len(self.numbers)
+        p = (unigrams.get(token, 0) + 1) / (self.total_tokens + len(unigrams) + 1)
         terms = [self.weights[0] * p]
-        for k in range(2, self.order + 1):
-            kctx = context[self.order - k :]
+        for k, modulus in enumerate(self._moduli, 2):
+            kctx = context % modulus
             ctx_count = self.context_counts[k].get(kctx, 0)
             if ctx_count:  # an unseen context keeps the order below's estimate
-                p = self.ngram_counts[k].get(kctx + (t,), 0) / ctx_count
+                p = self.ngram_counts[k].get(kctx * size + token, 0) / ctx_count
             terms.append(self.weights[k - 1] * p)
         return math.fsum(terms)
 
     def prob(self, token: str, context: Sequence[str] = ()) -> float:
         """Interpolated probability of ``token`` after ``context``."""
-        return self._prob(self._normalize(token), self._normalize_context(context))
+        numbers, unigrams = self.numbers, self.ngram_counts[1]
+
+        def known(t: str) -> int:  # <unk> (1) out of the vocabulary
+            return numbers[t] if numbers.get(t) in unigrams else 1
+
+        code = 0
+        for t in context[max(0, len(context) - self.order + 1) :]:
+            code = code * len(numbers) + (0 if t == BOS else known(t))
+        return self._prob(known(token), code)
 
     def logprob(self, token: str, context: Sequence[str] = ()) -> float:
         return math.log(self.prob(token, context))
 
-    def sentence_logprobs(self, sentence: Sentence) -> list[float]:
-        return [logprob for _, logprob in self._scored(sentence)]
+
+def _numbered(
+    tokens: Iterable[str], numbers: Mapping[str, int], unigrams: Mapping[int, int]
+) -> Iterator[tuple[int, int, int]]:
+    """Each token as the LM reads it: its unigram count (0 out of the
+    vocabulary), its number as the predicted token and its number in a
+    context. Out of the vocabulary both numbers are <unk>'s, except that
+    <s> stays <s> in a context."""
+    for token in tokens:
+        number = numbers.get(token)
+        seen = unigrams.get(number, 0)
+        predicted = number if seen else 1
+        yield seen, predicted, 0 if token == BOS else predicted
 
 
 def train_lm(
@@ -132,9 +147,7 @@ def train_lm(
     ``sentences`` is any iterable of token sequences and is read once.
     Each token is numbered as it first appears, and the padded corpus is
     held as one array of those numbers. Each order's n-grams are counted
-    as integer codes (the prefix's code times the number of token types
-    plus the last token's number); only the counted codes become string
-    tuples.
+    by their integer codes, which are the LM's keys.
     """
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
@@ -142,9 +155,7 @@ def train_lm(
         weights = [1.0 / order] * order
     weights = tuple(float(w) for w in weights)
     if len(weights) != order:
-        raise ValidationError(
-            f"need {order} interpolation weights, got {len(weights)}"
-        )
+        raise ValidationError(f"need {order} interpolation weights, got {len(weights)}")
     if any(w <= 0 for w in weights):
         raise ValidationError(f"interpolation weights must be positive: {weights}")
     if abs(math.fsum(weights) - 1.0) > 1e-9:
@@ -158,35 +169,20 @@ def train_lm(
         is_token += pad
         ids.extend(map(numbers.__getitem__, tokens))
         is_token += b"\1" * (len(ids) - len(is_token))
-    names = list(numbers)
-    size = len(names)
-
-    def tally(found: Iterable[int], width: int, keep: Iterable[int] | None) -> Counter:
-        # count the codes ``found`` (those in ``keep`` only, if given) in
-        # the order they come, keyed by their n-grams of ``width`` tokens
-        if keep is not None:
-            found = filter(set(keep).__contains__, found)
-        counts = Counter(found)
-        codes, columns = list(counts), []
-        for _ in range(width):  # the tokens from last to first
-            columns.append(map(names.__getitem__, map(mod, codes, repeat(size))))
-            codes = list(map(floordiv, codes, repeat(size)))
-        return Counter(dict(zip(zip(*reversed(columns)), counts.values())))
-
-    unigrams = tally(compress(ids, is_token), 1, None)
-    vocab = frozenset(t for (t,) in unigrams)
+    numbers = dict(numbers)
+    size = len(numbers)
+    unigrams = Counter(compress(ids, is_token))
     scoped = repeat((None, None))
     if scope is not None:
-        # the scope numbered as the LM reads it: each token's number in a
-        # context and as the predicted token (<s> is <unk> in the latter
-        # unless the corpus holds it)
+        # the scope numbered as the LM reads it, in a context and as the
+        # predicted token
         known, last, in_scope = array("q"), array("q"), bytearray()
         for tokens in scope:
-            numbered = [numbers[t if t in vocab else UNK] for t in tokens]
+            numbered = list(_numbered(tokens, numbers, unigrams))
             known.extend(pad)
-            known.extend(0 if t == BOS else i for t, i in zip(tokens, numbered))
+            known.extend(in_context for _, _, in_context in numbered)
             last.extend(pad)
-            last.extend(numbered)
+            last.extend(predicted for _, predicted, _ in numbered)
             in_scope += pad + b"\1" * len(numbered)
         scoped = _ngram_codes(known, last, in_scope, size, order)
     ngram_counts, context_counts = {1: unigrams}, {}
@@ -194,16 +190,13 @@ def train_lm(
     for k, (contexts, grams), (kept_contexts, kept_grams) in zip(
         range(2, order + 1), corpus, scoped
     ):
-        context_counts[k] = tally(contexts, k - 1, kept_contexts)
-        ngram_counts[k] = tally(grams, k, kept_grams)
-    return NgramLm(
-        order=order,
-        weights=weights,
-        vocab=vocab,
-        total_tokens=sum(unigrams.values()),
-        ngram_counts=ngram_counts,
-        context_counts=context_counts,
-    )
+        if kept_contexts is not None:  # count only the codes the scope reads
+            contexts = filter(set(kept_contexts).__contains__, contexts)
+            grams = filter(set(kept_grams).__contains__, grams)
+        context_counts[k], ngram_counts[k] = Counter(contexts), Counter(grams)
+    return NgramLm(order=order, weights=weights, numbers=numbers,
+                   total_tokens=sum(unigrams.values()),
+                   ngram_counts=ngram_counts, context_counts=context_counts)
 
 
 def _ngram_codes(known: array, last: array, is_token: bytes, size: int, order: int):
@@ -298,6 +291,8 @@ class LfmModel:
             raise ModelError("means, stdevs, weights and bias must be finite")
         if 0.0 in self.stdevs:
             raise ModelError("stdevs must be non-zero")
+        if len(set(self.feature_names)) != k:
+            raise ModelError(f"feature_names repeat a name: {list(self.feature_names)}")
 
 
 def train_ridge(
@@ -470,6 +465,9 @@ def parse_training_tsv(text: str) -> tuple[tuple[str, ...], list[list[float]], l
         raise ParseError("need at least one feature column and a target column",
                          line=rows[0][0])
     names = tuple(h.strip() for h in header[:-1])
+    if "" in names or len(set(names)) != len(names):
+        raise ParseError(f"feature names must be distinct and non-empty: {list(names)}",
+                         line=rows[0][0])
     features: list[list[float]] = []
     targets: list[float] = []
     for lineno, line in rows[1:]:

@@ -256,3 +256,31 @@ def f_beta_reference(tp, fp, fn, beta=0.5):
     if p == 0.0 and r == 0.0:
         return 0.0
     return (1 + beta * beta) * p * r / (beta * beta * p + r)
+
+
+# ---------------------------------------------------------------------------
+# n-gram LM keys, decoded
+
+
+def decode_lm(lm):
+    """``lm``'s vocabulary, and its n-gram and context counts keyed by
+    token tuples instead of integer codes, each order's keys in the LM's
+    order: the per-position counting oracles count token tuples."""
+    names = {number: token for token, number in lm.numbers.items()}
+
+    def tokens(code, width):
+        digits = []
+        for _ in range(width):
+            code, last = divmod(code, len(names))
+            digits.append(names[last])
+        return tuple(reversed(digits))
+
+    def decoded(counters, width):
+        return {
+            k: {tokens(code, width(k)): n for code, n in counter.items()}
+            for k, counter in counters.items()
+        }
+
+    vocab = {names[number] for number in lm.ngram_counts[1]}
+    return (vocab, decoded(lm.ngram_counts, lambda k: k),
+            decoded(lm.context_counts, lambda k: k - 1))

@@ -1387,6 +1387,8 @@ def test_lfm_keeps_only_the_lm_counts_its_hypotheses_query(
     at exactly the keys its hypotheses query, derived here by hand: a
     context keeps <s> (padding or literal) and maps any other unknown token
     to <unk>, and a predicted token maps every unknown token to <unk>."""
+    from oracles import decode_lm
+
     from gecmetric import cli
     from gecmetric.formats import read_parallel_text
     from gecmetric.lfm import BOS, UNK, train_lm
@@ -1407,25 +1409,27 @@ def test_lfm_keeps_only_the_lm_counts_its_hypotheses_query(
     [scoped] = lms
     full = train_lm(read_parallel_text(corpus / "lm.txt"))
     order = full.order
+    assert (scoped.numbers, scoped.total_tokens) == (full.numbers, full.total_tokens)
+    vocab, full_grams, full_contexts = decode_lm(full)
+    _, scoped_grams, scoped_contexts = decode_lm(scoped)
     contexts = {k: set() for k in range(2, order + 1)}
     grams = {k: set() for k in range(2, order + 1)}
     for name in ("a.txt", "b.txt", "c.txt"):
         for hyp in read_parallel_text(corpus / name):
-            known = [t if t == BOS or t in full.vocab else UNK for t in hyp.tokens]
+            known = [t if t == BOS or t in vocab else UNK for t in hyp.tokens]
             padded = (BOS,) * (order - 1) + tuple(known)
             for i, token in enumerate(hyp.tokens, order - 1):
                 for k in range(2, order + 1):
                     context = padded[i - k + 1 : i]
                     contexts[k].add(context)
-                    grams[k].add(context + (token if token in full.vocab else UNK,))
+                    grams[k].add(context + (token if token in vocab else UNK,))
     for k in range(2, order + 1):
         for got, counts, queried in (
-            (scoped.context_counts[k], full.context_counts[k], contexts[k]),
-            (scoped.ngram_counts[k], full.ngram_counts[k], grams[k]),
+            (scoped_contexts[k], full_contexts[k], contexts[k]),
+            (scoped_grams[k], full_grams[k], grams[k]),
         ):
             assert set(got) <= queried
             assert dict(got) == {key: n for key, n in counts.items() if key in queried}
-    assert (scoped.vocab, scoped.total_tokens) == (full.vocab, full.total_tokens)
     assert dict(scoped.ngram_counts[1]) == dict(full.ngram_counts[1])
 
     def stored(lm):
@@ -1516,10 +1520,18 @@ MALFORMED = {
     "iterations-maxsize": ["score", "--metric", "gleu", "--source", "{d}/source.txt",
                            "--ref", "{d}/ref1.txt", "--iterations",
                            "9223372036854775807", *_A],
+    # one past gleu.MAX_ITERATIONS: rejected before any scoring
+    "iterations-above-cap": ["score", "--metric", "gleu", "--source", "{d}/source.txt",
+                             "--ref", "{d}/ref1.txt", "--iterations", "10001", *_A],
     "weight-nan": ["score", "--metric", "imeasure", "--source", "{d}/source.txt",
                    "--ref", "{d}/ref1.txt", "--weight", "nan", *_A],
     "alpha-nan": ["train-lfm", "--train", "{d}/train.tsv", "--alpha", "nan"],
     "ridge-singular": ["train-lfm", "--train", "{d}/singular.tsv", "--alpha", "0"],
+    "train-duplicate-names": ["train-lfm", "--train", "{d}/duplicate.tsv"],
+    # a hand-edited model that weighs one feature twice
+    "model-duplicate-names": ["score", "--metric", "lfm", "--model", "{d}/duplicate.json",
+                              "--lm-corpus", "{d}/source.txt", "--wordlist",
+                              "{d}/words.txt", *_A],
     "checker-timeout-nan": ["check", "--input", "{d}/a.txt", "--checker-timeout", "nan",
                             "--checker", "{checker} plain"],
     "checker-timeout-too-large": ["check", "--input", "{d}/a.txt", "--checker-timeout",
@@ -1564,6 +1576,12 @@ def test_malformed_input_exits_with_one_line(corpus, model_path, case):
     model = json.loads(model_path.read_text(encoding="utf-8"))
     (corpus / "huge.json").write_text(json.dumps({**model, "bias": 10**400}))
     (corpus / "deep.json").write_text("[" * 200_000)
+    names = model["feature_names"]
+    (corpus / "duplicate.json").write_text(
+        json.dumps({**model, "feature_names": [names[0], *names[:-1]]}))
+    (corpus / "duplicate.tsv").write_text(
+        "token_count\ttoken_count\tfluency\n1\t2\t0.5\n2\t1\t0.9\n3\t3\t0.1\n",
+        encoding="utf-8")
     routing = corpus / "routing.py"
     routing.write_text(ROUTING_CHECKER, encoding="utf-8")
     checker = f"{shlex.quote(sys.executable)} {shlex.quote(str(routing))}"

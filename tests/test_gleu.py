@@ -10,6 +10,7 @@ from gecmetric.analysis import mean_score
 from gecmetric.corpus import Sentence, tokenize
 from gecmetric.errors import ValidationError
 from gecmetric.gleu import (
+    MAX_ITERATIONS,
     MEAN_OVER_ALL,
     SAMPLED,
     GleuConfig,
@@ -289,10 +290,11 @@ def test_config_validation():
     # above sys.maxsize // 8 no tuple of that length can be made
     with pytest.raises(ValidationError):
         GleuConfig(max_n=sys.maxsize + 1)
-    for name in ("max_n", "iterations"):
+    for name, top in (("max_n", sys.maxsize // 8), ("iterations", MAX_ITERATIONS)):
         with pytest.raises(ValidationError, match=name):
-            GleuConfig(**{name: sys.maxsize // 8 + 1})
-        assert getattr(GleuConfig(**{name: sys.maxsize // 8}), name) == sys.maxsize // 8
+            GleuConfig(**{name: top + 1})
+        assert getattr(GleuConfig(**{name: top}), name) == top
+    assert MAX_ITERATIONS == 10_000
     with pytest.raises(ValidationError):
         GleuConfig(iterations=10**20)
     with pytest.raises(ValidationError):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from gecmetric.corpus import Sentence, tokenize
 from gecmetric.errors import ModelError, ParseError, ValidationError
 from gecmetric.grammaticality import Wordlist
+from oracles import decode_lm
 from gecmetric.lfm import (
     BOS,
     FEATURE_NAMES,
@@ -37,15 +38,16 @@ def lm_from(*lines, **kw):
 
 def test_pinned_unigram_distribution():
     # "a b": V=2, N=2, add-one over vocab+UNK: P(a) = (1+1)/(2+3) = 0.4
-    lm = lm_from("a b")
-    assert lm.unigram_prob("a") == pytest.approx(0.4, abs=1e-15)
-    assert lm.unigram_prob("b") == pytest.approx(0.4, abs=1e-15)
-    assert lm.unigram_prob("zzz") == pytest.approx(0.2, abs=1e-15)
+    lm = lm_from("a b", order=1)
+    assert lm.prob("a") == pytest.approx(0.4, abs=1e-15)
+    assert lm.prob("b") == pytest.approx(0.4, abs=1e-15)
+    assert lm.prob("zzz") == pytest.approx(0.2, abs=1e-15)
 
 
 def test_unigram_distribution_sums_to_one():
-    lm = lm_from("a b a c", "b b")
-    total = sum(lm.unigram_prob(t) for t in lm.vocab) + lm.unigram_prob(UNK)
+    lm = lm_from("a b a c", "b b", order=1)
+    vocab, _, _ = decode_lm(lm)
+    total = sum(lm.prob(t) for t in vocab) + lm.prob(UNK)
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -61,8 +63,9 @@ def test_interpolated_prob_sums_to_one_per_context():
         ("b", "a"),
         ("zzz", "zzz"),
     ]
+    vocab, _, _ = decode_lm(lm)
     for ctx in contexts:
-        total = sum(lm.prob(t, ctx) for t in lm.vocab) + lm.prob(UNK, ctx)
+        total = sum(lm.prob(t, ctx) for t in vocab) + lm.prob(UNK, ctx)
         assert total == pytest.approx(1.0, abs=1e-9), ctx
 
 
@@ -71,7 +74,7 @@ def test_unseen_context_backs_off_to_unigram():
     # every order falls through on a never-seen context, so the
     # interpolated probability collapses to the unigram estimate
     assert lm.prob("a", ("zzz",)) == pytest.approx(
-        lm.unigram_prob("a"), abs=1e-15
+        lm_from("a b", "a c", order=1).prob("a"), abs=1e-15
     )
     assert lm.prob("a", ("zzz",)) == lm.prob("a", ("qqq",))
 
@@ -87,14 +90,14 @@ def test_unseen_context_keeps_the_estimate_of_the_order_below():
 
 
 def test_bos_is_context_only():
-    lm = lm_from("a b")
-    assert BOS not in lm.vocab
-    assert lm.unigram_prob(BOS) == lm.unigram_prob(UNK)  # treated as unknown
+    assert BOS not in decode_lm(lm_from("a b"))[0]
+    lm = lm_from("a b", order=1)
+    assert lm.prob(BOS) == lm.prob(UNK)  # treated as unknown
 
 
 def test_sentence_logprobs_length_and_finiteness():
     lm = lm_from("a b c")
-    lps = lm.sentence_logprobs(tokenize("a zzz c"))
+    lps = [logprob for _, logprob in lm._scored(tokenize("a zzz c").tokens)]
     assert len(lps) == 3
     assert all(math.isfinite(lp) and lp < 0 for lp in lps)
 
@@ -114,8 +117,10 @@ def test_train_lm_validates_weights():
 
 
 def test_train_lm_order_one():
+    # "a a b": V=2, N=3: P(a) = (2+1)/(3+3) = 0.5 whatever the context
     lm = lm_from("a a b", order=1)
-    assert lm.prob("a", ()) == pytest.approx(lm.unigram_prob("a"), abs=1e-15)
+    assert lm.prob("a", ()) == pytest.approx(0.5, abs=1e-15)
+    assert lm.prob("a", ("b", "a")) == lm.prob("a", ())
 
 
 def _naive_counts(sentences, order):
@@ -141,12 +146,13 @@ def test_train_lm_counts_equal_a_per_position_loop(order):
         for _ in range(300)
     ]
     lm = train_lm(sentences, order=order)
+    vocab, got_ngrams, got_contexts = decode_lm(lm)
     ngrams, contexts = _naive_counts(sentences, order)
-    for got, want in ((lm.ngram_counts, ngrams), (lm.context_counts, contexts)):
+    for got, want in ((got_ngrams, ngrams), (got_contexts, contexts)):
         assert list(got) == list(want)
         for k in want:
             assert list(got[k].items()) == list(want[k].items())  # same key order
-    assert lm.vocab == {t for s in sentences for t in s.tokens}
+    assert vocab == {t for s in sentences for t in s.tokens}
     assert lm.total_tokens == sum(len(s) for s in sentences)
 
 
@@ -160,7 +166,7 @@ def _layout(lm):
     return (
         lm.order,
         lm.weights,
-        lm.vocab,
+        lm.numbers,
         lm.total_tokens,
         _items(lm.ngram_counts),
         _items(lm.context_counts),
@@ -175,10 +181,38 @@ def test_train_lm_counts_past_int64_codes_equal_a_per_position_loop():
         Sentence(tuple(rng.choice(words) for _ in range(rng.randrange(0, 30))))
         for _ in range(60)
     ]
-    lm = train_lm(sentences, order=20)
+    _, got_ngrams, got_contexts = decode_lm(train_lm(sentences, order=20))
     ngrams, contexts = _naive_counts(sentences, 20)
-    assert _items(lm.ngram_counts) == _items(ngrams)
-    assert _items(lm.context_counts) == _items(contexts)
+    assert _items(got_ngrams) == _items(ngrams)
+    assert _items(got_contexts) == _items(contexts)
+
+
+def test_queries_past_int64_codes_agree_with_the_full_lm_and_prob():
+    # 12 token numbers again: an order-20 context code passes 2**63, and
+    # hypotheses that repeat corpus sentences query seen long contexts
+    rng = random.Random(21)
+    words = [f"w{i}" for i in range(10)]
+    corpus = [
+        Sentence(tuple(rng.choice(words) for _ in range(rng.randrange(0, 30))))
+        for _ in range(60)
+    ]
+    hyps = corpus[:8] + [
+        Sentence(tuple(rng.choice(words + ["zzz", BOS]) if rng.random() < 0.2 else t
+                       for t in s.tokens))
+        for s in corpus[8:16]
+    ]
+    full = train_lm(corpus, order=20)
+    scoped = train_lm(corpus, order=20, scope=[h.tokens for h in hyps])
+    assert len(full.numbers) ** 19 > 2**63
+    for hyp in hyps:
+        assert (
+            featurize(hyp, scoped, SCOPE_WORDLIST).as_tuple()
+            == featurize(hyp, full, SCOPE_WORDLIST).as_tuple()
+        )
+        for lm in (full, scoped):
+            assert [logprob for _, logprob in lm._scored(hyp.tokens)] == [
+                lm.logprob(t, hyp.tokens[:i]) for i, t in enumerate(hyp.tokens)
+            ]
 
 
 @pytest.mark.parametrize("scoped", [False, True])
@@ -254,7 +288,7 @@ def test_sentence_logprobs_equal_logprob_after_each_prefix(corpus, hyps, order, 
     scope = [h.tokens for h in hyps] if scoped else None
     lm = train_lm(corpus, order=order, scope=scope)
     for hyp in hyps:
-        assert lm.sentence_logprobs(hyp) == [
+        assert [logprob for _, logprob in lm._scored(hyp.tokens)] == [
             lm.logprob(t, hyp.tokens[:i]) for i, t in enumerate(hyp.tokens)
         ]
 
@@ -468,6 +502,12 @@ def test_model_alignment_validation():
         LfmModel(("a",), (0.0, 0.0), (1.0,), (1.0,), 0.0, 1.0)
 
 
+def test_model_rejects_duplicate_feature_names():
+    # two weights on one feature value is a model no fit made
+    with pytest.raises(ModelError, match="repeat"):
+        LfmModel(("a", "a"), (0.0, 0.0), (1.0, 1.0), (1.0, 1.0), 0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # training table parser
 
@@ -488,6 +528,12 @@ def test_parse_training_tsv_reports_line_numbers():
 def test_parse_training_tsv_rejects_ragged_rows():
     with pytest.raises(ParseError):
         parse_training_tsv("f1\tf2\ty\n1\t2\t3\n1\t2\n")
+
+
+@pytest.mark.parametrize("header", ["f1\tf1\ty", "f1\t\ty", " \tf2\ty"])
+def test_parse_training_tsv_rejects_duplicate_or_empty_names(header):
+    with pytest.raises(ParseError, match="line 1: feature names"):
+        parse_training_tsv(f"{header}\n1\t2\t0.5\n")
 
 
 def test_parse_training_tsv_requires_data():
