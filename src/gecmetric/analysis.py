@@ -5,7 +5,9 @@ reference`` with ``lam`` in [0, 1]; both endpoints reproduce the input
 scores exactly. The oracle ``lam`` is found by sweeping the 101-point
 grid 0.00, 0.01, ..., 1.00 and keeping the value whose system-level
 means correlate best (Spearman) with a human ranking, preferring the
-smallest ``lam`` on ties.
+smallest ``lam`` on ties. A system's mean is linear in ``lam``, so the
+sweep averages each system's fluency and reference scores once and
+interpolates the two means at every grid point.
 
 Also here: rank aggregation with tie-averaged ranks, Spearman/Pearson
 correlation, Fisher-z comparison of two correlations, reference
@@ -196,20 +198,17 @@ def sweep_lambda(
     if missing:
         raise ValidationError(f"human ranking is missing systems: {missing}")
     human_values = [human[s] for s in systems]
-    import numpy as np  # imported here: only the sweep needs it
-
-    # interpolate() of every system at once: the same two products and one
-    # sum per element, so the same floats
-    flu = np.array([fluency[s] for s in systems], dtype=np.float64)
-    ref = np.array([reference[s] for s in systems], dtype=np.float64)
+    # a system's mean of interpolate() rows is, up to rounding, the
+    # interpolation of its two means: each grid point interpolates those
+    means = [(mean_score(fluency[s]), mean_score(reference[s])) for s in systems]
     points = []
     for lam in LAMBDA_GRID:
-        means = [mean_score(row) for row in ((1.0 - lam) * flu + lam * ref).tolist()]
+        scores = [(1.0 - lam) * f + lam * r for f, r in means]
         points.append(
             {
                 "lambda": lam,
-                "spearman": spearman(means, human_values),
-                "pearson": pearson(means, human_values),
+                "spearman": spearman(scores, human_values),
+                "pearson": pearson(scores, human_values),
             }
         )
     oracle = points[0]

@@ -22,10 +22,12 @@ from __future__ import annotations
 import functools
 import math
 import random
+import struct
 import sys
+from array import array
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
-from operator import add, itemgetter, mul
+from itertools import chain, compress, groupby, repeat
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .analysis import mean_score
@@ -40,6 +42,7 @@ SAMPLED = "sampled"
 MEAN_OVER_ALL = "mean-over-all"
 _DRAW_WORDS = 1 << 24  # most words per getrandbits call: its bit count is a C int
 MAX_ITERATIONS = 10_000  # reference draws per sentence, as analysis.MAX_TRIALS
+_LANES = {array(t).itemsize: t for t in "QLIHB"}  # unsigned array typecodes by width
 
 
 @dataclass(frozen=True)
@@ -159,19 +162,24 @@ def sample_draws(
     if n_refs == 1:
         # randrange(1) is always 0, and no other sentence shares this stream
         return bytes(iterations)
-    import numpy as np  # imported where used: most commands never load it
-
     rng = random.Random(f"{seed}:{sentence_index}")
     shift = 32 - n_refs.bit_length()
-    chunks, n_kept = [], 0
-    while n_kept < iterations:
-        m = min(2 * (iterations - n_kept) + 64, _DRAW_WORDS)  # at least half are kept
-        words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
-        words = words >> shift
-        chunks.append(words[words < n_refs])
-        n_kept += len(chunks[-1])
-    kept = np.concatenate(chunks)[:iterations]
-    return kept.astype(np.uint8).tobytes() if n_refs <= 256 else kept.tolist()
+    kept = bytearray() if n_refs < 256 else []
+    while len(kept) < iterations:
+        m = min(2 * (iterations - len(kept)) + 64, _DRAW_WORDS)  # at least half are kept
+        words = rng.getrandbits(32 * m).to_bytes(4 * m, "little")
+        if n_refs < 256:  # a draw is in the top byte of its word
+            kept += words[3::4].translate(*_byte_draws(n_refs))
+        else:
+            kept += [d for w in struct.unpack(f"<{m}I", words) if (d := w >> shift) < n_refs]
+    return bytes(kept[:iterations]) if n_refs <= 256 else kept[:iterations]
+
+
+@functools.cache
+def _byte_draws(n_refs: int) -> tuple[bytes, bytes]:
+    """A word's top byte to its draw among ``n_refs`` (below 256), and the rejected bytes."""
+    table = bytes(v >> 8 - n_refs.bit_length() for v in range(256))
+    return table, bytes(v for v in range(256) if table[v] >= n_refs)
 
 
 def reference_draws(cfg: GleuConfig, sentence_index: int, n_refs: int) -> Sequence[int]:
@@ -323,49 +331,62 @@ def gleu_pool(stats: Sequence[GleuStats], cfg: GleuConfig = GleuConfig()) -> flo
 
     Counts are summed over sentences before the precisions and brevity
     penalty are computed, so the result generally differs from the mean of
-    sentence scores. Reference handling mirrors the sentence modes: the
-    ``sampled`` mode pools one sampled reference per sentence per iteration
-    (using the same per-sentence draws, so a one-sentence corpus
-    reproduces the sentence score exactly); ``mean-over-all`` averages the
-    pooled score over reference columns and requires a uniform reference
-    count per sentence.
+    sentence scores. Iteration ``k`` pools each sentence's counts against
+    the reference it drew at ``k``, and the corpus score is the mean over
+    iterations: the ``sampled`` mode pools one sampled reference per
+    sentence per iteration (a one-sentence corpus reproduces the sentence
+    score exactly); in ``mean-over-all`` mode, where each sentence draws
+    every reference once, it averages the pooled score over reference
+    columns. Every sentence needs as many draws as the first.
     """
     if not stats:
         return 0.0
-
-    def pooled(choice: Sequence[int]) -> float:
-        picked = (s.counts[j] for s, j in zip(stats, choice))
-        return _assemble([sum(column) for column in zip(*picked)], cfg.max_n)
-
-    if cfg.multi_ref_mode == MEAN_OVER_ALL:
-        width = len(stats[0].counts)
-        for i, s in enumerate(stats):
-            if len(s.counts) != width:
-                raise ValidationError(
-                    f"sentence {i} has {len(s.counts)} references, expected {width}"
-                )
-        return mean_score([pooled([j] * len(stats)) for j in range(width)])
-    # totals[k] = sum over sentences of the counts against the reference
-    # drawn at iteration k: each sentence's counts, one row per reference,
-    # gathered by its draws. Orders longer than the longest hypothesis
-    # count 0 everywhere, so only the other columns are summed, and the
-    # zeros are put back once.
-    import numpy as np
-
     max_n, iterations = cfg.max_n, len(stats[0].draws)
-    top = min(max_n, max(s.counts[0][3 * max_n] for s in stats))
-    keep = [k for k in range(3 * max_n + 2) if k % max_n < top or k >= 3 * max_n]
-    take, kept = itemgetter(*keep), np.zeros((iterations, len(keep)), np.int64)
     for i, s in enumerate(stats):
         if len(s.draws) != iterations:
             raise ValidationError(
                 f"sentence {i} has {len(s.draws)} draws, expected {iterations}"
             )
-        draws = np.frombuffer(s.draws, np.uint8) if isinstance(s.draws, bytes) else s.draws
-        kept += np.array([take(c) for c in s.counts], np.int64)[draws]
-    totals = np.zeros((iterations, 3 * max_n + 2), np.int64)
-    totals[:, keep] = kept
-    return mean_score([_assemble(row, max_n) for row in totals.tolist()])
+    # Orders longer than the longest hypothesis count 0 everywhere, so only
+    # the other columns are summed. Each column is one big int with a lane
+    # per iteration: the sum of the counts against reference 0 in every
+    # lane, plus each sentence's change to reference j in the lanes where it
+    # drew j. No count exceeds its pair's longer length, so the sum of those
+    # lengths bounds every lane, and the lanes never carry into each other.
+    top = min(max_n, max(s.counts[0][3 * max_n] for s in stats))
+    keep = [k for k in range(3 * max_n + 2) if k % max_n < top or k >= 3 * max_n]
+    take = itemgetter(*keep)
+    bound = sum(max(max(c[-2:]) for c in s.counts) for s in stats)
+    size = max(1, (bound.bit_length() + 7) // 8)
+    width = min((w for w in _LANES if w >= size), default=size)
+    firsts = [take(s.counts[0]) for s in stats]
+    spread, changes = bytearray(width * iterations), [0] * len(keep)
+    for s, first in zip(stats, firsts):
+        for j in range(1, len(s.counts)):
+            deltas = list(map(sub, take(s.counts[j]), first))
+            draws = s.draws
+            spread[::width] = (draws.translate(_hits(j)) if isinstance(draws, bytes)
+                               else bytes(d == j for d in draws))
+            mask = int.from_bytes(spread, "little")  # 1 in each lane that drew j
+            for c in compress(range(len(keep)), deltas):
+                changes[c] += deltas[c] * mask
+    spread[::width] = b"\1" * iterations
+    ones = int.from_bytes(spread, "little")
+    columns = [repeat(0)] * (3 * max_n + 2)
+    for k, base, change in zip(keep, map(sum, zip(*firsts)), changes):
+        raw = (base * ones + change).to_bytes(width * iterations, "little")
+        if width in _LANES:
+            columns[k] = array(_LANES[width], raw)
+            if sys.byteorder == "big":
+                columns[k].byteswap()
+        else:
+            columns[k] = [int.from_bytes(raw[i : i + width], "little")
+                          for i in range(0, len(raw), width)]
+    return mean_score([_assemble(row, max_n) for row in zip(*columns)])
+
+
+# a draw byte to 1 where it is reference j, else 0
+_hits = functools.cache(lambda j: bytes(v == j for v in range(256)))
 
 
 def gleu_corpus(

@@ -317,19 +317,13 @@ def train_ridge(
         )
     if not features:
         raise ValidationError("no training rows")
-    import numpy as np  # imported here: only training needs it
-
-    x = np.asarray(
-        [
-            row.as_tuple() if isinstance(row, FeatureVector) else tuple(row)
-            for row in features
-        ],
-        dtype=float,
-    )
-    if x.ndim != 2:
+    rows = [
+        row.as_tuple() if isinstance(row, FeatureVector) else tuple(map(float, row))
+        for row in features
+    ]
+    width, n = len(rows[0]), len(rows)
+    if any(len(row) != width for row in rows):
         raise ValidationError("feature rows must all have the same width")
-    y = np.asarray(targets, dtype=float)
-    width = x.shape[1]
     if feature_names is None:
         feature_names = (
             FEATURE_NAMES
@@ -341,29 +335,39 @@ def train_ridge(
         raise ValidationError(
             f"{width} feature columns but {len(feature_names)} names"
         )
-    means = x.mean(axis=0)
-    stdevs = x.std(axis=0)
-    keep = stdevs != 0.0
-    x_kept = x[:, keep]
-    mu = means[keep]
-    sigma = stdevs[keep] if standardize else np.ones(keep.sum())
-    bias = float(y.mean())
-    centered = (x_kept - mu) / sigma
-    y_centered = y - bias
-    gram = centered.T @ centered + alpha * np.eye(centered.shape[1])
-    try:
-        lower = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise ValidationError(
-            f"ridge system is singular (alpha={alpha}); increase alpha"
-        ) from exc
-    # gram = L L^T: solve L z = rhs, then L^T w = z
-    weights = np.linalg.solve(lower.T, np.linalg.solve(lower, centered.T @ y_centered))
+    # a column of equal values carries no signal, even where its float mean
+    # is not that value
+    kept = [(name, column) for name, column in zip(feature_names, zip(*rows))
+            if min(column) != max(column)]
+    mu = [math.fsum(column) / n for _, column in kept]
+    sigma = [math.sqrt(math.fsum((v - m) ** 2 for v in column) / n) if standardize else 1.0
+             for (_, column), m in zip(kept, mu)]
+    bias = math.fsum(targets) / n
+    centered = [[(v - m) / s for v in column] for (_, column), m, s in zip(kept, mu, sigma)]
+    y_centered = [float(y) - bias for y in targets]
+    # gram = L L^T (Cholesky). The right-hand side rides as one more row:
+    # its row of L is z with L z = rhs, and then L^T w = z
+    k, vectors = len(kept), [*centered, y_centered]
+    lower = [[0.0] * k for _ in vectors]
+    for i, row in enumerate(vectors):
+        for j in range(min(i + 1, k)):
+            dot = math.fsum(map(mul, row, vectors[j])) + (alpha if i == j else 0.0)
+            v = dot - math.fsum(map(mul, lower[i][:j], lower[j][:j]))
+            if i > j:
+                lower[i][j] = v / lower[j][j]
+            elif v > 0.0:
+                lower[i][i] = math.sqrt(v)
+            else:
+                raise ValidationError(f"ridge system is singular (alpha={alpha}); increase alpha")
+    weights = [0.0] * k
+    for i in reversed(range(k)):
+        tail = math.fsum(lower[p][i] * weights[p] for p in range(i + 1, k))
+        weights[i] = (lower[k][i] - tail) / lower[i][i]
     return LfmModel(
-        feature_names=tuple(n for n, kept in zip(feature_names, keep) if kept),
-        means=tuple(float(v) for v in mu),
-        stdevs=tuple(float(v) for v in sigma),
-        weights=tuple(float(v) for v in weights),
+        feature_names=tuple(name for name, _ in kept),
+        means=tuple(mu),
+        stdevs=tuple(sigma),
+        weights=tuple(weights),
         bias=bias,
         alpha=float(alpha),
     )

@@ -253,6 +253,57 @@ def test_sweep_lambda_tie_takes_smallest_lambda():
     assert result["oracle_lambda"] == 0.0
 
 
+def _swept_means(monkeypatch, fluency, reference, human):
+    """The system means sweep_lambda ranks at each grid point, by system."""
+    from gecmetric import analysis
+
+    seen = []
+    original = analysis.spearman
+    monkeypatch.setattr(
+        analysis, "spearman", lambda x, y: seen.append(list(x)) or original(x, y)
+    )
+    sweep_lambda(fluency, reference, human)
+    assert len(seen) == len(LAMBDA_GRID)
+    return [dict(zip(sorted(fluency), means)) for means in seen]
+
+
+@pytest.mark.parametrize("low", [0.0, -1.0])
+def test_sweep_means_are_the_interpolated_sentence_means(monkeypatch, low):
+    """Interpolating each system's two means agrees with the mean of its
+    interpolated sentence scores to within 4 ulps at every grid point. With
+    scores of both signs (as I-measure's) the sentence terms can cancel,
+    and the ulps are those of the largest score."""
+    rng = random.Random(f"two-means:{low}")
+    for _ in range(30):
+        systems = [f"s{k}" for k in range(rng.randint(3, 12))]
+        n = rng.randint(1, 400)
+
+        def table():
+            return {s: [rng.uniform(low, 1.0) for _ in range(n)] for s in systems}
+
+        fluency, reference = table(), table()
+        human = {s: rng.random() for s in systems}
+        swept = _swept_means(monkeypatch, fluency, reference, human)
+        for lam, means in zip(LAMBDA_GRID, swept):
+            for s in systems:
+                want = mean_score(interpolate(fluency[s], reference[s], lam))
+                scale = want if low == 0.0 else max(map(abs, fluency[s] + reference[s]))
+                assert abs(means[s] - want) <= 4 * math.ulp(scale), (lam, s)
+
+
+def test_sweep_identical_systems_tie_at_every_lambda(monkeypatch):
+    """Systems with the same scores, in the same or another sentence
+    order, get equal means at every grid point."""
+    rng = random.Random(3)
+    f, r = [rng.random() for _ in range(50)], [rng.random() for _ in range(50)]
+    order = rng.sample(range(50), 50)
+    fluency = {"A": f, "B": list(f), "C": [f[i] for i in order], "D": [0.5] * 50}
+    reference = {"A": r, "B": list(r), "C": [r[i] for i in order], "D": [0.5] * 50}
+    human = {"A": 1.0, "B": 2.0, "C": 3.0, "D": 4.0}
+    for means in _swept_means(monkeypatch, fluency, reference, human):
+        assert means["A"] == means["B"] == means["C"]
+
+
 def test_sweep_lambda_missing_system_raises():
     fluency, reference = _tables()
     human = {"A": 1.0, "B": 2.0, "C": 3.0}  # D missing

@@ -1264,12 +1264,13 @@ def test_ablation_and_gaming_reuse_the_runs_statistics(corpus, capsys, monkeypat
 
 
 def test_train_lfm_runs_without_scipy(corpus, model_path):
-    """Ridge training needs numpy alone: with scipy blocked, a good table
-    trains (exit 0) and a singular one still exits 2."""
+    """Ridge training needs neither numpy nor scipy: with both blocked, a
+    good table trains (exit 0) and a singular one still exits 2."""
     (corpus / "singular.tsv").write_text(SINGULAR_TSV, encoding="utf-8")
     code = (
         "import sys\n"
         "sys.modules['scipy'] = None\n"
+        "sys.modules['numpy'] = None\n"
         "from gecmetric.cli import main\n"
         "print(main(sys.argv[1:]))\n"
     )
@@ -1312,34 +1313,42 @@ def test_importing_one_layer_loads_only_what_it_imports():
     )
 
 
+_REFS = ["--source", "{d}/source.txt", "--ref", "{d}/ref1.txt", "--ref", "{d}/ref2.txt"]
+_SWEEP = ["--fluency-metric", "errorcount", "--reference-metric", "gleu", *_REFS,
+          "--wordlist", "{d}/words.txt", "--human", "{d}/human.tsv"]
 NUMPY_FREE = {
     "version": ["--version"],
     "check": ["check", "--input", "{d}/a.txt", "--wordlist", "{d}/words.txt"],
+    "train-lfm": ["train-lfm", "--train", "{d}/train.tsv", "--out", "{d}/trained.json"],
     "m2": ["score", "--metric", "m2", "--m2", "{d}/gold.m2"],
-    "imeasure": ["score", "--metric", "imeasure", "--source", "{d}/source.txt",
-                 "--ref", "{d}/ref1.txt", "--ref", "{d}/ref2.txt"],
+    "imeasure": ["score", "--metric", "imeasure", *_REFS],
     "errorcount": ["score", "--metric", "errorcount", "--wordlist", "{d}/words.txt"],
-    "gleu-mean-over-all": ["score", "--metric", "gleu", "--gleu-mode", "mean-over-all",
-                           "--source", "{d}/source.txt", "--ref", "{d}/ref1.txt",
-                           "--ref", "{d}/ref2.txt"],
+    "gleu-mean-over-all": ["score", "--metric", "gleu", "--gleu-mode", "mean-over-all", *_REFS],
+    "gleu-sampled": ["score", "--metric", "gleu", *_REFS],
     "lfm": ["score", "--metric", "lfm", "--model", "{d}/model.json",
             "--lm-corpus", "{d}/source.txt", "--wordlist", "{d}/words.txt"],
+    "rank": ["rank", "--metric", "gleu", *_REFS],
+    "correlate": ["correlate", "--metric", "gleu", *_REFS, "--human", "{d}/human.tsv"],
+    "sweep-gaming": ["sweep", *_SWEEP, "--gaming"],
+    "ablate": ["ablate", *_SWEEP, "--trials", "2", "--sizes", "1,2"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(NUMPY_FREE))
 def test_commands_that_need_no_numpy_leave_it_unloaded(corpus, model_path, case):
-    """numpy is imported by sampled GLEU, the lambda sweep and ridge training alone."""
+    """No command imports numpy or scipy, and each one succeeds."""
     argv = [arg.format(d=corpus) for arg in NUMPY_FREE[case]]
-    if case not in ("version", "check"):
+    if case not in ("version", "check", "train-lfm"):
         argv += _hyp_args(corpus) + ["--out", str(corpus / "report.json")]
     code = (
         "import sys\n"
         "from gecmetric.cli import main\n"
+        "code = 1\n"
         "try:\n"
-        "    main(sys.argv[1:])\n"
+        "    code = main(sys.argv[1:])\n"
         "finally:\n"
         "    print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))\n"
+        "sys.exit(code)\n"
     )
     src = Path(gecmetric.__file__).resolve().parents[1]
     proc = subprocess.run(

@@ -14,6 +14,7 @@ from gecmetric.gleu import (
     MEAN_OVER_ALL,
     SAMPLED,
     GleuConfig,
+    GleuStats,
     _assemble,
     gleu_corpus,
     gleu_multi_ref,
@@ -354,6 +355,59 @@ def test_pool_equals_plain_pooled_sum(ref_counts, max_n):
     for n_sentences in (1, 2, 17):
         stats = _random_stats(rng, n_sentences, ref_counts, cfg)
         assert gleu_pool(stats, cfg) == _plain_pool(stats, cfg)
+
+
+def _hand_stats(rng, n_sentences, ref_counts, max_n, longest, draws):
+    """GleuStats built by hand, with lengths up to ``longest`` and each
+    count at most the hypothesis length; ``draws(n_refs)`` gives a
+    sentence's draws. The scores are not used by the pool."""
+    stats = []
+    for _ in range(n_sentences):
+        n_refs, hyp_len = rng.choice(ref_counts), rng.randint(0, longest)
+        totals = [max(0, hyp_len - n) for n in range(max_n)]
+        counts = tuple(
+            (*(rng.randint(0, t) for t in totals), *(rng.randint(0, t) for t in totals),
+             *totals, hyp_len, rng.randint(1, longest))
+            for _ in range(n_refs)
+        )
+        stats.append(GleuStats(0.0, counts, draws(n_refs), (0.0,) * n_refs))
+    return stats
+
+
+# the pool's lanes hold the sum of the longest lengths: 17 sentences of
+# these need lanes of 1, 2, 4, 8 and 11 bytes
+LONGEST = [10, 1000, 2**20, 2**40, 2**80]
+
+
+@pytest.mark.parametrize("longest", LONGEST)
+@pytest.mark.parametrize("ref_counts", [(1,), (2,), (1, 2, 3)])
+def test_pool_equals_plain_pooled_sum_on_any_lane_width(longest, ref_counts):
+    rng = random.Random(f"lanes:{longest}:{ref_counts}")
+    cfg = GleuConfig(max_n=3, iterations=30)
+    for n_sentences in (1, 17):
+        stats = _hand_stats(rng, n_sentences, ref_counts, 3, longest,
+                            lambda n: bytes(rng.randrange(n) for _ in range(30)))
+        assert gleu_pool(stats, cfg) == _plain_pool(stats, cfg)
+
+
+@pytest.mark.parametrize("longest", LONGEST)
+@pytest.mark.parametrize("n_refs", [1, 2, 3])
+def test_mean_over_all_pool_is_the_mean_over_reference_columns(longest, n_refs):
+    """Each sentence draws every reference once, so iteration j pools
+    reference column j."""
+    rng = random.Random(f"columns:{longest}:{n_refs}")
+    cfg = GleuConfig(max_n=3, multi_ref_mode=MEAN_OVER_ALL)
+    stats = _hand_stats(rng, 17, (n_refs,), 3, longest, range)
+    assert gleu_pool(stats, cfg) == _plain_pool(stats, GleuConfig(max_n=3, iterations=n_refs))
+
+
+def test_mean_over_all_pool_rejects_unequal_reference_counts():
+    rng = random.Random(13)
+    cfg = GleuConfig(max_n=3, multi_ref_mode=MEAN_OVER_ALL)
+    stats = _hand_stats(rng, 3, (2,), 3, 10, range)
+    stats[1] = _hand_stats(rng, 1, (3,), 3, 10, range)[0]
+    with pytest.raises(ValidationError, match="sentence 1 has 3 draws, expected 2"):
+        gleu_pool(stats, cfg)
 
 
 def test_pool_accepts_draws_as_any_int_sequence():

@@ -401,6 +401,15 @@ def test_ridge_drops_constant_features():
     assert len(model.weights) == 1
 
 
+def test_ridge_drops_a_constant_column_whose_mean_is_not_its_value():
+    """0.1 three times averages to 0.10000000000000002, so the column's
+    float stdev is not 0; it is still constant and carries no signal."""
+    feats = [[0.1, 1.0], [0.1, 2.0], [0.1, 3.0]]
+    model = train_ridge(feats, [0.2, 0.4, 1.0], alpha=1.0, feature_names=("a", "b"))
+    assert model.feature_names == ("b",)
+    assert predict_raw(model, {"a": 0.2, "b": 2.0}) == predict_raw(model, {"a": 0.1, "b": 2.0})
+
+
 def test_ridge_all_constant_features_predicts_mean():
     feats = [[5.0], [5.0], [5.0]]
     model = train_ridge(feats, [1.0, 2.0, 3.0], alpha=0.1, feature_names=("c",))

@@ -1,13 +1,14 @@
 """The README's Library section and the package agree.
 
 Each of the README's python blocks must run as a whole, and so must each
-``from gecmetric... import ...`` line in them; each function, class or
-module attribute that the Library section names in backticks must
-resolve, so that deleting documented API or breaking an example fails
-here. Each name a public module lists in ``__all__`` must resolve
-too, so that a deleted name cannot stay listed.
+``from gecmetric... import ...`` line in them; each function, class,
+module attribute or dataclass field that the Library section names in
+backticks must resolve, so that deleting documented API or breaking an
+example fails here. Each name a public module lists in ``__all__`` must
+resolve too, so that a deleted name cannot stay listed.
 """
 
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -52,8 +53,17 @@ def _resolve(dotted: str):
     assert owners, f"no gecmetric module defines {head!r}"
     obj = getattr(owners[0], head)
     for part in rest:
-        obj = getattr(obj, part)
+        is_dataclass = dataclasses.is_dataclass(obj)
+        fields = {f.name: f for f in dataclasses.fields(obj)} if is_dataclass else {}
+        obj = fields[part] if part in fields else getattr(obj, part)
     return obj
+
+
+def test_dataclass_fields_resolve_and_misspelt_ones_do_not():
+    assert _resolve("NgramLm.numbers").name == "numbers"
+    assert _resolve("GleuStats.draws")  # a NamedTuple field is a class attribute
+    with pytest.raises(AttributeError):
+        _resolve("NgramLm.numberz")
 
 
 def test_readme_shows_the_documented_api():
