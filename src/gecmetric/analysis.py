@@ -39,7 +39,6 @@ __all__ = [
     "check_lambda",
     "check_ablation",
     "interpolate_value",
-    "interpolate",
     "rank_systems",
     "spearman",
     "pearson",
@@ -76,17 +75,6 @@ def interpolate_value(fluency: float, reference: float, lam: float) -> float:
     """(1 - lam) * fluency + lam * reference; endpoints are exact."""
     check_lambda(lam)
     return (1.0 - lam) * fluency + lam * reference
-
-
-def interpolate(
-    fluency: Sequence[float], reference: Sequence[float], lam: float
-) -> list[float]:
-    if len(fluency) != len(reference):
-        raise ValidationError(
-            f"size mismatch: {len(fluency)} fluency scores, "
-            f"{len(reference)} reference scores"
-        )
-    return [interpolate_value(f, r, lam) for f, r in zip(fluency, reference)]
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
@@ -198,12 +186,12 @@ def sweep_lambda(
     if missing:
         raise ValidationError(f"human ranking is missing systems: {missing}")
     human_values = [human[s] for s in systems]
-    # a system's mean of interpolate() rows is, up to rounding, the
-    # interpolation of its two means: each grid point interpolates those
+    # a system's mean of interpolated sentence scores is, up to rounding,
+    # the interpolation of its two means: each grid point interpolates those
     means = [(mean_score(fluency[s]), mean_score(reference[s])) for s in systems]
     points = []
     for lam in LAMBDA_GRID:
-        scores = [(1.0 - lam) * f + lam * r for f, r in means]
+        scores = [interpolate_value(f, r, lam) for f, r in means]
         points.append(
             {
                 "lambda": lam,
@@ -342,8 +330,10 @@ def gaming_check(
             f"size mismatch: {len(fluency)} fluency, {len(reference)} reference "
             f"and {len(shuffled)} shuffled scores"
         )
-    interp_true = mean_score(interpolate(fluency, reference, lam))
-    interp_shuffled = mean_score(interpolate(fluency, shuffled, lam))
+    interp_true, interp_shuffled = (
+        mean_score([interpolate_value(f, r, lam) for f, r in zip(fluency, scores)])
+        for scores in (reference, shuffled)
+    )
     rbm_true = mean_score(reference)
     rbm_shuffled = mean_score(shuffled)
     return {

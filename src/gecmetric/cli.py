@@ -11,7 +11,8 @@ Subcommands::
     check       run error detectors over a text file
 
 Every metric is one entry of the ``METRICS`` table: a loader that binds
-the metric's knobs and the run's inputs into a scorer. A scorer computes
+the metric's config and the run's inputs into a scorer. Every knob a
+command takes is checked before any input is read, whichever metrics run. A scorer computes
 the statistics of each (system, sentence) pair once; the per-sentence
 scores, their mean (the ``sentence`` headline) and the pooled corpus
 score (the ``corpus`` headline; lfm has none) are all read from those
@@ -73,6 +74,7 @@ from .grammaticality import (
     ExternalChecker,
     Wordlist,
     build_default_suite,
+    check_timeout,
     error_count_pool,
     error_count_stats_many,
 )
@@ -154,14 +156,8 @@ def _each(stats: Callable[[int, Sentence, Any], Any]) -> Callable[[list], list]:
     return lambda items: [stats(*item) for item in items]
 
 
-def _gleu(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
+def _gleu(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: GleuConfig) -> _Scorer:
     sources, rows = inputs.sources_and_rows("gleu")
-    cfg = GleuConfig(
-        max_n=args.max_n,
-        iterations=args.iterations,
-        rng_seed=args.seed,
-        multi_ref_mode=args.gleu_mode,
-    )
     draws = functools.cache(functools.partial(reference_draws, cfg))
     return _Scorer(
         "gleu",
@@ -172,11 +168,10 @@ def _gleu(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
     )
 
 
-def _m2(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
+def _m2(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: M2Config) -> _Scorer:
     units = inputs.units
     if units is None:
         raise _UsageError("m2 needs --m2 with gold annotations")
-    cfg = M2Config(beta=args.beta, max_unchanged_words=args.max_unchanged)
     _warn_identity(units)
     return _Scorer(
         "m2",
@@ -185,9 +180,10 @@ def _m2(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
     )
 
 
-def _imeasure(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
+def _imeasure(
+    args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: IMeasureConfig
+) -> _Scorer:
     sources, rows = inputs.sources_and_rows("imeasure")
-    cfg = IMeasureConfig(weight=args.weight)
     side = functools.cache(lambda i, ref: reference_side(sources[i], ref))
 
     def stats(i, hyp, row):
@@ -202,7 +198,7 @@ def _imeasure(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
     )
 
 
-def _errorcount(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
+def _errorcount(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: None) -> _Scorer:
     suite = _build_suite(args, stack)
     return _Scorer(
         "errorcount",
@@ -211,7 +207,7 @@ def _errorcount(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
     )
 
 
-def _lfm(args, inputs: _Inputs, stack: contextlib.ExitStack) -> _Scorer:
+def _lfm(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: None) -> _Scorer:
     for opt in ("model", "lm_corpus", "wordlist"):
         if not getattr(args, opt):
             raise _UsageError(f"lfm needs --{opt.replace('_', '-')}")
@@ -334,12 +330,21 @@ def _check_lengths(systems: Mapping[str, list[Sentence]], inputs: _Inputs) -> No
 
 @contextlib.contextmanager
 def _scorers(args, metrics: Sequence[str]):
-    """Load the systems and inputs once and bind each metric to them;
-    yields (systems, scorers) and closes external checkers afterwards."""
+    """Check every knob, whatever the metrics, then load the systems and
+    inputs once and bind each metric to them and its config; yields
+    (systems, scorers) and closes external checkers afterwards."""
+    configs = {
+        "gleu": GleuConfig(args.max_n, args.iterations, args.seed, args.gleu_mode),
+        "m2": M2Config(args.beta, args.max_unchanged),
+        "imeasure": IMeasureConfig(args.weight),
+    }
+    check_timeout(args.checker_timeout)
     systems = _load_systems(args)
     inputs = _load_inputs(args)
     with contextlib.ExitStack() as stack:
-        scorers = [METRICS[metric](args, inputs, stack) for metric in metrics]
+        scorers = [
+            METRICS[metric](args, inputs, stack, configs.get(metric)) for metric in metrics
+        ]
         _check_lengths(systems, inputs)
         yield systems, scorers
 
@@ -574,6 +579,7 @@ def _cmd_train_lfm(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    check_timeout(args.checker_timeout)
     with contextlib.ExitStack() as stack:
         suite = _build_suite(args, stack)
         sentences = read_parallel_text(args.input)

@@ -127,12 +127,15 @@ def _surplus(source: _Bag, reference: _Bag) -> _Bag:
     return keys, rep
 
 
-def _assemble(counts: Sequence[int], max_n: int) -> float:
+def _assemble(counts: Sequence[int], max_n: int, orders: int) -> float:
+    """The score of one counts row (see :class:`GleuStats`). Only the first
+    ``orders`` orders are read: the caller knows the rest have a zero
+    denominator."""
     hyp_len, ref_len = counts[3 * max_n], counts[3 * max_n + 1]
     if hyp_len == 0:
         return 0.0
     log_sum = 0.0
-    for n in range(max_n):
+    for n in range(orders):
         denominator = counts[2 * max_n + n]
         if denominator == 0:
             continue  # log(1): orders longer than the hypothesis are neutral
@@ -291,7 +294,7 @@ def gleu_stats_many(
                 (*_common(h, r), *zeros, *_common(h, u), *zeros, *totals, n)
                 for r, u, n in refs
             )
-            scores = tuple(_assemble(c, max_n) for c in counts)
+            scores = tuple(_assemble(c, max_n, len(h)) for c in counts)
             out[k] = _score(counts, scores, picked)
     return out
 
@@ -382,7 +385,7 @@ def gleu_pool(stats: Sequence[GleuStats], cfg: GleuConfig = GleuConfig()) -> flo
         else:
             columns[k] = [int.from_bytes(raw[i : i + width], "little")
                           for i in range(0, len(raw), width)]
-    return mean_score([_assemble(row, max_n) for row in zip(*columns)])
+    return mean_score([_assemble(row, max_n, top) for row in zip(*columns)])
 
 
 # a draw byte to 1 where it is reference j, else 0

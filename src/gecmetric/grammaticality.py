@@ -36,12 +36,8 @@ __all__ = [
     "ErrorSpan",
     "Detector",
     "Wordlist",
-    "SpellingDetector",
-    "DuplicateTokenDetector",
-    "ArticleAgreementDetector",
-    "CapitalizationDetector",
-    "TerminalPunctuationDetector",
-    "SpacedPunctuationDetector",
+    "BUILT_IN",
+    "RuleDetector",
     "DetectorSuite",
     "build_default_suite",
     "ErrorCountStats",
@@ -51,6 +47,7 @@ __all__ = [
     "error_count_pool",
     "error_count_corpus",
     "ExternalChecker",
+    "check_timeout",
 ]
 
 # Requests each external checker process has in flight at once; a batch
@@ -68,9 +65,10 @@ CHECKER_TIMEOUT = 10.0
 
 _VOWELS = frozenset("aeiou")
 _CLAUSE_PUNCT = frozenset({",", ".", ";", ":", "!", "?"})
+_Spans = list[tuple[int, int]]  # a rule's (start, end) spans
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class ErrorSpan:
     """Half-open token span [start, end) tagged with an error category."""
 
@@ -138,83 +136,59 @@ class Wordlist:
         return cls(word for word in (line.strip() for line in lines) if word)
 
 
-class SpellingDetector:
-    detector_id = "spell"
-    category = "SPELL"
+def _spell(tokens: Sequence[str], wordlist: Wordlist) -> _Spans:
+    return [(i, i + 1) for i, token in enumerate(tokens) if not wordlist.knows(token)]
 
-    def __init__(self, wordlist: Wordlist):
+
+def _dup(tokens: Sequence[str], wordlist: Wordlist) -> _Spans:
+    return [(i, i + 2) for i in range(len(tokens) - 1) if tokens[i] == tokens[i + 1]]
+
+
+def _article(tokens: Sequence[str], wordlist: Wordlist) -> _Spans:
+    return [
+        (i, i + 2)
+        for i, (word, after) in enumerate(zip(tokens, tokens[1:]))
+        if word in ("a", "A") and after[0].lower() in _VOWELS
+        or word in ("an", "An") and after[0].isalpha() and after[0].lower() not in _VOWELS
+    ]
+
+
+def _capital(tokens: Sequence[str], wordlist: Wordlist) -> _Spans:
+    return [(0, 1)] if tokens and tokens[0][0].islower() else []
+
+
+def _terminal(tokens: Sequence[str], wordlist: Wordlist) -> _Spans:
+    # point span: the error is a missing token, not a bad one
+    n = len(tokens)
+    return [(n, n)] if tokens and not tokens[-1].endswith((".", "!", "?")) else []
+
+
+def _spacepunct(tokens: Sequence[str], wordlist: Wordlist) -> _Spans:
+    return [(i, i + 1) for i in range(1, len(tokens)) if tokens[i] in _CLAUSE_PUNCT]
+
+
+# The built-in detectors, in the order build_default_suite runs them: each
+# row is (detector id, category, rule), where rule(tokens, wordlist) lists
+# the (start, end) spans the detector flags.
+BUILT_IN = (
+    ("spell", "SPELL", _spell),
+    ("dup", "DUP", _dup),
+    ("article", "ART", _article),
+    ("capital", "CAP", _capital),
+    ("terminal", "TERM", _terminal),
+    ("spacepunct", "SPACE", _spacepunct),
+)
+
+
+class RuleDetector:
+    """A :data:`BUILT_IN` row bound to a word list, as a :class:`Detector`."""
+
+    def __init__(self, row, wordlist: Wordlist):
+        self.detector_id, self.category, self.rule = row
         self.wordlist = wordlist
 
     def __call__(self, tokens: Sequence[str]) -> list[ErrorSpan]:
-        return [
-            ErrorSpan(i, i + 1, self.category)
-            for i, token in enumerate(tokens)
-            if not self.wordlist.knows(token)
-        ]
-
-
-class DuplicateTokenDetector:
-    detector_id = "dup"
-    category = "DUP"
-
-    def __call__(self, tokens: Sequence[str]) -> list[ErrorSpan]:
-        return [
-            ErrorSpan(i, i + 2, self.category)
-            for i in range(len(tokens) - 1)
-            if tokens[i] == tokens[i + 1]
-        ]
-
-
-class ArticleAgreementDetector:
-    detector_id = "article"
-    category = "ART"
-
-    def __call__(self, tokens: Sequence[str]) -> list[ErrorSpan]:
-        spans = []
-        for i in range(len(tokens) - 1):
-            head = tokens[i + 1][0]
-            if tokens[i] in ("a", "A") and head.lower() in _VOWELS:
-                spans.append(ErrorSpan(i, i + 2, self.category))
-            elif (
-                tokens[i] in ("an", "An")
-                and head.isalpha()
-                and head.lower() not in _VOWELS
-            ):
-                spans.append(ErrorSpan(i, i + 2, self.category))
-        return spans
-
-
-class CapitalizationDetector:
-    detector_id = "capital"
-    category = "CAP"
-
-    def __call__(self, tokens: Sequence[str]) -> list[ErrorSpan]:
-        if tokens and tokens[0][0].islower():
-            return [ErrorSpan(0, 1, self.category)]
-        return []
-
-
-class TerminalPunctuationDetector:
-    detector_id = "terminal"
-    category = "TERM"
-
-    def __call__(self, tokens: Sequence[str]) -> list[ErrorSpan]:
-        if tokens and not tokens[-1].endswith((".", "!", "?")):
-            # point span: the error is a missing token, not a bad one
-            return [ErrorSpan(len(tokens), len(tokens), self.category)]
-        return []
-
-
-class SpacedPunctuationDetector:
-    detector_id = "spacepunct"
-    category = "SPACE"
-
-    def __call__(self, tokens: Sequence[str]) -> list[ErrorSpan]:
-        return [
-            ErrorSpan(i, i + 1, self.category)
-            for i in range(1, len(tokens))
-            if tokens[i] in _CLAUSE_PUNCT
-        ]
+        return [ErrorSpan(s, e, self.category) for s, e in self.rule(tokens, self.wordlist)]
 
 
 class DetectorSuite:
@@ -248,34 +222,25 @@ class DetectorSuite:
         return [list(merged[tuple(tokens)]) for tokens in token_seqs]
 
     def _merge(self, tokens, per_detector) -> list[ErrorSpan]:
-        merged: dict[tuple[int, int, str], ErrorSpan] = {}
+        merged = set()
         for detector, spans in zip(self.detectors, per_detector):
             for span in spans:
                 if not isinstance(span, ErrorSpan):
-                    raise DetectorError(
-                        detector.detector_id, f"returned non-span {span!r}"
-                    )
+                    raise DetectorError(detector.detector_id, f"returned non-span {span!r}")
                 if span.end > len(tokens):
                     raise DetectorError(
                         detector.detector_id,
                         f"span ({span.start}, {span.end}) exceeds "
                         f"sentence length {len(tokens)}",
                     )
-                merged.setdefault((span.start, span.end, span.category), span)
-        return sorted(merged.values(), key=lambda s: (s.start, s.end, s.category))
+                if type(span) is not ErrorSpan:  # a subclass compares only with itself
+                    span = ErrorSpan(span.start, span.end, span.category)
+                merged.add(span)
+        return sorted(merged)
 
 
 def build_default_suite(wordlist: Wordlist) -> DetectorSuite:
-    return DetectorSuite(
-        [
-            SpellingDetector(wordlist),
-            DuplicateTokenDetector(),
-            ArticleAgreementDetector(),
-            CapitalizationDetector(),
-            TerminalPunctuationDetector(),
-            SpacedPunctuationDetector(),
-        ]
-    )
+    return DetectorSuite([RuleDetector(row, wordlist) for row in BUILT_IN])
 
 
 class ErrorCountStats(NamedTuple):
@@ -359,10 +324,7 @@ class ExternalChecker:
     ):
         if not command:
             raise ValidationError("empty checker command")
-        if not 0 < timeout <= threading.TIMEOUT_MAX:  # also rejects nan
-            raise ValidationError(
-                f"timeout must be in (0, {threading.TIMEOUT_MAX:.0f}] seconds, got {timeout}"
-            )
+        check_timeout(timeout)
         self.command = tuple(command)
         self.detector_id = detector_id
         self.timeout = timeout
@@ -522,6 +484,14 @@ class ExternalChecker:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def check_timeout(timeout: float) -> None:
+    """Raise :class:`ValidationError` unless a checker can wait ``timeout`` seconds."""
+    if not 0 < timeout <= threading.TIMEOUT_MAX:  # also rejects nan
+        raise ValidationError(
+            f"timeout must be in (0, {threading.TIMEOUT_MAX:.0f}] seconds, got {timeout}"
+        )
 
 
 def _usable_cpus() -> int:

@@ -55,22 +55,12 @@ class IMeasureConfig:
             )
 
 
-@dataclass(frozen=True)
-class TokenCounts:
+class TokenCounts(NamedTuple):
     tp: int = 0
     tn: int = 0
     fp: int = 0
     fn: int = 0
     fpn: int = 0
-
-    def __add__(self, other: "TokenCounts") -> "TokenCounts":
-        return TokenCounts(
-            self.tp + other.tp,
-            self.tn + other.tn,
-            self.fp + other.fp,
-            self.fn + other.fn,
-            self.fpn + other.fpn,
-        )
 
 
 def _align(a: tuple[str, ...], b: tuple[str, ...]):
@@ -251,8 +241,9 @@ def i_measure_pool(
 ) -> float:
     """One improvement score from the system and baseline counts pooled
     over each sentence's best reference."""
-    system = sum((s.system for s in stats), TokenCounts())
-    baseline = sum((s.baseline for s in stats), TokenCounts())
+    # a field-wise sum: + on two tuples would concatenate them
+    system = TokenCounts(*map(sum, zip(*(s.system for s in stats))))
+    baseline = TokenCounts(*map(sum, zip(*(s.baseline for s in stats))))
     return _improvement(
         weighted_accuracy(system, cfg.weight), weighted_accuracy(baseline, cfg.weight)
     )

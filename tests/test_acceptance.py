@@ -34,8 +34,9 @@ from gecmetric.cli import main
 from gecmetric.corpus import AnnotatedSource, Sentence, tokenize
 from gecmetric.gleu import MEAN_OVER_ALL, GleuConfig, gleu_corpus, gleu_multi_ref, gleu_stats
 from gecmetric.grammaticality import (
+    BUILT_IN,
     DetectorSuite,
-    SpellingDetector,
+    RuleDetector,
     Wordlist,
     build_default_suite,
     error_count_corpus,
@@ -434,7 +435,8 @@ def test_criterion_08_synthetic_corpus():
 
 def test_criterion_09_aggregation_modes(tmp_path):
     words = ["the", "cat", "sat", "on", "mat", "a", "dog", "go", "home"]
-    spell_only = DetectorSuite([SpellingDetector(Wordlist(words))])
+    spell = next(row for row in BUILT_IN if row[0] == "spell")
+    spell_only = DetectorSuite([RuleDetector(spell, Wordlist(words))])
     clean = tokenize("The cat sat on the mat a dog go home.")
     noisy = tokenize("Zq zq.")
     corpus_level = error_count_corpus([clean, noisy], spell_only, mode="corpus")

@@ -13,7 +13,6 @@ from gecmetric.analysis import (
     fisher_z,
     gaming_check,
     gaming_permutation,
-    interpolate,
     interpolate_value,
     mean_score,
     pearson,
@@ -98,10 +97,14 @@ def test_interpolate_rejects_out_of_range_lambda():
 
 
 def test_interpolate_vectors():
-    out = interpolate([0.0, 1.0], [1.0, 0.0], 0.5)
+    """Scores interpolate pair by pair, as the gaming check's means do; the
+    gaming check rejects score lists of unequal length."""
+    fluency, reference = [0.0, 1.0], [1.0, 0.0]
+    out = [interpolate_value(f, r, 0.5) for f, r in zip(fluency, reference)]
     assert out == [0.5, 0.5]
+    assert gaming_check(fluency, reference, reference, 0.5)["interpolated_true_mean"] == 0.5
     with pytest.raises(ValidationError):
-        interpolate([0.0], [1.0, 2.0], 0.5)
+        gaming_check([0.0], [1.0, 2.0], [1.0, 2.0], 0.5)
 
 
 @given(
@@ -286,7 +289,9 @@ def test_sweep_means_are_the_interpolated_sentence_means(monkeypatch, low):
         swept = _swept_means(monkeypatch, fluency, reference, human)
         for lam, means in zip(LAMBDA_GRID, swept):
             for s in systems:
-                want = mean_score(interpolate(fluency[s], reference[s], lam))
+                want = mean_score(
+                    [interpolate_value(f, r, lam) for f, r in zip(fluency[s], reference[s])]
+                )
                 scale = want if low == 0.0 else max(map(abs, fluency[s] + reference[s]))
                 assert abs(means[s] - want) <= 4 * math.ulp(scale), (lam, s)
 
@@ -450,7 +455,7 @@ def test_gaming_check_penalizes_reference_use():
     assert row["rbm_relative_drop"] is not None
     assert row["rbm_shuffled_mean"] == 0.1
     assert row["interpolated_shuffled_mean"] == pytest.approx(
-        mean_score(interpolate(fluency, [0.1] * 50, 0.5))
+        mean_score([interpolate_value(f, 0.1, 0.5) for f in fluency])
     )
 
 

@@ -17,9 +17,9 @@ from gecmetric.errors import DetectorError
 from gecmetric.grammaticality import (
     CHECKER_WINDOW,
     DetectorSuite,
-    DuplicateTokenDetector,
     ExternalChecker,
-    TerminalPunctuationDetector,
+    Wordlist,
+    build_default_suite,
 )
 from test_external_checker import CHECKER_SOURCE, checker_script, command  # noqa: F401
 
@@ -151,8 +151,10 @@ def test_run_many_equals_run_per_sequence(checker_script):
         ("ok", "ok"),
         ("bad", "bad", "ok"),
     ]
+    # the doubled-token and terminal-punctuation rules read no word list
+    built_in = {d.detector_id: d for d in build_default_suite(Wordlist(["ok"])).detectors}
     with ExternalChecker(command(checker_script, "flag"), detector_id="ext") as checker:
-        suite = DetectorSuite([DuplicateTokenDetector(), checker, TerminalPunctuationDetector()])
+        suite = DetectorSuite([built_in["dup"], checker, built_in["terminal"]])
         assert suite.run_many(seqs) == [suite.run(tokens) for tokens in seqs]
         assert suite.run_many([]) == []
 

@@ -79,6 +79,14 @@ home
 
 HUMAN = "a\t3.0\nb\t2.0\nc\t1.0\n"
 
+# every built-in detector fires at least once, some spans share a start
+NOISY = """\
+the the cat sat , on an mat
+A apple fell dwn .
+An cat sat on on the mat!
+xyzzy
+"""
+
 
 @pytest.fixture
 def corpus(tmp_path):
@@ -92,6 +100,7 @@ def corpus(tmp_path):
         "gold.m2": GOLD_M2,
         "words.txt": WORDS,
         "human.tsv": HUMAN,
+        "noisy.txt": NOISY,
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -927,6 +936,12 @@ GOLDEN_REPORTS = {
         "29052fe8dc45301307cc9e28499d79606a3333c858a7f304bb3b596a13347e28",
     "ablate --gleu-mode mean-over-all --sizes 1,2 --trials 2":
         "81c47bd796c7462dae8e8f1bb6aa0e0fceb2318fb8d5157c72a075a5495d4fb6",
+    "check a":
+        "6edb6e22b02ae6eb3d35c8082111745c96a5cdc5b14f7e6864ed86431de1e4f6",
+    "check c":
+        "7ba12f7b0fb57ef0910fe7b1801d547fb2802527f660043a2cc72b4b22d03d6a",
+    "check noisy":
+        "7a8e4b3df9952995cb45a290981e022642387eee335d91ee5aeb4c19ca8a078a",
 }
 
 
@@ -946,6 +961,8 @@ def _golden_argv(corpus, model_path, name):
         + words,
     }
     command, *rest = name.split()
+    if command == "check":
+        return [command, "--input", str(corpus / f"{rest[0]}.txt")] + words
     if command in ("sweep", "ablate"):
         # a name past the command is either "gaming" or the options themselves
         extra = {"": ["--trials", "2"], "gaming": ["--gaming"]}.get(" ".join(rest), rest)
@@ -1569,6 +1586,22 @@ MALFORMED = {
     "gaming-m2": ["sweep", "--fluency-metric", "errorcount", "--wordlist", "{d}/words.txt",
                   "--reference-metric", "m2", "--m2", "{d}/gold.m2", "--human",
                   "{d}/human.tsv", "--gaming", *_A],
+    # a knob of a metric or checker the run does not use is checked all the same
+    "unused-beta-nan": ["score", "--metric", "gleu", "--source", "{d}/source.txt",
+                        "--ref", "{d}/ref1.txt", "--beta", "nan", *_A],
+    "unused-iterations-above-cap": ["score", "--metric", "m2", "--m2", "{d}/gold.m2",
+                                    "--iterations", "10001", *_A],
+    "unused-max-n-negative": ["score", "--metric", "m2", "--m2", "{d}/gold.m2",
+                              "--max-n", "-3", *_A],
+    "unused-weight-nan": ["score", "--metric", "m2", "--m2", "{d}/gold.m2",
+                          "--weight", "nan", *_A],
+    "unused-max-unchanged-negative": ["score", "--metric", "imeasure", "--source",
+                                      "{d}/source.txt", "--ref", "{d}/ref1.txt",
+                                      "--max-unchanged", "-5", *_A],
+    "unused-checker-timeout-nan": ["score", "--metric", "errorcount", "--wordlist",
+                                   "{d}/words.txt", "--checker-timeout", "nan", *_A],
+    "unused-checker-timeout-negative": ["check", "--input", "{d}/a.txt", "--wordlist",
+                                        "{d}/words.txt", "--checker-timeout", "-1"],
 }
 
 
@@ -1606,6 +1639,8 @@ def test_malformed_input_exits_with_one_line(corpus, model_path, case):
         timeout=120,
     )
     assert proc.returncode in (1, 2, 3), proc.stderr
+    if case.startswith("unused-"):  # a malformed knob is malformed data
+        assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stdout == ""

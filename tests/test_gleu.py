@@ -341,7 +341,7 @@ def _plain_pool(stats, cfg):
     for k in range(cfg.iterations):
         picked = [s.counts[s.draws[k]] for s in stats]
         totals = [sum(c[col] for c in picked) for col in range(len(picked[0]))]
-        scores.append(_assemble(totals, cfg.max_n))
+        scores.append(_assemble(totals, cfg.max_n, cfg.max_n))
     return mean_score(scores)
 
 
@@ -527,7 +527,24 @@ def test_subset_equals_stats_against_the_picked_references(mode):
         want = gleu_stats(src, hyp, [refs[j] for j in pick], cfg, sentence_index=i)
         assert gleu_subset(full, pick, draws) == want
         if len(pick) == 1:
-            assert want.score == _assemble(full.counts[pick[0]], cfg.max_n)
+            assert want.score == _assemble(full.counts[pick[0]], cfg.max_n, cfg.max_n)
+
+
+def test_assemble_of_the_orders_that_count_equals_the_full_walk():
+    """Orders past ``orders`` have zero denominators in every row the
+    pool and the sentence statistics assemble; skipping them keeps every
+    bit of the score."""
+    rng = random.Random(23)
+    for _ in range(2000):
+        max_n = rng.randint(1, 12)
+        orders = rng.randint(0, max_n)
+        totals = [rng.randint(1, 40) for _ in range(orders)]
+        matched = [rng.randint(0, t) for t in totals]
+        penalty = [rng.randint(0, t) for t in totals]
+        zeros = [0] * (max_n - orders)
+        lengths = [rng.randint(0, 40), rng.randint(0, 40)]
+        counts = matched + zeros + penalty + zeros + totals + zeros + lengths
+        assert _assemble(counts, max_n, orders) == _assemble(counts, max_n, max_n)
 
 
 def test_stats_many_equals_stats_per_item_in_item_order():

@@ -7,14 +7,10 @@ from hypothesis import strategies as st
 from gecmetric.corpus import Sentence, tokenize
 from gecmetric.errors import DetectorError, ValidationError
 from gecmetric.grammaticality import (
-    ArticleAgreementDetector,
-    CapitalizationDetector,
+    BUILT_IN,
     DetectorSuite,
-    DuplicateTokenDetector,
     ErrorSpan,
-    SpacedPunctuationDetector,
-    SpellingDetector,
-    TerminalPunctuationDetector,
+    RuleDetector,
     Wordlist,
     build_default_suite,
     error_count_corpus,
@@ -32,6 +28,12 @@ def wordlist():
 @pytest.fixture
 def suite(wordlist):
     return build_default_suite(wordlist)
+
+
+def built_in(detector_id, wordlist=Wordlist(WORDS)):
+    """The built-in detector ``detector_id``, as the default suite builds it."""
+    row = next(row for row in BUILT_IN if row[0] == detector_id)
+    return RuleDetector(row, wordlist)
 
 
 def spans_of(detector, text):
@@ -129,26 +131,26 @@ def test_wordlist_rejects_empty():
 
 
 def test_spelling_detector(wordlist):
-    det = SpellingDetector(wordlist)
+    det = built_in("spell", wordlist)
     assert spans_of(det, "teh cat sat .") == [(0, 1, "SPELL")]
     assert spans_of(det, "the cat sat .") == []
 
 
 def test_spelling_detector_checks_cores(wordlist):
-    det = SpellingDetector(wordlist)
+    det = built_in("spell", wordlist)
     assert spans_of(det, "the cat.") == []
     assert spans_of(det, "the zqcat.") == [(1, 2, "SPELL")]
 
 
 def test_duplicate_detector():
-    det = DuplicateTokenDetector()
+    det = built_in("dup")
     assert spans_of(det, "the the cat") == [(0, 2, "DUP")]
     assert spans_of(det, "the The cat") == []  # case-sensitive
     assert spans_of(det, "a a a") == [(0, 2, "DUP"), (1, 3, "DUP")]
 
 
 def test_article_detector():
-    det = ArticleAgreementDetector()
+    det = built_in("article")
     assert spans_of(det, "a apple") == [(0, 2, "ART")]
     assert spans_of(det, "an dog") == [(0, 2, "ART")]
     assert spans_of(det, "an apple") == []
@@ -157,19 +159,19 @@ def test_article_detector():
 
 
 def test_article_detector_skips_non_alpha_after_an():
-    det = ArticleAgreementDetector()
+    det = built_in("article")
     assert spans_of(det, "an 8-ball") == []
 
 
 def test_capitalization_detector():
-    det = CapitalizationDetector()
+    det = built_in("capital")
     assert spans_of(det, "the cat") == [(0, 1, "CAP")]
     assert spans_of(det, "The cat") == []
     assert spans_of(det, ", x") == []  # punctuation has no case
 
 
 def test_terminal_detector_uses_point_span():
-    det = TerminalPunctuationDetector()
+    det = built_in("terminal")
     assert spans_of(det, "the cat") == [(2, 2, "TERM")]
     assert spans_of(det, "the cat.") == []
     assert spans_of(det, "really ?") == []
@@ -177,10 +179,28 @@ def test_terminal_detector_uses_point_span():
 
 
 def test_spaced_punctuation_detector():
-    det = SpacedPunctuationDetector()
+    det = built_in("spacepunct")
     assert spans_of(det, "the cat , sat") == [(2, 3, "SPACE")]
     assert spans_of(det, ", leading is ignored") == []
     assert spans_of(det, "end .") == [(1, 2, "SPACE")]
+
+
+def test_default_suite_runs_the_built_in_rows_in_order(suite):
+    assert [(d.detector_id, d.category) for d in suite.detectors] == [
+        ("spell", "SPELL"),
+        ("dup", "DUP"),
+        ("article", "ART"),
+        ("capital", "CAP"),
+        ("terminal", "TERM"),
+        ("spacepunct", "SPACE"),
+    ]
+
+
+def test_error_spans_order_by_start_end_category():
+    spans = [ErrorSpan(1, 2, "A"), ErrorSpan(0, 2, "B"), ErrorSpan(0, 1, "Z"),
+             ErrorSpan(0, 1, "C")]
+    assert [(s.start, s.end, s.category) for s in sorted(spans)] == [
+        (0, 1, "C"), (0, 1, "Z"), (0, 2, "B"), (1, 2, "A")]
 
 
 def test_error_span_validation():
@@ -213,14 +233,14 @@ def test_suite_deduplicates_identical_spans(wordlist):
         def __call__(self, tokens):
             return [ErrorSpan(0, 1, "SPELL")]
 
-    suite = DetectorSuite([SpellingDetector(wordlist), Echo()])
+    suite = DetectorSuite([built_in("spell", wordlist), Echo()])
     spans = suite.run(("zq",))
     assert [(s.start, s.end, s.category) for s in spans] == [(0, 1, "SPELL")]
 
 
 def test_suite_rejects_duplicate_ids(wordlist):
     with pytest.raises(ValidationError):
-        DetectorSuite([SpellingDetector(wordlist), SpellingDetector(wordlist)])
+        DetectorSuite([built_in("spell", wordlist), built_in("spell", wordlist)])
 
 
 def test_suite_requires_detectors():
@@ -252,6 +272,21 @@ def test_suite_flags_non_span_values():
         suite.run(("a",))
 
 
+def test_suite_merges_spans_of_a_subclass():
+    class Tagged(ErrorSpan):
+        pass
+
+    class Sub:
+        detector_id = "sub"
+
+        def __call__(self, tokens):
+            return [Tagged(1, 1, "TERM"), Tagged(0, 1, "SPELL")]
+
+    suite = DetectorSuite([built_in("spell"), Sub()])
+    spans = suite.run(("zq",))
+    assert [(s.start, s.end, s.category) for s in spans] == [(0, 1, "SPELL"), (1, 1, "TERM")]
+
+
 def test_error_count_formula(suite):
     # "teh cat" -> SPELL at 0 plus CAP at 0 plus TERM: 3 errors, 2 tokens
     assert error_count_score(tokenize("teh cat"), suite) == 0.0
@@ -271,7 +306,7 @@ def test_error_count_clips_at_zero(suite):
 
 def test_error_count_corpus_divergence(wordlist):
     """Pooled and averaged aggregation answer different questions."""
-    suite = DetectorSuite([SpellingDetector(wordlist)])
+    suite = DetectorSuite([built_in("spell", wordlist)])
     clean = tokenize("The cat sat on the mat a dog go home.")
     dirty = tokenize("Zq zq.")
     assert len(clean) == 10 and len(dirty) == 2

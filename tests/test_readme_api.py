@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import gecmetric
+from gecmetric import grammaticality
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 LIBRARY = README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
@@ -31,6 +32,9 @@ IMPORTS = list(
         if re.match(r"\s*from gecmetric[\w.]* import \w", line)
     )
 )
+
+# The built-in detector table's rows: | `id` | `CATEGORY` | what it flags |
+DETECTOR_ROWS = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", README, re.M)
 
 # Backticked words in the prose that are argument or field names, not API.
 PROSE_WORDS = {"i", "refs", "score"}
@@ -79,6 +83,12 @@ def test_readme_shows_the_documented_api():
         "AnnotatedSource.gold",
         "AnnotatedSource.identity",
     } <= set(NAMES)
+
+
+def test_detector_table_is_the_built_in_table():
+    assert DETECTOR_ROWS == [
+        (detector_id, category) for detector_id, category, _ in grammaticality.BUILT_IN
+    ]
 
 
 @pytest.mark.parametrize("line", IMPORTS)
