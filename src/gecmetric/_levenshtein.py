@@ -28,6 +28,22 @@ def table(a: Sequence[str], b: Sequence[str]) -> list[list[int]]:
         k *= 2
 
 
+def common_ends(a: Sequence[str], b: Sequence[str]) -> tuple[int, int]:
+    """``(p, s)``: the length of the common prefix of ``a`` and ``b``, and
+    of the common suffix of what follows it, so ``p + s`` is at most
+    ``min(len(a), len(b))``. Stripping equal ends keeps distances: the
+    distance between ``a[:p + i]`` and ``b[:p + j]`` is that between
+    ``a[p:p + i]`` and ``b[p:p + j]``, and likewise for suffixes."""
+    short = min(len(a), len(b))
+    p = 0
+    while p < short and a[p] == b[p]:
+        p += 1
+    s, i, j = 0, len(a) - 1, len(b) - 1
+    while s < short - p and a[i - s] == b[j - s]:
+        s += 1
+    return p, s
+
+
 def _banded(a: Sequence[str], b: Sequence[str], k: int) -> list[list[int]]:
     """The minimal cost of reaching each cell by paths inside the band
     ``|i - j| <= k``; see :func:`table`."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
 from . import _levenshtein
@@ -66,18 +67,53 @@ class TokenCounts(NamedTuple):
 def _align(a: tuple[str, ...], b: tuple[str, ...]):
     """Pair each position of ``a`` with a token of ``b`` (or None).
 
-    Returns (partner, gaps): ``partner[i]`` is the b-token aligned to
-    ``a[i]`` or None if deleted; ``gaps[slot]`` lists b-tokens inserted
+    Returns (partner, gaps, window): ``partner[i]`` is the b-token aligned
+    to ``a[i]`` or None if deleted; ``gaps[slot]`` lists b-tokens inserted
     before a-position ``slot`` (slot ``len(a)`` holds trailing inserts).
+    Unit ``i`` is slot ``i``'s inserts followed by ``a[i]``. ``window`` is
+    ``(lo, hi)``: every unit outside ``range(lo, hi)`` inserts nothing and
+    keeps its token; it is ``(len(a) + 1, 0)`` if nothing changed.
+
     Backtrace prefers a match or substitution, then deletion, insertion,
     so equal sides align position by position; that case skips the table.
+    The backtrace runs down a common suffix diagonally, so the table covers
+    only what precedes it, and starts one token before the first
+    difference: that cut is exact if the backtrace ends by matching that
+    token, and is dropped otherwise.
     """
     n, m = len(a), len(b)
+    partner: list[str | None] = list(a)
+    gaps: list[tuple[str, ...]] = [()] * (n + 1)
+    lo, hi = n + 1, 0
     if a == b:
-        return list(b), [()] * (n + 1)
+        return partner, gaps, (lo, hi)
+    prefix, suffix = _levenshtein.common_ends(a, b)
+    start = max(prefix - 1, 0)
+    ops = _backtrace(a[start:n - suffix], b[start:m - suffix])
+    if start and ops[0] != (0, 0):  # it met the first row or column early
+        start = 0
+        ops = _backtrace(a[:n - suffix], b[:m - suffix])
+    cursor = start
+    for ai, bj in ops:
+        if ai is None:
+            gaps[cursor] += (b[start + bj],)
+            unit = cursor
+        else:
+            unit = ai = ai + start
+            tok = partner[ai] = None if bj is None else b[start + bj]
+            cursor = ai + 1
+            if tok == a[ai]:
+                continue
+        lo, hi = min(lo, unit), unit + 1
+    return partner, gaps, (lo, hi)
+
+
+def _backtrace(a: tuple[str, ...], b: tuple[str, ...]) -> list[tuple[int | None, int | None]]:
+    """The (a-position, b-position) pairs of :func:`_align`'s path, None
+    for the side that has no token, in order."""
     d = _levenshtein.table(a, b)
     ops: list[tuple[int | None, int | None]] = []
-    i, j = n, m
+    i, j = len(a), len(b)
     while i > 0 or j > 0:
         if i > 0 and j > 0 and d[i][j] == d[i - 1][j - 1] + (a[i - 1] != b[j - 1]):
             ops.append((i - 1, j - 1))
@@ -89,33 +125,27 @@ def _align(a: tuple[str, ...], b: tuple[str, ...]):
             ops.append((None, j - 1))
             j -= 1
     ops.reverse()
-    partner: list[str | None] = [None] * n
-    gaps: list[tuple[str, ...]] = [()] * (n + 1)
-    cursor = 0
-    for ai, bj in ops:
-        if ai is None:
-            gaps[cursor] += (b[bj],)
-        else:
-            partner[ai] = None if bj is None else b[bj]
-            cursor = ai + 1
-    return partner, gaps
+    return ops
 
 
 def _classify(tokens: tuple[str, ...], ref_alignment, hyp_alignment) -> TokenCounts:
-    """Counts of the triples joined from two :func:`_align` results of ``tokens``."""
-    ref_partner, ref_gaps = ref_alignment
-    hyp_partner, hyp_gaps = hyp_alignment
-    triples: list[tuple[str | None, str | None, str | None]] = []
-    n = len(tokens)
-    for slot in range(n + 1):
-        rg, hg = ref_gaps[slot], hyp_gaps[slot]
-        for k in range(max(len(rg), len(hg))):
-            triples.append(
-                (None, rg[k] if k < len(rg) else None, hg[k] if k < len(hg) else None)
-            )
-        if slot < n:
-            triples.append((tokens[slot], ref_partner[slot], hyp_partner[slot]))
-    tp = tn = fp = fn = fpn = 0
+    """Counts of the triples joined from two :func:`_align` results of
+    ``tokens``. Only the units inside either alignment's window are
+    joined: every token outside both is a true negative, counted in bulk."""
+    ref_partner, ref_gaps, (ref_lo, ref_hi) = ref_alignment
+    hyp_partner, hyp_gaps, (hyp_lo, hyp_hi) = hyp_alignment
+    lo, hi = min(ref_lo, hyp_lo), max(ref_hi, hyp_hi)
+    window = tokens[lo:hi]
+    # the window's token triples, then its insert triples: order does not
+    # change the counts
+    triples: list[tuple[str | None, str | None, str | None]] = list(
+        zip(window, ref_partner[lo:hi], hyp_partner[lo:hi])
+    )
+    for rg, hg in zip(ref_gaps[lo:hi], hyp_gaps[lo:hi]):
+        if rg or hg:
+            triples.extend((None, r, h) for r, h in zip_longest(rg, hg))
+    tp = fp = fn = fpn = 0
+    tn = len(tokens) - len(window)
     for s, r, h in triples:
         if r == s:
             if h == s:

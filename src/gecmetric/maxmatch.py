@@ -6,7 +6,16 @@ The scorer does not trust any single alignment: it builds the lattice of
 merged phrase edits, and then picks the edit sequence that maximizes
 agreement with the gold annotation. Concretely:
 
-1. every edge on any minimal-cost alignment path enters the lattice;
+1. every edge on any minimal-cost alignment path enters the lattice.
+   Only the stretch between the common prefix and suffix of source and
+   hypothesis is built, with ``max_unchanged_words + 1`` of their matched
+   tokens kept on each side. Cutting an end is exact when every minimal
+   path runs along the cut diagonal, which then holds only match edges,
+   and no merged edge reaches into it. The stretch's lattice shows both:
+   no node on its first row or column but the first, whose only edge is
+   a match; nothing but the end diagonal in its last
+   ``max_unchanged_words + 1`` rows and columns. An end that fails is
+   not cut;
 2. for nodes ``u -> v`` connected by a lattice path holding at least one
    edit and at most ``max_unchanged_words`` matched tokens, one merged
    edge is added for the whole span (source span -> hypothesis span);
@@ -92,39 +101,81 @@ def f_beta(tp: int, fp: int, fn: int, beta: float = 0.5) -> float:
 
 
 def _build_graph(src: tuple[str, ...], hyp: tuple[str, ...], max_unchanged: int):
-    """Lattice of minimal alignments plus merged phrase edges.
+    """Lattice of minimal alignments plus merged phrase edges, between the
+    kept unchanged ends (step 1 of the module docstring).
 
     Returns (topo-ordered nodes, adjacency u -> [(v, edit-or-None)]).
     """
-    n, m = len(src), len(hyp)
-    fwd = _levenshtein.table(src, hyp)
-    # distances of suffixes: the table of the reversed sequences, read backwards
-    bwd = [row[::-1] for row in reversed(_levenshtein.table(src[::-1], hyp[::-1]))]
-    total = fwd[n][m]
-    # a minimal path stays within |i - j| <= total, the band where both
-    # tables are exact
-    nodes = [
-        (i, j)
-        for i in range(n + 1)
-        for j in range(max(0, i - total), min(m, i + total) + 1)
-        if fwd[i][j] + bwd[i][j] == total
-    ]
-    # the elementary edges, at most one per direction out of each node
-    adj: dict[_Node, list[tuple[_Node, _EditKey | None]]] = {u: [] for u in nodes}
-    for i, j in nodes:
-        base, out = fwd[i][j], adj[(i, j)]
-        if i < n and j < m:
-            cost = 0 if src[i] == hyp[j] else 1
-            if base + cost + bwd[i + 1][j + 1] == total:
-                out.append(((i + 1, j + 1), None if cost == 0 else (i, i + 1, (hyp[j],))))
-        if i < n and base + 1 + bwd[i + 1][j] == total:
-            out.append(((i + 1, j), (i, i + 1, ())))
-        if j < m and base + 1 + bwd[i][j + 1] == total:
-            out.append(((i, j + 1), (i, i, (hyp[j],))))
+    prefix, suffix = _levenshtein.common_ends(src, hyp)
+    keep = max_unchanged + 1
+    lo, cut = max(prefix - keep, 0), max(suffix - keep, 0)
+    while True:
+        topo, adj = _lattice(src, hyp, max_unchanged, lo, cut)
+        # a cut start fails if the first node has an edge besides a match
+        # or another node lies on its row or column; a cut end fails if a
+        # node of the last ``keep`` rows and columns is off the end diagonal
+        ei, ej = topo[-1]
+        start_fails = lo and (adj[topo[0]] != [((lo + 1, lo + 1), None)]
+                              or any(i == lo or j == lo for i, j in topo[1:]))
+        end_fails = cut and any(ei - i != ej - j for i, j in topo
+                                if i > ei - keep or j > ej - keep)
+        if not (start_fails or end_fails):
+            return topo, adj
+        lo, cut = (0 if start_fails else lo), (0 if end_fails else cut)
 
-    topo = sorted(nodes, key=lambda u: (u[0] + u[1], u[0]))
+
+def _lattice(
+    src: tuple[str, ...], hyp: tuple[str, ...], max_unchanged: int, lo: int, cut: int
+):
+    """The :func:`_build_graph` lattice of ``src[lo:len(src) - cut]`` and
+    ``hyp[lo:len(hyp) - cut]``, in sentence coordinates."""
+    s, h = src[lo:len(src) - cut], hyp[lo:len(hyp) - cut]
+    n, m = len(s), len(h)
+    fwd = _levenshtein.table(s, h)
+    # the nodes: every cell that minimal steps lead back to from the end
+    # (the table is exact on minimal paths and never below the distance
+    # elsewhere, so a step that looks minimal is one)
+    nodes = {(n, m)}
+    stack = [(n, m)]
+    while stack:
+        i, j = stack.pop()
+        here = fwd[i][j]
+        for pi, pj in ((i - 1, j - 1), (i - 1, j), (i, j - 1)):
+            if pi < 0 or pj < 0 or (pi, pj) in nodes:
+                continue
+            step = 1 if pi == i or pj == j else s[pi] != h[pj]
+            if fwd[pi][pj] + step == here:
+                nodes.add((pi, pj))
+                stack.append((pi, pj))
+    cells = sorted(nodes, key=lambda u: (u[0] + u[1], u[0]))
+    # the elementary edges, at most one per direction out of each node, and
+    # the fewest matched tokens before the first edit on a path from it
+    adj: dict[_Node, list[tuple[_Node, _EditKey | None]]] = {}
+    near: dict[_Node, float] = {}
+    for i, j in reversed(cells):
+        here, x, y = fwd[i][j], i + lo, j + lo
+        out = adj[(x, y)] = []
+        to_edit = math.inf
+        if (i + 1, j + 1) in nodes:
+            if s[i] == h[j]:
+                out.append(((x + 1, y + 1), None))
+                to_edit = near[(x + 1, y + 1)] + 1
+            elif fwd[i + 1][j + 1] == here + 1:
+                out.append(((x + 1, y + 1), (x, x + 1, (h[j],))))
+                to_edit = 0
+        if (i + 1, j) in nodes and fwd[i + 1][j] == here + 1:
+            out.append(((x + 1, y), (x, x + 1, ())))
+            to_edit = 0
+        if (i, j + 1) in nodes and fwd[i][j + 1] == here + 1:
+            out.append(((x, y + 1), (x, x, (h[j],))))
+            to_edit = 0
+        near[(x, y)] = to_edit
+
+    topo = [(i + lo, j + lo) for i, j in cells]
     order = {u: k for k, u in enumerate(topo)}
-    for u in nodes:
+    for u in topo:
+        if near[u] > max_unchanged:
+            continue  # no edit within budget: nothing to merge
         # fewest matched tokens on any lattice path u -> v, pruned at
         # budget; reached nodes (u and nodes after it, whose edges are
         # still elementary) are relaxed in topological order
@@ -146,7 +197,8 @@ def _build_graph(src: tuple[str, ...], hyp: tuple[str, ...], max_unchanged: int)
         for (vi, vj), matches in fewest.items():
             # a pure-match stretch has nothing to merge, and the merged
             # edge to an adjacent node is the elementary edge already there
-            if fwd[vi][vj] - fwd[ui][uj] < 1 or (vi - ui <= 1 and vj - uj <= 1):
+            if (fwd[vi - lo][vj - lo] - fwd[ui - lo][uj - lo] < 1
+                    or (vi - ui <= 1 and vj - uj <= 1)):
                 continue
             adj[u].append(((vi, vj), (ui, vi, tuple(hyp[uj:vj]))))
     return topo, adj

@@ -3,13 +3,16 @@
 Everything here is written from first principles with deliberately
 different data structures than the package (plain lists, ``.count()``,
 budgeted recursion instead of lattice construction) so that agreement is
-evidence of correctness rather than shared bugs.
+evidence of correctness rather than shared bugs. The one exception is the
+whole-sentence I-measure alignment and classification, kept as the exact
+reference for the package's, which skip the unchanged ends.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import zip_longest
 
 INF = 10**9
 
@@ -115,6 +118,173 @@ def min_matches(a, b) -> int:
     result = go(0, 0, total)
     assert result < INF
     return result
+
+
+def full_table(a, b):
+    """Every cell of the edit-distance table of ``a`` and ``b``."""
+    d = [list(range(len(b) + 1))]
+    for i, x in enumerate(a, 1):
+        prev, row = d[-1], [i]
+        for j, y in enumerate(b, 1):
+            row.append(min(prev[j - 1] + (x != y), prev[j] + 1, row[j - 1] + 1))
+        d.append(row)
+    return d
+
+
+# ---------------------------------------------------------------------------
+# token-level improvement scoring over whole sentences
+#
+# ``whole_sentence_align`` and ``whole_sentence_classify`` visit every cell
+# and token; ``imeasure_reference`` is independent of both.
+
+
+def whole_sentence_align(a, b):
+    """The I-measure alignment of ``a`` to ``b`` as (partner, gaps), by a
+    backtrace over the full table of the whole sentences: a match or
+    substitution first, then a deletion, then an insertion."""
+    n, m = len(a), len(b)
+    if a == b:
+        return list(b), [()] * (n + 1)
+    d = full_table(a, b)
+    ops = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and d[i][j] == d[i - 1][j - 1] + (a[i - 1] != b[j - 1]):
+            ops.append((i - 1, j - 1))
+            i, j = i - 1, j - 1
+        elif i > 0 and d[i][j] == d[i - 1][j] + 1:
+            ops.append((i - 1, None))
+            i -= 1
+        else:
+            ops.append((None, j - 1))
+            j -= 1
+    ops.reverse()
+    partner = [None] * n
+    gaps = [()] * (n + 1)
+    cursor = 0
+    for ai, bj in ops:
+        if ai is None:
+            gaps[cursor] += (b[bj],)
+        else:
+            partner[ai] = None if bj is None else b[bj]
+            cursor = ai + 1
+    return partner, gaps
+
+
+def whole_sentence_classify(tokens, ref_alignment, hyp_alignment):
+    """(tp, tn, fp, fn, fpn) of the triples joined from two
+    :func:`whole_sentence_align` results of ``tokens``, every token and
+    insert visited."""
+    ref_partner, ref_gaps = ref_alignment
+    hyp_partner, hyp_gaps = hyp_alignment
+    triples = []
+    n = len(tokens)
+    for slot in range(n + 1):
+        rg, hg = ref_gaps[slot], hyp_gaps[slot]
+        for k in range(max(len(rg), len(hg))):
+            triples.append(
+                (None, rg[k] if k < len(rg) else None, hg[k] if k < len(hg) else None)
+            )
+        if slot < n:
+            triples.append((tokens[slot], ref_partner[slot], hyp_partner[slot]))
+    tp = tn = fp = fn = fpn = 0
+    for s, r, h in triples:
+        if r == s:
+            if h == s:
+                tn += 1
+            else:
+                fp += 1
+        elif h == r:
+            tp += 1
+        elif h == s:
+            fn += 1
+        else:
+            fp += 1
+            fn += 1
+            fpn += 1
+    return tp, tn, fp, fn, fpn
+
+
+def minimal_alignments(a, b):
+    """Every minimal-cost alignment of ``a`` to ``b``. Each is a list of
+    ``len(a) + 1`` units: unit ``i`` is (the b-tokens inserted before
+    ``a[i]``, the b-token ``a[i]`` is aligned to or None if deleted); the
+    last unit holds the trailing inserts and None."""
+    a, b = tuple(a), tuple(b)
+    n, m = len(a), len(b)
+
+    @lru_cache(maxsize=None)
+    def rest(i, j):
+        return levenshtein(a[i:], b[j:])
+
+    found = []
+
+    def walk(i, j, units, inserted):
+        if i == n and j == m:
+            found.append(units + [(inserted, None)])
+            return
+        if i < n and j < m and (a[i] != b[j]) + rest(i + 1, j + 1) == rest(i, j):
+            walk(i + 1, j + 1, units + [(inserted, b[j])], ())
+        if i < n and 1 + rest(i + 1, j) == rest(i, j):
+            walk(i + 1, j, units + [(inserted, None)], ())
+        if j < m and 1 + rest(i, j + 1) == rest(i, j):
+            walk(i, j + 1, units, inserted + (b[j],))
+
+    walk(0, 0, [], ())
+    return found
+
+
+def _token_class(s, r, h):
+    """The (tp, tn, fp, fn, fpn) increment of one triple, by the rules of
+    the I-measure module docstring."""
+    if r == s:
+        return (0, 1, 0, 0, 0) if h == s else (0, 0, 1, 0, 0)
+    if h == r:
+        return (1, 0, 0, 0, 0)
+    if h == s:
+        return (0, 0, 0, 1, 0)
+    return (0, 0, 1, 1, 1)
+
+
+def _joined_counts(source, ref_units, hyp_units):
+    counts = (0, 0, 0, 0, 0)
+    for i, ((r_ins, r_tok), (h_ins, h_tok)) in enumerate(zip(ref_units, hyp_units)):
+        triples = [(None, r, h) for r, h in zip_longest(r_ins, h_ins)]
+        if i < len(source):
+            triples.append((source[i], r_tok, h_tok))
+        for triple in triples:
+            counts = tuple(c + d for c, d in zip(counts, _token_class(*triple)))
+    return counts
+
+
+def _weighted_accuracy_reference(counts, weight):
+    tp, tn, fp, fn, fpn = counts
+    num = weight * tp + tn
+    den = weight * (tp + fp) + tn + fn - (weight + 1.0) * fpn / 2.0
+    return 1.0 if den == 0.0 else num / den
+
+
+def imeasure_reference(source, hypothesis, reference, weight=2.0):
+    """Every (system counts, improvement score) that some pair of minimal
+    source-reference and source-hypothesis alignments gives, the counts as
+    (tp, tn, fp, fn, fpn). The do-nothing baseline pairs the same
+    source-reference alignment with the identity."""
+    source = tuple(source)
+    identity = [((), tok) for tok in source] + [((), None)]
+    reachable = set()
+    for ref_units in minimal_alignments(source, reference):
+        base = _weighted_accuracy_reference(
+            _joined_counts(source, ref_units, identity), weight
+        )
+        for hyp_units in minimal_alignments(source, hypothesis):
+            counts = _joined_counts(source, ref_units, hyp_units)
+            system = _weighted_accuracy_reference(counts, weight)
+            if system >= base:
+                score = 0.0 if base == 1.0 else (system - base) / (1.0 - base)
+            else:
+                score = system / base - 1.0
+            reachable.add((counts, score))
+    return reachable
 
 
 # ---------------------------------------------------------------------------

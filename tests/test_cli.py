@@ -1224,8 +1224,8 @@ def _count_calls(monkeypatch, module, name):
 def test_reference_metrics_do_system_independent_work_once(corpus, capsys, monkeypatch):
     """Systems a and b share the hypotheses of sentences 2 and 3, and c
     leaves every sentence unchanged, so of the 9 (system, sentence) pairs
-    4 are distinct and changed. Each gets one lattice (two Levenshtein
-    tables) for M2 and one hypothesis alignment for I-measure; each of the
+    4 are distinct and changed. Each gets one lattice (one Levenshtein
+    table) for M2 and one hypothesis alignment for I-measure; each of the
     5 distinct (sentence, reference) pairs (both references of sentence 2
     are the same) gets one reference alignment; unchanged hypotheses get
     none. GLEU draws once per sentence."""
@@ -1243,7 +1243,7 @@ def test_reference_metrics_do_system_independent_work_once(corpus, capsys, monke
     imeasure = ["score", "--metric", "imeasure"] + refs
     only_c = ["--hyp", f"c={corpus / 'c.txt'}"]
     expected = [
-        (m2 + _hyp_args(corpus), 8, 4),
+        (m2 + _hyp_args(corpus), 4, 4),
         (m2 + only_c, 0, 0),
         (imeasure + _hyp_args(corpus), 4 + 5, 0),
         (imeasure + only_c, 5, 0),

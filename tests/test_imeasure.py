@@ -17,6 +17,7 @@ from gecmetric.imeasure import (
     i_measure_subset,
     weighted_accuracy,
 )
+from oracles import imeasure_reference
 
 tokens_st = st.lists(st.sampled_from(["a", "b", "c"]), max_size=5)
 
@@ -208,6 +209,39 @@ def test_equal_sides_align_as_the_backtrace_does(tokens):
     equal list (which does not compare equal) still runs it."""
     a = tuple(tokens)
     assert _align(a, a) == _align(a, list(a))
+
+
+@pytest.mark.parametrize(
+    "a, b, partner, gaps, window",
+    [
+        # the deletion that could slide along the run goes first
+        ("a a b", "a b", [None, "a", "b"], [(), (), (), ()], (0, 1)),
+        # the insert that could follow either b goes between them
+        ("a b", "a b b", ["a", "b"], [(), ("b",), ()], (1, 2)),
+        # two substitutions beat a deletion plus an insert of equal cost
+        ("c x a c", "c a y c", ["c", "a", "y", "c"], [()] * 5, (1, 3)),
+    ],
+)
+def test_backtrace_tie_convention(a, b, partner, gaps, window):
+    assert _align(tuple(a.split()), tuple(b.split())) == (partner, gaps, window)
+
+
+@st.composite
+def _short_triples(draw):
+    """A source, hypothesis and reference of 0-6 tokens over one 2- or
+    3-token alphabet."""
+    token = st.sampled_from(draw(st.sampled_from(("ab", "abc"))))
+    return tuple(tuple(draw(st.lists(token, max_size=6))) for _ in range(3))
+
+
+@given(_short_triples())
+@settings(max_examples=300, deadline=None)
+def test_counts_are_reachable_by_some_minimal_alignments(triple):
+    """The system counts and score lie in the set that enumerating every
+    pair of minimal alignments reaches."""
+    src, hyp, ref = triple
+    stats = i_measure_stats(Sentence(src), Sentence(hyp), (Sentence(ref),))
+    assert (stats.system, stats.score) in imeasure_reference(src, hyp, ref)
 
 
 def test_unchanged_and_restored_hypotheses_match_per_reference_classification():
