@@ -12,8 +12,9 @@ Subcommands::
 
 Every metric is one entry of the ``METRICS`` table: a loader that binds
 the metric's config and the run's inputs into a scorer. Every knob a
-command takes is checked before any input is read, whichever metrics run. A scorer computes
-the statistics of each (system, sentence) pair once; the per-sentence
+command takes is checked (``_config``) before any input is read, whichever
+metrics run, and a command loads only the metric layers it runs. A scorer
+computes the statistics of each (system, sentence) pair once; the per-sentence
 scores, their mean (the ``sentence`` headline) and the pooled corpus
 score (the ``corpus`` headline; lfm has none) are all read from those
 statistics. The reference ablation selects each subset's statistics from
@@ -36,6 +37,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import importlib.util
 import logging
 import operator
 import os
@@ -46,55 +48,31 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__, analysis
+from ._config import (CHECKER_TIMEOUT, MEAN_OVER_ALL, SAMPLED, GleuConfig, IMeasureConfig,
+                      M2Config, check_timeout)
 from .corpus import AnnotatedSource, Sentence
 from .errors import DetectorError, ModelError, ParseError, ValidationError
-from .formats import (
-    _read_text,
-    build_report,
-    read_human_ranking,
-    read_m2_file,
-    read_parallel_text,
-    read_reference_files,
-    render_report,
-    split_lines,
-    write_report,
-)
-from .gleu import (
-    MEAN_OVER_ALL,
-    SAMPLED,
-    GleuConfig,
-    gleu_pool,
-    gleu_stats_many,
-    gleu_subset,
-    reference_draws,
-)
-from .grammaticality import (
-    CHECKER_TIMEOUT,
-    DetectorSuite,
-    ExternalChecker,
-    Wordlist,
-    build_default_suite,
-    check_timeout,
-    error_count_pool,
-    error_count_stats_many,
-)
-from .imeasure import (
-    IMeasureConfig,
-    i_measure_pool,
-    i_measure_stats,
-    i_measure_subset,
-    reference_side,
-)
-from .lfm import (
-    featurize,
-    lfm_score,
-    load_lfm_model,
-    parse_training_tsv,
-    save_lfm_model,
-    train_lm,
-    train_ridge,
-)
-from .maxmatch import M2Config, _warn_identity, m2_pool, m2_stats
+from .formats import (_read_text, build_report, read_human_ranking, read_m2_file,
+                      read_parallel_text, read_reference_files, render_report,
+                      split_lines, write_report)
+
+
+def _lazy(name: str):
+    """Layer ``gecmetric.<name>``, in ``sys.modules`` at once for tracers;
+    unless imported already, its code runs on first attribute access, which
+    comes from the main thread (a lazy load is not thread-safe on 3.11)."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return sys.modules[fullname]
+
+
+gleu, grammaticality, imeasure, lfm, maxmatch = map(
+    _lazy, ("gleu", "grammaticality", "imeasure", "lfm", "maxmatch"))
 
 __all__ = ["main", "build_parser"]
 
@@ -158,13 +136,13 @@ def _each(stats: Callable[[int, Sentence, Any], Any]) -> Callable[[list], list]:
 
 def _gleu(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: GleuConfig) -> _Scorer:
     sources, rows = inputs.sources_and_rows("gleu")
-    draws = functools.cache(functools.partial(reference_draws, cfg))
+    draws = functools.cache(functools.partial(gleu.reference_draws, cfg))
     return _Scorer(
         "gleu",
-        lambda items: gleu_stats_many(sources, items, cfg, draws),
-        functools.partial(gleu_pool, cfg=cfg),
+        lambda items: gleu.gleu_stats_many(sources, items, cfg, draws),
+        functools.partial(gleu.gleu_pool, cfg=cfg),
         rows,
-        subset=lambda stats, i, pick: gleu_subset(stats, pick, draws(i, len(pick))),
+        subset=lambda stats, i, pick: gleu.gleu_subset(stats, pick, draws(i, len(pick))),
     )
 
 
@@ -172,11 +150,11 @@ def _m2(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: M2Config) -> _S
     units = inputs.units
     if units is None:
         raise _UsageError("m2 needs --m2 with gold annotations")
-    _warn_identity(units)
+    maxmatch._warn_identity(units)
     return _Scorer(
         "m2",
-        _each(lambda i, hyp, row: m2_stats(units[i].source, hyp, units[i].gold, cfg)),
-        functools.partial(m2_pool, cfg=cfg),
+        _each(lambda i, h, _: maxmatch.m2_stats(units[i].source, h, units[i].gold, cfg)),
+        functools.partial(maxmatch.m2_pool, cfg=cfg),
     )
 
 
@@ -184,17 +162,18 @@ def _imeasure(
     args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: IMeasureConfig
 ) -> _Scorer:
     sources, rows = inputs.sources_and_rows("imeasure")
-    side = functools.cache(lambda i, ref: reference_side(sources[i], ref))
+    side = functools.cache(lambda i, ref: imeasure.reference_side(sources[i], ref))
 
     def stats(i, hyp, row):
-        return i_measure_stats(sources[i], hyp, row, cfg, [side(i, ref) for ref in row])
+        sides = [side(i, ref) for ref in row]
+        return imeasure.i_measure_stats(sources[i], hyp, row, cfg, sides)
 
     return _Scorer(
         "imeasure",
         _each(stats),
-        functools.partial(i_measure_pool, cfg=cfg),
+        functools.partial(imeasure.i_measure_pool, cfg=cfg),
         rows,
-        subset=lambda stats, i, pick: i_measure_subset(stats, pick),
+        subset=lambda stats, i, pick: imeasure.i_measure_subset(stats, pick),
     )
 
 
@@ -202,8 +181,9 @@ def _errorcount(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: None) -
     suite = _build_suite(args, stack)
     return _Scorer(
         "errorcount",
-        lambda items: error_count_stats_many([hyp for _, hyp, _ in items], suite),
-        error_count_pool,
+        lambda items: grammaticality.error_count_stats_many(
+            [hyp for _, hyp, _ in items], suite),
+        grammaticality.error_count_pool,
     )
 
 
@@ -211,22 +191,22 @@ def _lfm(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: None) -> _Scor
     for opt in ("model", "lm_corpus", "wordlist"):
         if not getattr(args, opt):
             raise _UsageError(f"lfm needs --{opt.replace('_', '-')}")
-    model = load_lfm_model(args.model)
+    model = lfm.load_lfm_model(args.model)
     # the corpus stays text until the LM reads it, once, as token numbers
     lines = split_lines(_read_text(args.lm_corpus))
-    wordlist = Wordlist.from_file(args.wordlist)
+    wordlist = grammaticality.Wordlist.from_file(args.wordlist)
 
     def stats(items):
         # one batch per run holds every hypothesis: the LM is trained for
         # them alone
-        lm = train_lm(map(str.split, lines), scope=[hyp.tokens for _, hyp, _ in items])
-        return [featurize(hyp, lm, wordlist) for _, hyp, _ in items]
+        lm = lfm.train_lm(map(str.split, lines), scope=[h.tokens for _, h, _ in items])
+        return [lfm.featurize(hyp, lm, wordlist) for _, hyp, _ in items]
 
     return _Scorer(
         "lfm",
         stats,
         None,  # a per-sentence regression has nothing to pool
-        value=functools.partial(lfm_score, model),
+        value=functools.partial(lfm.lfm_score, model),
     )
 
 
@@ -349,20 +329,20 @@ def _scorers(args, metrics: Sequence[str]):
         yield systems, scorers
 
 
-def _build_suite(args, stack: contextlib.ExitStack) -> DetectorSuite:
+def _build_suite(args, stack: contextlib.ExitStack) -> grammaticality.DetectorSuite:
     """The detectors the options name; ``stack`` closes the checker."""
     detectors: list = []
     if args.wordlist:
-        wordlist = Wordlist.from_file(args.wordlist)
-        detectors.extend(build_default_suite(wordlist).detectors)
+        wordlist = grammaticality.Wordlist.from_file(args.wordlist)
+        detectors.extend(grammaticality.build_default_suite(wordlist).detectors)
     if args.checker:
         command = shlex.split(args.checker)
-        checker = ExternalChecker(command, timeout=args.checker_timeout)
+        checker = grammaticality.ExternalChecker(command, timeout=args.checker_timeout)
         stack.callback(checker.close)
         detectors.append(checker)
     if not detectors:
         raise _UsageError("need --wordlist and/or --checker")
-    return DetectorSuite(detectors)
+    return grammaticality.DetectorSuite(detectors)
 
 
 def _resolve_seed(flag: int | None) -> tuple[int, str]:
@@ -562,15 +542,15 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_train_lfm(args) -> int:
-    names, rows, targets = parse_training_tsv(_read_text(args.train))
-    model = train_ridge(
+    names, rows, targets = lfm.parse_training_tsv(_read_text(args.train))
+    model = lfm.train_ridge(
         rows,
         targets,
         alpha=args.alpha,
         feature_names=names,
         standardize=not args.no_standardize,
     )
-    save_lfm_model(args.out, model)
+    lfm.save_lfm_model(args.out, model)
     print(
         f"trained ridge (alpha={args.alpha:g}) on {len(rows)} rows; "
         f"kept {len(model.feature_names)}/{len(names)} features -> {args.out}"

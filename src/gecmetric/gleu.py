@@ -25,11 +25,11 @@ import random
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import chain, compress, groupby, repeat
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Mapping, NamedTuple, Sequence
 
+from ._config import MAX_ITERATIONS, MEAN_OVER_ALL, SAMPLED, GleuConfig
 from .analysis import mean_score
 from .corpus import Sentence
 from .errors import ValidationError
@@ -38,40 +38,8 @@ __all__ = ["GleuConfig", "GleuStats", "gleu_stats", "gleu_stats_many",
            "gleu_subset", "gleu_multi_ref", "gleu_pool", "gleu_corpus", "sample_draws",
            "reference_draws", "SAMPLED", "MEAN_OVER_ALL", "MAX_ITERATIONS"]
 
-SAMPLED = "sampled"
-MEAN_OVER_ALL = "mean-over-all"
 _DRAW_WORDS = 1 << 24  # most words per getrandbits call: its bit count is a C int
-MAX_ITERATIONS = 10_000  # reference draws per sentence, as analysis.MAX_TRIALS
 _LANES = {array(t).itemsize: t for t in "QLIHB"}  # unsigned array typecodes by width
-
-
-@dataclass(frozen=True)
-class GleuConfig:
-    """Knobs for the n-gram metric.
-
-    ``multi_ref_mode`` selects how multiple references combine: ``sampled``
-    averages over ``iterations`` draws of one reference per sentence
-    (seeded, reproducible, at most ``MAX_ITERATIONS``); ``mean-over-all``
-    averages over every reference deterministically.
-    """
-
-    max_n: int = 4
-    iterations: int = 500
-    rng_seed: int = 0
-    multi_ref_mode: str = SAMPLED
-
-    def __post_init__(self):
-        # no tuple holds more than sys.maxsize // 8 items; a max_n below
-        # that can still ask for more memory than there is
-        for name, top in (("max_n", sys.maxsize // 8), ("iterations", MAX_ITERATIONS)):
-            value = getattr(self, name)
-            if not 1 <= value <= top:
-                raise ValidationError(f"{name} must be in [1, {top}], got {value}")
-        if self.multi_ref_mode not in (SAMPLED, MEAN_OVER_ALL):
-            raise ValidationError(
-                f"multi_ref_mode must be {SAMPLED!r} or {MEAN_OVER_ALL!r}, "
-                f"got {self.multi_ref_mode!r}"
-            )
 
 
 # One order's n-grams: the set of their int keys, and the counts of repeated keys.

@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
+from ._config import CHECKER_TIMEOUT, check_timeout
 from .analysis import mean_score
 from .corpus import Sentence
 from .errors import DetectorError, ValidationError
@@ -60,8 +61,6 @@ CHECKER_WINDOW = 32
 # three or four copies of a spinning checker were slower than two. More
 # copies are unmeasured, and each costs a checker's start-up and memory.
 CHECKER_PROCESSES = 2
-# Seconds an external checker may take to answer one request.
-CHECKER_TIMEOUT = 10.0
 
 _VOWELS = frozenset("aeiou")
 _CLAUSE_PUNCT = frozenset({",", ".", ";", ":", "!", "?"})
@@ -484,14 +483,6 @@ class ExternalChecker:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def check_timeout(timeout: float) -> None:
-    """Raise :class:`ValidationError` unless a checker can wait ``timeout`` seconds."""
-    if not 0 < timeout <= threading.TIMEOUT_MAX:  # also rejects nan
-        raise ValidationError(
-            f"timeout must be in (0, {threading.TIMEOUT_MAX:.0f}] seconds, got {timeout}"
-        )
 
 
 def _usable_cpus() -> int:

@@ -20,12 +20,12 @@ mean the system made the text worse. An unchanged hypothesis is exactly 0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
 from . import _levenshtein
+from ._config import IMeasureConfig
 from .analysis import mean_score
 from .corpus import Sentence
 from .errors import ValidationError
@@ -43,17 +43,6 @@ __all__ = [
     "i_measure_pool",
     "i_measure_corpus",
 ]
-
-
-@dataclass(frozen=True)
-class IMeasureConfig:
-    weight: float = 2.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.weight) and self.weight > 0):
-            raise ValidationError(
-                f"weight must be finite and positive, got {self.weight}"
-            )
 
 
 class TokenCounts(NamedTuple):

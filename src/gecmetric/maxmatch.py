@@ -39,9 +39,11 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterator, NamedTuple, Sequence
 
 from . import _levenshtein
+from ._config import M2Config
 from .analysis import mean_score
 from .corpus import AnnotatedSource, Sentence
 from .errors import ValidationError
@@ -66,20 +68,6 @@ _Node = tuple[int, int]
 _EditKey = tuple[int, int, tuple[str, ...]]
 # (annotator id, gold edit keys) pairs of one unit, by annotator id
 _Gold = tuple[tuple[int, frozenset[_EditKey]], ...]
-
-
-@dataclass(frozen=True)
-class M2Config:
-    beta: float = 0.5
-    max_unchanged_words: int = 2
-
-    def __post_init__(self):
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise ValidationError(f"beta must be finite and >= 0, got {self.beta}")
-        if self.max_unchanged_words < 0:
-            raise ValidationError(
-                f"max_unchanged_words must be >= 0, got {self.max_unchanged_words}"
-            )
 
 
 @dataclass(frozen=True)
@@ -204,34 +192,38 @@ def _lattice(
     return topo, adj
 
 
-def _best_edits(lattice, gold: frozenset[_EditKey]) -> list[_EditKey]:
-    """The cheapest path through a :func:`_build_graph` lattice against ``gold``."""
+def _best_edits(lattice, golds: Sequence[frozenset]) -> Iterator[list[_EditKey]]:
+    """The cheapest path through a :func:`_build_graph` lattice against
+    each gold set of ``golds``, in turn."""
     topo, adj = lattice
-    start, goal = topo[0], topo[-1]
-    dist: dict[_Node, float] = {start: 0.0}
-    back: dict[_Node, tuple[_Node, _EditKey | None]] = {}
-    for u in topo:  # every node lies on a minimal path, so ``dist`` reaches it
-        du = dist[u]
-        for v, edit in adj[u]:
-            if edit is None:
-                weight = 0.0
-            else:
-                e_start, e_end, repl = edit
-                weight = 1.0 + _EPS * ((e_end - e_start) + len(repl))
-                if edit in gold:
-                    weight -= _GOLD_REWARD
-            cand = du + weight
-            if cand < dist.get(v, math.inf):
-                dist[v] = cand
-                back[v] = (u, edit)
-    edits: list[_EditKey] = []
-    node = goal
-    while node != start:
-        node, edit = back[node]
-        if edit is not None:
-            edits.append(edit)
-    edits.reverse()
-    return edits
+    number = {u: k for k, u in enumerate(topo)}
+    # the edges as (start node number, end node number, edit), in topological
+    # order of their start, and their weights before the gold reward
+    edges = [(number[u], number[v], edit) for u in topo for v, edit in adj[u]]
+    base = [0.0 if edit is None else 1.0 + _EPS * ((edit[1] - edit[0]) + len(edit[2]))
+            for _, _, edit in edges]
+    paths: dict[tuple[int, ...], list[_EditKey]] = {}  # by the gold edges rewarded
+    for gold in golds:
+        hits = tuple(k for k, (_, _, edit) in enumerate(edges) if edit in gold)
+        if hits not in paths:
+            weights = base.copy()
+            for k in hits:
+                weights[k] = base[k] - _GOLD_REWARD
+            dist = [0.0] + [math.inf] * (len(topo) - 1)
+            back = [0] * len(topo)  # the edge each node is reached by
+            for k, (u, v, _) in enumerate(edges):
+                cand = dist[u] + weights[k]
+                if cand < dist[v]:
+                    dist[v] = cand
+                    back[v] = k
+            edits = paths[hits] = []
+            node = len(topo) - 1
+            while node:
+                node, _, edit = edges[back[node]]
+                if edit is not None:
+                    edits.append(edit)
+            edits.reverse()
+        yield paths[hits]
 
 
 def _warn_identity(units: Sequence[AnnotatedSource]) -> None:
@@ -258,18 +250,18 @@ def m2_stats(
 ) -> M2Stats:
     """Sentence statistics against one unit's ``AnnotatedSource.gold``.
 
-    One lattice serves every annotator. An unchanged hypothesis builds
-    none: its only minimal path is the all-match diagonal, which holds no
-    edit, so it scores tp = fp = 0 against every annotator.
+    One weighed lattice serves every annotator. An unchanged hypothesis
+    builds none: its only minimal path is the all-match diagonal, which
+    holds no edit, so it scores tp = fp = 0 against every annotator.
     """
     if not gold:
         raise ValidationError("at least one annotation set is required")
-    lattice = None
+    systems = repeat([])
     if hypothesis != source:
         lattice = _build_graph(source.tokens, hypothesis.tokens, cfg.max_unchanged_words)
+        systems = _best_edits(lattice, [keys for _, keys in gold])
     counts = []
-    for annotator, keys in gold:
-        system = [] if lattice is None else _best_edits(lattice, keys)
+    for (annotator, keys), system in zip(gold, systems):
         found = set(system)
         tp = len([g for g in keys if g in found])
         fp = len([e for e in system if e not in keys])

@@ -48,32 +48,36 @@ SLOW_CHECKER = textwrap.dedent(
 # the request of that id gets the mode's reply.
 ROUTING_CHECKER = textwrap.dedent(
     """
-    import json, sys
+    import json, os, sys
 
     at = int(sys.argv[2]) if len(sys.argv) > 2 else None
     out = sys.stdout.buffer
-    for line in sys.stdin:
-        req = json.loads(line)
-        reply = {"id": req["id"], "errors": []}
-        mode = sys.argv[1] if at in (None, req["id"]) else "answer"
-        if mode == "silent":
-            continue
-        if mode == "list-id":
-            reply["id"] = [req["id"]]
-        elif mode == "float-id":
-            reply["id"] = float(req["id"])
-        elif mode == "bool-id":
-            reply["id"] = bool(req["id"])
-        elif mode == "unknown-id":
-            out.write(b'{"id": 1000, "errors": []}\\n')
-        elif mode == "bad-bytes":
-            out.write(b"\\xff\\n")
-        elif mode == "deep":
-            out.write(b"[" * 100000 + b"\\n")
-        elif mode == "bool-span":
-            reply["errors"] = [{"start": False, "end": True, "category": "X"}]
-        out.write((json.dumps(reply) + "\\n").encode() * (2 if mode == "duplicate" else 1))
-        out.flush()
+    try:
+        for line in sys.stdin:
+            req = json.loads(line)
+            reply = {"id": req["id"], "errors": []}
+            mode = sys.argv[1] if at in (None, req["id"]) else "answer"
+            if mode == "silent":
+                continue
+            if mode == "list-id":
+                reply["id"] = [req["id"]]
+            elif mode == "float-id":
+                reply["id"] = float(req["id"])
+            elif mode == "bool-id":
+                reply["id"] = bool(req["id"])
+            elif mode == "unknown-id":
+                out.write(b'{"id": 1000, "errors": []}\\n')
+            elif mode == "bad-bytes":
+                out.write(b"\\xff\\n")
+            elif mode == "deep":
+                out.write(b"[" * 100000 + b"\\n")
+            elif mode == "bool-span":
+                reply["errors"] = [{"start": False, "end": True, "category": "X"}]
+            out.write((json.dumps(reply) + "\\n").encode() * (2 if mode == "duplicate" else 1))
+            out.flush()
+    except BrokenPipeError:
+        # gecmetric stopped reading: leave quietly, with nothing left to flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
     """
 )
 

@@ -666,7 +666,7 @@ def test_out_of_memory_exits_two_with_one_line(corpus, capsys, caplog, monkeypat
     def exhausted(*args):
         raise MemoryError
 
-    monkeypatch.setattr(gecmetric.cli, "gleu_stats_many", exhausted)
+    monkeypatch.setattr(gecmetric.gleu, "gleu_stats_many", exhausted)
     out = corpus / "report.json"
     with caplog.at_level(logging.ERROR, logger="gecmetric"):
         code, stdout, _ = _run(
@@ -1330,6 +1330,51 @@ def test_importing_one_layer_loads_only_what_it_imports():
     )
 
 
+LAYERS = ["gleu", "grammaticality", "imeasure", "lfm", "maxmatch"]
+_SCORE_A = ["--hyp", "a={d}/a.txt", "--out", "{d}/report.json"]
+
+
+@pytest.mark.parametrize(
+    "argv, ran",
+    [
+        (["--version"], []),
+        (["score", "--metric", "m2", "--m2", "{d}/gold.m2", *_SCORE_A], ["maxmatch"]),
+        (["score", "--metric", "gleu", "--source", "{d}/source.txt",
+          "--ref", "{d}/ref1.txt", *_SCORE_A], ["gleu"]),
+        (["score", "--metric", "errorcount", "--wordlist", "{d}/words.txt", *_SCORE_A],
+         ["grammaticality"]),
+    ],
+)
+def test_a_command_runs_only_the_layers_it_calls(corpus, argv, ran):
+    """Importing the CLI puts every layer module in ``sys.modules``, but a
+    command runs the code of only the layers it calls: the module bodies
+    executed (the ``exec`` audit event) in a fresh interpreter."""
+    code = (
+        "import json, os, sys\n"
+        "ran = set()\n"
+        "def hook(event, args):\n"
+        "    name = getattr(args[0], 'co_filename', '') if event == 'exec' else ''\n"
+        "    if os.path.basename(os.path.dirname(name)) == 'gecmetric':\n"
+        "        ran.add(os.path.basename(name)[:-3])\n"
+        "sys.addaudithook(hook)\n"
+        "from gecmetric.cli import main\n"
+        f"layers = {LAYERS!r}\n"
+        "present = [n for n in layers if 'gecmetric.' + n in sys.modules]\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, present, sorted(ran & set(layers))]))\n"
+    )
+    src = Path(gecmetric.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *(arg.format(d=corpus) for arg in argv)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, LAYERS, ran]
+
+
 _REFS = ["--source", "{d}/source.txt", "--ref", "{d}/ref1.txt", "--ref", "{d}/ref2.txt"]
 _SWEEP = ["--fluency-metric", "errorcount", "--reference-metric", "gleu", *_REFS,
           "--wordlist", "{d}/words.txt", "--human", "{d}/human.tsv"]
@@ -1383,9 +1428,7 @@ def test_lfm_trains_its_lm_only_when_there_is_something_to_score(
     corpus, capsys, monkeypatch, model_path
 ):
     """A run that fails before scoring never trains the n-gram LM."""
-    from gecmetric import cli
-
-    trained = _count_calls(monkeypatch, cli, "train_lm")
+    trained = _count_calls(monkeypatch, gecmetric.lfm, "train_lm")
     (corpus / "short.txt").write_text("the cat sat on the mat.\n", encoding="utf-8")
     lfm = [
         "score", "--metric", "lfm", "--model", str(model_path),
@@ -1415,7 +1458,6 @@ def test_lfm_keeps_only_the_lm_counts_its_hypotheses_query(
     to <unk>, and a predicted token maps every unknown token to <unk>."""
     from oracles import decode_lm
 
-    from gecmetric import cli
     from gecmetric.formats import read_parallel_text
     from gecmetric.lfm import BOS, UNK, train_lm
 
@@ -1425,7 +1467,7 @@ def test_lfm_keeps_only_the_lm_counts_its_hypotheses_query(
         lms.append(train_lm(*args, **kwargs))
         return lms[-1]
 
-    monkeypatch.setattr(cli, "train_lm", recorded)
+    monkeypatch.setattr(gecmetric.lfm, "train_lm", recorded)
     (corpus / "lm.txt").write_text(SOURCE + REF2, encoding="utf-8")
     argv = [
         "score", "--metric", "lfm", "--model", str(model_path),
@@ -1472,9 +1514,9 @@ def test_fluency_metrics_featurize_each_distinct_hypothesis_once(
 ):
     """lfm featurizes each of the 7 distinct (sentence, hypothesis) pairs
     of the 9 once, and errorcount runs its detectors once on each."""
-    from gecmetric import cli, grammaticality
+    from gecmetric import grammaticality
 
-    features = _count_calls(monkeypatch, cli, "featurize")
+    features = _count_calls(monkeypatch, gecmetric.lfm, "featurize")
     runs = _count_calls(monkeypatch, grammaticality.DetectorSuite, "run_many")
     lfm = [
         "score", "--metric", "lfm", "--model", str(model_path),

@@ -31,7 +31,8 @@ def system_edits(source, hypothesis, gold_edits, cfg):
     """The (start, end, replacement) edits the lattice credits the system
     with, biased toward the non-identity ``gold_edits``."""
     lattice = _build_graph(source.tokens, hypothesis.tokens, cfg.max_unchanged_words)
-    return _best_edits(lattice, gold_keys(source, gold_edits))
+    [edits] = _best_edits(lattice, [gold_keys(source, gold_edits)])
+    return edits
 
 
 def edits_of(src, hyp, gold, **kw):
