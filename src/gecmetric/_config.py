@@ -1,6 +1,6 @@
-"""Every knob of the metrics and the external checker, with its check. The
-metric modules re-export these names; the CLI reads its defaults and checks
-every knob here without loading a metric."""
+"""Every knob of the metrics, the ridge fit and the external checker, with
+its check. The metric modules re-export these names; the CLI reads its
+defaults and checks every knob here without loading a metric."""
 
 from __future__ import annotations
 
@@ -78,3 +78,9 @@ def check_timeout(timeout: float) -> None:
         raise ValidationError(
             f"timeout must be in (0, {threading.TIMEOUT_MAX:.0f}] seconds, got {timeout}"
         )
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise :class:`ValidationError` unless ``alpha`` is a ridge penalty."""
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValidationError(f"alpha must be finite and >= 0, got {alpha}")

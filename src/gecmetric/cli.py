@@ -12,7 +12,7 @@ Subcommands::
 
 Every metric is one entry of the ``METRICS`` table: a loader that binds
 the metric's config and the run's inputs into a scorer. Every knob a
-command takes is checked (``_config``) before any input is read, whichever
+command takes is checked (``_check_options``) before any input is read, whichever
 metrics run, and a command loads only the metric layers it runs. A scorer
 computes the statistics of each (system, sentence) pair once; the per-sentence
 scores, their mean (the ``sentence`` headline) and the pooled corpus
@@ -49,7 +49,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__, analysis
 from ._config import (CHECKER_TIMEOUT, MEAN_OVER_ALL, SAMPLED, GleuConfig, IMeasureConfig,
-                      M2Config, check_timeout)
+                      M2Config, check_alpha, check_timeout)
 from .corpus import AnnotatedSource, Sentence
 from .errors import DetectorError, ModelError, ParseError, ValidationError
 from .formats import (_read_text, build_report, read_human_ranking, read_m2_file,
@@ -308,17 +308,40 @@ def _check_lengths(systems: Mapping[str, list[Sentence]], inputs: _Inputs) -> No
         raise ValidationError("empty corpus")
 
 
-@contextlib.contextmanager
-def _scorers(args, metrics: Sequence[str]):
-    """Check every knob, whatever the metrics, then load the systems and
-    inputs once and bind each metric to them and its config; yields
-    (systems, scorers) and closes external checkers afterwards."""
-    configs = {
+def _configs(args) -> dict:
+    """Each metric's config, by metric; building one checks its knobs."""
+    return {
         "gleu": GleuConfig(args.max_n, args.iterations, args.seed, args.gleu_mode),
         "m2": M2Config(args.beta, args.max_unchanged),
         "imeasure": IMeasureConfig(args.weight),
     }
-    check_timeout(args.checker_timeout)
+
+
+def _check_options(args) -> None:
+    """Check every option of the command that needs no input, whatever
+    metrics run, so that a bad knob is reported before any input is read."""
+    if args.command == "sweep" and args.gaming and args.reference_metric not in ROW_METRICS:
+        raise _UsageError(f"--gaming needs a reference metric in {ROW_METRICS}")
+    if args.command == "ablate" and args.reference_metric not in ROW_METRICS:
+        raise _UsageError(f"ablate needs a reference metric in {ROW_METRICS}")
+    if "gaming_lambda" in args:
+        analysis.check_lambda(args.gaming_lambda)
+    if "max_n" in args:
+        _configs(args)
+    if "checker_timeout" in args:
+        check_timeout(args.checker_timeout)
+    if "trials" in args and args.ref:  # without --ref, the metric's loader says so first
+        analysis.check_ablation(len(args.ref), args.sizes, args.trials)
+    if "alpha" in args:
+        check_alpha(args.alpha)
+
+
+@contextlib.contextmanager
+def _scorers(args, metrics: Sequence[str]):
+    """Load the systems and inputs once and bind each metric to them and
+    its config; yields (systems, scorers) and closes external checkers
+    afterwards."""
+    configs = _configs(args)
     systems = _load_systems(args)
     inputs = _load_inputs(args)
     with contextlib.ExitStack() as stack:
@@ -453,9 +476,6 @@ def _sweep_system_entries(fluency, reference) -> list[dict]:
 
 def _cmd_sweep(args) -> int:
     human = read_human_ranking(args.human)
-    if args.gaming and args.reference_metric not in ROW_METRICS:
-        raise _UsageError(f"--gaming needs a reference metric in {ROW_METRICS}")
-    analysis.check_lambda(args.gaming_lambda)
     metrics = [args.fluency_metric, args.reference_metric]
     with _scorers(args, metrics) as (systems, scorers):
         tables = [_stats(scorer, systems, scorer.rows) for scorer in scorers]
@@ -510,13 +530,9 @@ def _subset_table(
 
 def _cmd_ablate(args) -> int:
     human = read_human_ranking(args.human)
-    if args.reference_metric not in ROW_METRICS:
-        raise _UsageError(f"ablate needs a reference metric in {ROW_METRICS}")
     metrics = [args.fluency_metric, args.reference_metric]
     with _scorers(args, metrics) as (systems, scorers):
         scorer = scorers[1]
-        # checked before the first batch: an external checker starts there
-        analysis.check_ablation(len(scorer.rows[0]), args.sizes, args.trials)
         tables = [_stats(scorer, systems, scorer.rows) for scorer in scorers]
         fluency, reference = map(_system_scores, scorers, tables)
         section = _sweep(human, fluency, reference)
@@ -559,7 +575,6 @@ def _cmd_train_lfm(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    check_timeout(args.checker_timeout)
     with contextlib.ExitStack() as stack:
         suite = _build_suite(args, stack)
         sentences = read_parallel_text(args.input)
@@ -722,6 +737,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if seeded:
             args.seed, origin = _resolve_seed(args.seed)
+        _check_options(args)
         code = args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

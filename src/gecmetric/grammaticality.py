@@ -305,7 +305,9 @@ class ExternalChecker:
     has up to ``CHECKER_WINDOW`` requests in flight, and a larger batch
     is spread over up to ``CHECKER_PROCESSES`` copies of the command, one
     per usable CPU. The copies share no state, so a reply must depend
-    only on its request's tokens.
+    only on its request's tokens; ``timeout`` governs the replies of
+    every copy. :meth:`close` ends every copy, and the next call starts
+    fresh ones.
     Responses may arrive out of order. A reader thread per process hands
     each output line to the calling thread, which routes it by id among
     that process's requests; a checker serves one thread at a time. Any
@@ -327,55 +329,8 @@ class ExternalChecker:
         self.command = tuple(command)
         self.detector_id = detector_id
         self.timeout = timeout
-        self._proc: subprocess.Popen | None = None
-        self._lines: queue.SimpleQueue | None = None  # filled by the reader thread
-        self._responses: dict[int, object] = {}
-        self._in_flight: set[int] = set()  # ids sent and not yet answered
+        self._procs: list[_Process] = []  # the running copies of the command
         self._next_id = 0
-        self._failure: str | None = None
-        # copies of this checker that large batches are spread over
-        self._peers: list[ExternalChecker] = []
-
-    def _ensure_started(self) -> None:
-        if self._proc is not None:
-            return
-        try:
-            self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                encoding="utf-8",
-            )
-        except OSError as exc:
-            raise DetectorError(self.detector_id, f"failed to start: {exc}") from exc
-        self._lines = queue.SimpleQueue()
-        threading.Thread(
-            target=_forward_lines, args=(self._proc.stdout, self._lines), daemon=True
-        ).start()
-
-    def _route(self, item) -> str | None:
-        """Store one reply line under its request id; returns why the line
-        cannot be routed, or why the lines ended."""
-        if not isinstance(item, str):
-            return item[0]
-        line = item.strip()
-        if not line:
-            return None
-        try:
-            payload = json.loads(line)
-            response_id = payload["id"]
-        except (ValueError, TypeError, KeyError, RecursionError):
-            return f"malformed response line: {line[:200]!r}"
-        # bools and floats compare equal to ints, so check the type
-        if type(response_id) is not int or response_id not in self._in_flight:
-            return (
-                f"no response can be routed: reply id {response_id!r:.100} is "
-                "not a request in flight (unknown or already answered)"
-            )
-        self._in_flight.remove(response_id)
-        self._responses[response_id] = payload
-        return None
 
     def __call__(self, tokens: Sequence[str]) -> list[ErrorSpan]:
         return self.check_many([tokens])[0]
@@ -389,53 +344,58 @@ class ExternalChecker:
         starts when the previous reply has been taken. Request ids are
         numbered across all processes, as on one."""
         n = min(CHECKER_PROCESSES, _usable_cpus(), -(-len(token_seqs) // CHECKER_WINDOW))
-        while len(self._peers) < n - 1:
-            self._peers.append(ExternalChecker(self.command, self.detector_id, self.timeout))
-        checkers = [self, *self._peers][:n]
+        while len(self._procs) < n:
+            try:
+                proc = subprocess.Popen(self.command, stdin=subprocess.PIPE,
+                                        stdout=subprocess.PIPE, text=True, encoding="utf-8")
+            except OSError as exc:
+                raise DetectorError(self.detector_id, f"failed to start: {exc}") from exc
+            self._procs.append(_Process(proc))
+        procs = self._procs[:n]
         first_id, sent = self._next_id, 0
         out = []
         for k, tokens in enumerate(token_seqs):
             while sent < min(k + n * CHECKER_WINDOW, len(token_seqs)):
-                checkers[sent % n]._send(first_id + sent, token_seqs[sent])
+                self._send(procs[sent % n], first_id + sent, token_seqs[sent])
                 sent += 1
                 self._next_id += 1
-            reply = checkers[k % n]._receive(first_id + k)
+            reply = self._receive(procs[k % n], first_id + k)
             out.append(self._parse_errors(reply, len(tokens)))
         return out
 
-    def _send(self, request_id: int, tokens: Sequence[str]) -> None:
-        self._ensure_started()
-        self._in_flight.add(request_id)
+    def _send(self, process: _Process, request_id: int, tokens: Sequence[str]) -> None:
+        process.replies[request_id] = None
         request = json.dumps({"id": request_id, "tokens": list(tokens)})
         try:
-            self._proc.stdin.write(request + "\n")
-            self._proc.stdin.flush()
+            process.proc.stdin.write(request + "\n")
+            process.proc.stdin.flush()
         except (OSError, ValueError) as exc:
             # A checker that exited while earlier requests were in flight:
             # report why it stopped, as waiting for those replies would.
             with contextlib.suppress(DetectorError):
-                self._receive(request_id)  # routes lines until a failure or the timeout
+                # routes lines until a failure or the timeout
+                self._receive(process, request_id)
             raise DetectorError(
-                self.detector_id, self._failure or f"write failed: {exc}"
+                self.detector_id, process.failure or f"write failed: {exc}"
             ) from exc
 
-    def _receive(self, request_id: int):
+    def _receive(self, process: _Process, request_id: int):
         deadline = time.monotonic() + self.timeout
-        while request_id not in self._responses:
-            if self._failure is not None:
-                raise DetectorError(self.detector_id, self._failure)
+        while process.replies[request_id] is None:
+            if process.failure is not None:
+                raise DetectorError(self.detector_id, process.failure)
             remaining = deadline - time.monotonic()
             try:
                 if remaining <= 0:  # a checker that keeps writing lines times out too
                     raise queue.Empty
-                item = self._lines.get(timeout=remaining)
+                item = process.lines.get(timeout=remaining)
             except queue.Empty:
                 raise DetectorError(
                     self.detector_id,
                     f"no response for request {request_id} after {self.timeout:g}s",
                 ) from None
-            self._failure = self._route(item)
-        return self._responses.pop(request_id)
+            process.failure = process.route(item)
+        return process.replies.pop(request_id)
 
     def _parse_errors(self, payload, n_tokens: int) -> list[ErrorSpan]:
         errors = payload.get("errors") if isinstance(payload, dict) else None
@@ -461,12 +421,9 @@ class ExternalChecker:
         return spans
 
     def close(self) -> None:
-        """End every checker process's input; kill those that have not
-        exited 2 s later."""
-        checkers = [self, *self._peers]
-        procs = [c._proc for c in checkers if c._proc is not None]
-        for checker in checkers:
-            checker._proc = None
+        """End every checker process's input and drop the processes; kill
+        those that have not exited 2 s later."""
+        procs, self._procs = [process.proc for process in self._procs], []
         for proc in procs:
             with contextlib.suppress(OSError):
                 proc.stdin.close()
@@ -483,6 +440,44 @@ class ExternalChecker:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+class _Process:
+    """One process of an :class:`ExternalChecker`: the lines its reader
+    thread forwards, its replies by request id (None while the request is
+    in flight), and why its lines ended or one could not be routed."""
+
+    def __init__(self, proc: subprocess.Popen):
+        self.proc = proc
+        self.lines: queue.SimpleQueue = queue.SimpleQueue()
+        self.replies: dict[int, object] = {}
+        self.failure: str | None = None
+        threading.Thread(
+            target=_forward_lines, args=(proc.stdout, self.lines), daemon=True
+        ).start()
+
+    def route(self, item) -> str | None:
+        """Store one reply line under its request id; returns why the line
+        cannot be routed, or why the lines ended."""
+        if not isinstance(item, str):
+            return item[0]
+        line = item.strip()
+        if not line:
+            return None
+        try:
+            payload = json.loads(line)
+            response_id = payload["id"]
+        except (ValueError, TypeError, KeyError, RecursionError):
+            return f"malformed response line: {line[:200]!r}"
+        # bools and floats compare equal to ints, so check the type
+        sent = type(response_id) is int and response_id in self.replies
+        if not sent or self.replies[response_id] is not None:
+            return (
+                f"no response can be routed: reply id {response_id!r:.100} is "
+                "not a request in flight (unknown or already answered)"
+            )
+        self.replies[response_id] = payload
+        return None
 
 
 def _usable_cpus() -> int:

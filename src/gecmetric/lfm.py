@@ -36,6 +36,7 @@ from itertools import chain, compress, count, islice, repeat
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._config import check_alpha
 from .corpus import Sentence
 from .errors import ModelError, ParseError, ValidationError
 from .formats import _read_text, split_lines
@@ -309,8 +310,7 @@ def train_ridge(
     model. The bias is the target mean, making an all-constant fit
     predict that mean everywhere.
     """
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValidationError(f"alpha must be finite and >= 0, got {alpha}")
+    check_alpha(alpha)
     if len(features) != len(targets):
         raise ValidationError(
             f"size mismatch: {len(features)} feature rows, {len(targets)} targets"

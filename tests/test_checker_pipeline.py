@@ -43,12 +43,13 @@ SLOW_CHECKER = textwrap.dedent(
 )
 
 
-# Replies that cannot be routed to a request in flight, or (silent) no
-# reply; any other mode answers normally. With a second argument, only
-# the request of that id gets the mode's reply.
+# Replies that cannot be routed to a request in flight, (silent) no
+# reply, or (slow) a reply after 0.3 s; any other mode answers normally.
+# With a second argument, only the request of that id gets the mode's
+# reply.
 ROUTING_CHECKER = textwrap.dedent(
     """
-    import json, os, sys
+    import json, os, sys, time
 
     at = int(sys.argv[2]) if len(sys.argv) > 2 else None
     out = sys.stdout.buffer
@@ -59,6 +60,8 @@ ROUTING_CHECKER = textwrap.dedent(
             mode = sys.argv[1] if at in (None, req["id"]) else "answer"
             if mode == "silent":
                 continue
+            if mode == "slow":
+                time.sleep(0.3)
             if mode == "list-id":
                 reply["id"] = [req["id"]]
             elif mode == "float-id":
@@ -196,6 +199,18 @@ def test_unroutable_reply_fails_at_once(routing_script, monkeypatch, mode, reaso
     assert str(err.value).startswith("detector 'lint': ")
     assert reason in str(err.value)
     assert thread_errors == []
+
+
+def test_close_after_an_unroutable_reply_lets_the_next_call_answer(routing_script):
+    """The failure that ended a call goes with the processes ``close``
+    ends; the next call starts a fresh process."""
+    cmd = [sys.executable, str(routing_script), "unknown-id", "0"]
+    with ExternalChecker(cmd, detector_id="lint", timeout=10.0) as checker:
+        with pytest.raises(DetectorError, match="no response can be routed"):
+            checker.check_many([("a",), ("b",)])
+        checker.close()
+        assert checker.check_many([("a",), ("b",)]) == [[], []]
+        assert checker(("c",)) == []
 
 
 # Answers the first request with the bytes of the file named by argv[1],
@@ -372,6 +387,21 @@ def test_pool_fails_with_the_one_process_message(routing_script, monkeypatch, mo
     assert messages[0] == messages[1]
     if mode != "unknown-id":
         assert f" {at} " in messages[0]
+
+
+def test_a_lowered_timeout_governs_every_copy(routing_script, monkeypatch):
+    """Both copies start on the first batch; once the timeout is lowered,
+    a reply on the second copy that is slower than it fails the call."""
+    started = _pool(monkeypatch, 2)
+    slow = 2 * CHECKER_WINDOW + 1  # the second request of the second batch
+    cmd = [sys.executable, str(routing_script), "slow", str(slow)]
+    with ExternalChecker(cmd, detector_id="lint", timeout=30.0) as checker:
+        checker.check_many(_numbered(2 * CHECKER_WINDOW))
+        assert len(started) == 2
+        checker.timeout = 0.1
+        with pytest.raises(DetectorError, match=f"no response for request {slow} after 0.1s"):
+            checker.check_many(_numbered(2 * CHECKER_WINDOW))
+    assert len(started) == 2
 
 
 def test_a_copy_that_cannot_start_fails_and_the_first_is_closed(

@@ -846,6 +846,38 @@ def test_ablate_knobs_are_checked_before_anything_is_scored(
     assert [r.getMessage() for r in caplog.records] == [message]
 
 
+_NO_HUMAN = ["--fluency-metric", "errorcount", "--wordlist", "{d}/words.txt",
+             "--reference-metric", "gleu", "--source", "{d}/source.txt",
+             "--ref", "{d}/ref1.txt", "--ref", "{d}/ref2.txt",
+             "--human", "{d}/missing.tsv", "--hyp", "a={d}/a.txt"]
+_CORRELATE = ["correlate", "--metric", "errorcount", "--wordlist", "{d}/words.txt",
+              "--human", "{d}/missing.tsv", "--hyp", "a={d}/a.txt"]
+KNOBS_BEFORE_INPUT = {
+    "beta": ([*_CORRELATE, "--beta", "nan"], "beta must be finite and >= 0, got nan"),
+    "max-n": ([*_CORRELATE, "--max-n", "0"],
+              f"max_n must be in [1, {sys.maxsize // 8}], got 0"),
+    "gaming-lambda": (["sweep", *_NO_HUMAN, "--gaming-lambda", "1.5"],
+                      "lambda must be in [0, 1], got 1.5"),
+    "trials": (["ablate", *_NO_HUMAN, "--trials", "0"],
+               "trials must be in [1, 10000], got 0"),
+    "sizes": (["ablate", *_NO_HUMAN, "--sizes", "3"], "subset size 3 not in [1, 2]"),
+    "alpha": (["train-lfm", "--train", "{d}/missing.tsv", "--out", "{d}/model.json",
+               "--alpha", "nan"], "alpha must be finite and >= 0, got nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KNOBS_BEFORE_INPUT))
+def test_a_bad_knob_is_reported_before_a_missing_input(corpus, capsys, caplog, case):
+    """Every knob is checked before any input is read: with a missing
+    input file, a bad knob exits 2 with its own message."""
+    template, message = KNOBS_BEFORE_INPUT[case]
+    argv = [arg.format(d=corpus) for arg in template]
+    with caplog.at_level(logging.INFO, logger="gecmetric"):
+        code, out, _ = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert [r.getMessage() for r in caplog.records] == [message]
+
+
 def test_ablate_rejects_errorcount_reference(corpus, capsys):
     argv = [
         "ablate",

@@ -149,11 +149,26 @@ def test_parse_rejects_non_integer_span():
             "S a\n" + _a("0 5", "y", 0) + _a("0 1", "p", 1) + _a("0 1", "q", 1),
             "line 1: in unit starting here: edit (0,1)->'q' overlaps (0,1)->'p'",
         ),
+        (
+            "S a b\nA -1 -1|||noop|||-NONE-|||REQUIRED|||-NONE-|||0\n" + _a("0 1", "y"),
+            "line 3: annotator 0 has both noop and edits",
+        ),
+        ("S a\n" + _a("0", "y"), "line 2: bad span field '0'"),
+        ("S a\n" + _a("0 1", "y", "x"), "line 2: non-integer annotator id 'x'"),
+        ("S a\n" + _a("0 1", "y", "1.0"), "line 2: non-integer annotator id '1.0'"),
     ],
-    ids=["overlap-out-of-order", "identity-overlap", "order-before-bounds"],
+    ids=["overlap-out-of-order", "identity-overlap", "order-before-bounds",
+         "edit-after-noop", "one-number-span", "word-annotator", "float-annotator"],
 )
 def test_parse_rejects_bad_edits_with_exact_message(text, message):
     _rejects(text, message)
+
+
+def test_parse_back_to_back_source_lines_give_two_units():
+    """An ``S`` line ends the unit before it, blank line or not."""
+    units = parse_m2("S a b\nS c\n")
+    assert [unit.source.tokens for unit in units] == [("a", "b"), ("c",)]
+    assert [unit.gold for unit in units] == [((0, frozenset()),)] * 2
 
 
 def test_read_m2_file_handles_bom(tmp_path):
@@ -198,6 +213,11 @@ def test_parse_human_ranking():
 def test_parse_human_ranking_rejects_empty_id(id_field):
     with pytest.raises(ParseError, match="line 2: empty system id"):
         parse_human_ranking(f"a\t1\n{id_field}\t0.5\n")
+
+
+def test_parse_human_ranking_rejects_three_columns():
+    with pytest.raises(ParseError, match=r"^line 2: expected two tab-separated columns, got 3$"):
+        parse_human_ranking("a\t1\nb\t2\t3\n")
 
 
 def test_parse_human_ranking_rejects_duplicates():
