@@ -55,6 +55,8 @@ class M2Config:
     def __post_init__(self):
         if not (math.isfinite(self.beta) and self.beta >= 0):
             raise ValidationError(f"beta must be finite and >= 0, got {self.beta}")
+        if math.isinf(self.beta * self.beta):  # every F_beta would be nan
+            raise ValidationError(f"beta squared must be finite, got beta {self.beta}")
         if self.max_unchanged_words < 0:
             raise ValidationError(
                 f"max_unchanged_words must be >= 0, got {self.max_unchanged_words}"

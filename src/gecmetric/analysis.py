@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 
@@ -65,6 +65,26 @@ def mean_score(values: Sequence[float]) -> float:
     return math.fsum(values) / len(values)
 
 
+def _check_sizes(**columns: Sequence) -> None:
+    """Raise :class:`ValidationError` unless the named columns are equally long."""
+    if len({len(column) for column in columns.values()}) > 1:
+        sizes = ", ".join(f"{len(column)} {name}" for name, column in columns.items())
+        raise ValidationError(f"size mismatch: {sizes}")
+
+
+def _reducer(n: int, pool: Callable[[Sequence], float], mode: str) -> Callable:
+    """The reducer of ``n`` sentences' statistics in aggregation ``mode``:
+    ``pool`` in ``corpus`` mode, the mean ``score`` in ``sentence`` mode.
+    Raises :class:`ValidationError` for an empty corpus or an unknown mode."""
+    if not n:
+        raise ValidationError("empty corpus")
+    if mode not in ("sentence", "corpus"):
+        raise ValidationError(f"unknown aggregation mode {mode!r}")
+    if mode == "corpus":
+        return pool
+    return lambda stats: mean_score([s.score for s in stats])
+
+
 def check_lambda(lam: float) -> None:
     """Raise :class:`ValidationError` unless ``lam`` is in [0, 1]."""
     if not 0.0 <= lam <= 1.0:
@@ -98,6 +118,7 @@ def rank_systems(scores: Mapping[str, float]) -> list[dict]:
     (rank 1 is best) with tied ranks averaged, best first."""
     if not scores:
         raise ValidationError("no systems to rank")
+    _check_finite(scores.values())
     ids = sorted(scores)
     ranks = _average_ranks([-scores[s] for s in ids])
     ranked = [{"system": s, "score": scores[s], "rank": r} for s, r in zip(ids, ranks)]
@@ -105,12 +126,23 @@ def rank_systems(scores: Mapping[str, float]) -> list[dict]:
     return ranked
 
 
-def pearson(x: Sequence[float], y: Sequence[float]) -> float:
+def _check_finite(values: Iterable[float]) -> None:
+    for v in values:
+        if not math.isfinite(v):
+            raise ValidationError(f"values must be finite, got {v}")
+
+
+def _check_pairs(x: Sequence[float], y: Sequence[float], least: int) -> None:
     if len(x) != len(y):
         raise ValidationError(f"size mismatch: {len(x)} vs {len(y)} values")
+    if len(x) < least:
+        raise ValidationError(f"need at least {least} points, got {len(x)}")
+    _check_finite([*x, *y])
+
+
+def pearson(x: Sequence[float], y: Sequence[float]) -> float:
+    _check_pairs(x, y, 2)
     n = len(x)
-    if n < 2:
-        raise ValidationError(f"need at least 2 points, got {n}")
     mx = math.fsum(x) / n
     my = math.fsum(y) / n
     cov = math.fsum((xi - mx) * (yi - my) for xi, yi in zip(x, y))
@@ -123,10 +155,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
-    if len(x) != len(y):
-        raise ValidationError(f"size mismatch: {len(x)} vs {len(y)} values")
-    if len(x) < 3:
-        raise ValidationError(f"need at least 3 points, got {len(x)}")
+    _check_pairs(x, y, 3)
     return pearson(_average_ranks(x), _average_ranks(y))
 
 
@@ -325,11 +354,7 @@ def gaming_check(
     (``interpolated_*``) means before and after, and their drops. Unequal
     lengths and ``lam`` outside [0, 1] raise :class:`ValidationError`.
     """
-    if not len(fluency) == len(reference) == len(shuffled):
-        raise ValidationError(
-            f"size mismatch: {len(fluency)} fluency, {len(reference)} reference "
-            f"and {len(shuffled)} shuffled scores"
-        )
+    _check_sizes(fluency=fluency, reference=reference, shuffled=shuffled)
     interp_true, interp_shuffled = (
         mean_score([interpolate_value(f, r, lam) for f, r in zip(fluency, scores)])
         for scores in (reference, shuffled)

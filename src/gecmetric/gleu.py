@@ -23,14 +23,12 @@ import functools
 import math
 import random
 import struct
-import sys
-from array import array
 from itertools import chain, compress, groupby, repeat
 from operator import add, itemgetter, mul, sub
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from ._config import MAX_ITERATIONS, MEAN_OVER_ALL, SAMPLED, GleuConfig
-from .analysis import mean_score
+from .analysis import _check_sizes, mean_score
 from .corpus import Sentence
 from .errors import ValidationError
 
@@ -39,7 +37,7 @@ __all__ = ["GleuConfig", "GleuStats", "gleu_stats", "gleu_stats_many",
            "reference_draws", "SAMPLED", "MEAN_OVER_ALL", "MAX_ITERATIONS"]
 
 _DRAW_WORDS = 1 << 24  # most words per getrandbits call: its bit count is a C int
-_LANES = {array(t).itemsize: t for t in "QLIHB"}  # unsigned array typecodes by width
+_LANES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # unsigned struct codes by standard width
 
 
 # One order's n-grams: the set of their int keys, and the counts of repeated keys.
@@ -347,9 +345,7 @@ def gleu_pool(stats: Sequence[GleuStats], cfg: GleuConfig = GleuConfig()) -> flo
     for k, base, change in zip(keep, map(sum, zip(*firsts)), changes):
         raw = (base * ones + change).to_bytes(width * iterations, "little")
         if width in _LANES:
-            columns[k] = array(_LANES[width], raw)
-            if sys.byteorder == "big":
-                columns[k].byteswap()
+            columns[k] = struct.unpack(f"<{iterations}{_LANES[width]}", raw)
         else:
             columns[k] = [int.from_bytes(raw[i : i + width], "little")
                           for i in range(0, len(raw), width)]
@@ -367,10 +363,6 @@ def gleu_corpus(
     cfg: GleuConfig = GleuConfig(),
 ) -> float:
     """Corpus-level score: :func:`gleu_stats` per sentence, then :func:`gleu_pool`."""
-    if not (len(sources) == len(hypotheses) == len(references)):
-        raise ValidationError(
-            f"size mismatch: {len(sources)} sources, {len(hypotheses)} hypotheses, "
-            f"{len(references)} reference lists"
-        )
+    _check_sizes(sources=sources, hypotheses=hypotheses, references=references)
     items = [(i, hyp, tuple(references[i])) for i, hyp in enumerate(hypotheses)]
     return gleu_pool(gleu_stats_many(sources, items, cfg), cfg)

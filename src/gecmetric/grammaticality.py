@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
 from ._config import CHECKER_TIMEOUT, check_timeout
-from .analysis import mean_score
+from .analysis import _reducer
 from .corpus import Sentence
 from .errors import DetectorError, ValidationError
 from .formats import _read_text, split_lines
@@ -285,14 +285,8 @@ def error_count_corpus(
     sentences: Sequence[Sentence], suite: DetectorSuite, mode: str = "corpus"
 ) -> float:
     """Corpus score: pooled in ``corpus`` mode, averaged in ``sentence``."""
-    if not sentences:
-        raise ValidationError("empty corpus")
-    if mode not in ("sentence", "corpus"):
-        raise ValidationError(f"unknown aggregation mode {mode!r}")
-    stats = error_count_stats_many(sentences, suite)
-    if mode == "sentence":
-        return mean_score([s.score for s in stats])
-    return error_count_pool(stats)
+    reduce = _reducer(len(sentences), error_count_pool, mode)
+    return reduce(error_count_stats_many(sentences, suite))
 
 
 class ExternalChecker:

@@ -20,13 +20,14 @@ mean the system made the text worse. An unchanged hypothesis is exactly 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import NamedTuple, Sequence
 
 from . import _levenshtein
 from ._config import IMeasureConfig
-from .analysis import mean_score
+from .analysis import _check_sizes, _reducer
 from .corpus import Sentence
 from .errors import ValidationError
 
@@ -163,6 +164,8 @@ def weighted_accuracy(counts: TokenCounts, weight: float = 2.0) -> float:
     )
     if den == 0.0:
         return 1.0  # nothing to get right or wrong
+    if not math.isfinite(den):  # weight * count overflowed: a nan or a false 0
+        raise ValidationError(f"weight {weight} overflows the weighted token counts")
     return num / den
 
 
@@ -277,19 +280,6 @@ def i_measure_corpus(
 ) -> float:
     """Corpus score: the mean of sentence scores in ``sentence`` mode,
     :func:`i_measure_pool` of the sentence statistics in ``corpus`` mode."""
-    if not (len(sources) == len(hypotheses) == len(references)):
-        raise ValidationError(
-            f"size mismatch: {len(sources)} sources, {len(hypotheses)} hypotheses, "
-            f"{len(references)} reference rows"
-        )
-    if not sources:
-        raise ValidationError("empty corpus")
-    if mode not in ("sentence", "corpus"):
-        raise ValidationError(f"unknown aggregation mode {mode!r}")
-    stats = [
-        i_measure_stats(src, hyp, refs, cfg)
-        for src, hyp, refs in zip(sources, hypotheses, references)
-    ]
-    if mode == "sentence":
-        return mean_score([s.score for s in stats])
-    return i_measure_pool(stats, cfg)
+    _check_sizes(sources=sources, hypotheses=hypotheses, references=references)
+    reduce = _reducer(len(sources), lambda stats: i_measure_pool(stats, cfg), mode)
+    return reduce([i_measure_stats(*row, cfg) for row in zip(sources, hypotheses, references)])

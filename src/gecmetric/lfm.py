@@ -1,7 +1,7 @@
 """Learned fluency scoring: n-gram LM features plus ridge regression.
 
 The language model interpolates maximum-likelihood estimates of orders
-1..N with fixed weights. Sentences are padded with ``<s>`` on the left
+1..N with equal weights. Sentences are padded with ``<s>`` on the left
 for conditioning only; the boundary symbol is never predicted and does
 not count toward the unigram distribution, which is add-one smoothed
 over the vocabulary plus an unknown-word type. When a higher-order
@@ -30,11 +30,11 @@ import json
 import math
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from ._config import check_alpha
 from .corpus import Sentence
@@ -139,7 +139,6 @@ def _numbered(
 def train_lm(
     sentences: Iterable[Iterable[str]],
     order: int = 3,
-    weights: Sequence[float] | None = None,
     scope: Iterable[Sequence[str]] | None = None,
 ) -> NgramLm:
     """Count an order-``order`` LM over ``sentences``, for the token
@@ -152,15 +151,6 @@ def train_lm(
     """
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
-    if weights is None:
-        weights = [1.0 / order] * order
-    weights = tuple(float(w) for w in weights)
-    if len(weights) != order:
-        raise ValidationError(f"need {order} interpolation weights, got {len(weights)}")
-    if any(w <= 0 for w in weights):
-        raise ValidationError(f"interpolation weights must be positive: {weights}")
-    if abs(math.fsum(weights) - 1.0) > 1e-9:
-        raise ValidationError(f"interpolation weights must sum to 1: {weights}")
     # <s> (padding or literal) is number 0; <unk> is 1 even if never seen
     numbers = defaultdict(count(2).__next__, {BOS: 0, UNK: 1})
     pad = bytes(order - 1)
@@ -195,7 +185,7 @@ def train_lm(
             contexts = filter(set(kept_contexts).__contains__, contexts)
             grams = filter(set(kept_grams).__contains__, grams)
         context_counts[k], ngram_counts[k] = Counter(contexts), Counter(grams)
-    return NgramLm(order=order, weights=weights, numbers=numbers,
+    return NgramLm(order=order, weights=(1.0 / order,) * order, numbers=numbers,
                    total_tokens=sum(unigrams.values()),
                    ngram_counts=ngram_counts, context_counts=context_counts)
 
@@ -224,8 +214,7 @@ def _ngram_codes(known: array, last: array, is_token: bytes, size: int, order: i
             codes = array("q", codes) if size**k <= 2**63 else list(codes)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
+class FeatureVector(NamedTuple):
     token_count: float
     misspelling_rate: float
     oov_rate: float
@@ -236,13 +225,13 @@ class FeatureVector:
     punct_ratio: float
 
     def as_tuple(self) -> tuple[float, ...]:
-        return tuple(getattr(self, name) for name in FEATURE_NAMES)
+        return tuple(self)
 
     def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in FEATURE_NAMES}
+        return self._asdict()
 
 
-FEATURE_NAMES = tuple(f.name for f in fields(FeatureVector))
+FEATURE_NAMES = FeatureVector._fields
 
 
 def _max_char_run(token: str) -> int:
@@ -317,10 +306,7 @@ def train_ridge(
         )
     if not features:
         raise ValidationError("no training rows")
-    rows = [
-        row.as_tuple() if isinstance(row, FeatureVector) else tuple(map(float, row))
-        for row in features
-    ]
+    rows = [tuple(map(float, row)) for row in features]
     width, n = len(rows[0]), len(rows)
     if any(len(row) != width for row in rows):
         raise ValidationError("feature rows must all have the same width")

@@ -44,7 +44,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import _levenshtein
 from ._config import M2Config
-from .analysis import mean_score
+from .analysis import _check_sizes, _reducer
 from .corpus import AnnotatedSource, Sentence
 from .errors import ValidationError
 
@@ -312,16 +312,7 @@ def m2_corpus(
 ) -> float:
     """Corpus score: the mean of sentence scores in ``sentence`` mode,
     :func:`m2_pool` of the sentence statistics in ``corpus`` mode."""
-    if len(units) != len(hypotheses):
-        raise ValidationError(
-            f"size mismatch: {len(units)} sources, {len(hypotheses)} hypotheses"
-        )
-    if not units:
-        raise ValidationError("empty corpus")
-    if mode not in ("sentence", "corpus"):
-        raise ValidationError(f"unknown aggregation mode {mode!r}")
+    _check_sizes(sources=units, hypotheses=hypotheses)
+    reduce = _reducer(len(units), lambda stats: m2_pool(stats, cfg), mode)
     _warn_identity(units)
-    stats = [m2_stats(u.source, hyp, u.gold, cfg) for u, hyp in zip(units, hypotheses)]
-    if mode == "sentence":
-        return mean_score([s.score for s in stats])
-    return m2_pool(stats, cfg)
+    return reduce([m2_stats(u.source, hyp, u.gold, cfg) for u, hyp in zip(units, hypotheses)])

@@ -179,6 +179,22 @@ def test_spearman_equals_pearson_on_preranked_data():
     assert spearman(x, y) == pytest.approx(pearson(x, y), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (pearson, ([math.nan, 1.0, 2.0], [1.0, 2.0, 3.0])),
+        (pearson, ([1.0, 2.0, 3.0], [1.0, math.inf, 3.0])),
+        (spearman, ([1.0, 2.0, 3.0], [3.0, math.nan, 1.0])),
+        (spearman, ([-math.inf, 2.0, 3.0], [3.0, 2.0, 1.0])),
+        (rank_systems, ({"a": math.nan, "b": 1.0, "c": 2.0},)),
+    ],
+)
+def test_a_non_finite_value_is_rejected_not_ranked(call, args):
+    """A NaN neither clamps to a correlation of 1 nor ranks first."""
+    with pytest.raises(ValidationError, match="values must be finite"):
+        call(*args)
+
+
 def test_fisher_z_hand_value():
     assert fisher_z(0.6) == pytest.approx(math.log(2.0), abs=1e-12)
     assert fisher_z(0.0) == 0.0

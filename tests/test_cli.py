@@ -3,6 +3,7 @@
 import hashlib
 import json
 import logging
+import math
 import os
 import shlex
 import subprocess
@@ -10,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 import gecmetric
 from gecmetric.cli import main
@@ -854,6 +857,9 @@ _CORRELATE = ["correlate", "--metric", "errorcount", "--wordlist", "{d}/words.tx
               "--human", "{d}/missing.tsv", "--hyp", "a={d}/a.txt"]
 KNOBS_BEFORE_INPUT = {
     "beta": ([*_CORRELATE, "--beta", "nan"], "beta must be finite and >= 0, got nan"),
+    # beta * beta overflows, which would make every F_beta nan
+    "beta-square": ([*_CORRELATE, "--beta", "1e160"],
+                    "beta squared must be finite, got beta 1e+160"),
     "max-n": ([*_CORRELATE, "--max-n", "0"],
               f"max_n must be in [1, {sys.maxsize // 8}], got 0"),
     "gaming-lambda": (["sweep", *_NO_HUMAN, "--gaming-lambda", "1.5"],
@@ -1609,6 +1615,8 @@ MALFORMED = {
                             "{d}/words.txt", *_A],
     "beta-nan": ["score", "--metric", "m2", "--m2", "{d}/gold.m2", "--beta", "nan", *_A],
     "beta-inf": ["score", "--metric", "m2", "--m2", "{d}/gold.m2", "--beta", "inf", *_A],
+    "beta-square-overflow": ["score", "--metric", "m2", "--m2", "{d}/gold.m2", "--beta",
+                             "1e308", *_A],
     "max-n-too-large": ["score", "--metric", "gleu", "--source", "{d}/source.txt",
                         "--ref", "{d}/ref1.txt", "--max-n", "100000000000000000000", *_A],
     "iterations-too-large": ["score", "--metric", "gleu", "--source", "{d}/source.txt",
@@ -1625,6 +1633,9 @@ MALFORMED = {
                              "--ref", "{d}/ref1.txt", "--iterations", "10001", *_A],
     "weight-nan": ["score", "--metric", "imeasure", "--source", "{d}/source.txt",
                    "--ref", "{d}/ref1.txt", "--weight", "nan", *_A],
+    # weight * tp overflows the I-measure's weighted token counts
+    "weight-overflow": ["score", "--metric", "imeasure", "--source", "{d}/source.txt",
+                        "--ref", "{d}/ref1.txt", "--weight", "1e308", *_A],
     "alpha-nan": ["train-lfm", "--train", "{d}/train.tsv", "--alpha", "nan"],
     "ridge-singular": ["train-lfm", "--train", "{d}/singular.tsv", "--alpha", "0"],
     "train-duplicate-names": ["train-lfm", "--train", "{d}/duplicate.tsv"],
@@ -1719,3 +1730,102 @@ def test_malformed_input_exits_with_one_line(corpus, model_path, case):
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stdout == ""
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# extreme knob values
+
+# the extremes, values a run accepts, and anything else
+_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e308, -1e308, 1e160, 5e-324, -5e-324, 0.0, -0.0]
+) | st.floats(0, 4) | st.floats()
+_INTS = st.sampled_from([0, -1, 2**63, -(2**63), 10**30]) | st.integers(1, 4) | st.integers()
+# a huge --max-n allocates a tuple of that length per hypothesis, and every
+# --trials up to analysis.MAX_TRIALS is valid: both stay small
+_KNOB_VALUES = {
+    "beta": _FLOATS,
+    "weight": _FLOATS,
+    "checker-timeout": _FLOATS,
+    "gaming-lambda": _FLOATS,
+    "alpha": _FLOATS,
+    "iterations": _INTS,
+    "max-unchanged": _INTS,
+    "max-n": st.integers(max_value=64),
+    "trials": st.integers(max_value=50),
+    "sizes": st.lists(_INTS, min_size=1, max_size=3).map(lambda v: ",".join(map(str, v))),
+}
+_METRIC_KNOBS = ("beta", "weight", "checker-timeout", "iterations", "max-unchanged", "max-n")
+_REFS = ["--source", "{d}/source.txt", "--ref", "{d}/ref1.txt", "--ref", "{d}/ref2.txt"]
+_HYPS = ["--hyp", "a={d}/a.txt", "--hyp", "b={d}/b.txt", "--hyp", "c={d}/c.txt"]
+_INPUTS = {"gleu": _REFS, "imeasure": _REFS, "m2": ["--m2", "{d}/gold.m2"]}
+_SWEEP = ["--fluency-metric", "errorcount", "--wordlist", "{d}/words.txt",
+          "--human", "{d}/human.tsv", *_REFS, *_HYPS, "--reference-metric"]
+# each command and the knobs it takes
+_KNOB_COMMANDS = {
+    **{
+        f"{command}-{metric}": (
+            [command, "--metric", metric, *inputs, *_HYPS]
+            + (["--human", "{d}/human.tsv"] if command == "correlate" else []),
+            _METRIC_KNOBS,
+        )
+        for command in ("score", "correlate")
+        for metric, inputs in _INPUTS.items()
+    },
+    **{
+        f"sweep-{metric}": (["sweep", "--gaming", *_SWEEP, metric],
+                            (*_METRIC_KNOBS, "gaming-lambda"))
+        for metric in ("gleu", "imeasure")
+    },
+    **{
+        f"ablate-{metric}": (["ablate", *_SWEEP, metric], (*_METRIC_KNOBS, "trials", "sizes"))
+        for metric in ("gleu", "imeasure")
+    },
+    "train-lfm": (["train-lfm", "--train", "{d}/train.tsv"], ("alpha",)),
+}
+
+
+@st.composite
+def _knob_runs(draw):
+    argv, knobs = _KNOB_COMMANDS[draw(st.sampled_from(sorted(_KNOB_COMMANDS)))]
+    argv = list(argv)
+    for knob in draw(st.permutations(knobs))[: draw(st.integers(1, 2))]:
+        value = draw(_KNOB_VALUES[knob])
+        argv.append(f"--{knob}={value!r}" if isinstance(value, float) else f"--{knob}={value}")
+    return argv
+
+
+def _floats_in(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [v for item in doc for v in _floats_in(item)]
+    return [doc] if isinstance(doc, float) else []
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_knob_runs())
+def test_an_extreme_knob_exits_cleanly_or_reports_finite_numbers(
+    corpus, model_path, capsys, caplog, argv
+):
+    """Every knob value either fails with one line and no report, or gives
+    a report of finite numbers. The inputs are only read, so the examples
+    share one corpus."""
+    out = corpus / "fuzz.json"
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="gecmetric"):
+        code = main([arg.format(d=corpus) for arg in argv] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    if code:
+        lines = err.splitlines() + [
+            line for r in caplog.records for line in r.getMessage().splitlines()
+        ]
+        assert len(lines) == 1, lines
+        assert "Traceback" not in err
+        assert not out.exists()
+    else:
+        assert all(map(math.isfinite, _floats_in(json.loads(out.read_text()))))

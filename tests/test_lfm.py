@@ -107,15 +107,6 @@ def test_seen_bigram_beats_unseen():
     assert lm.prob("b", ("a",)) > lm.prob("c", ("a",))
 
 
-def test_train_lm_validates_weights():
-    with pytest.raises(ValidationError):
-        lm_from("a b", weights=[0.5, 0.5, 0.5])
-    with pytest.raises(ValidationError):
-        lm_from("a b", order=2, weights=[0.9, 0.3])
-    with pytest.raises(ValidationError):
-        lm_from("a b", order=2, weights=[1.0, 0.0])
-
-
 def test_train_lm_order_one():
     # "a a b": V=2, N=3: P(a) = (2+1)/(3+3) = 0.5 whatever the context
     lm = lm_from("a a b", order=1)
