@@ -143,11 +143,16 @@ def _check_pairs(x: Sequence[float], y: Sequence[float], least: int) -> None:
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     _check_pairs(x, y, 2)
     n = len(x)
+    # each input times the power of two that brings its largest magnitude into
+    # [0.5, 1): exact, so no sum of squared deviations overflows or underflows
+    # to 0; squares are products, as pow() may round them differently per scale
+    shifts = [-math.frexp(max(map(abs, s)))[1] for s in (x, y)]
+    x, y = ([math.ldexp(v, k) for v in s] for s, k in zip((x, y), shifts))
     mx = math.fsum(x) / n
     my = math.fsum(y) / n
     cov = math.fsum((xi - mx) * (yi - my) for xi, yi in zip(x, y))
-    vx = math.fsum((xi - mx) ** 2 for xi in x)
-    vy = math.fsum((yi - my) ** 2 for yi in y)
+    vx = math.fsum((xi - mx) * (xi - mx) for xi in x)
+    vy = math.fsum((yi - my) * (yi - my) for yi in y)
     if vx == 0.0 or vy == 0.0:
         raise ValidationError("correlation is undefined for constant inputs")
     r = cov / math.sqrt(vx * vy)

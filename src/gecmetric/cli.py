@@ -19,7 +19,7 @@ scores, their mean (the ``sentence`` headline) and the pooled corpus
 score (the ``corpus`` headline; lfm has none) are all read from those
 statistics. The reference ablation selects each subset's statistics from
 them, and the gaming check compares them with every system's scores
-against the permuted reference rows, from one batch.
+against the permuted reference rows, scored in the same batch.
 
 Exit codes: 0 success; 1 usage error or unreadable file; 2 malformed or
 inconsistent data, or out of memory; 3 external checker failure. Logs go
@@ -139,10 +139,11 @@ def _gleu(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: GleuConfig) -
     draws = functools.cache(functools.partial(gleu.reference_draws, cfg))
     return _Scorer(
         "gleu",
-        lambda items: gleu.gleu_stats_many(sources, items, cfg, draws),
+        lambda items: gleu.gleu_stats_many(sources, items, cfg),
         functools.partial(gleu.gleu_pool, cfg=cfg),
         rows,
-        subset=lambda stats, i, pick: gleu.gleu_subset(stats, pick, draws(i, len(pick))),
+        subset=lambda stats, i, pick: gleu.gleu_subset(
+            stats, pick, stats.draws if len(pick) == len(stats.counts) else draws(i, len(pick))),
     )
 
 
@@ -158,19 +159,11 @@ def _m2(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: M2Config) -> _S
     )
 
 
-def _imeasure(
-    args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: IMeasureConfig
-) -> _Scorer:
+def _imeasure(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: IMeasureConfig) -> _Scorer:
     sources, rows = inputs.sources_and_rows("imeasure")
-    side = functools.cache(lambda i, ref: imeasure.reference_side(sources[i], ref))
-
-    def stats(i, hyp, row):
-        sides = [side(i, ref) for ref in row]
-        return imeasure.i_measure_stats(sources[i], hyp, row, cfg, sides)
-
     return _Scorer(
         "imeasure",
-        _each(stats),
+        lambda items: imeasure.i_measure_stats_many(sources, items, cfg),
         functools.partial(imeasure.i_measure_pool, cfg=cfg),
         rows,
         subset=lambda stats, i, pick: imeasure.i_measure_subset(stats, pick),
@@ -215,20 +208,23 @@ FLUENCY_METRICS = {"errorcount": _errorcount, "lfm": _lfm}
 METRICS: dict[str, Callable[..., _Scorer]] = {**REFERENCE_METRICS, **FLUENCY_METRICS}
 
 
-def _stats(scorer: _Scorer, systems: Mapping[str, Sequence[Sentence]], rows) -> dict:
-    """The statistics of every system's sentences against ``rows`` (sentence
-    ``i`` against ``rows[i]``; None for metrics without rows), by system
-    id, from one ``stats`` batch of the distinct (sentence, hypothesis)
-    pairs."""
+def _stats(scorer: _Scorer, systems: Mapping[str, Sequence[Sentence]], *row_tables) -> list:
+    """For each of ``row_tables``, the statistics of every system's
+    sentences against its rows (sentence ``i`` against ``rows[i]``; None
+    for metrics without rows), by system id, all from one ``stats`` batch
+    of the distinct (rows, sentence, hypothesis) triples."""
     todo: dict = {}
-    for sid in sorted(systems):
-        for i, hyp in enumerate(systems[sid]):
-            todo.setdefault((i, hyp.tokens), (i, hyp, None if rows is None else rows[i]))
+    for t, rows in enumerate(row_tables):
+        for sid in sorted(systems):
+            for i, hyp in enumerate(systems[sid]):
+                row = None if rows is None else rows[i]
+                todo.setdefault((t, i, hyp.tokens), (i, hyp, row))
     done = dict(zip(todo, scorer.stats(list(todo.values()))))
-    return {
-        sid: [done[i, hyp.tokens] for i, hyp in enumerate(hyps)]
-        for sid, hyps in systems.items()
-    }
+    return [
+        {sid: [done[t, i, hyp.tokens] for i, hyp in enumerate(hyps)]
+         for sid, hyps in systems.items()}
+        for t in range(len(row_tables))
+    ]
 
 
 def _system_scores(scorer: _Scorer, table: Mapping[str, list], mode="sentence") -> dict:
@@ -409,7 +405,7 @@ def _scored_systems(args) -> dict[str, dict]:
                 f"metric {args.metric!r} has no corpus-level aggregation; "
                 "use --mode sentence"
             )
-        return _system_scores(scorer, _stats(scorer, systems, scorer.rows), args.mode)
+        return _system_scores(scorer, _stats(scorer, systems, scorer.rows)[0], args.mode)
 
 
 def _summary_table(scores: Mapping[str, dict]) -> list[str]:
@@ -478,8 +474,15 @@ def _cmd_sweep(args) -> int:
     human = read_human_ranking(args.human)
     metrics = [args.fluency_metric, args.reference_metric]
     with _scorers(args, metrics) as (systems, scorers):
-        tables = [_stats(scorer, systems, scorer.rows) for scorer in scorers]
-        fluency, reference = map(_system_scores, scorers, tables)
+        scorer, row_tables = scorers[1], [scorers[1].rows]
+        if args.gaming:
+            # the rows of one permutation, which depends on the seed and
+            # length alone, join the reference metric's batch
+            perm = analysis.gaming_permutation(len(scorer.rows), args.seed)
+            row_tables.append([scorer.rows[p] for p in perm])
+        fluency = _system_scores(scorers[0], _stats(scorers[0], systems, None)[0])
+        table, *shuffled = _stats(scorer, systems, *row_tables)
+        reference = _system_scores(scorer, table)
         section = _sweep(human, fluency, reference)
         lines = [
             f"oracle lambda={section['oracle_lambda']:.2f} "
@@ -487,16 +490,12 @@ def _cmd_sweep(args) -> int:
             f"pearson={section['oracle_pearson']:.6f}"
         ]
         if args.gaming:
-            # every system is rescored in one batch against the rows of
-            # one permutation, which depends on the seed and length alone
-            scorer, gaming = scorers[1], []
-            perm = analysis.gaming_permutation(len(scorer.rows), args.seed)
-            shuffled = _stats(scorer, systems, [scorer.rows[p] for p in perm])
+            gaming = []
             for sid in sorted(systems):
                 row = analysis.gaming_check(
                     fluency[sid]["per_sentence"],
                     reference[sid]["per_sentence"],
-                    [scorer.value(s) for s in shuffled[sid]],
+                    [scorer.value(s) for s in shuffled[0][sid]],
                     lam=args.gaming_lambda,
                 )
                 gaming.append({"system": sid, **row})
@@ -533,7 +532,7 @@ def _cmd_ablate(args) -> int:
     metrics = [args.fluency_metric, args.reference_metric]
     with _scorers(args, metrics) as (systems, scorers):
         scorer = scorers[1]
-        tables = [_stats(scorer, systems, scorer.rows) for scorer in scorers]
+        tables = [_stats(s, systems, s.rows)[0] for s in scorers]
         fluency, reference = map(_system_scores, scorers, tables)
         section = _sweep(human, fluency, reference)
         points = analysis.ablate_references(

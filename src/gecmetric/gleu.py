@@ -25,7 +25,7 @@ import random
 import struct
 from itertools import chain, compress, groupby, repeat
 from operator import add, itemgetter, mul, sub
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from ._config import MAX_ITERATIONS, MEAN_OVER_ALL, SAMPLED, GleuConfig
 from .analysis import _check_sizes, mean_score
@@ -204,64 +204,58 @@ def gleu_stats(
     references: Sequence[Sentence],
     cfg: GleuConfig = GleuConfig(),
     sentence_index: int = 0,
-    draws: Sequence[int] | None = None,
 ) -> GleuStats:
-    """Sentence statistics; ``score`` is the multi-reference sentence score.
-
-    ``draws`` defaults to :func:`reference_draws` of the sentence; a
-    caller scoring many hypotheses of one sentence draws once and passes
-    them, or uses :func:`gleu_stats_many`.
-    """
-    given = None if draws is None else (lambda i, n_refs: draws)
+    """Sentence statistics; ``score`` is the multi-reference sentence score,
+    averaged over the sentence's :func:`reference_draws`."""
     item = (sentence_index, hypothesis, tuple(references))
-    return gleu_stats_many({sentence_index: source}, [item], cfg, given)[0]
+    return gleu_stats_many({sentence_index: source}, [item], cfg)[0]
 
 
 def gleu_stats_many(
     sources: Sequence[Sentence] | Mapping[int, Sentence],
     items: Sequence[tuple[int, Sentence, tuple[Sentence, ...]]],
     cfg: GleuConfig = GleuConfig(),
-    draws: Callable[[int, int], Sequence[int]] | None = None,
 ) -> list[GleuStats]:
     """:func:`gleu_stats` of each (sentence index, hypothesis, references)
     item, in item order.
 
-    Items are taken sentence by sentence. Each group of one sentence and
-    one reference row numbers its tokens, builds the int-keyed n-grams of
-    its source, references and distinct hypotheses and each reference's
-    surplus once, counts by set intersection and drops it all after.
-    ``draws(i, n_refs)`` gives sentence ``i``'s draws (default:
-    :func:`reference_draws`).
+    Items are taken sentence by sentence, whatever their rows. Each
+    sentence numbers its tokens once (source, every reference of its
+    items' distinct rows, hypotheses), builds the int-keyed n-grams of each
+    distinct token sequence, each distinct row's reference and surplus
+    bags and its draws per reference count once, counts by set
+    intersection and drops it all after. Counts depend only on which
+    n-grams are equal, so they do not depend on the numbering.
     """
-    draws = draws or functools.partial(reference_draws, cfg)
     max_n = cfg.max_n
     out: list = [None] * len(items)
     order = sorted(range(len(items)), key=lambda k: items[k][0])
-    for (i, row), group in groupby(order, key=lambda k: (items[k][0], items[k][2])):
-        if not row:
+    for i, group in groupby(order, key=lambda k: items[k][0]):
+        group = [(k, *items[k][1:]) for k in group]
+        rows = dict.fromkeys(row for _, _, row in group)
+        if not all(rows):
             raise ValidationError(f"sentence {i} has no references")
-        hyps = [(k, items[k][1]) for k in group]
-        seen = chain(
-            sources[i].tokens, *(r.tokens for r in row), *(h.tokens for _, h in hyps)
-        )
+        seen = chain(sources[i].tokens, *(r.tokens for row in rows for r in row),
+                     *(h.tokens for _, h, _ in group))
         numbers = {t: k for k, t in enumerate(dict.fromkeys(seen))}
         orders = functools.cache(lambda tokens: _orders(tokens, max_n, numbers))
-        top = min(max_n, max(len(h) for _, h in hyps))
+        top = min(max_n, max(len(h) for _, h, _ in group))
         pad = [_EMPTY] * top
         src = orders(sources[i].tokens)[:top]
-        padded = [(orders(ref.tokens) + pad, len(ref)) for ref in row]
-        refs = [(r, [*map(_surplus, src, r), *pad], n) for r, n in padded]
-        picked = draws(i, len(row))
-        for k, hyp in hyps:
+        for row in rows:
+            padded = [(orders(ref.tokens) + pad, len(ref)) for ref in row]
+            rows[row] = [(r, [*map(_surplus, src, r), *pad], n) for r, n in padded]
+        draws = {n: reference_draws(cfg, i, n) for n in set(map(len, rows))}
+        for k, hyp, row in group:
             h, length = orders(hyp.tokens), len(hyp)
             zeros = (0,) * (max_n - len(h))
             totals = (*range(length, length - len(h), -1), *zeros, length)
             counts = tuple(
                 (*_common(h, r), *zeros, *_common(h, u), *zeros, *totals, n)
-                for r, u, n in refs
+                for r, u, n in rows[row]
             )
             scores = tuple(_assemble(c, max_n, len(h)) for c in counts)
-            out[k] = _score(counts, scores, picked)
+            out[k] = _score(counts, scores, draws[len(row)])
     return out
 
 

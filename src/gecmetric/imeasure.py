@@ -20,10 +20,11 @@ mean the system made the text worse. An unchanged hypothesis is exactly 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from itertools import zip_longest
-from typing import NamedTuple, Sequence
+from itertools import groupby, zip_longest
+from typing import Mapping, NamedTuple, Sequence
 
 from . import _levenshtein
 from ._config import IMeasureConfig
@@ -36,9 +37,8 @@ __all__ = [
     "TokenCounts",
     "weighted_accuracy",
     "IMeasureStats",
-    "ReferenceSide",
-    "reference_side",
     "i_measure_stats",
+    "i_measure_stats_many",
     "i_measure_subset",
     "i_measure_sentence",
     "i_measure_pool",
@@ -169,7 +169,8 @@ def weighted_accuracy(counts: TokenCounts, weight: float = 2.0) -> float:
     return num / den
 
 
-def _improvement(wacc_sys: float, wacc_base: float) -> float:
+def _improvement(system: TokenCounts, baseline: TokenCounts, weight: float) -> float:
+    wacc_sys, wacc_base = weighted_accuracy(system, weight), weighted_accuracy(baseline, weight)
     if wacc_sys >= wacc_base:
         if wacc_base == 1.0:
             return 0.0
@@ -191,54 +192,49 @@ class IMeasureStats:
     references: tuple["IMeasureStats", ...] = field(default=(), compare=False, repr=False)
 
 
-class ReferenceSide(NamedTuple):
-    """What one reference contributes whatever the hypothesis: its
-    alignment to the source and the do-nothing baseline's counts."""
-
-    alignment: tuple
-    baseline: TokenCounts
-
-
-def reference_side(source: Sentence, reference: Sentence) -> ReferenceSide:
-    tokens = source.tokens
-    alignment = _align(tokens, reference.tokens)
-    return ReferenceSide(alignment, _classify(tokens, alignment, _align(tokens, tokens)))
-
-
 def i_measure_stats(
     source: Sentence,
     hypothesis: Sentence,
     references: Sequence[Sentence],
     cfg: IMeasureConfig = IMeasureConfig(),
-    sides: Sequence[ReferenceSide] | None = None,
 ) -> IMeasureStats:
     """Sentence statistics against the best of the available references.
+    An unchanged hypothesis has the baseline's counts."""
+    return i_measure_stats_many([source], [(0, hypothesis, tuple(references))], cfg)[0]
 
-    ``sides`` holds :func:`reference_side` of each reference; a caller
-    scoring many hypotheses of one source computes them once and passes
-    them. An unchanged hypothesis has the baseline's counts.
+
+def i_measure_stats_many(
+    sources: Sequence[Sentence] | Mapping[int, Sentence],
+    items: Sequence[tuple[int, Sentence, tuple[Sentence, ...]]],
+    cfg: IMeasureConfig = IMeasureConfig(),
+) -> list[IMeasureStats]:
+    """:func:`i_measure_stats` of each (sentence index, hypothesis,
+    references) item, in item order.
+
+    Items are taken sentence by sentence, whatever their rows. Each
+    sentence aligns each distinct token sequence, reference or hypothesis,
+    to its source once, counts each distinct (reference, hypothesis) pair
+    and each reference's do-nothing baseline once, and drops it all after.
     """
-    if not references:
-        raise ValidationError("at least one reference is required")
-    if sides is None:
-        sides = [reference_side(source, ref) for ref in references]
-    hyp_alignment = None
-    if hypothesis != source:
-        hyp_alignment = _align(source.tokens, hypothesis.tokens)
-
-    def against(side: ReferenceSide) -> IMeasureStats:
-        system = side.baseline
-        if hyp_alignment is not None:
-            system = _classify(source.tokens, side.alignment, hyp_alignment)
-        score = _improvement(
-            weighted_accuracy(system, cfg.weight),
-            weighted_accuracy(side.baseline, cfg.weight),
-        )
-        return IMeasureStats(score, system, side.baseline)
-
-    per_reference = tuple(against(side) for side in sides)
-    best = max(per_reference, key=lambda stats: stats.score)
-    return IMeasureStats(best.score, best.system, best.baseline, per_reference)
+    out: list = [None] * len(items)
+    order = sorted(range(len(items)), key=lambda k: items[k][0])
+    for i, group in groupby(order, key=lambda k: items[k][0]):
+        tokens = sources[i].tokens
+        align = functools.cache(lambda other: _align(tokens, other))
+        # the counts against the source itself are the do-nothing baseline's
+        counts = functools.cache(lambda ref, hyp: _classify(tokens, align(ref), align(hyp)))
+        for k in group:
+            _, hyp, row = items[k]
+            if not row:
+                raise ValidationError("at least one reference is required")
+            per_reference = []
+            for ref in row:
+                system, base = counts(ref.tokens, hyp.tokens), counts(ref.tokens, tokens)
+                per_reference.append(IMeasureStats(_improvement(system, base, cfg.weight),
+                                                   system, base))
+            best = max(per_reference, key=lambda stats: stats.score)
+            out[k] = IMeasureStats(best.score, best.system, best.baseline, tuple(per_reference))
+    return out
 
 
 def i_measure_subset(stats: IMeasureStats, pick: Sequence[int]) -> IMeasureStats:
@@ -266,9 +262,7 @@ def i_measure_pool(
     # a field-wise sum: + on two tuples would concatenate them
     system = TokenCounts(*map(sum, zip(*(s.system for s in stats))))
     baseline = TokenCounts(*map(sum, zip(*(s.baseline for s in stats))))
-    return _improvement(
-        weighted_accuracy(system, cfg.weight), weighted_accuracy(baseline, cfg.weight)
-    )
+    return _improvement(system, baseline, cfg.weight)
 
 
 def i_measure_corpus(
@@ -282,4 +276,5 @@ def i_measure_corpus(
     :func:`i_measure_pool` of the sentence statistics in ``corpus`` mode."""
     _check_sizes(sources=sources, hypotheses=hypotheses, references=references)
     reduce = _reducer(len(sources), lambda stats: i_measure_pool(stats, cfg), mode)
-    return reduce([i_measure_stats(*row, cfg) for row in zip(sources, hypotheses, references)])
+    items = [(i, hyp, tuple(references[i])) for i, hyp in enumerate(hypotheses)]
+    return reduce(i_measure_stats_many(sources, items, cfg))

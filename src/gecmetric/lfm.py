@@ -325,30 +325,42 @@ def train_ridge(
     # is not that value
     kept = [(name, column) for name, column in zip(feature_names, zip(*rows))
             if min(column) != max(column)]
-    mu = [math.fsum(column) / n for _, column in kept]
-    sigma = [math.sqrt(math.fsum((v - m) ** 2 for v in column) / n) if standardize else 1.0
-             for (_, column), m in zip(kept, mu)]
-    bias = math.fsum(targets) / n
-    centered = [[(v - m) / s for v in column] for (_, column), m, s in zip(kept, mu, sigma)]
-    y_centered = [float(y) - bias for y in targets]
-    # gram = L L^T (Cholesky). The right-hand side rides as one more row:
-    # its row of L is z with L z = rhs, and then L^T w = z
-    k, vectors = len(kept), [*centered, y_centered]
-    lower = [[0.0] * k for _ in vectors]
-    for i, row in enumerate(vectors):
-        for j in range(min(i + 1, k)):
-            dot = math.fsum(map(mul, row, vectors[j])) + (alpha if i == j else 0.0)
-            v = dot - math.fsum(map(mul, lower[i][:j], lower[j][:j]))
-            if i > j:
-                lower[i][j] = v / lower[j][j]
-            elif v > 0.0:
-                lower[i][i] = math.sqrt(v)
-            else:
-                raise ValidationError(f"ridge system is singular (alpha={alpha}); increase alpha")
-    weights = [0.0] * k
-    for i in reversed(range(k)):
-        tail = math.fsum(lower[p][i] * weights[p] for p in range(i + 1, k))
-        weights[i] = (lower[k][i] - tail) / lower[i][i]
+    mu, sigma = [], []
+    for name, column in kept:
+        try:
+            m = math.fsum(column) / n
+            s = math.sqrt(math.fsum((v - m) ** 2 for v in column) / n) if standardize else 1.0
+        except OverflowError:
+            s = math.inf
+        if not 0.0 < s < math.inf:  # its spread overflowed, or underflowed to 0
+            raise ValidationError(f"feature {name!r} is too extreme to center and scale")
+        mu.append(m)
+        sigma.append(s)
+    try:
+        bias = math.fsum(targets) / n
+        centered = [[(v - m) / s for v in column] for (_, column), m, s in zip(kept, mu, sigma)]
+        y_centered = [float(y) - bias for y in targets]
+        # gram = L L^T (Cholesky). The right-hand side rides as one more row:
+        # its row of L is z with L z = rhs, and then L^T w = z
+        k, vectors = len(kept), [*centered, y_centered]
+        lower = [[0.0] * k for _ in vectors]
+        for i, row in enumerate(vectors):
+            for j in range(min(i + 1, k)):
+                dot = math.fsum(map(mul, row, vectors[j])) + (alpha if i == j else 0.0)
+                v = dot - math.fsum(map(mul, lower[i][:j], lower[j][:j]))
+                if i > j:
+                    lower[i][j] = v / lower[j][j]
+                elif v > 0.0:
+                    lower[i][i] = math.sqrt(v)
+                else:
+                    raise ValidationError(
+                        f"ridge system is singular (alpha={alpha}); increase alpha")
+        weights = [0.0] * k
+        for i in reversed(range(k)):
+            tail = math.fsum(lower[p][i] * weights[p] for p in range(i + 1, k))
+            weights[i] = (lower[k][i] - tail) / lower[i][i]
+    except (OverflowError, ValueError):  # an fsum overflowed, or met inf - inf
+        raise ValidationError("the ridge fit overflows; rescale the features or targets") from None
     return LfmModel(
         feature_names=tuple(name for name, _ in kept),
         means=tuple(mu),

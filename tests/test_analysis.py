@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gecmetric.analysis import (
@@ -157,6 +157,58 @@ def test_pearson_rejects_constant_input():
 def test_pearson_needs_two_points():
     with pytest.raises(ValidationError):
         pearson([1.0], [2.0])
+
+
+@pytest.mark.parametrize("scale", [600, -560])
+def test_pearson_of_huge_or_tiny_values(scale):
+    """Squared deviations of 2**600 overflow, and those of 2**-560
+    underflow to 0; scaled inputs correlate as the unscaled ones."""
+    x, y = [1.0, -1.0, 0.0, 4.0], [3.0, 1.0, 2.0, 2.0]
+    assert pearson([math.ldexp(v, scale) for v in x], y) == pearson(x, y)
+
+
+def _unscaled_pearson(x, y):
+    """pearson's sums without the power-of-two scaling."""
+    n = len(x)
+    mx, my = math.fsum(x) / n, math.fsum(y) / n
+    cov = math.fsum((xi - mx) * (yi - my) for xi, yi in zip(x, y))
+    vx = math.fsum((xi - mx) * (xi - mx) for xi in x)
+    vy = math.fsum((yi - my) * (yi - my) for yi in y)
+    return max(-1.0, min(1.0, cov / math.sqrt(vx * vy)))
+
+
+def _correlation_outcome(x, y):
+    try:
+        return pearson(x, y)
+    except ValidationError as exc:
+        return str(exc)
+
+
+_ANY_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# magnitudes whose squared deviations neither overflow nor underflow
+_MODERATE = st.just(0.0) | st.floats(1e-50, 1e50) | st.floats(-1e50, -1e-50)
+
+
+@given(st.lists(st.tuples(_ANY_FINITE, _ANY_FINITE), min_size=2, max_size=8),
+       st.integers(-1100, 1100))
+@settings(max_examples=300, deadline=None)
+def test_pearson_is_invariant_under_power_of_two_scaling(pairs, k):
+    x, y = map(list, zip(*pairs))
+    assume(math.frexp(max(map(abs, x)))[1] + k <= 1024)  # 2**k * x is finite
+    scaled = [math.ldexp(v, k) for v in x]
+    assume(all(math.ldexp(v, -k) == u for u, v in zip(x, scaled)))  # and exact
+    assert _correlation_outcome(scaled, y) == _correlation_outcome(x, y)
+
+
+@given(st.lists(st.tuples(_MODERATE, _MODERATE), min_size=2, max_size=8))
+# pow(d, 2) of this y's deviations rounds differently once y is scaled
+@example([(0.0, 0.0)] * 6 + [(0.0, -6.59301199610566e49), (27.0, 5.274207078547161e49)])
+@settings(max_examples=300, deadline=None)
+def test_pearson_equals_its_unscaled_sums_where_they_are_exact(pairs):
+    x, y = map(list, zip(*pairs))
+    outcome = _correlation_outcome(x, y)
+    if isinstance(outcome, float):
+        assert outcome == _unscaled_pearson(x, y)
 
 
 def test_spearman_hand_value():

@@ -1263,10 +1263,12 @@ def test_reference_metrics_do_system_independent_work_once(corpus, capsys, monke
     """Systems a and b share the hypotheses of sentences 2 and 3, and c
     leaves every sentence unchanged, so of the 9 (system, sentence) pairs
     4 are distinct and changed. Each gets one lattice (one Levenshtein
-    table) for M2 and one hypothesis alignment for I-measure; each of the
-    5 distinct (sentence, reference) pairs (both references of sentence 2
-    are the same) gets one reference alignment; unchanged hypotheses get
-    none. GLEU draws once per sentence."""
+    table) for M2. The I-measure aligns each distinct token sequence of a
+    sentence once: the 5 distinct (sentence, reference) pairs (both
+    references of sentence 2 are the same) and the changed hypotheses,
+    of which only system b's on sentence 1 equals no reference, so 6
+    alignments in all; unchanged hypotheses get none. GLEU draws once per
+    sentence."""
     from gecmetric import _levenshtein, gleu, maxmatch
 
     tables = _count_calls(monkeypatch, _levenshtein, "table")
@@ -1283,7 +1285,7 @@ def test_reference_metrics_do_system_independent_work_once(corpus, capsys, monke
     expected = [
         (m2 + _hyp_args(corpus), 4, 4),
         (m2 + only_c, 0, 0),
-        (imeasure + _hyp_args(corpus), 4 + 5, 0),
+        (imeasure + _hyp_args(corpus), 5 + 1, 0),
         (imeasure + only_c, 5, 0),
     ]
     for argv, n_tables, n_lattices in expected:
@@ -1301,8 +1303,8 @@ def test_ablation_and_gaming_reuse_the_runs_statistics(corpus, capsys, monkeypat
     references and the other hypotheses; ref1 and ref2 of sentence 2 and
     systems a and b on sentences 2 and 3 coincide). ablate selects each
     subset's statistics from that pass and builds no more. The gaming
-    check rescores the three systems in one batch, so each source's
-    n-grams are built once there, not once per system."""
+    rows join the main pass's batch, which works sentence by sentence, so
+    each source's n-grams are built once in the whole run."""
     from gecmetric import gleu
 
     orders = _count_calls(monkeypatch, gleu, "_orders")
@@ -1315,7 +1317,7 @@ def test_ablation_and_gaming_reuse_the_runs_statistics(corpus, capsys, monkeypat
     orders.clear()
     assert _run(capsys, ["sweep", "--seed", "7", "--gaming"] + _sweep_args(corpus))[0] == 0
     sources = [tuple(line.split()) for line in SOURCE.splitlines()]
-    assert [sum(args[0] == src for args in orders) for src in sources] == [2, 2, 2]
+    assert [sum(args[0] == src for args in orders) for src in sources] == [1, 1, 1]
 
 
 def test_train_lfm_runs_without_scipy(corpus, model_path):
@@ -1639,6 +1641,10 @@ MALFORMED = {
     "alpha-nan": ["train-lfm", "--train", "{d}/train.tsv", "--alpha", "nan"],
     "ridge-singular": ["train-lfm", "--train", "{d}/singular.tsv", "--alpha", "0"],
     "train-duplicate-names": ["train-lfm", "--train", "{d}/duplicate.tsv"],
+    # a feature whose squared deviations overflow, and one whose standard
+    # deviation underflows to 0
+    "train-huge-feature": ["train-lfm", "--train", "{d}/huge.tsv"],
+    "train-tiny-feature": ["train-lfm", "--train", "{d}/tiny.tsv"],
     # a hand-edited model that weighs one feature twice
     "model-duplicate-names": ["score", "--metric", "lfm", "--model", "{d}/duplicate.json",
                               "--lm-corpus", "{d}/source.txt", "--wordlist",
@@ -1709,6 +1715,10 @@ def test_malformed_input_exits_with_one_line(corpus, model_path, case):
     (corpus / "duplicate.tsv").write_text(
         "token_count\ttoken_count\tfluency\n1\t2\t0.5\n2\t1\t0.9\n3\t3\t0.1\n",
         encoding="utf-8")
+    for name, column in (("huge", ("1e300", "-1e300", "1e308")),
+                         ("tiny", ("1e-300", "2e-300", "3e-300"))):
+        rows = "".join(f"{v}\t{k}\t0.{k}\n" for k, v in enumerate(column, 1))
+        (corpus / f"{name}.tsv").write_text(f"x\ty\tfluency\n{rows}", encoding="utf-8")
     routing = corpus / "routing.py"
     routing.write_text(ROUTING_CHECKER, encoding="utf-8")
     checker = f"{shlex.quote(sys.executable)} {shlex.quote(str(routing))}"
@@ -1819,6 +1829,151 @@ def test_an_extreme_knob_exits_cleanly_or_reports_finite_numbers(
         code = main([arg.format(d=corpus) for arg in argv] + ["--out", str(out)])
     err = capsys.readouterr().err
     event(f"exit {code}")
+    assert code in (0, 1, 2, 3)
+    if code:
+        lines = err.splitlines() + [
+            line for r in caplog.records for line in r.getMessage().splitlines()
+        ]
+        assert len(lines) == 1, lines
+        assert "Traceback" not in err
+        assert not out.exists()
+    else:
+        assert all(map(math.isfinite, _floats_in(json.loads(out.read_text()))))
+
+
+# ---------------------------------------------------------------------------
+# malformed input files
+
+# cells that parse as finite numbers, extremes included, and cells that
+# are non-finite, huge integers or not numbers at all
+_GOOD_CELLS = (st.floats(allow_nan=False, allow_infinity=False).map(repr)
+               | st.integers(-(10**30), 10**30).map(str)
+               | st.sampled_from(["1e200", "-1e200", "1e-170", "1e-300", "-0", "0"]))
+_BAD_CELLS = st.sampled_from(["nan", "inf", "-inf", "1e400", "1" + "0" * 400, "0x10", "",
+                              " ", "x", "1_0"])
+_TOKENS = st.sampled_from(["the", "cat", "sat", "on", "mat", ".", "He", "\u00e9", "|||", "-NONE-"])
+_LINE_TOKENS = st.lists(_TOKENS, max_size=6).map(" ".join)
+
+
+@st.composite
+def _file_bytes(draw, lines):
+    """``lines`` as a file, with blank lines, CRLF, a BOM, U+2028, a
+    byte that is not UTF-8 or a cut end mixed in."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["\n", ""]))
+    if draw(st.integers(0, 5)) == 0:
+        text = "\ufeff" + text
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\u2028" + text[at:]
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x00"])) + data[at:]
+    if draw(st.integers(0, 5)) == 0:
+        data = data[: draw(st.integers(0, len(data)))]
+    return data
+
+
+@st.composite
+def _table(draw, rows):
+    """``rows`` of cells, one of them maybe bad and one row maybe of the
+    wrong width."""
+    rows = [list(row) for row in rows]
+    if draw(st.integers(0, 2)) == 0:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(_BAD_CELLS)
+    if draw(st.integers(0, 5)) == 0:
+        row = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            row.append("1")
+        else:
+            row.pop()
+    return ["\t".join(row) for row in rows]
+
+
+@st.composite
+def _human_lines(draw):
+    more = draw(st.sampled_from([[], [], [], ["d"], [""]]))
+    ids = draw(st.permutations(["a", "b", "c", *more]))
+    return draw(_table([(sid, draw(_GOOD_CELLS)) for sid in ids]))
+
+
+@st.composite
+def _training_lines(draw):
+    width = draw(st.integers(2, 4))
+    header = [f"f{k}" for k in range(width - 1)] + ["fluency"]
+    rows = draw(st.lists(st.lists(_GOOD_CELLS, min_size=width, max_size=width),
+                         min_size=1, max_size=5))
+    return ["\t".join(header)] + draw(_table(rows))
+
+
+# mostly the fixture corpus's 3 sentences
+_LINE_COUNTS = st.sampled_from([3, 3, 3, 1, 2, 4])
+_SPAN_INTS = st.integers(-2, 7) | st.sampled_from([10**20, -(10**20)])
+
+
+@st.composite
+def _m2_lines(draw):
+    lines = []
+    for _ in range(draw(_LINE_COUNTS)):
+        lines.append("S " + draw(_LINE_TOKENS))
+        for _ in range(draw(st.integers(0, 3))):
+            start, end, annotator = draw(_SPAN_INTS), draw(_SPAN_INTS), draw(_SPAN_INTS)
+            correction = draw(_LINE_TOKENS | st.just("-NONE-"))
+            category = draw(st.sampled_from(["X", "noop"]))
+            fields = [f"A {start} {end}", category, correction, "REQUIRED", "-NONE-",
+                      str(annotator)]
+            # about one line in seven loses fields
+            lines.append("|||".join(fields[: draw(st.integers(0, 40))]))
+        lines.append("")
+    return lines
+
+
+_TEXT_ROLES = {"source": "source.txt", "ref": "ref1.txt", "hyp": "a.txt"}
+
+
+@st.composite
+def _file_runs(draw):
+    """A command line that reads one generated file, and that file."""
+    kind = draw(st.sampled_from(["human", "train", "m2", "source", "ref", "hyp"]))
+    hyps = ["--hyp", "a={d}/a.txt", "--hyp", "b={d}/b.txt", "--hyp", "c={d}/c.txt"]
+    refs = ["--source", "{d}/source.txt", "--ref", "{d}/ref1.txt", "--ref", "{d}/ref2.txt"]
+    if kind == "human":
+        lines = draw(_human_lines())
+        argv = ["correlate", "--metric", "gleu", *refs, *hyps, "--human", "{f}"]
+    elif kind == "train":
+        lines = draw(_training_lines())
+        argv = ["train-lfm", "--train", "{f}"] + draw(st.sampled_from([[], ["--no-standardize"]]))
+    elif kind == "m2":
+        lines = draw(_m2_lines())
+        argv = ["score", "--metric", "m2", "--m2", "{f}", "--hyp", "a={d}/a.txt"]
+    else:
+        lines = [draw(_LINE_TOKENS) for _ in range(draw(_LINE_COUNTS))]
+        metric = draw(st.sampled_from(["gleu", "imeasure"]))
+        argv = ["score", "--metric", metric, *refs, *hyps]
+        argv = [arg.replace("{d}/" + _TEXT_ROLES[kind], "{f}") for arg in argv]
+    return argv, draw(_file_bytes(lines))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(run=_file_runs())
+def test_a_malformed_input_file_exits_cleanly(corpus, capsys, caplog, run):
+    """Every generated input file either fails with one line, no traceback
+    and no output file, or gives an output of finite numbers."""
+    argv, data = run
+    path, out = corpus / "fuzzed.txt", corpus / "fuzz.json"
+    path.write_bytes(data)
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="gecmetric"):
+        code = main([arg.format(d=corpus, f=path) for arg in argv] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    event(f"{argv[0]} exit {code}")
     assert code in (0, 1, 2, 3)
     if code:
         lines = err.splitlines() + [

@@ -441,16 +441,6 @@ def test_single_reference_draws_are_the_documented_stream():
         assert gleu_multi_ref(src, hyp, (ref,), cfg, sentence_index=index) == stats.score
 
 
-def test_stats_with_passed_draws_equal_own_draws():
-    src, hyp = tokenize("a b c d e"), tokenize("a b x d e")
-    refs = (tokenize("a b y d e"), tokenize("a q c d e"))
-    cfg = GleuConfig(rng_seed=2, iterations=50)
-    own = gleu_stats(src, hyp, refs, cfg, sentence_index=6)
-    passed = gleu_stats(src, hyp, refs, cfg, sentence_index=6, draws=list(own.draws))
-    assert passed.score == own.score
-    assert passed.counts == own.counts
-
-
 def _randrange_draws(n_refs, iterations, seed, sentence_index):
     """The draw loop that sample_draws reads in bulk."""
     if n_refs == 1:
@@ -561,6 +551,33 @@ def test_stats_many_equals_stats_per_item_in_item_order():
         (i, rng.choice([sentence(), sources[i]]), rng.choice(rows))
         for i in (rng.randrange(6) for _ in range(40))
     ]
+    want = [gleu_stats(sources[i], hyp, row, cfg, sentence_index=i) for i, hyp, row in items]
+    assert gleu_stats_many(sources, items, cfg) == want
+
+
+@st.composite
+def _mixed_batches(draw):
+    """Items of 1-3 sentences, each hypothesis scored against its own row
+    or another sentence's, so a sentence's items mix two rows; hypotheses
+    are drawn from the row and the source too, and the items are shuffled."""
+    sentence = st.lists(st.sampled_from("abc"), max_size=7).map(lambda t: Sentence(tuple(t)))
+    n = draw(st.integers(1, 3))
+    sources = draw(st.lists(sentence, min_size=n, max_size=n))
+    rows = [tuple(draw(st.lists(sentence, min_size=1, max_size=3))) for _ in range(n)]
+    items = [
+        (i, draw(sentence | st.sampled_from([sources[i], *rows[i], *row])), row)
+        for i in range(n)
+        for row in (rows[i], rows[draw(st.integers(0, n - 1))])
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return sources, draw(st.permutations(items))
+
+
+@given(_mixed_batches(), st.sampled_from([SAMPLED, MEAN_OVER_ALL]), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+def test_a_batch_equals_its_items_one_by_one(batch, mode, max_n):
+    sources, items = batch
+    cfg = GleuConfig(max_n=max_n, iterations=20, multi_ref_mode=mode)
     want = [gleu_stats(sources[i], hyp, row, cfg, sentence_index=i) for i, hyp, row in items]
     assert gleu_stats_many(sources, items, cfg) == want
 

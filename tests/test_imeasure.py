@@ -14,6 +14,7 @@ from gecmetric.imeasure import (
     i_measure_corpus,
     i_measure_sentence,
     i_measure_stats,
+    i_measure_stats_many,
     i_measure_subset,
     weighted_accuracy,
 )
@@ -281,3 +282,31 @@ def test_subset_equals_stats_against_the_picked_references():
         full = i_measure_stats(src, hyp, refs)
         pick = sorted(rng.sample(range(len(refs)), rng.randint(1, len(refs))))
         assert i_measure_subset(full, pick) == i_measure_stats(src, hyp, [refs[j] for j in pick])
+
+
+@st.composite
+def _mixed_batches(draw):
+    """Items of 1-3 sentences, each hypothesis scored against its own row
+    or another sentence's, so a sentence's items mix two rows; hypotheses
+    are drawn from the row and the source too, and the items are shuffled."""
+    sentence = tokens_st.map(lambda t: Sentence(tuple(t)))
+    n = draw(st.integers(1, 3))
+    sources = draw(st.lists(sentence, min_size=n, max_size=n))
+    rows = [tuple(draw(st.lists(sentence, min_size=1, max_size=3))) for _ in range(n)]
+    items = [
+        (i, draw(sentence | st.sampled_from([sources[i], *rows[i], *row])), row)
+        for i in range(n)
+        for row in (rows[i], rows[draw(st.integers(0, n - 1))])
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return sources, draw(st.permutations(items))
+
+
+@given(_mixed_batches())
+@settings(max_examples=200, deadline=None)
+def test_a_batch_equals_its_items_one_by_one(batch):
+    sources, items = batch
+    got = i_measure_stats_many(sources, items)
+    want = [i_measure_stats(sources[i], hyp, row) for i, hyp, row in items]
+    assert got == want
+    assert [s.references for s in got] == [s.references for s in want]

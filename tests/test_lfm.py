@@ -401,6 +401,15 @@ def test_ridge_drops_a_constant_column_whose_mean_is_not_its_value():
     assert predict_raw(model, {"a": 0.2, "b": 2.0}) == predict_raw(model, {"a": 0.1, "b": 2.0})
 
 
+@pytest.mark.parametrize("column", [(1e300, -1e300, 1e308), (1e-300, 2e-300, 3e-300)])
+def test_ridge_names_a_feature_too_extreme_to_standardize(column):
+    """The first column's squared deviations overflow, or underflow to a
+    standard deviation of 0."""
+    feats = [[v, k] for k, v in enumerate(column)]
+    with pytest.raises(ValidationError, match="feature 'x'"):
+        train_ridge(feats, [0.1, 0.2, 0.4], alpha=1.0, feature_names=("x", "y"))
+
+
 def test_ridge_all_constant_features_predicts_mean():
     feats = [[5.0], [5.0], [5.0]]
     model = train_ridge(feats, [1.0, 2.0, 3.0], alpha=0.1, feature_names=("c",))

@@ -1,7 +1,8 @@
 """The README's Library section and the package agree.
 
 Each of the README's python blocks must run as a whole, and so must each
-``from gecmetric... import ...`` line in them; each function, class,
+``from gecmetric... import ...`` line in them; each ``gecmetric`` command
+line of its sh blocks must parse; each function, class,
 module attribute or dataclass field that the Library section names in
 backticks must resolve, so that deleting documented API or breaking an
 example fails here. Each name a public module lists in ``__all__`` must
@@ -12,12 +13,14 @@ import dataclasses
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import gecmetric
 from gecmetric import grammaticality
+from gecmetric.cli import build_parser
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 LIBRARY = README.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
@@ -32,6 +35,14 @@ IMPORTS = list(
         if re.match(r"\s*from gecmetric[\w.]* import \w", line)
     )
 )
+
+# The sh blocks' command lines, backslash continuations joined
+COMMANDS = [
+    line
+    for block in re.findall(r"```sh\n(.*?)```", README, re.S)
+    for line in block.replace("\\\n", " ").splitlines()
+    if line.startswith("gecmetric ")
+]
 
 # The built-in detector table's rows: | `id` | `CATEGORY` | what it flags |
 DETECTOR_ROWS = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", README, re.M)
@@ -89,6 +100,16 @@ def test_detector_table_is_the_built_in_table():
     assert DETECTOR_ROWS == [
         (detector_id, category) for detector_id, category, _ in grammaticality.BUILT_IN
     ]
+
+
+def test_readme_shows_every_command():
+    assert {line.split()[1] for line in COMMANDS} == {
+        "score", "rank", "correlate", "sweep", "ablate", "train-lfm", "check"}
+
+
+@pytest.mark.parametrize("line", COMMANDS, ids=lambda line: line.split()[1])
+def test_readme_command_line_parses(line):
+    assert build_parser().parse_args(shlex.split(line)[1:]).func is not None
 
 
 @pytest.mark.parametrize("line", IMPORTS)
