@@ -193,7 +193,7 @@ def _lfm(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: None) -> _Scor
         # one batch per run holds every hypothesis: the LM is trained for
         # them alone
         lm = lfm.train_lm(map(str.split, lines), scope=[h.tokens for _, h, _ in items])
-        return [lfm.featurize(hyp, lm, wordlist) for _, hyp, _ in items]
+        return lfm.featurize_many([hyp for _, hyp, _ in items], lm, wordlist)
 
     return _Scorer(
         "lfm",

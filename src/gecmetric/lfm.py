@@ -13,15 +13,20 @@ corpus token as it first appears (``<s>`` is 0, ``<unk>`` 1), and the
 vocabulary is the numbers with a unigram count. An n-gram's key is its
 integer code, its prefix's code times ``len(numbers)`` plus its last
 number, from counting in ``train_lm`` to each query. ``train_lm`` reads
-its sentences once, from any iterable of token sequences.
-``train_lm(..., scope=...)`` stores only the orders-2-and-up counts that
-the scoped token sequences query; any other query reads as unseen, so a
-scoped LM is for those sequences only. The unigrams, the numbering and
-``total_tokens`` always cover the whole corpus.
+its sentences once, from any iterable of token sequences, and a corpus
+without tokens is an error. ``train_lm(..., scope=...)`` stores only the
+orders-2-and-up counts that the scoped token sequences query; any other
+query reads as unseen, so a scoped LM is for those sequences only. The
+unigrams, the numbering and ``total_tokens`` always cover the whole
+corpus.
 
 Eight surface and LM features feed a ridge regression trained against
-human fluency judgments; scores are clipped to [0, 1]. Models serialize
-to JSON at full float precision so a save/load round trip is bit-stable.
+human fluency judgments; scores are clipped to [0, 1]. ``featurize_many``
+reads the LM for a whole batch at once, as ``train_lm`` reads a scope:
+each distinct token string is numbered once, and each order's counts are
+read in one column over every token of the batch. ``featurize`` is its
+one-sentence case. Models serialize to JSON at full float precision so a
+save/load round trip is bit-stable.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._config import check_alpha
 from .corpus import Sentence
@@ -50,6 +55,7 @@ __all__ = [
     "FEATURE_NAMES",
     "FeatureVector",
     "featurize",
+    "featurize_many",
     "LfmModel",
     "train_ridge",
     "predict_raw",
@@ -79,17 +85,23 @@ class NgramLm:
         # a context code modulo size**(k - 1) is its last k - 1 numbers
         return tuple(len(self.numbers) ** (k - 1) for k in range(2, self.order + 1))
 
-    def _scored(self, tokens: Iterable[str]) -> list[tuple[int, float]]:
-        """Each token's unigram count (0 out of the vocabulary) and its
-        :meth:`logprob` after the tokens before it, in one left-to-right
-        pass: the context's code slides along instead of being built again
-        for every token."""
-        size, context, scored = len(self.numbers), 0, []
-        width = size ** (self.order - 1)
-        for seen, token, in_context in _numbered(tokens, self.numbers, self.ngram_counts[1]):
-            scored.append((seen, math.log(self._prob(token, context))))
-            context = (context * size + in_context) % width
-        return scored
+    def _probs(self, known: array, last: array, in_scope: bytes) -> list[float]:
+        """:meth:`prob` of each token that ``in_scope`` marks, as
+        :func:`_read` gives them: one column per order, each order's counts
+        read for all the tokens at once, in the float operations of
+        :meth:`_prob`."""
+        unigrams = self.ngram_counts[1]
+        denominator = self.total_tokens + len(unigrams) + 1
+        p = [(unigrams.get(t, 0) + 1) / denominator for t in compress(last, in_scope)]
+        columns = [p]
+        codes = _ngram_codes(known, last, in_scope, len(self.numbers), self.order)
+        for k, (contexts, grams) in enumerate(codes, 2):
+            ctx_counts = map(self.context_counts[k].get, contexts, repeat(0))
+            gram_counts = map(self.ngram_counts[k].get, grams, repeat(0))
+            # an unseen context keeps the order below's estimate
+            p = [g / c if c else below for g, c, below in zip(gram_counts, ctx_counts, p)]
+            columns.append(p)
+        return [math.fsum(map(mul, self.weights, ps)) for ps in zip(*columns)]
 
     def _prob(self, token: int, context: int) -> float:
         """:meth:`prob` of the token numbered ``token`` after the context
@@ -122,18 +134,29 @@ class NgramLm:
         return math.log(self.prob(token, context))
 
 
-def _numbered(
-    tokens: Iterable[str], numbers: Mapping[str, int], unigrams: Mapping[int, int]
-) -> Iterator[tuple[int, int, int]]:
-    """Each token as the LM reads it: its unigram count (0 out of the
-    vocabulary), its number as the predicted token and its number in a
-    context. Out of the vocabulary both numbers are <unk>'s, except that
-    <s> stays <s> in a context."""
-    for token in tokens:
-        number = numbers.get(token)
-        seen = unigrams.get(number, 0)
-        predicted = number if seen else 1
-        yield seen, predicted, 0 if token == BOS else predicted
+def _read(
+    sequences: Iterable[Sequence[str]], numbers: Mapping[str, int],
+    unigrams: Mapping[int, int], pad: bytes,
+) -> tuple[array, array, bytearray, array]:
+    """The token sequences as the LM reads them, each after ``pad``: every
+    token's number in a context (``known``) and as the predicted token
+    (``last``), ``in_scope`` marking the tokens, and each token's unigram
+    count (``seen``, 0 out of the vocabulary; no padding). Out of the
+    vocabulary both numbers are <unk>'s, except that <s> stays <s> in a
+    context. Each distinct token string is looked up once."""
+    sequences = list(sequences)
+    seen = {t: unigrams.get(numbers.get(t), 0) for t in set(chain.from_iterable(sequences))}
+    last_of = {t: numbers[t] if n else 1 for t, n in seen.items()}
+    known_of = {t: 0 if t == BOS else number for t, number in last_of.items()}
+    known, last, in_scope, counts = array("q"), array("q"), bytearray(), array("q")
+    for tokens in sequences:
+        known.extend(pad)
+        known.extend(map(known_of.__getitem__, tokens))
+        last.extend(pad)
+        last.extend(map(last_of.__getitem__, tokens))
+        in_scope += pad + b"\1" * len(tokens)
+        counts.extend(map(seen.__getitem__, tokens))
+    return known, last, in_scope, counts
 
 
 def train_lm(
@@ -163,18 +186,11 @@ def train_lm(
     numbers = dict(numbers)
     size = len(numbers)
     unigrams = Counter(compress(ids, is_token))
+    if not unigrams:  # every probability would be 1
+        raise ValidationError("LM corpus has no tokens")
     scoped = repeat((None, None))
     if scope is not None:
-        # the scope numbered as the LM reads it, in a context and as the
-        # predicted token
-        known, last, in_scope = array("q"), array("q"), bytearray()
-        for tokens in scope:
-            numbered = list(_numbered(tokens, numbers, unigrams))
-            known.extend(pad)
-            known.extend(in_context for _, _, in_context in numbered)
-            last.extend(pad)
-            last.extend(predicted for _, predicted, _ in numbered)
-            in_scope += pad + b"\1" * len(numbered)
+        known, last, in_scope, _ = _read(scope, numbers, unigrams, pad)
         scoped = _ngram_codes(known, last, in_scope, size, order)
     ngram_counts, context_counts = {1: unigrams}, {}
     corpus = _ngram_codes(ids, ids, is_token, size, order)
@@ -206,12 +222,16 @@ def _ngram_codes(known: array, last: array, is_token: bytes, size: int, order: i
     codes = known
     for k in range(2, order + 1):
         contexts = compress(codes, islice(is_token, 1, None))
-        yield contexts, compress(wider(codes, last), is_token)
+        longer = wider(codes, known)
         if k < order:
             # codes of k numbers are below size**k; past 2**63 they stay
             # Python ints
-            codes = wider(codes, known)
-            codes = array("q", codes) if size**k <= 2**63 else list(codes)
+            longer = array("q", longer) if size**k <= 2**63 else list(longer)
+        # where ``last`` is ``known`` (the corpus), the n-grams are the next
+        # order's codes, built once
+        grams = longer if last is known else wider(codes, last)
+        yield contexts, compress(grams, is_token)
+        codes = longer
 
 
 class FeatureVector(NamedTuple):
@@ -243,24 +263,43 @@ def _max_char_run(token: str) -> int:
     return best
 
 
+def featurize_many(
+    sentences: Sequence[Sentence], lm: NgramLm, wordlist: Wordlist
+) -> list[FeatureVector]:
+    """Each sentence's features, from one read of the LM for the whole
+    batch: every order's counts come in one column over all its tokens,
+    and each distinct token string's surface features are found once."""
+    seqs = [sentence.tokens for sentence in sentences]
+    known, last, in_scope, counts = _read(
+        seqs, lm.numbers, lm.ngram_counts[1], bytes(lm.order - 1))
+    logprobs = list(map(math.log, lm._probs(known, last, in_scope)))
+    distinct = set(chain.from_iterable(seqs))
+    misspelt = {t: not wordlist.knows(t) for t in distinct}
+    runs = {t: _max_char_run(t) for t in distinct}
+    punct = {t: not any(ch.isalnum() for ch in t) for t in distinct}
+    features, start = [], 0
+    for tokens in seqs:
+        n, end = len(tokens), start + len(tokens)
+        if not n:
+            features.append(FeatureVector(*([0.0] * len(FEATURE_NAMES))))
+            continue
+        seen, lps = counts[start:end], logprobs[start:end]
+        features.append(FeatureVector(
+            token_count=float(n),
+            misspelling_rate=sum(map(misspelt.__getitem__, tokens)) / n,
+            oov_rate=seen.count(0) / n,
+            lm_mean_logprob=math.fsum(lps) / n,
+            lm_min_logprob=min(lps),
+            mean_token_logfreq=math.fsum(math.log(1 + c) for c in seen) / n,
+            max_char_repeat_len=float(max(map(runs.__getitem__, tokens))),
+            punct_ratio=sum(map(punct.__getitem__, tokens)) / n,
+        ))
+        start = end
+    return features
+
+
 def featurize(sentence: Sentence, lm: NgramLm, wordlist: Wordlist) -> FeatureVector:
-    tokens = sentence.tokens
-    if not tokens:
-        return FeatureVector(*([0.0] * len(FEATURE_NAMES)))
-    n = len(tokens)
-    scored = lm._scored(tokens)
-    logprobs = [logprob for _, logprob in scored]
-    return FeatureVector(
-        token_count=float(n),
-        misspelling_rate=sum(not wordlist.knows(t) for t in tokens) / n,
-        oov_rate=sum(not seen for seen, _ in scored) / n,
-        lm_mean_logprob=math.fsum(logprobs) / n,
-        lm_min_logprob=min(logprobs),
-        mean_token_logfreq=math.fsum(math.log(1 + seen) for seen, _ in scored)
-        / n,
-        max_char_repeat_len=float(max(_max_char_run(t) for t in tokens)),
-        punct_ratio=sum(not any(ch.isalnum() for ch in t) for t in tokens) / n,
-    )
+    return featurize_many([sentence], lm, wordlist)[0]
 
 
 @dataclass(frozen=True)

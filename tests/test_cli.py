@@ -974,6 +974,8 @@ GOLDEN_REPORTS = {
         "29052fe8dc45301307cc9e28499d79606a3333c858a7f304bb3b596a13347e28",
     "ablate --gleu-mode mean-over-all --sizes 1,2 --trials 2":
         "81c47bd796c7462dae8e8f1bb6aa0e0fceb2318fb8d5157c72a075a5495d4fb6",
+    "sweep --fluency-metric lfm --reference-metric gleu":
+        "7ff7be7a2a96a11efa6cdf968c648bbe4410fe505dd29feea21b9fe02e675141",
     "check a":
         "6edb6e22b02ae6eb3d35c8082111745c96a5cdc5b14f7e6864ed86431de1e4f6",
     "check c":
@@ -1004,6 +1006,8 @@ def _golden_argv(corpus, model_path, name):
     if command in ("sweep", "ablate"):
         # a name past the command is either "gaming" or the options themselves
         extra = {"": ["--trials", "2"], "gaming": ["--gaming"]}.get(" ".join(rest), rest)
+        if "lfm" in rest:
+            extra = extra + inputs["lfm"]
         return [command, "--seed", "7"] + _sweep_args(corpus) + extra
     metric, mode = rest
     argv = [command, "--metric", metric, "--seed", "7"] + inputs[metric]
@@ -1553,10 +1557,11 @@ def test_fluency_metrics_featurize_each_distinct_hypothesis_once(
     corpus, capsys, monkeypatch, model_path
 ):
     """lfm featurizes each of the 7 distinct (sentence, hypothesis) pairs
-    of the 9 once, and errorcount runs its detectors once on each."""
+    of the 9 once, all in one batch, and errorcount runs its detectors
+    once on each."""
     from gecmetric import grammaticality
 
-    features = _count_calls(monkeypatch, gecmetric.lfm, "featurize")
+    batches = _count_calls(monkeypatch, gecmetric.lfm, "featurize_many")
     runs = _count_calls(monkeypatch, grammaticality.DetectorSuite, "run_many")
     lfm = [
         "score", "--metric", "lfm", "--model", str(model_path),
@@ -1564,7 +1569,7 @@ def test_fluency_metrics_featurize_each_distinct_hypothesis_once(
         "--wordlist", str(corpus / "words.txt"),
     ]
     assert _run(capsys, lfm + _hyp_args(corpus))[0] == 0
-    assert len(features) == 7
+    assert [len(args[0]) for args in batches] == [7]
     errorcount = ["score", "--metric", "errorcount", "--wordlist", str(corpus / "words.txt")]
     assert _run(capsys, errorcount + _hyp_args(corpus))[0] == 0
     assert sum(len(args[1]) for args in runs) == 7
@@ -1609,6 +1614,18 @@ MALFORMED = {
     "utf8-lm-corpus": ["score", "--metric", "lfm", "--model", "{d}/model.json",
                        "--lm-corpus", "{d}/bad.txt", "--wordlist", "{d}/words.txt", *_A],
     "utf8-train": ["train-lfm", "--train", "{d}/bad.txt"],
+    # an LM without tokens would score every hypothesis 1.0
+    "lm-corpus-empty": ["score", "--metric", "lfm", "--model", "{d}/model.json",
+                        "--lm-corpus", "{d}/empty.txt", "--wordlist", "{d}/words.txt", *_A],
+    "lm-corpus-blank-lines": ["score", "--metric", "lfm", "--model", "{d}/model.json",
+                              "--lm-corpus", "{d}/blank.txt", "--wordlist",
+                              "{d}/words.txt", *_A],
+    "sweep-lm-corpus-empty": [
+        "sweep", "--fluency-metric", "lfm", "--reference-metric", "gleu",
+        "--model", "{d}/model.json", "--lm-corpus", "{d}/empty.txt",
+        "--wordlist", "{d}/words.txt", "--human", "{d}/human.tsv",
+        "--source", "{d}/source.txt", "--ref", "{d}/ref1.txt",
+        "--hyp", "a={d}/a.txt", "--hyp", "b={d}/b.txt", "--hyp", "c={d}/c.txt"],
     "model-int-too-large": ["score", "--metric", "lfm", "--model", "{d}/huge.json",
                             "--lm-corpus", "{d}/source.txt", "--wordlist",
                             "{d}/words.txt", *_A],
@@ -1705,6 +1722,7 @@ def test_malformed_input_exits_with_one_line(corpus, model_path, case):
     (corpus / "beyond.m2").write_text(BEYOND_M2, encoding="utf-8")
     (corpus / "one.txt").write_text("the cat sat.\n", encoding="utf-8")
     (corpus / "empty.txt").write_text("", encoding="utf-8")
+    (corpus / "blank.txt").write_text("\n \n\t\n", encoding="utf-8")
     (corpus / "empty-id.tsv").write_text("a\t1\n\t0.5\n", encoding="utf-8")
     model = json.loads(model_path.read_text(encoding="utf-8"))
     (corpus / "huge.json").write_text(json.dumps({**model, "bias": 10**400}))
@@ -1932,13 +1950,46 @@ def _m2_lines(draw):
     return lines
 
 
-_TEXT_ROLES = {"source": "source.txt", "ref": "ref1.txt", "hyp": "a.txt"}
+# odd model fields: extremes, and values of the wrong type
+_ODD_MODEL_VALUES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 1e308, 5e-324, 0.0, 10**400, "1", None, [1.0]])
+
+
+@st.composite
+def _model_lines(draw):
+    """A model JSON file; about one field in ten is NaN, huge, of the
+    wrong type, of the wrong length or missing."""
+
+    def odd():
+        return draw(st.integers(0, 9)) == 0
+
+    def value():
+        return draw(_ODD_MODEL_VALUES if odd() else st.floats(0.5, 3))
+
+    names = draw(st.lists(st.sampled_from(FEATURE_NAMES), min_size=1, max_size=3, unique=True))
+    doc = {"format_version": draw(st.sampled_from([2, "1"])) if odd() else 1,
+           "feature_names": names}
+    for field in ("means", "stdevs", "weights"):
+        doc[field] = [value() for _ in range(len(names) + odd())]
+    doc["bias"], doc["alpha"] = value(), value()
+    for field in list(doc):
+        if odd():
+            del doc[field]
+    return json.dumps(doc, indent=1).split("\n")
+
+
+_TEXT_ROLES = {"source": "source.txt", "ref": "ref1.txt", "hyp": "a.txt",
+               "lm-corpus": "source.txt", "wordlist": "words.txt", "model": "model.json"}
+_FLUENCY = {"errorcount": ["--wordlist", "{d}/words.txt"],
+            "lfm": ["--model", "{d}/model.json", "--lm-corpus", "{d}/source.txt",
+                    "--wordlist", "{d}/words.txt"]}
 
 
 @st.composite
 def _file_runs(draw):
     """A command line that reads one generated file, and that file."""
-    kind = draw(st.sampled_from(["human", "train", "m2", "source", "ref", "hyp"]))
+    kind = draw(st.sampled_from(["human", "train", "m2", "source", "ref", "hyp",
+                                 "lm-corpus", "wordlist", "model"]))
     hyps = ["--hyp", "a={d}/a.txt", "--hyp", "b={d}/b.txt", "--hyp", "c={d}/c.txt"]
     refs = ["--source", "{d}/source.txt", "--ref", "{d}/ref1.txt", "--ref", "{d}/ref2.txt"]
     if kind == "human":
@@ -1950,6 +2001,15 @@ def _file_runs(draw):
     elif kind == "m2":
         lines = draw(_m2_lines())
         argv = ["score", "--metric", "m2", "--m2", "{f}", "--hyp", "a={d}/a.txt"]
+    elif kind in ("lm-corpus", "wordlist", "model"):
+        if kind == "model":
+            lines = draw(_model_lines())
+        else:  # a corpus of any size, or words one to a line
+            size = draw(st.integers(0, 4)) if kind == "lm-corpus" else 6
+            lines = [draw(_LINE_TOKENS if kind == "lm-corpus" else _TOKENS) for _ in range(size)]
+        metric = "errorcount" if kind == "wordlist" and draw(st.booleans()) else "lfm"
+        argv = ["score", "--metric", metric, *_FLUENCY[metric], *hyps]
+        argv = [arg.replace("{d}/" + _TEXT_ROLES[kind], "{f}") for arg in argv]
     else:
         lines = [draw(_LINE_TOKENS) for _ in range(draw(_LINE_COUNTS))]
         metric = draw(st.sampled_from(["gleu", "imeasure"]))
@@ -1961,7 +2021,7 @@ def _file_runs(draw):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(run=_file_runs())
-def test_a_malformed_input_file_exits_cleanly(corpus, capsys, caplog, run):
+def test_a_malformed_input_file_exits_cleanly(corpus, model_path, capsys, caplog, run):
     """Every generated input file either fails with one line, no traceback
     and no output file, or gives an output of finite numbers."""
     argv, data = run

@@ -2,6 +2,7 @@ import json
 import math
 import random
 from collections import Counter
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from gecmetric.lfm import (
     UNK,
     FeatureVector,
     LfmModel,
+    _read,
     featurize,
+    featurize_many,
     lfm_score,
     load_lfm_model,
     parse_training_tsv,
@@ -34,6 +37,19 @@ from gecmetric.lfm import (
 
 def lm_from(*lines, **kw):
     return train_lm([tokenize(line) for line in lines], **kw)
+
+
+def batch_logprobs(lm, token_seqs):
+    """Every token's logprob after the tokens before it, as one batch
+    reads them: one flat list over ``token_seqs``."""
+    known, last, in_scope, _ = _read(token_seqs, lm.numbers, lm.ngram_counts[1],
+                                     bytes(lm.order - 1))
+    return [math.log(p) for p in lm._probs(known, last, in_scope)]
+
+
+def prefix_logprobs(lm, token_seqs):
+    """The same list from :meth:`NgramLm.logprob`, one token at a time."""
+    return [lm.logprob(t, tokens[:i]) for tokens in token_seqs for i, t in enumerate(tokens)]
 
 
 def test_pinned_unigram_distribution():
@@ -97,7 +113,7 @@ def test_bos_is_context_only():
 
 def test_sentence_logprobs_length_and_finiteness():
     lm = lm_from("a b c")
-    lps = [logprob for _, logprob in lm._scored(tokenize("a zzz c").tokens)]
+    lps = batch_logprobs(lm, [tokenize("a zzz c").tokens])
     assert len(lps) == 3
     assert all(math.isfinite(lp) and lp < 0 for lp in lps)
 
@@ -195,15 +211,11 @@ def test_queries_past_int64_codes_agree_with_the_full_lm_and_prob():
     full = train_lm(corpus, order=20)
     scoped = train_lm(corpus, order=20, scope=[h.tokens for h in hyps])
     assert len(full.numbers) ** 19 > 2**63
-    for hyp in hyps:
-        assert (
-            featurize(hyp, scoped, SCOPE_WORDLIST).as_tuple()
-            == featurize(hyp, full, SCOPE_WORDLIST).as_tuple()
-        )
-        for lm in (full, scoped):
-            assert [logprob for _, logprob in lm._scored(hyp.tokens)] == [
-                lm.logprob(t, hyp.tokens[:i]) for i, t in enumerate(hyp.tokens)
-            ]
+    assert featurize_many(hyps, scoped, SCOPE_WORDLIST) == featurize_many(
+        hyps, full, SCOPE_WORDLIST)
+    seqs = [h.tokens for h in hyps]
+    for lm in (full, scoped):
+        assert batch_logprobs(lm, seqs) == prefix_logprobs(lm, seqs)
 
 
 @pytest.mark.parametrize("scoped", [False, True])
@@ -223,10 +235,13 @@ def _sentences(words, max_size):
 
 
 SCOPE_WORDLIST = Wordlist(["a", "b", "c"])
+# an LM needs a corpus with at least one token
+_CORPORA = _sentences(["a", "b", "c", BOS, UNK], 8).filter(
+    lambda corpus: any(s.tokens for s in corpus))
 
 
 @given(
-    corpus=_sentences(["a", "b", "c", BOS, UNK], 8),
+    corpus=_CORPORA,
     hyps=_sentences(["a", "b", "c", "zzz", BOS, UNK], 5),
     order=st.integers(1, 4),
 )
@@ -246,7 +261,7 @@ def test_scoped_lm_featurizes_its_scope_like_the_full_lm(corpus, hyps, order):
 
 
 @given(
-    corpus=_sentences(["a", "b", "c", BOS, UNK], 8),
+    corpus=_CORPORA,
     hyps=_sentences(["a", "b", "c", "zzz", BOS, UNK], 5),
     order=st.integers(1, 4),
 )
@@ -266,7 +281,7 @@ def test_scoped_lm_counters_keep_the_full_lm_key_order(corpus, hyps, order):
 
 
 @given(
-    corpus=_sentences(["a", "b", "c", BOS, UNK], 8),
+    corpus=_CORPORA,
     hyps=_sentences(["a", "b", "c", "zzz", BOS, UNK], 3),
     order=st.integers(1, 4),
     scoped=st.booleans(),
@@ -278,10 +293,16 @@ def test_scoped_lm_counters_keep_the_full_lm_key_order(corpus, hyps, order):
 def test_sentence_logprobs_equal_logprob_after_each_prefix(corpus, hyps, order, scoped):
     scope = [h.tokens for h in hyps] if scoped else None
     lm = train_lm(corpus, order=order, scope=scope)
-    for hyp in hyps:
-        assert [logprob for _, logprob in lm._scored(hyp.tokens)] == [
-            lm.logprob(t, hyp.tokens[:i]) for i, t in enumerate(hyp.tokens)
-        ]
+    seqs = [h.tokens for h in hyps]
+    assert batch_logprobs(lm, seqs) == prefix_logprobs(lm, seqs)
+
+
+@pytest.mark.parametrize("scope", [None, [("a",)]])
+@pytest.mark.parametrize("corpus", [[], [Sentence(())] * 3])
+def test_train_lm_rejects_a_corpus_without_tokens(corpus, scope):
+    # with no tokens every probability would be 1
+    with pytest.raises(ValidationError, match="LM corpus has no tokens"):
+        train_lm(corpus, scope=scope)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +336,65 @@ def test_featurize_mean_token_logfreq(wordlist):
     vec = featurize(tokenize("a b"), lm, wordlist)
     want = (math.log(1 + 2) + math.log(1 + 1)) / 2
     assert vec.mean_token_logfreq == pytest.approx(want, abs=1e-15)
+
+
+_WORDS = [f"w{i}" for i in range(10)]
+# every word, so that with <s> and <unk> there are 12 token numbers and
+# order-20 codes pass 2**63; long enough to query such codes
+_LONG = Sentence(tuple(_WORDS * 3))
+
+
+@st.composite
+def _batches(draw):
+    """Sentences to featurize: drawn ones with literal <s>, <unk> and
+    unknown words, an empty one and the long corpus sentence, each maybe
+    repeated, in any order."""
+    drawn = draw(_sentences(_WORDS[:3] + ["zzz", "!!", BOS, UNK], 4))
+    pool = drawn + [Sentence(()), _LONG, Sentence(_LONG.tokens[:-1] + ("zzz",))]
+    return draw(st.lists(st.sampled_from(pool), max_size=8))
+
+
+def _oracle_features(sentence, lm, wordlist):
+    """The features of one sentence, token by token from the LM's public
+    :meth:`NgramLm.logprob`, ``numbers`` and unigram counts."""
+    tokens = sentence.tokens
+    n = len(tokens)
+    if not n:
+        return FeatureVector(*[0.0] * len(FEATURE_NAMES))
+    logprobs = [lm.logprob(t, tokens[:i]) for i, t in enumerate(tokens)]
+    seen = [lm.ngram_counts[1].get(lm.numbers.get(t), 0) for t in tokens]
+    return FeatureVector(
+        token_count=float(n),
+        misspelling_rate=sum(not wordlist.knows(t) for t in tokens) / n,
+        oov_rate=sum(c == 0 for c in seen) / n,
+        lm_mean_logprob=math.fsum(logprobs) / n,
+        lm_min_logprob=min(logprobs),
+        mean_token_logfreq=math.fsum(math.log(1 + c) for c in seen) / n,
+        max_char_repeat_len=float(max(len(list(run)) for t in tokens for _, run in groupby(t))),
+        punct_ratio=sum(not any(ch.isalnum() for ch in t) for t in tokens) / n,
+    )
+
+
+@given(
+    corpus=_sentences(_WORDS[:3] + [BOS, UNK], 8),
+    batch=_batches(),
+    order=st.sampled_from([1, 2, 3, 20]),
+    scoped=st.booleans(),
+)
+# <unk> is in the corpus: an unknown token is predicted as <unk>, whose
+# unigram count is not its own (0)
+@example(corpus=[tokenize("w0 <unk> <unk>")], batch=[tokenize("zzz w0"), Sentence(())],
+         order=2, scoped=False)
+@settings(max_examples=200, deadline=None)
+def test_featurize_many_equals_a_per_token_oracle(corpus, batch, order, scoped):
+    corpus = corpus + [_LONG]
+    scope = [s.tokens for s in batch] if scoped else None
+    lm = train_lm(corpus, order=order, scope=scope)
+    if order == 20:
+        assert len(lm.numbers) ** 19 > 2**63
+    wordlist = Wordlist(_WORDS[:2])
+    assert featurize_many(batch, lm, wordlist) == [
+        _oracle_features(s, lm, wordlist) for s in batch]
 
 
 def test_feature_vector_dict_round_trip():
