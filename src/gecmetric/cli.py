@@ -129,11 +129,6 @@ class _Scorer:
     subset: Callable[[Any, int, Sequence[int]], Any] | None = None
 
 
-def _each(stats: Callable[[int, Sentence, Any], Any]) -> Callable[[list], list]:
-    """Batch form of a per-item ``stats(i, hypothesis, row)``."""
-    return lambda items: [stats(*item) for item in items]
-
-
 def _gleu(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: GleuConfig) -> _Scorer:
     sources, rows = inputs.sources_and_rows("gleu")
     draws = functools.cache(functools.partial(gleu.reference_draws, cfg))
@@ -154,7 +149,8 @@ def _m2(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: M2Config) -> _S
     maxmatch._warn_identity(units)
     return _Scorer(
         "m2",
-        _each(lambda i, h, _: maxmatch.m2_stats(units[i].source, h, units[i].gold, cfg)),
+        lambda items: [maxmatch.m2_stats(units[i].source, h, units[i].gold, cfg)
+                       for i, h, _ in items],
         functools.partial(maxmatch.m2_pool, cfg=cfg),
     )
 

@@ -1,7 +1,8 @@
 """Reference-less grammaticality scoring over pluggable error detectors.
 
-A detector is any callable with a ``detector_id`` attribute that maps a
-token sequence to a list of :class:`ErrorSpan`. The built-in detectors
+A detector is any object with a ``detector_id`` attribute and a
+``check_many`` method that maps a batch of token sequences to one list of
+:class:`ErrorSpan` per sequence. The built-in detectors
 cover surface errors that need no syntactic analysis: unknown words,
 doubled tokens, a/an agreement, sentence-initial lowercase, missing
 terminal punctuation, and punctuation split off by a space. External
@@ -88,7 +89,7 @@ class ErrorSpan:
 class Detector(Protocol):
     detector_id: str
 
-    def __call__(self, tokens: Sequence[str]) -> list[ErrorSpan]: ...
+    def check_many(self, token_seqs: Sequence[Sequence[str]]) -> list[list[ErrorSpan]]: ...
 
 
 class Wordlist:
@@ -186,8 +187,9 @@ class RuleDetector:
         self.detector_id, self.category, self.rule = row
         self.wordlist = wordlist
 
-    def __call__(self, tokens: Sequence[str]) -> list[ErrorSpan]:
-        return [ErrorSpan(s, e, self.category) for s, e in self.rule(tokens, self.wordlist)]
+    def check_many(self, token_seqs: Sequence[Sequence[str]]) -> list[list[ErrorSpan]]:
+        return [[ErrorSpan(s, e, self.category) for s, e in self.rule(tokens, self.wordlist)]
+                for tokens in token_seqs]
 
 
 class DetectorSuite:
@@ -205,15 +207,15 @@ class DetectorSuite:
         return self.run_many([tokens])[0]
 
     def run_many(self, token_seqs: Sequence[Sequence[str]]) -> list[list[ErrorSpan]]:
-        """``run`` over each sequence. Each distinct sequence is run once;
-        a detector with ``check_many`` (an external checker) gets all of
-        them in one pipelined call."""
+        """``run`` over each sequence. Each detector gets the distinct
+        sequences in one ``check_many`` call (an external checker pipelines
+        them) and must return one span list for each."""
         distinct = list(dict.fromkeys(map(tuple, token_seqs)))
-        found = [
-            d.check_many(distinct) if hasattr(d, "check_many")
-            else [d(tokens) for tokens in distinct]
-            for d in self.detectors
-        ]
+        found = [d.check_many(distinct) for d in self.detectors]
+        for detector, spans in zip(self.detectors, found):
+            if len(spans) != len(distinct):
+                raise DetectorError(detector.detector_id, f"returned {len(spans)} span "
+                                    f"lists for {len(distinct)} sequences")
         merged = {
             tokens: self._merge(tokens, [spans[k] for spans in found])
             for k, tokens in enumerate(distinct)

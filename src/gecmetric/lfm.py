@@ -36,7 +36,6 @@ import math
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, compress, count, islice, repeat
 from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -74,22 +73,16 @@ MODEL_FORMAT_VERSION = 1
 @dataclass(frozen=True)
 class NgramLm:
     order: int
-    weights: tuple[float, ...]
     numbers: dict[str, int]
     total_tokens: int
     ngram_counts: dict[int, Counter]
     context_counts: dict[int, Counter]
 
-    @cached_property
-    def _moduli(self) -> tuple[int, ...]:
-        # a context code modulo size**(k - 1) is its last k - 1 numbers
-        return tuple(len(self.numbers) ** (k - 1) for k in range(2, self.order + 1))
-
     def _probs(self, known: array, last: array, in_scope: bytes) -> list[float]:
-        """:meth:`prob` of each token that ``in_scope`` marks, as
-        :func:`_read` gives them: one column per order, each order's counts
-        read for all the tokens at once, in the float operations of
-        :meth:`_prob`."""
+        """The interpolated probability of each token that ``in_scope``
+        marks, as :func:`_read` gives them, each order weighing 1 / order:
+        one column per order, each order's counts read for all the tokens at
+        once. ``train_lm`` with a scope keeps exactly the keys read here."""
         unigrams = self.ngram_counts[1]
         denominator = self.total_tokens + len(unigrams) + 1
         p = [(unigrams.get(t, 0) + 1) / denominator for t in compress(last, in_scope)]
@@ -101,37 +94,8 @@ class NgramLm:
             # an unseen context keeps the order below's estimate
             p = [g / c if c else below for g, c, below in zip(gram_counts, ctx_counts, p)]
             columns.append(p)
-        return [math.fsum(map(mul, self.weights, ps)) for ps in zip(*columns)]
-
-    def _prob(self, token: int, context: int) -> float:
-        """:meth:`prob` of the token numbered ``token`` after the context
-        coded ``context``; :meth:`train_lm` with a scope keeps exactly the
-        context and n-gram keys read here."""
-        unigrams, size = self.ngram_counts[1], len(self.numbers)
-        p = (unigrams.get(token, 0) + 1) / (self.total_tokens + len(unigrams) + 1)
-        terms = [self.weights[0] * p]
-        for k, modulus in enumerate(self._moduli, 2):
-            kctx = context % modulus
-            ctx_count = self.context_counts[k].get(kctx, 0)
-            if ctx_count:  # an unseen context keeps the order below's estimate
-                p = self.ngram_counts[k].get(kctx * size + token, 0) / ctx_count
-            terms.append(self.weights[k - 1] * p)
-        return math.fsum(terms)
-
-    def prob(self, token: str, context: Sequence[str] = ()) -> float:
-        """Interpolated probability of ``token`` after ``context``."""
-        numbers, unigrams = self.numbers, self.ngram_counts[1]
-
-        def known(t: str) -> int:  # <unk> (1) out of the vocabulary
-            return numbers[t] if numbers.get(t) in unigrams else 1
-
-        code = 0
-        for t in context[max(0, len(context) - self.order + 1) :]:
-            code = code * len(numbers) + (0 if t == BOS else known(t))
-        return self._prob(known(token), code)
-
-    def logprob(self, token: str, context: Sequence[str] = ()) -> float:
-        return math.log(self.prob(token, context))
+        weight = 1.0 / self.order
+        return [math.fsum(map(mul, repeat(weight), ps)) for ps in zip(*columns)]
 
 
 def _read(
@@ -201,8 +165,7 @@ def train_lm(
             contexts = filter(set(kept_contexts).__contains__, contexts)
             grams = filter(set(kept_grams).__contains__, grams)
         context_counts[k], ngram_counts[k] = Counter(contexts), Counter(grams)
-    return NgramLm(order=order, weights=(1.0 / order,) * order, numbers=numbers,
-                   total_tokens=sum(unigrams.values()),
+    return NgramLm(order=order, numbers=numbers, total_tokens=sum(unigrams.values()),
                    ngram_counts=ngram_counts, context_counts=context_counts)
 
 
@@ -246,9 +209,6 @@ class FeatureVector(NamedTuple):
 
     def as_tuple(self) -> tuple[float, ...]:
         return tuple(self)
-
-    def as_dict(self) -> dict[str, float]:
-        return self._asdict()
 
 
 FEATURE_NAMES = FeatureVector._fields
@@ -412,14 +372,15 @@ def train_ridge(
 
 def _feature_mapping(features) -> Mapping[str, float]:
     if isinstance(features, FeatureVector):
-        return features.as_dict()
+        return features._asdict()
     if isinstance(features, Mapping):
         return features
     raise ModelError(f"cannot score features of type {type(features).__name__}")
 
 
 def predict_raw(model: LfmModel, features) -> float:
-    """Unclipped model prediction for a feature vector or mapping."""
+    """Unclipped model prediction for a feature vector or mapping; one
+    that is not finite raises :class:`ModelError`."""
     mapping = _feature_mapping(features)
     total = model.bias
     for name, mean, stdev, weight in zip(
@@ -428,6 +389,8 @@ def predict_raw(model: LfmModel, features) -> float:
         if name not in mapping:
             raise ModelError(f"model needs feature {name!r} but it was not provided")
         total += weight * (mapping[name] - mean) / stdev
+    if not math.isfinite(total):  # clipped, it would read as a score
+        raise ModelError(f"model prediction overflows: {total}")
     return total
 
 

@@ -454,3 +454,32 @@ def decode_lm(lm):
     vocab = {names[number] for number in lm.ngram_counts[1]}
     return (vocab, decoded(lm.ngram_counts, lambda k: k),
             decoded(lm.context_counts, lambda k: k - 1))
+
+
+def lm_prob_oracle(decoded):
+    """The interpolated probability ``prob(token, context=())`` of an LM,
+    from its :func:`decode_lm` token-tuple counts alone: the unigram
+    estimate is add-one smoothed over the vocabulary plus <unk>, each higher
+    order's is the maximum-likelihood estimate, and an unseen context keeps
+    the estimate of the order below. The context is padded with <s> on the
+    left, and an out-of-vocabulary token reads as <unk> (as <s> stays <s>
+    in a context). Each order weighs 1 / order."""
+    vocab, ngrams, contexts = decoded
+    order = len(ngrams)
+    denominator = sum(ngrams[1].values()) + len(vocab) + 1
+
+    def prob(token, context=()):
+        token = token if token in vocab else "<unk>"
+        padded = ["<s>"] * (order - 1) + [
+            t if t == "<s>" or t in vocab else "<unk>" for t in context]
+        p = (ngrams[1].get((token,), 0) + 1) / denominator
+        terms = [(1.0 / order) * p]
+        for k in range(2, order + 1):
+            ctx = tuple(padded[len(padded) - k + 1 :])
+            seen = contexts[k].get(ctx, 0)
+            if seen:
+                p = ngrams[k].get(ctx + (token,), 0) / seen
+            terms.append((1.0 / order) * p)
+        return math.fsum(terms)
+
+    return prob

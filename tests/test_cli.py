@@ -1666,6 +1666,11 @@ MALFORMED = {
     "model-duplicate-names": ["score", "--metric", "lfm", "--model", "{d}/duplicate.json",
                               "--lm-corpus", "{d}/source.txt", "--wordlist",
                               "{d}/words.txt", *_A],
+    # a hand-edited model whose prediction overflows; clipped, it would
+    # read as a score
+    "model-prediction-overflows": ["score", "--metric", "lfm", "--model",
+                                   "{d}/overflow.json", "--lm-corpus", "{d}/source.txt",
+                                   "--wordlist", "{d}/words.txt", *_A],
     "checker-timeout-nan": ["check", "--input", "{d}/a.txt", "--checker-timeout", "nan",
                             "--checker", "{checker} plain"],
     "checker-timeout-too-large": ["check", "--input", "{d}/a.txt", "--checker-timeout",
@@ -1730,6 +1735,9 @@ def test_malformed_input_exits_with_one_line(corpus, model_path, case):
     names = model["feature_names"]
     (corpus / "duplicate.json").write_text(
         json.dumps({**model, "feature_names": [names[0], *names[:-1]]}))
+    (corpus / "overflow.json").write_text(json.dumps({
+        **model, "feature_names": ["token_count", "punct_ratio"], "means": [0, 0],
+        "stdevs": [1e-300, 1e-300], "weights": [1e308, -1e308], "bias": 0.5}))
     (corpus / "duplicate.tsv").write_text(
         "token_count\ttoken_count\tfluency\n1\t2\t0.5\n2\t1\t0.9\n3\t3\t0.1\n",
         encoding="utf-8")

@@ -37,7 +37,8 @@ def built_in(detector_id, wordlist=Wordlist(WORDS)):
 
 
 def spans_of(detector, text):
-    return [(s.start, s.end, s.category) for s in detector(tuple(text.split()))]
+    [spans] = detector.check_many([tuple(text.split())])
+    return [(s.start, s.end, s.category) for s in spans]
 
 
 def test_wordlist_core_strips_punctuation():
@@ -230,8 +231,8 @@ def test_suite_deduplicates_identical_spans(wordlist):
     class Echo:
         detector_id = "echo"
 
-        def __call__(self, tokens):
-            return [ErrorSpan(0, 1, "SPELL")]
+        def check_many(self, token_seqs):
+            return [[ErrorSpan(0, 1, "SPELL")] for _ in token_seqs]
 
     suite = DetectorSuite([built_in("spell", wordlist), Echo()])
     spans = suite.run(("zq",))
@@ -252,8 +253,8 @@ def test_suite_flags_out_of_bounds_span():
     class Bad:
         detector_id = "bad"
 
-        def __call__(self, tokens):
-            return [ErrorSpan(0, 99, "X")]
+        def check_many(self, token_seqs):
+            return [[ErrorSpan(0, 99, "X")] for _ in token_seqs]
 
     suite = DetectorSuite([Bad()])
     with pytest.raises(DetectorError, match="'bad'"):
@@ -264,12 +265,26 @@ def test_suite_flags_non_span_values():
     class Worse:
         detector_id = "worse"
 
-        def __call__(self, tokens):
-            return [(0, 1, "X")]
+        def check_many(self, token_seqs):
+            return [[(0, 1, "X")] for _ in token_seqs]
 
     suite = DetectorSuite([Worse()])
     with pytest.raises(DetectorError, match="'worse'"):
         suite.run(("a",))
+
+
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_suite_flags_a_detector_that_answers_the_wrong_number_of_sequences(extra):
+    class Miscount:
+        detector_id = "miscount"
+
+        def check_many(self, token_seqs):
+            return [[] for _ in range(len(token_seqs) + extra)]
+
+    suite = DetectorSuite([built_in("spell"), Miscount()])
+    n = 2 + extra
+    with pytest.raises(DetectorError, match=f"'miscount': returned {n} span lists for 2"):
+        suite.run_many([("a",), ("b",), ("a",)])
 
 
 def test_suite_merges_spans_of_a_subclass():
@@ -279,8 +294,8 @@ def test_suite_merges_spans_of_a_subclass():
     class Sub:
         detector_id = "sub"
 
-        def __call__(self, tokens):
-            return [Tagged(1, 1, "TERM"), Tagged(0, 1, "SPELL")]
+        def check_many(self, token_seqs):
+            return [[Tagged(1, 1, "TERM"), Tagged(0, 1, "SPELL")] for _ in token_seqs]
 
     suite = DetectorSuite([built_in("spell"), Sub()])
     spans = suite.run(("zq",))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gecmetric.corpus import Sentence, tokenize
 from gecmetric.errors import ModelError, ParseError, ValidationError
 from gecmetric.grammaticality import Wordlist
-from oracles import decode_lm
+from oracles import decode_lm, lm_prob_oracle
 from gecmetric.lfm import (
     BOS,
     FEATURE_NAMES,
@@ -47,23 +47,33 @@ def batch_logprobs(lm, token_seqs):
     return [math.log(p) for p in lm._probs(known, last, in_scope)]
 
 
+def oracle(lm):
+    """The per-token oracle of ``lm``, from one decoding of its counts."""
+    return lm_prob_oracle(decode_lm(lm))
+
+
 def prefix_logprobs(lm, token_seqs):
-    """The same list from :meth:`NgramLm.logprob`, one token at a time."""
-    return [lm.logprob(t, tokens[:i]) for tokens in token_seqs for i, t in enumerate(tokens)]
+    """The same list from the per-token oracle, one token at a time."""
+    prob = oracle(lm)
+    return [math.log(prob(t, tokens[:i])) for tokens in token_seqs
+            for i, t in enumerate(tokens)]
 
 
 def test_pinned_unigram_distribution():
     # "a b": V=2, N=2, add-one over vocab+UNK: P(a) = (1+1)/(2+3) = 0.4
     lm = lm_from("a b", order=1)
-    assert lm.prob("a") == pytest.approx(0.4, abs=1e-15)
-    assert lm.prob("b") == pytest.approx(0.4, abs=1e-15)
-    assert lm.prob("zzz") == pytest.approx(0.2, abs=1e-15)
+    prob = oracle(lm)
+    assert prob("a") == pytest.approx(0.4, abs=1e-15)
+    assert prob("b") == pytest.approx(0.4, abs=1e-15)
+    assert prob("zzz") == pytest.approx(0.2, abs=1e-15)
+    assert batch_logprobs(lm, [("a", "b", "zzz")]) == [
+        math.log(prob(t)) for t in ("a", "b", "zzz")]
 
 
 def test_unigram_distribution_sums_to_one():
-    lm = lm_from("a b a c", "b b", order=1)
-    vocab, _, _ = decode_lm(lm)
-    total = sum(lm.prob(t) for t in vocab) + lm.prob(UNK)
+    decoded = decode_lm(lm_from("a b a c", "b b", order=1))
+    prob = lm_prob_oracle(decoded)
+    total = sum(prob(t) for t in decoded[0]) + prob(UNK)
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -79,20 +89,21 @@ def test_interpolated_prob_sums_to_one_per_context():
         ("b", "a"),
         ("zzz", "zzz"),
     ]
-    vocab, _, _ = decode_lm(lm)
+    decoded = decode_lm(lm)
+    prob = lm_prob_oracle(decoded)
     for ctx in contexts:
-        total = sum(lm.prob(t, ctx) for t in vocab) + lm.prob(UNK, ctx)
+        total = sum(prob(t, ctx) for t in decoded[0]) + prob(UNK, ctx)
         assert total == pytest.approx(1.0, abs=1e-9), ctx
 
 
 def test_unseen_context_backs_off_to_unigram():
-    lm = lm_from("a b", "a c")
+    prob = oracle(lm_from("a b", "a c"))
     # every order falls through on a never-seen context, so the
     # interpolated probability collapses to the unigram estimate
-    assert lm.prob("a", ("zzz",)) == pytest.approx(
-        lm_from("a b", "a c", order=1).prob("a"), abs=1e-15
+    assert prob("a", ("zzz",)) == pytest.approx(
+        oracle(lm_from("a b", "a c", order=1))("a"), abs=1e-15
     )
-    assert lm.prob("a", ("zzz",)) == lm.prob("a", ("qqq",))
+    assert prob("a", ("zzz",)) == prob("a", ("qqq",))
 
 
 def test_unseen_context_keeps_the_estimate_of_the_order_below():
@@ -100,15 +111,15 @@ def test_unseen_context_keeps_the_estimate_of_the_order_below():
     # the trigram context (<unk>, b) was never seen, the bigram context
     # (b,) was, so order 3 repeats the bigram estimate 1/2, not 2/12
     third = 1.0 / 3
-    assert lm.prob("c", ("q", "b")) == math.fsum(
-        [third * (2 / 12), third * 0.5, third * 0.5]
-    )
+    want = math.fsum([third * (2 / 12), third * 0.5, third * 0.5])
+    assert oracle(lm)("c", ("q", "b")) == want
+    assert batch_logprobs(lm, [("q", "b", "c")])[2] == math.log(want)
 
 
 def test_bos_is_context_only():
     assert BOS not in decode_lm(lm_from("a b"))[0]
-    lm = lm_from("a b", order=1)
-    assert lm.prob(BOS) == lm.prob(UNK)  # treated as unknown
+    prob = oracle(lm_from("a b", order=1))
+    assert prob(BOS) == prob(UNK)  # treated as unknown
 
 
 def test_sentence_logprobs_length_and_finiteness():
@@ -119,15 +130,15 @@ def test_sentence_logprobs_length_and_finiteness():
 
 
 def test_seen_bigram_beats_unseen():
-    lm = lm_from("a b", "a b", "a c")
-    assert lm.prob("b", ("a",)) > lm.prob("c", ("a",))
+    prob = oracle(lm_from("a b", "a b", "a c"))
+    assert prob("b", ("a",)) > prob("c", ("a",))
 
 
 def test_train_lm_order_one():
     # "a a b": V=2, N=3: P(a) = (2+1)/(3+3) = 0.5 whatever the context
-    lm = lm_from("a a b", order=1)
-    assert lm.prob("a", ()) == pytest.approx(0.5, abs=1e-15)
-    assert lm.prob("a", ("b", "a")) == lm.prob("a", ())
+    prob = oracle(lm_from("a a b", order=1))
+    assert prob("a", ()) == pytest.approx(0.5, abs=1e-15)
+    assert prob("a", ("b", "a")) == prob("a", ())
 
 
 def _naive_counts(sentences, order):
@@ -172,7 +183,6 @@ def _layout(lm):
     """Every field of ``lm``, with its Counters as :func:`_items`."""
     return (
         lm.order,
-        lm.weights,
         lm.numbers,
         lm.total_tokens,
         _items(lm.ngram_counts),
@@ -354,15 +364,16 @@ def _batches(draw):
     return draw(st.lists(st.sampled_from(pool), max_size=8))
 
 
-def _oracle_features(sentence, lm, wordlist):
-    """The features of one sentence, token by token from the LM's public
-    :meth:`NgramLm.logprob`, ``numbers`` and unigram counts."""
+def _oracle_features(sentence, decoded, wordlist):
+    """The features of one sentence, token by token from the LM's
+    :func:`decode_lm` counts and their per-token oracle."""
     tokens = sentence.tokens
     n = len(tokens)
     if not n:
         return FeatureVector(*[0.0] * len(FEATURE_NAMES))
-    logprobs = [lm.logprob(t, tokens[:i]) for i, t in enumerate(tokens)]
-    seen = [lm.ngram_counts[1].get(lm.numbers.get(t), 0) for t in tokens]
+    prob = lm_prob_oracle(decoded)
+    logprobs = [math.log(prob(t, tokens[:i])) for i, t in enumerate(tokens)]
+    seen = [decoded[1][1].get((t,), 0) for t in tokens]
     return FeatureVector(
         token_count=float(n),
         misspelling_rate=sum(not wordlist.knows(t) for t in tokens) / n,
@@ -393,13 +404,14 @@ def test_featurize_many_equals_a_per_token_oracle(corpus, batch, order, scoped):
     if order == 20:
         assert len(lm.numbers) ** 19 > 2**63
     wordlist = Wordlist(_WORDS[:2])
+    decoded = decode_lm(lm)
     assert featurize_many(batch, lm, wordlist) == [
-        _oracle_features(s, lm, wordlist) for s in batch]
+        _oracle_features(s, decoded, wordlist) for s in batch]
 
 
 def test_feature_vector_dict_round_trip():
     vec = FeatureVector(*(float(i) for i in range(8)))
-    assert tuple(vec.as_dict()[n] for n in FEATURE_NAMES) == vec.as_tuple()
+    assert tuple(vec._asdict()[n] for n in FEATURE_NAMES) == vec.as_tuple()
 
 
 # ---------------------------------------------------------------------------
@@ -541,6 +553,19 @@ def test_predict_accepts_feature_vector():
         [list(vec.as_tuple())] * 2 + [[0.0] * 8], [1.0, 1.0, 0.0], alpha=1.0
     )
     assert math.isfinite(predict_raw(model, vec))
+
+
+@pytest.mark.parametrize("punct_ratio", [0.0, 1 / 3])
+def test_predict_rejects_a_prediction_that_overflows(punct_ratio):
+    # 1e308 / 1e-300 overflows to inf, and inf - inf is nan: clipped, either
+    # would read as a valid score of 1.0 or 0.0
+    model = LfmModel(("token_count", "punct_ratio"), (0.0, 0.0), (1e-300, 1e-300),
+                     (1e308, -1e308), 0.5, 1.0)
+    features = {"token_count": 3.0, "punct_ratio": punct_ratio}
+    with pytest.raises(ModelError, match="overflows"):
+        predict_raw(model, features)
+    with pytest.raises(ModelError, match="overflows"):
+        lfm_score(model, features)
 
 
 def test_predict_rejects_missing_feature():

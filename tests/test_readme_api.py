@@ -6,11 +6,16 @@ line of its sh blocks must parse; each function, class,
 module attribute or dataclass field that the Library section names in
 backticks must resolve, so that deleting documented API or breaking an
 example fails here. Each name a public module lists in ``__all__`` must
-resolve too, so that a deleted name cannot stay listed.
+resolve too, so that a deleted name cannot stay listed. The reverse holds
+as well: each such name, and each public method of a class listed there,
+is used in ``src/``, named in the Library section or used under
+``bench/``, so that API nothing calls and nobody can find gets deleted.
 """
 
+import ast
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 import re
 import shlex
@@ -131,3 +136,55 @@ def test_library_name_resolves(name):
 def test_all_names_resolve(module):
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert not missing, f"{module.__name__}.__all__ lists undefined {missing}"
+
+
+
+def _uses(directory, strings):
+    """Every name read and every attribute taken in the code of the ``.py``
+    files in ``directory``; with ``strings``, also the dotted parts of each
+    string constant (``bench/spans.py`` names its targets in strings). A
+    definition, a docstring or an ``__all__`` entry is not a use."""
+    used = set()
+    for path in sorted(directory.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(node.value.split("."))
+    return used
+
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC_USES = _uses(ROOT / "src" / "gecmetric", strings=False)
+BENCH_USES = _uses(ROOT / "bench", strings=True)
+
+
+def _public_api():
+    """(qualified name, name, name as the README would write it) for each
+    name in a public module's ``__all__``, and for each public method that
+    a class listed there defines (``Class.method``)."""
+    for module in MODULES:
+        for name in getattr(module, "__all__", ()):
+            yield f"{module.__name__}.{name}", name, name
+            obj = getattr(module, name)
+            for attr, value in vars(obj).items() if inspect.isclass(obj) else ():
+                method = inspect.isfunction(value) or isinstance(
+                    value, (staticmethod, classmethod))
+                if method and not attr.startswith("_"):
+                    yield f"{module.__name__}.{name}.{attr}", attr, f"{name}.{attr}"
+
+
+@pytest.mark.parametrize(
+    "name, written", [pytest.param(name, written, id=qualified)
+                      for qualified, name, written in _public_api()])
+def test_public_api_is_used_or_documented(name, written):
+    """Public API that nothing uses and the README does not name cannot be
+    found: each name is used in ``src/`` beyond its own definition, named
+    in the Library section, or used under ``bench/``."""
+    named = re.search(rf"(?<!\w){re.escape(written)}(?!\w)", LIBRARY) is not None
+    found = name in SRC_USES or named or name in BENCH_USES
+    assert found, (
+        f"{written} is neither used in src/, named in the README's Library "
+        "section, nor used under bench/")
