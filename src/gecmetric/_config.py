@@ -1,10 +1,11 @@
 """Every knob of the metrics, the ridge fit and the external checker, with
-its check. The metric modules re-export these names; the CLI reads its
-defaults and checks every knob here without loading a metric."""
+its check, and the usable CPU count. Metric modules re-export these names;
+the CLI reads defaults and checks every knob here without loading a metric."""
 
 from __future__ import annotations
 
 import math
+import os
 import sys
 import threading
 from dataclasses import dataclass
@@ -86,3 +87,8 @@ def check_alpha(alpha: float) -> None:
     """Raise :class:`ValidationError` unless ``alpha`` is a ridge penalty."""
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValidationError(f"alpha must be finite and >= 0, got {alpha}")
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1

@@ -26,6 +26,7 @@ inconsistent data, or out of memory; 3 external checker failure. Logs go
 to stderr. With ``--out`` the report goes to that file and a short
 summary to stdout; without it the report JSON itself goes to stdout.
 Identical invocations with identical seeds produce byte-identical reports.
+Large gleu, m2 and imeasure batches use every usable CPU; ``taskset -c 0`` keeps one.
 
 The random seed comes from ``--seed``, else the ``GECMETRIC_SEED``
 environment variable, else 0; the choice is logged once the command has
@@ -37,17 +38,21 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import importlib.util
 import logging
 import operator
 import os
+import pickle
 import shlex
+import signal
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from . import __version__, analysis
+from . import __version__, _config, analysis
 from ._config import (CHECKER_TIMEOUT, MEAN_OVER_ALL, SAMPLED, GleuConfig, IMeasureConfig,
                       M2Config, check_alpha, check_timeout)
 from .corpus import AnnotatedSource, Sentence
@@ -79,6 +84,7 @@ __all__ = ["main", "build_parser"]
 log = logging.getLogger("gecmetric")
 
 ROW_METRICS = ("gleu", "imeasure")  # reference material is per-sentence rows
+MIN_SPLIT = 512  # items per process from which a reference-metric batch is split
 
 
 class _UsageError(Exception):
@@ -215,12 +221,60 @@ def _stats(scorer: _Scorer, systems: Mapping[str, Sequence[Sentence]], *row_tabl
             for i, hyp in enumerate(systems[sid]):
                 row = None if rows is None else rows[i]
                 todo.setdefault((t, i, hyp.tokens), (i, hyp, row))
-    done = dict(zip(todo, scorer.stats(list(todo.values()))))
+    done = _batch(scorer, todo)
     return [
         {sid: [done[t, i, hyp.tokens] for i, hyp in enumerate(hyps)]
          for sid, hyps in systems.items()}
         for t in range(len(row_tables))
     ]
+
+
+def _batch(scorer: _Scorer, todo: dict) -> dict:
+    """``scorer.stats`` of each item of ``todo``, by key. A large reference-metric
+    batch is cut into one run of whole sentences per usable CPU; forked children
+    compute all runs but the first, or this process where a child cannot start, fails or dies."""
+    n = min(_config.usable_cpus(), len(todo) // MIN_SPLIT)
+    if (n < 2 or scorer.metric not in REFERENCE_METRICS or sys.platform != "linux"
+            or not hasattr(os, "fork") or threading.active_count() > 1):
+        return dict(zip(todo, scorer.stats(list(todo.values()))))
+    top = 1 + max(i for i, _, _ in todo.values())
+    parts: list[dict] = [{} for _ in range(n)]
+    for key, item in todo.items():
+        parts[item[0] * n // top][key] = item
+    stats = lambda part: scorer.stats(list(part.values()))  # noqa: E731
+    children = []  # (pid, or -1 where no process could be forked; read end of its pipe)
+    gc.freeze()  # no collection here or in a child writes to the pages they share
+    try:
+        for part in parts[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                pid = -1
+            if pid == 0:
+                try:
+                    with open(w, "wb") as pipe:
+                        pipe.write(pickle.dumps(stats(part), pickle.HIGHEST_PROTOCOL))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        done = dict(zip(parts[0], stats(parts[0])))
+        for part, (pid, pipe) in zip(parts[1:], children[:]):
+            with pipe:
+                data = pipe.read()
+            ok = pid > 0 and os.waitpid(pid, 0)[1] == 0
+            del children[0]
+            done.update(zip(part, pickle.loads(data) if ok else stats(part)))
+        return done
+    finally:  # every child is reaped and every pipe closed, on any exit
+        gc.unfreeze()
+        for pid, pipe in children:
+            pipe.close()
+            if pid > 0:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _system_scores(scorer: _Scorer, table: Mapping[str, list], mode="sentence") -> dict:

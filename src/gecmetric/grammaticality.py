@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import queue
 import string
 import subprocess
@@ -28,6 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
+from . import _config
 from ._config import CHECKER_TIMEOUT, check_timeout
 from .analysis import _reducer
 from .corpus import Sentence
@@ -339,7 +339,7 @@ class ExternalChecker:
         ``CHECKER_WINDOW`` requests in flight; each reply's timeout
         starts when the previous reply has been taken. Request ids are
         numbered across all processes, as on one."""
-        n = min(CHECKER_PROCESSES, _usable_cpus(), -(-len(token_seqs) // CHECKER_WINDOW))
+        n = min(CHECKER_PROCESSES, _config.usable_cpus(), -(-len(token_seqs) // CHECKER_WINDOW))
         while len(self._procs) < n:
             try:
                 proc = subprocess.Popen(self.command, stdin=subprocess.PIPE,
@@ -474,13 +474,6 @@ class _Process:
             )
         self.replies[response_id] = payload
         return None
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _forward_lines(stream, lines: queue.SimpleQueue) -> None:

@@ -35,7 +35,7 @@ import json
 import math
 from array import array
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from operator import add, mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -77,6 +77,8 @@ class NgramLm:
     total_tokens: int
     ngram_counts: dict[int, Counter]
     context_counts: dict[int, Counter]
+    # train_lm's scope and its _read, for featurize_many of the same sequences
+    _scope: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def _probs(self, known: array, last: array, in_scope: bytes) -> list[float]:
         """The interpolated probability of each token that ``in_scope``
@@ -154,8 +156,9 @@ def train_lm(
         raise ValidationError("LM corpus has no tokens")
     scoped = repeat((None, None))
     if scope is not None:
-        known, last, in_scope, _ = _read(scope, numbers, unigrams, pad)
-        scoped = _ngram_codes(known, last, in_scope, size, order)
+        scope = list(scope)
+        read = _read(scope, numbers, unigrams, pad)
+        scoped = _ngram_codes(*read[:3], size, order)
     ngram_counts, context_counts = {1: unigrams}, {}
     corpus = _ngram_codes(ids, ids, is_token, size, order)
     for k, (contexts, grams), (kept_contexts, kept_grams) in zip(
@@ -165,8 +168,10 @@ def train_lm(
             contexts = filter(set(kept_contexts).__contains__, contexts)
             grams = filter(set(kept_grams).__contains__, grams)
         context_counts[k], ngram_counts[k] = Counter(contexts), Counter(grams)
-    return NgramLm(order=order, numbers=numbers, total_tokens=sum(unigrams.values()),
-                   ngram_counts=ngram_counts, context_counts=context_counts)
+    lm = NgramLm(order=order, numbers=numbers, total_tokens=sum(unigrams.values()),
+                 ngram_counts=ngram_counts, context_counts=context_counts)
+    object.__setattr__(lm, "_scope", None if scope is None else (scope, read))
+    return lm
 
 
 def _ngram_codes(known: array, last: array, is_token: bytes, size: int, order: int):
@@ -228,10 +233,12 @@ def featurize_many(
 ) -> list[FeatureVector]:
     """Each sentence's features, from one read of the LM for the whole
     batch: every order's counts come in one column over all its tokens,
-    and each distinct token string's surface features are found once."""
+    and each distinct token string's surface features are found once. A
+    batch whose token sequences are the LM's scope is not read again."""
     seqs = [sentence.tokens for sentence in sentences]
-    known, last, in_scope, counts = _read(
-        seqs, lm.numbers, lm.ngram_counts[1], bytes(lm.order - 1))
+    known, last, in_scope, counts = (
+        lm._scope[1] if lm._scope and lm._scope[0] == seqs
+        else _read(seqs, lm.numbers, lm.ngram_counts[1], bytes(lm.order - 1)))
     logprobs = list(map(math.log, lm._probs(known, last, in_scope)))
     distinct = set(chain.from_iterable(seqs))
     misspelt = {t: not wordlist.knows(t) for t in distinct}

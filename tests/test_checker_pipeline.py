@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gecmetric import grammaticality
+from gecmetric import _config, grammaticality
 from gecmetric.errors import DetectorError
 from gecmetric.grammaticality import (
     CHECKER_WINDOW,
@@ -297,7 +297,7 @@ def _pool(monkeypatch, cpus, processes=3):
     """Let checkers see ``cpus`` usable CPUs and spread a batch over at
     most ``processes`` copies; returns the list of the processes they
     start from here on."""
-    monkeypatch.setattr(grammaticality, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_config, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(grammaticality, "CHECKER_PROCESSES", processes)
     started = []
     popen = subprocess.Popen

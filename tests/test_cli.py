@@ -1575,6 +1575,19 @@ def test_fluency_metrics_featurize_each_distinct_hypothesis_once(
     assert sum(len(args[1]) for args in runs) == 7
 
 
+def test_lfm_reads_its_hypotheses_once(corpus, capsys, monkeypatch, model_path):
+    """The LM is trained for the batch it then featurizes, and the batch
+    is read once, for both."""
+    reads = _count_calls(monkeypatch, gecmetric.lfm, "_read")
+    lfm = [
+        "score", "--metric", "lfm", "--model", str(model_path),
+        "--lm-corpus", str(corpus / "source.txt"),
+        "--wordlist", str(corpus / "words.txt"),
+    ]
+    assert _run(capsys, lfm + _hyp_args(corpus))[0] == 0
+    assert len(reads) == 1
+
+
 # ---------------------------------------------------------------------------
 # malformed input: exit 1, 2 or 3 with one line on stderr, and no report
 
