@@ -174,12 +174,15 @@ def _imeasure(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: IMeasureC
 
 def _errorcount(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: None) -> _Scorer:
     suite = _build_suite(args, stack)
-    return _Scorer(
-        "errorcount",
-        lambda items: grammaticality.error_count_stats_many(
-            [hyp for _, hyp, _ in items], suite),
-        grammaticality.error_count_pool,
-    )
+
+    def stats(items):
+        found = grammaticality.error_count_stats_many([hyp for _, hyp, _ in items], suite)
+        if args.checker:  # the last detector; the stack closes it on errors
+            # one batch per run: its copies end here, so that _batch may fork after it
+            suite.detectors[-1].close()
+        return found
+
+    return _Scorer("errorcount", stats, grammaticality.error_count_pool)
 
 
 def _lfm(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: None) -> _Scorer:

@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
-from . import _config
 from ._config import CHECKER_TIMEOUT, check_timeout
 from .analysis import _reducer
 from .corpus import Sentence
@@ -56,12 +55,15 @@ __all__ = [
 # of more than this many is spread over several processes (see
 # check_many).
 CHECKER_WINDOW = 32
-# Most checker processes one batch is spread over, and never more than
-# the usable CPUs. On a 2-core host, 1,758 requests of 2 ms took 3.7-4.0 s
-# on one process and 2.0 s on two, whether the checker slept or spun;
-# three or four copies of a spinning checker were slower than two. More
-# copies are unmeasured, and each costs a checker's start-up and memory.
-CHECKER_PROCESSES = 2
+# Most checker processes one batch is spread over, whatever the CPU count: a
+# copy serves one request at a time, so a checker that waits (on a model, a
+# server or a sleep) is bound by copies, not cores. On a 2-core host, 1,758
+# requests of a checker that sleeps 2 ms took 1.97 s on 2 copies, 1.07-1.16 s
+# on 4, 0.81-0.85 s on 6 and 0.68-0.78 s on 8; of one that spins 2 ms,
+# 1.95-2.00, 1.98-2.01, 2.12-2.13 and 2.11-2.20 s. Four keeps a CPU-bound
+# checker within 2% of two; each copy costs a start-up (about 43 ms of CPU
+# for that stub) and a checker's memory.
+CHECKER_PROCESSES = 4
 
 _VOWELS = frozenset("aeiou")
 _CLAUSE_PUNCT = frozenset({",", ".", ";", ":", "!", "?"})
@@ -299,11 +301,11 @@ class ExternalChecker:
     ``{"id": <int>, "errors": [{"start": ..., "end": ..., "category": ...}]}``.
     Requests are pipelined (see :meth:`check_many`): each checker process
     has up to ``CHECKER_WINDOW`` requests in flight, and a larger batch
-    is spread over up to ``CHECKER_PROCESSES`` copies of the command, one
-    per usable CPU. The copies share no state, so a reply must depend
-    only on its request's tokens; ``timeout`` governs the replies of
-    every copy. :meth:`close` ends every copy, and the next call starts
-    fresh ones.
+    is spread over up to ``CHECKER_PROCESSES`` copies of the command,
+    whatever the CPU count. The copies share no state, so a reply must
+    depend only on its request's tokens; ``timeout`` governs the replies
+    of every copy. :meth:`close` ends every copy and its reader thread,
+    and the next call starts fresh ones.
     Responses may arrive out of order. A reader thread per process hands
     each output line to the calling thread, which routes it by id among
     that process's requests; a checker serves one thread at a time. Any
@@ -333,13 +335,13 @@ class ExternalChecker:
 
     def check_many(self, token_seqs: Sequence[Sequence[str]]) -> list[list[ErrorSpan]]:
         """Spans of each sequence, in order. Request k goes to process
-        ``k % n``, where ``n`` is ``CHECKER_PROCESSES``, the number of
-        usable CPUs or the number of ``CHECKER_WINDOW``-sized slices of
-        the batch, whichever is smallest. Each process has up to
+        ``k % n``, where ``n`` is ``CHECKER_PROCESSES`` or the number of
+        ``CHECKER_WINDOW``-sized slices of the batch, whichever is
+        smaller; the CPU count plays no part. Each process has up to
         ``CHECKER_WINDOW`` requests in flight; each reply's timeout
         starts when the previous reply has been taken. Request ids are
         numbered across all processes, as on one."""
-        n = min(CHECKER_PROCESSES, _config.usable_cpus(), -(-len(token_seqs) // CHECKER_WINDOW))
+        n = min(CHECKER_PROCESSES, -(-len(token_seqs) // CHECKER_WINDOW))
         while len(self._procs) < n:
             try:
                 proc = subprocess.Popen(self.command, stdin=subprocess.PIPE,
@@ -418,18 +420,22 @@ class ExternalChecker:
 
     def close(self) -> None:
         """End every checker process's input and drop the processes; kill
-        those that have not exited 2 s later."""
-        procs, self._procs = [process.proc for process in self._procs], []
-        for proc in procs:
+        those that have not exited 2 s later. Each reader thread is joined
+        until the same deadline; one that a grandchild keeps reading may
+        outlive it."""
+        procs, self._procs = self._procs, []
+        for process in procs:
             with contextlib.suppress(OSError):
-                proc.stdin.close()
+                process.proc.stdin.close()
         deadline = time.monotonic() + 2.0
-        for proc in procs:
+        for process in procs:
             try:
-                proc.wait(timeout=max(0.0, deadline - time.monotonic()))
+                process.proc.wait(timeout=max(0.0, deadline - time.monotonic()))
             except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+                process.proc.kill()
+                process.proc.wait()
+        for process in procs:
+            process.reader.join(max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "ExternalChecker":
         return self
@@ -448,9 +454,9 @@ class _Process:
         self.lines: queue.SimpleQueue = queue.SimpleQueue()
         self.replies: dict[int, object] = {}
         self.failure: str | None = None
-        threading.Thread(
-            target=_forward_lines, args=(proc.stdout, self.lines), daemon=True
-        ).start()
+        self.reader = threading.Thread(
+            target=_forward_lines, args=(proc.stdout, self.lines), daemon=True)
+        self.reader.start()
 
     def route(self, item) -> str | None:
         """Store one reply line under its request id; returns why the line

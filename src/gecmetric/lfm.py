@@ -77,19 +77,22 @@ class NgramLm:
     total_tokens: int
     ngram_counts: dict[int, Counter]
     context_counts: dict[int, Counter]
-    # train_lm's scope and its _read, for featurize_many of the same sequences
+    # train_lm's scope, its _read and its _ngram_codes columns, for
+    # featurize_many of the same sequences
     _scope: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def _probs(self, known: array, last: array, in_scope: bytes) -> list[float]:
+    def _probs(self, known: array, last: array, in_scope: bytes, codes=None) -> list[float]:
         """The interpolated probability of each token that ``in_scope``
         marks, as :func:`_read` gives them, each order weighing 1 / order:
         one column per order, each order's counts read for all the tokens at
-        once. ``train_lm`` with a scope keeps exactly the keys read here."""
+        once, from ``codes`` if they are given (the scope's). ``train_lm``
+        with a scope keeps exactly the keys read here."""
         unigrams = self.ngram_counts[1]
         denominator = self.total_tokens + len(unigrams) + 1
         p = [(unigrams.get(t, 0) + 1) / denominator for t in compress(last, in_scope)]
         columns = [p]
-        codes = _ngram_codes(known, last, in_scope, len(self.numbers), self.order)
+        if codes is None:
+            codes = _ngram_codes(known, last, in_scope, len(self.numbers), self.order)
         for k, (contexts, grams) in enumerate(codes, 2):
             ctx_counts = map(self.context_counts[k].get, contexts, repeat(0))
             gram_counts = map(self.ngram_counts[k].get, grams, repeat(0))
@@ -158,7 +161,9 @@ def train_lm(
     if scope is not None:
         scope = list(scope)
         read = _read(scope, numbers, unigrams, pad)
-        scoped = _ngram_codes(*read[:3], size, order)
+        # kept as columns for featurize_many; codes of order k are below size**k
+        scoped = [(array("q", c), array("q", g)) if size**k <= 2**63 else (list(c), list(g))
+                  for k, (c, g) in enumerate(_ngram_codes(*read[:3], size, order), 2)]
     ngram_counts, context_counts = {1: unigrams}, {}
     corpus = _ngram_codes(ids, ids, is_token, size, order)
     for k, (contexts, grams), (kept_contexts, kept_grams) in zip(
@@ -170,7 +175,7 @@ def train_lm(
         context_counts[k], ngram_counts[k] = Counter(contexts), Counter(grams)
     lm = NgramLm(order=order, numbers=numbers, total_tokens=sum(unigrams.values()),
                  ngram_counts=ngram_counts, context_counts=context_counts)
-    object.__setattr__(lm, "_scope", None if scope is None else (scope, read))
+    object.__setattr__(lm, "_scope", None if scope is None else (scope, read, scoped))
     return lm
 
 
@@ -236,10 +241,12 @@ def featurize_many(
     and each distinct token string's surface features are found once. A
     batch whose token sequences are the LM's scope is not read again."""
     seqs = [sentence.tokens for sentence in sentences]
-    known, last, in_scope, counts = (
-        lm._scope[1] if lm._scope and lm._scope[0] == seqs
-        else _read(seqs, lm.numbers, lm.ngram_counts[1], bytes(lm.order - 1)))
-    logprobs = list(map(math.log, lm._probs(known, last, in_scope)))
+    if lm._scope and lm._scope[0] == seqs:
+        read, codes = lm._scope[1:]
+    else:
+        read, codes = _read(seqs, lm.numbers, lm.ngram_counts[1], bytes(lm.order - 1)), None
+    known, last, in_scope, counts = read
+    logprobs = list(map(math.log, lm._probs(known, last, in_scope, codes)))
     distinct = set(chain.from_iterable(seqs))
     misspelt = {t: not wordlist.knows(t) for t in distinct}
     runs = {t: _max_char_run(t) for t in distinct}

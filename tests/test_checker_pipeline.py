@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gecmetric import _config, grammaticality
+from gecmetric import _config, cli, grammaticality
 from gecmetric.errors import DetectorError
 from gecmetric.grammaticality import (
     CHECKER_WINDOW,
@@ -293,11 +294,9 @@ def test_any_reply_gives_spans_or_a_detector_error(tmp_path, monkeypatch, reply)
 # a batch spread over several checker processes
 
 
-def _pool(monkeypatch, cpus, processes=3):
-    """Let checkers see ``cpus`` usable CPUs and spread a batch over at
-    most ``processes`` copies; returns the list of the processes they
-    start from here on."""
-    monkeypatch.setattr(_config, "usable_cpus", lambda: cpus)
+def _pool(monkeypatch, processes):
+    """Let checkers spread a batch over at most ``processes`` copies;
+    returns the list of the processes they start from here on."""
     monkeypatch.setattr(grammaticality, "CHECKER_PROCESSES", processes)
     started = []
     popen = subprocess.Popen
@@ -316,17 +315,17 @@ def _numbered(count):
     return [tuple("bad" if k >> b & 1 else "ok" for b in range(8)) for k in range(count)]
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("processes", [1, 2, 3])
 def test_pool_gives_the_spans_of_one_process_in_request_order(
-    checker_script, monkeypatch, cpus
+    checker_script, monkeypatch, processes
 ):
     """The swap mode answers each pair of a process's requests in
     reverse order."""
-    started = _pool(monkeypatch, cpus)
+    started = _pool(monkeypatch, processes)
     seqs = _numbered(3 * CHECKER_WINDOW)
     with ExternalChecker(command(checker_script, "swap"), timeout=30.0) as checker:
         results = checker.check_many(seqs)
-    assert len(started) == cpus
+    assert len(started) == processes
     assert _spans(results) == [
         [(b, b + 1, "EXT") for b in range(8) if k >> b & 1] for k in range(len(seqs))
     ]
@@ -339,6 +338,7 @@ def test_pool_gives_the_spans_of_one_process_in_request_order(
 def test_one_process_per_window_of_the_batch_up_to_the_cpus(
     checker_script, monkeypatch, count, processes
 ):
+    """Up to the cap on copies, three here."""
     started = _pool(monkeypatch, 3)
     with ExternalChecker(command(checker_script, "flag")) as checker:
         checker.check_many(_numbered(count))
@@ -358,12 +358,14 @@ def test_close_ends_every_process(checker_script, monkeypatch, mode):
 
 
 def test_a_batch_starts_at_most_checker_processes_copies(checker_script, monkeypatch):
-    """However many CPUs the host has, a batch of ten windows starts two
-    checkers."""
-    started = _pool(monkeypatch, 8, grammaticality.CHECKER_PROCESSES)
-    with ExternalChecker(command(checker_script, "flag")) as checker:
-        checker.check_many(_numbered(10 * CHECKER_WINDOW))
-    assert len(started) == grammaticality.CHECKER_PROCESSES == 2
+    """However many CPUs the process may use, a batch of ten windows
+    starts four checkers: a copy serves one request at a time."""
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(_config, "usable_cpus", lambda: cpus)
+        started = _pool(monkeypatch, grammaticality.CHECKER_PROCESSES)
+        with ExternalChecker(command(checker_script, "flag")) as checker:
+            checker.check_many(_numbered(10 * CHECKER_WINDOW))
+        assert len(started) == grammaticality.CHECKER_PROCESSES == 4, cpus
 
 
 @pytest.mark.parametrize("at", [0, 50])
@@ -372,8 +374,8 @@ def test_pool_fails_with_the_one_process_message(routing_script, monkeypatch, mo
     """Request ``at`` gets a bad reply or none; 50 is past the first
     window, and on three processes it is the 17th request of the third."""
     messages = []
-    for cpus in (1, 3):
-        started = _pool(monkeypatch, cpus)
+    for processes in (1, 3):
+        started = _pool(monkeypatch, processes)
         with ExternalChecker(
             [sys.executable, str(routing_script), mode, str(at)],
             detector_id="lint",
@@ -382,8 +384,8 @@ def test_pool_fails_with_the_one_process_message(routing_script, monkeypatch, mo
             with pytest.raises(DetectorError) as err:
                 checker.check_many(_numbered(3 * CHECKER_WINDOW))
         messages.append(str(err.value))
-        assert len(started) == cpus
-        assert [proc.poll() is not None for proc in started] == [True] * cpus
+        assert len(started) == processes
+        assert [proc.poll() is not None for proc in started] == [True] * processes
     assert messages[0] == messages[1]
     if mode != "unknown-id":
         assert f" {at} " in messages[0]
@@ -421,3 +423,24 @@ def test_a_copy_that_cannot_start_fails_and_the_first_is_closed(
             checker.check_many(_numbered(2 * CHECKER_WINDOW))
     assert len(started) == 1
     assert started[0].poll() is not None
+
+
+@pytest.mark.parametrize("mode, timeout, code", [
+    ("flag", "10", 0), ("die", "10", 3), ("garbage", "10", 3), ("sleep", "0.2", 3)])
+def test_a_checker_run_leaves_no_copy_and_no_reader_thread(
+    tmp_path, checker_script, monkeypatch, capsys, mode, timeout, code
+):
+    """Each of the four sentences gets its own copy (one request per
+    window); sleeping copies outlive the 2 s close deadline and are killed."""
+    hyps = tmp_path / "hyps.txt"
+    hyps.write_text("".join(f"ok bad {k} .\n" for k in range(4)), encoding="utf-8")
+    monkeypatch.setattr(grammaticality, "CHECKER_WINDOW", 1)
+    started = _pool(monkeypatch, grammaticality.CHECKER_PROCESSES)
+    before = set(threading.enumerate())
+    argv = ["score", "--metric", "errorcount", "--checker-timeout", timeout,
+            "--checker", shlex.join(command(checker_script, mode)), "--hyp", f"a={hyps}"]
+    assert cli.main(argv) == code
+    capsys.readouterr()
+    assert len(started) == 4
+    assert [proc.poll() is not None for proc in started] == [True] * len(started)
+    assert set(threading.enumerate()) <= before

@@ -1577,8 +1577,11 @@ def test_fluency_metrics_featurize_each_distinct_hypothesis_once(
 
 def test_lfm_reads_its_hypotheses_once(corpus, capsys, monkeypatch, model_path):
     """The LM is trained for the batch it then featurizes, and the batch
-    is read once, for both."""
+    is read once, for both: one ``_read`` and one build of its n-gram code
+    columns (the corpus's own build, with ``known`` as ``last``, is not
+    counted)."""
     reads = _count_calls(monkeypatch, gecmetric.lfm, "_read")
+    codes = _count_calls(monkeypatch, gecmetric.lfm, "_ngram_codes")
     lfm = [
         "score", "--metric", "lfm", "--model", str(model_path),
         "--lm-corpus", str(corpus / "source.txt"),
@@ -1586,6 +1589,7 @@ def test_lfm_reads_its_hypotheses_once(corpus, capsys, monkeypatch, model_path):
     ]
     assert _run(capsys, lfm + _hyp_args(corpus))[0] == 0
     assert len(reads) == 1
+    assert len([args for args in codes if args[0] is not args[1]]) == 1
 
 
 # ---------------------------------------------------------------------------

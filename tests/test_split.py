@@ -12,6 +12,7 @@ import shlex
 import signal
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -31,11 +32,12 @@ WORDS = ("the", "cat", "sat", "a", "mat", "dog", "ran", "on", ".")
 def _run(capsys, caplog, argv, cpus):
     """(exit code, stdout, log messages) of one run that sees ``cpus``
     usable CPUs and splits any batch of two items or more, and how many
-    children it forked."""
+    children it forked; no thread but this one is alive at any fork."""
     forks = []
     fork = os.fork
 
     def counted():
+        assert threading.active_count() == 1
         forks.append(1)
         return fork()
 
@@ -211,24 +213,26 @@ def test_an_interrupt_reaps_every_child_and_closes_every_pipe(
     _no_child_left()
 
 
-def test_fluency_batches_and_checker_runs_never_fork(
+def test_fluency_batches_never_fork_and_a_checker_ends_before_the_reference_batch(
     corpus, capsys, caplog, model_path, checker_script  # noqa: F811
 ):
     """errorcount may own checker pipes and lfm trains one LM per batch,
-    so their batches stay in one process; so does every batch of a run
-    whose checker's reader threads are alive."""
+    so their batches stay in one process. A run's checker copies and their
+    reader threads end with its one errorcount batch, so the reference
+    batch after it splits as in a run without a checker."""
     words = ["--wordlist", str(corpus / "words.txt")]
     checker = ["--checker", shlex.join(command(checker_script, "flag"))]
     runs = [
-        ["score", "--metric", "errorcount"] + words + _hyp_args(corpus),
+        ["score", "--metric", "errorcount"] + words + checker + _hyp_args(corpus),
         ["score", "--metric", "lfm", "--model", str(model_path),
          "--lm-corpus", str(corpus / "source.txt")] + words + _hyp_args(corpus),
-        ["sweep", "--gaming"] + checker + _sweep_args(corpus),
     ]
     for argv in runs:
         result, forks = _run(capsys, caplog, argv, 4)
         assert result[0] == 0 and forks == 0, argv
-    # without the checker the same sweep splits its gleu batch
-    result, forks = _run(capsys, caplog, ["sweep", "--gaming"] + _sweep_args(corpus), 4)
-    assert result[0] == 0 and forks >= 1
+    for argv in (["sweep", "--gaming"], ["ablate", "--trials", "3", "--sizes", "1"]):
+        for extra in ([], checker):
+            serial, _ = _run(capsys, caplog, argv + extra + _sweep_args(corpus), 1)
+            split, forks = _run(capsys, caplog, argv + extra + _sweep_args(corpus), 4)
+            assert split == serial and serial[0] == 0 and forks >= 1, argv + extra
     _no_child_left()
