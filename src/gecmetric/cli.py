@@ -36,7 +36,6 @@ succeeded.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import gc
 import importlib.util
@@ -135,7 +134,7 @@ class _Scorer:
     subset: Callable[[Any, int, Sequence[int]], Any] | None = None
 
 
-def _gleu(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: GleuConfig) -> _Scorer:
+def _gleu(args, inputs: _Inputs, cfg: GleuConfig) -> _Scorer:
     sources, rows = inputs.sources_and_rows("gleu")
     draws = functools.cache(functools.partial(gleu.reference_draws, cfg))
     return _Scorer(
@@ -148,7 +147,7 @@ def _gleu(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: GleuConfig) -
     )
 
 
-def _m2(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: M2Config) -> _Scorer:
+def _m2(args, inputs: _Inputs, cfg: M2Config) -> _Scorer:
     units = inputs.units
     if units is None:
         raise _UsageError("m2 needs --m2 with gold annotations")
@@ -161,7 +160,7 @@ def _m2(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: M2Config) -> _S
     )
 
 
-def _imeasure(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: IMeasureConfig) -> _Scorer:
+def _imeasure(args, inputs: _Inputs, cfg: IMeasureConfig) -> _Scorer:
     sources, rows = inputs.sources_and_rows("imeasure")
     return _Scorer(
         "imeasure",
@@ -172,20 +171,14 @@ def _imeasure(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: IMeasureC
     )
 
 
-def _errorcount(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: None) -> _Scorer:
-    suite = _build_suite(args, stack)
-
-    def stats(items):
-        found = grammaticality.error_count_stats_many([hyp for _, hyp, _ in items], suite)
-        if args.checker:  # the last detector; the stack closes it on errors
-            # one batch per run: its copies end here, so that _batch may fork after it
-            suite.detectors[-1].close()
-        return found
-
+def _errorcount(args, inputs: _Inputs, cfg: None) -> _Scorer:
+    suite = _build_suite(args)
+    stats = lambda items: grammaticality.error_count_stats_many(  # noqa: E731
+        [hyp for _, hyp, _ in items], suite)
     return _Scorer("errorcount", stats, grammaticality.error_count_pool)
 
 
-def _lfm(args, inputs: _Inputs, stack: contextlib.ExitStack, cfg: None) -> _Scorer:
+def _lfm(args, inputs: _Inputs, cfg: None) -> _Scorer:
     for opt in ("model", "lm_corpus", "wordlist"):
         if not getattr(args, opt):
             raise _UsageError(f"lfm needs --{opt.replace('_', '-')}")
@@ -246,7 +239,8 @@ def _batch(scorer: _Scorer, todo: dict) -> dict:
         parts[item[0] * n // top][key] = item
     stats = lambda part: scorer.stats(list(part.values()))  # noqa: E731
     children = []  # (pid, or -1 where no process could be forked; read end of its pipe)
-    gc.freeze()  # no collection here or in a child writes to the pages they share
+    if thaw := not gc.get_freeze_count():  # a heap the host froze stays frozen
+        gc.freeze()  # no collection here or in a child writes to the pages they share
     try:
         for part in parts[1:]:
             r, w = os.pipe()
@@ -272,7 +266,8 @@ def _batch(scorer: _Scorer, todo: dict) -> dict:
             done.update(zip(part, pickle.loads(data) if ok else stats(part)))
         return done
     finally:  # every child is reaped and every pipe closed, on any exit
-        gc.unfreeze()
+        if thaw:
+            gc.unfreeze()
         for pid, pipe in children:
             pipe.close()
             if pid > 0:
@@ -385,33 +380,27 @@ def _check_options(args) -> None:
         check_alpha(args.alpha)
 
 
-@contextlib.contextmanager
-def _scorers(args, metrics: Sequence[str]):
+def _scorers(args, metrics: Sequence[str]) -> tuple[dict, list[_Scorer]]:
     """Load the systems and inputs once and bind each metric to them and
-    its config; yields (systems, scorers) and closes external checkers
-    afterwards."""
+    its config; returns (systems, scorers), which hold no process."""
     configs = _configs(args)
     systems = _load_systems(args)
     inputs = _load_inputs(args)
-    with contextlib.ExitStack() as stack:
-        scorers = [
-            METRICS[metric](args, inputs, stack, configs.get(metric)) for metric in metrics
-        ]
-        _check_lengths(systems, inputs)
-        yield systems, scorers
+    scorers = [METRICS[metric](args, inputs, configs.get(metric)) for metric in metrics]
+    _check_lengths(systems, inputs)
+    return systems, scorers
 
 
-def _build_suite(args, stack: contextlib.ExitStack) -> grammaticality.DetectorSuite:
-    """The detectors the options name; ``stack`` closes the checker."""
+def _build_suite(args) -> grammaticality.DetectorSuite:
+    """The detectors the options name; an external checker's copies live
+    for one ``run_many`` call, so the suite needs no closing."""
     detectors: list = []
     if args.wordlist:
         wordlist = grammaticality.Wordlist.from_file(args.wordlist)
         detectors.extend(grammaticality.build_default_suite(wordlist).detectors)
     if args.checker:
         command = shlex.split(args.checker)
-        checker = grammaticality.ExternalChecker(command, timeout=args.checker_timeout)
-        stack.callback(checker.close)
-        detectors.append(checker)
+        detectors.append(grammaticality.ExternalChecker(command, timeout=args.checker_timeout))
     if not detectors:
         raise _UsageError("need --wordlist and/or --checker")
     return grammaticality.DetectorSuite(detectors)
@@ -452,13 +441,13 @@ def _emit(args, doc: dict, summary_lines: list[str]) -> int:
 
 
 def _scored_systems(args) -> dict[str, dict]:
-    with _scorers(args, [args.metric]) as (systems, (scorer,)):
-        if args.mode == "corpus" and scorer.pool is None:
-            raise ValidationError(
-                f"metric {args.metric!r} has no corpus-level aggregation; "
-                "use --mode sentence"
-            )
-        return _system_scores(scorer, _stats(scorer, systems, scorer.rows)[0], args.mode)
+    systems, (scorer,) = _scorers(args, [args.metric])
+    if args.mode == "corpus" and scorer.pool is None:
+        raise ValidationError(
+            f"metric {args.metric!r} has no corpus-level aggregation; "
+            "use --mode sentence"
+        )
+    return _system_scores(scorer, _stats(scorer, systems, scorer.rows)[0], args.mode)
 
 
 def _summary_table(scores: Mapping[str, dict]) -> list[str]:
@@ -526,37 +515,37 @@ def _sweep_system_entries(fluency, reference) -> list[dict]:
 def _cmd_sweep(args) -> int:
     human = read_human_ranking(args.human)
     metrics = [args.fluency_metric, args.reference_metric]
-    with _scorers(args, metrics) as (systems, scorers):
-        scorer, row_tables = scorers[1], [scorers[1].rows]
-        if args.gaming:
-            # the rows of one permutation, which depends on the seed and
-            # length alone, join the reference metric's batch
-            perm = analysis.gaming_permutation(len(scorer.rows), args.seed)
-            row_tables.append([scorer.rows[p] for p in perm])
-        fluency = _system_scores(scorers[0], _stats(scorers[0], systems, None)[0])
-        table, *shuffled = _stats(scorer, systems, *row_tables)
-        reference = _system_scores(scorer, table)
-        section = _sweep(human, fluency, reference)
-        lines = [
-            f"oracle lambda={section['oracle_lambda']:.2f} "
-            f"spearman={section['oracle_spearman']:.6f} "
-            f"pearson={section['oracle_pearson']:.6f}"
-        ]
-        if args.gaming:
-            gaming = []
-            for sid in sorted(systems):
-                row = analysis.gaming_check(
-                    fluency[sid]["per_sentence"],
-                    reference[sid]["per_sentence"],
-                    [scorer.value(s) for s in shuffled[0][sid]],
-                    lam=args.gaming_lambda,
-                )
-                gaming.append({"system": sid, **row})
-                lines.append(
-                    f"gaming {sid}: reference drop {row['rbm_drop']:+.6f}, "
-                    f"interpolated drop {row['interpolated_drop']:+.6f}"
-                )
-            section["gaming"] = gaming
+    systems, scorers = _scorers(args, metrics)
+    scorer, row_tables = scorers[1], [scorers[1].rows]
+    if args.gaming:
+        # the rows of one permutation, which depends on the seed and
+        # length alone, join the reference metric's batch
+        perm = analysis.gaming_permutation(len(scorer.rows), args.seed)
+        row_tables.append([scorer.rows[p] for p in perm])
+    fluency = _system_scores(scorers[0], _stats(scorers[0], systems, None)[0])
+    table, *shuffled = _stats(scorer, systems, *row_tables)
+    reference = _system_scores(scorer, table)
+    section = _sweep(human, fluency, reference)
+    lines = [
+        f"oracle lambda={section['oracle_lambda']:.2f} "
+        f"spearman={section['oracle_spearman']:.6f} "
+        f"pearson={section['oracle_pearson']:.6f}"
+    ]
+    if args.gaming:
+        gaming = []
+        for sid in sorted(systems):
+            row = analysis.gaming_check(
+                fluency[sid]["per_sentence"],
+                reference[sid]["per_sentence"],
+                [scorer.value(s) for s in shuffled[0][sid]],
+                lam=args.gaming_lambda,
+            )
+            gaming.append({"system": sid, **row})
+            lines.append(
+                f"gaming {sid}: reference drop {row['rbm_drop']:+.6f}, "
+                f"interpolated drop {row['interpolated_drop']:+.6f}"
+            )
+        section["gaming"] = gaming
     doc = build_report(systems=_sweep_system_entries(fluency, reference), sweep=section)
     return _emit(args, doc, lines)
 
@@ -583,20 +572,20 @@ def _subset_table(
 def _cmd_ablate(args) -> int:
     human = read_human_ranking(args.human)
     metrics = [args.fluency_metric, args.reference_metric]
-    with _scorers(args, metrics) as (systems, scorers):
-        scorer = scorers[1]
-        tables = [_stats(s, systems, s.rows)[0] for s in scorers]
-        fluency, reference = map(_system_scores, scorers, tables)
-        section = _sweep(human, fluency, reference)
-        points = analysis.ablate_references(
-            _per_sentence(fluency),
-            functools.partial(_subset_table, scorer, systems, tables[1], {}),
-            len(scorer.rows[0]),
-            human,
-            sizes=args.sizes,
-            trials=args.trials,
-            seed=args.seed,
-        )
+    systems, scorers = _scorers(args, metrics)
+    scorer = scorers[1]
+    tables = [_stats(s, systems, s.rows)[0] for s in scorers]
+    fluency, reference = map(_system_scores, scorers, tables)
+    section = _sweep(human, fluency, reference)
+    points = analysis.ablate_references(
+        _per_sentence(fluency),
+        functools.partial(_subset_table, scorer, systems, tables[1], {}),
+        len(scorer.rows[0]),
+        human,
+        sizes=args.sizes,
+        trials=args.trials,
+        seed=args.seed,
+    )
     doc = build_report(
         systems=_sweep_system_entries(fluency, reference), sweep=section, ablation=points
     )
@@ -627,10 +616,9 @@ def _cmd_train_lfm(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    with contextlib.ExitStack() as stack:
-        suite = _build_suite(args, stack)
-        sentences = read_parallel_text(args.input)
-        found = suite.run_many([sentence.tokens for sentence in sentences])
+    suite = _build_suite(args)
+    sentences = read_parallel_text(args.input)
+    found = suite.run_many([sentence.tokens for sentence in sentences])
     detections = []
     by_category: dict[str, int] = {}
     for index, spans in enumerate(found):

@@ -210,8 +210,8 @@ class DetectorSuite:
 
     def run_many(self, token_seqs: Sequence[Sequence[str]]) -> list[list[ErrorSpan]]:
         """``run`` over each sequence. Each detector gets the distinct
-        sequences in one ``check_many`` call (an external checker pipelines
-        them) and must return one span list for each."""
+        sequences in one ``check_many`` call, where an external checker
+        starts once and pipelines them, and must return one span list each."""
         distinct = list(dict.fromkeys(map(tuple, token_seqs)))
         found = [d.check_many(distinct) for d in self.detectors]
         for detector, spans in zip(self.detectors, found):
@@ -302,10 +302,10 @@ class ExternalChecker:
     Requests are pipelined (see :meth:`check_many`): each checker process
     has up to ``CHECKER_WINDOW`` requests in flight, and a larger batch
     is spread over up to ``CHECKER_PROCESSES`` copies of the command,
-    whatever the CPU count. The copies share no state, so a reply must
-    depend only on its request's tokens; ``timeout`` governs the replies
-    of every copy. :meth:`close` ends every copy and its reader thread,
-    and the next call starts fresh ones.
+    whatever the CPU count. Each call starts its copies and ends them
+    before it returns, so a single-sentence call pays one start-up. The
+    copies share no state, so a reply must depend only on its request's
+    tokens; ``timeout`` governs the replies of every copy.
     Responses may arrive out of order. A reader thread per process hands
     each output line to the calling thread, which routes it by id among
     that process's requests; a checker serves one thread at a time. Any
@@ -327,39 +327,38 @@ class ExternalChecker:
         self.command = tuple(command)
         self.detector_id = detector_id
         self.timeout = timeout
-        self._procs: list[_Process] = []  # the running copies of the command
-        self._next_id = 0
+        self._procs: list[_Process] = []  # the copies of the call in progress
 
     def __call__(self, tokens: Sequence[str]) -> list[ErrorSpan]:
         return self.check_many([tokens])[0]
 
     def check_many(self, token_seqs: Sequence[Sequence[str]]) -> list[list[ErrorSpan]]:
-        """Spans of each sequence, in order. Request k goes to process
-        ``k % n``, where ``n`` is ``CHECKER_PROCESSES`` or the number of
-        ``CHECKER_WINDOW``-sized slices of the batch, whichever is
-        smaller; the CPU count plays no part. Each process has up to
-        ``CHECKER_WINDOW`` requests in flight; each reply's timeout
-        starts when the previous reply has been taken. Request ids are
-        numbered across all processes, as on one."""
+        """Spans of each sequence, in order. The call starts ``n`` copies,
+        ``CHECKER_PROCESSES`` or one per ``CHECKER_WINDOW`` requests,
+        whichever is fewer, and ends them and their reader threads before
+        it returns or raises. Request k has id k and goes to copy ``k % n``,
+        which has up to ``CHECKER_WINDOW`` requests in flight; each reply's
+        timeout starts when the previous reply has been taken, or when the
+        copies have started."""
         n = min(CHECKER_PROCESSES, -(-len(token_seqs) // CHECKER_WINDOW))
-        while len(self._procs) < n:
-            try:
-                proc = subprocess.Popen(self.command, stdin=subprocess.PIPE,
-                                        stdout=subprocess.PIPE, text=True, encoding="utf-8")
-            except OSError as exc:
-                raise DetectorError(self.detector_id, f"failed to start: {exc}") from exc
-            self._procs.append(_Process(proc))
-        procs = self._procs[:n]
-        first_id, sent = self._next_id, 0
-        out = []
-        for k, tokens in enumerate(token_seqs):
-            while sent < min(k + n * CHECKER_WINDOW, len(token_seqs)):
-                self._send(procs[sent % n], first_id + sent, token_seqs[sent])
-                sent += 1
-                self._next_id += 1
-            reply = self._receive(procs[k % n], first_id + k)
-            out.append(self._parse_errors(reply, len(tokens)))
-        return out
+        try:
+            for _ in range(n):
+                try:
+                    proc = subprocess.Popen(self.command, stdin=subprocess.PIPE,
+                                            stdout=subprocess.PIPE, text=True, encoding="utf-8")
+                except OSError as exc:
+                    raise DetectorError(self.detector_id, f"failed to start: {exc}") from exc
+                self._procs.append(_Process(proc))
+            sent, out = 0, []
+            for k, tokens in enumerate(token_seqs):
+                while sent < min(k + n * CHECKER_WINDOW, len(token_seqs)):
+                    self._send(self._procs[sent % n], sent, token_seqs[sent])
+                    sent += 1
+                reply = self._receive(self._procs[k % n], k)
+                out.append(self._parse_errors(reply, len(tokens)))
+            return out
+        finally:
+            self.close()
 
     def _send(self, process: _Process, request_id: int, tokens: Sequence[str]) -> None:
         process.replies[request_id] = None
@@ -422,7 +421,7 @@ class ExternalChecker:
         """End every checker process's input and drop the processes; kill
         those that have not exited 2 s later. Each reader thread is joined
         until the same deadline; one that a grandchild keeps reading may
-        outlive it."""
+        outlive it. :meth:`check_many` calls this before it returns."""
         procs, self._procs = self._procs, []
         for process in procs:
             with contextlib.suppress(OSError):

@@ -45,7 +45,7 @@ SLOW_CHECKER = textwrap.dedent(
 
 
 # Replies that cannot be routed to a request in flight, (silent) no
-# reply, or (slow) a reply after 0.3 s; any other mode answers normally.
+# reply, or (slow) a reply after 1 s; any other mode answers normally.
 # With a second argument, only the request of that id gets the mode's
 # reply.
 ROUTING_CHECKER = textwrap.dedent(
@@ -62,7 +62,7 @@ ROUTING_CHECKER = textwrap.dedent(
             if mode == "silent":
                 continue
             if mode == "slow":
-                time.sleep(0.3)
+                time.sleep(1.0)
             if mode == "list-id":
                 reply["id"] = [req["id"]]
             elif mode == "float-id":
@@ -108,15 +108,15 @@ def test_swapped_replies_come_back_in_request_order(checker_script):
 
 
 def test_window_depth_does_not_use_up_the_timeout(slow_script):
-    """Ten requests at 0.1 s each take about 1 s in all, but no single
-    reply takes longer than the 0.3 s timeout after the one before."""
-    seqs = [("bad",) if k % 2 else ("ok",) for k in range(10)]
-    cmd = [sys.executable, str(slow_script), "0.1", "11"]
-    with ExternalChecker(cmd, timeout=30.0) as checker:
-        checker(("ok",))  # the checker's start-up is not what is timed here
-        checker.timeout = 0.3
-        results = checker.check_many(seqs)
-    assert _spans(results) == [[(0, 1, "EXT")] if k % 2 else [] for k in range(10)]
+    """Twenty requests at 0.1 s each take 2 s in all, four times the
+    timeout, but no single reply takes longer than the 0.5 s timeout after
+    the one before (the first, after the checker's start-up)."""
+    seqs = [("bad",) if k % 2 else ("ok",) for k in range(20)]
+    cmd = [sys.executable, str(slow_script), "0.1", "21"]
+    started = time.monotonic()
+    results = ExternalChecker(cmd, timeout=0.5).check_many(seqs)
+    assert time.monotonic() - started >= 4 * 0.5
+    assert _spans(results) == [[(0, 1, "EXT")] if k % 2 else [] for k in range(20)]
 
 
 def test_exit_in_mid_window_reports_the_closed_output(slow_script):
@@ -203,15 +203,14 @@ def test_unroutable_reply_fails_at_once(routing_script, monkeypatch, mode, reaso
 
 
 def test_close_after_an_unroutable_reply_lets_the_next_call_answer(routing_script):
-    """The failure that ended a call goes with the processes ``close``
-    ends; the next call starts a fresh process."""
-    cmd = [sys.executable, str(routing_script), "unknown-id", "0"]
-    with ExternalChecker(cmd, detector_id="lint", timeout=10.0) as checker:
-        with pytest.raises(DetectorError, match="no response can be routed"):
-            checker.check_many([("a",), ("b",)])
-        checker.close()
-        assert checker.check_many([("a",), ("b",)]) == [[], []]
-        assert checker(("c",)) == []
+    """The failure that ended a call goes with the processes the call
+    ends; the next call starts a fresh process, whose request 0 is
+    answered."""
+    cmd = [sys.executable, str(routing_script), "unknown-id", "1"]
+    checker = ExternalChecker(cmd, detector_id="lint", timeout=10.0)
+    with pytest.raises(DetectorError, match="no response can be routed"):
+        checker.check_many([("a",), ("b",)])
+    assert checker(("c",)) == []
 
 
 # Answers the first request with the bytes of the file named by argv[1],
@@ -338,13 +337,15 @@ def test_pool_gives_the_spans_of_one_process_in_request_order(
 def test_one_process_per_window_of_the_batch_up_to_the_cpus(
     checker_script, monkeypatch, count, processes
 ):
-    """Up to the cap on copies, three here."""
+    """Up to the cap on copies, three here. Each call starts its own
+    copies, and they have exited when it returns."""
     started = _pool(monkeypatch, 3)
-    with ExternalChecker(command(checker_script, "flag")) as checker:
-        checker.check_many(_numbered(count))
-        assert checker(("bad",)) != []
-        checker.check_many(_numbered(count))
-    assert len(started) == processes
+    checker = ExternalChecker(command(checker_script, "flag"))
+    checker.check_many(_numbered(count))
+    assert checker(("bad",)) != []
+    checker.check_many(_numbered(count))
+    assert len(started) == 2 * processes + 1
+    assert [proc.poll() is not None for proc in started] == [True] * len(started)
 
 
 @pytest.mark.parametrize("mode", ["flag", "die"])
@@ -392,18 +393,18 @@ def test_pool_fails_with_the_one_process_message(routing_script, monkeypatch, mo
 
 
 def test_a_lowered_timeout_governs_every_copy(routing_script, monkeypatch):
-    """Both copies start on the first batch; once the timeout is lowered,
-    a reply on the second copy that is slower than it fails the call."""
+    """Once the timeout is lowered, a reply on the second copy that is
+    slower than it fails the call, naming the request's place in the
+    batch."""
     started = _pool(monkeypatch, 2)
-    slow = 2 * CHECKER_WINDOW + 1  # the second request of the second batch
+    slow = CHECKER_WINDOW + 1  # odd, so on the second copy
     cmd = [sys.executable, str(routing_script), "slow", str(slow)]
-    with ExternalChecker(cmd, detector_id="lint", timeout=30.0) as checker:
+    checker = ExternalChecker(cmd, detector_id="lint", timeout=30.0)
+    checker.timeout = 0.5
+    with pytest.raises(DetectorError, match=f"no response for request {slow} after 0.5s"):
         checker.check_many(_numbered(2 * CHECKER_WINDOW))
-        assert len(started) == 2
-        checker.timeout = 0.1
-        with pytest.raises(DetectorError, match=f"no response for request {slow} after 0.1s"):
-            checker.check_many(_numbered(2 * CHECKER_WINDOW))
     assert len(started) == 2
+    assert [proc.poll() is not None for proc in started] == [True] * 2
 
 
 def test_a_copy_that_cannot_start_fails_and_the_first_is_closed(
@@ -425,22 +426,58 @@ def test_a_copy_that_cannot_start_fails_and_the_first_is_closed(
     assert started[0].poll() is not None
 
 
+@pytest.mark.parametrize(
+    "mode", ["flag", "die", "garbage", "sleep", "unknown-id", "interrupt"])
+def test_check_many_ends_its_copies_and_reader_threads_before_it_returns(
+    checker_script, routing_script, monkeypatch, mode
+):
+    """With no ``with`` and no ``close``, every copy has exited and every
+    reader thread has ended when the call returns or raises; sleeping
+    copies outlive the 2 s close deadline and are killed. In the interrupt
+    mode, Ctrl-C comes while the first reply is read."""
+    started = _pool(monkeypatch, 3)
+    script = routing_script if mode == "unknown-id" else checker_script
+    checker = ExternalChecker(command(script, mode), timeout=0.3 if mode == "sleep" else 10.0)
+    error = {"flag": None, "interrupt": KeyboardInterrupt}.get(mode, DetectorError)
+    if mode == "interrupt":
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(checker, "_parse_errors", interrupted)
+    before = set(threading.enumerate())
+    with contextlib.nullcontext() if error is None else pytest.raises(error):
+        checker.check_many(_numbered(3 * CHECKER_WINDOW))
+    assert len(started) == 3
+    assert [proc.poll() is not None for proc in started] == [True] * 3
+    assert set(threading.enumerate()) <= before
+
+
 @pytest.mark.parametrize("mode, timeout, code", [
     ("flag", "10", 0), ("die", "10", 3), ("garbage", "10", 3), ("sleep", "0.2", 3)])
 def test_a_checker_run_leaves_no_copy_and_no_reader_thread(
     tmp_path, checker_script, monkeypatch, capsys, mode, timeout, code
 ):
-    """Each of the four sentences gets its own copy (one request per
-    window); sleeping copies outlive the 2 s close deadline and are killed."""
-    hyps = tmp_path / "hyps.txt"
-    hyps.write_text("".join(f"ok bad {k} .\n" for k in range(4)), encoding="utf-8")
+    """``score``, ``sweep``, ``ablate`` and ``check`` each send four or more
+    distinct sentences, and each sentence gets its own copy (one request
+    per window) up to four copies; sleeping copies outlive the 2 s close
+    deadline and are killed."""
+    for bad, name in enumerate("abc"):  # so that no metric is constant over the systems
+        text = "".join(f"ok {'bad ' * bad}{name}{k} .\n" for k in range(4))
+        (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+    (tmp_path / "human.tsv").write_text("a\t3\nb\t2\nc\t1\n", encoding="utf-8")
+    a, b, c = (str(tmp_path / f"{name}.txt") for name in "abc")
+    sweep = ["--fluency-metric", "errorcount", "--reference-metric", "gleu", "--source", a,
+             "--ref", b, "--ref", c, "--human", str(tmp_path / "human.tsv"),
+             "--hyp", f"a={a}", "--hyp", f"b={b}", "--hyp", f"c={c}"]
+    runs = [["score", "--metric", "errorcount", "--hyp", f"a={a}"], ["sweep", *sweep],
+            ["ablate", "--trials", "2", "--sizes", "1", *sweep], ["check", "--input", a]]
     monkeypatch.setattr(grammaticality, "CHECKER_WINDOW", 1)
     started = _pool(monkeypatch, grammaticality.CHECKER_PROCESSES)
-    before = set(threading.enumerate())
-    argv = ["score", "--metric", "errorcount", "--checker-timeout", timeout,
-            "--checker", shlex.join(command(checker_script, mode)), "--hyp", f"a={hyps}"]
-    assert cli.main(argv) == code
-    capsys.readouterr()
-    assert len(started) == 4
-    assert [proc.poll() is not None for proc in started] == [True] * len(started)
-    assert set(threading.enumerate()) <= before
+    checker = ["--checker-timeout", timeout, "--checker", shlex.join(command(checker_script, mode))]
+    for argv in runs:
+        first, before = len(started), set(threading.enumerate())
+        assert cli.main(argv + checker) == code, argv[0]
+        capsys.readouterr()
+        assert len(started) - first == 4, argv[0]
+        assert [proc.poll() is not None for proc in started] == [True] * len(started)
+        assert set(threading.enumerate()) <= before, argv[0]

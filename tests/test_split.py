@@ -6,6 +6,7 @@ fork never do."""
 from __future__ import annotations
 
 import errno
+import gc
 import logging
 import os
 import shlex
@@ -172,6 +173,32 @@ def test_a_fork_that_fails_leaves_its_slice_to_the_parent(corpus, capsys, caplog
     assert forks == 2
     assert split == serial
     assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def test_a_split_batch_leaves_the_hosts_frozen_heap_frozen(corpus, monkeypatch):
+    """A host that froze its heap before it runs gecmetric in process, as a
+    pre-fork server does, finds it as frozen after a split batch, whose
+    statistics are the serial ones."""
+    args = cli.build_parser().parse_args(_gleu_score(corpus) + ["--seed", "0"])
+    systems, (scorer,) = cli._scorers(args, ["gleu"])
+    monkeypatch.setattr(cli, "MIN_SPLIT", 1)
+    monkeypatch.setattr(_config, "usable_cpus", lambda: 1)
+    serial = cli._stats(scorer, systems, scorer.rows)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(_config, "usable_cpus", lambda: 3)
+    held = [[k] for k in range(1000)]
+    gc.collect()
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        split = cli._stats(scorer, systems, scorer.rows)
+        assert gc.get_freeze_count() == frozen >= len(held)
+    finally:
+        gc.unfreeze()
+    assert len(forks) == 2
+    assert split == serial
+    _no_child_left()
 
 
 @pytest.mark.parametrize("metric, message", [
