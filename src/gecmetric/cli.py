@@ -26,7 +26,8 @@ inconsistent data, or out of memory; 3 external checker failure. Logs go
 to stderr. With ``--out`` the report goes to that file and a short
 summary to stdout; without it the report JSON itself goes to stdout.
 Identical invocations with identical seeds produce byte-identical reports.
-Large gleu, m2 and imeasure batches use every usable CPU; ``taskset -c 0`` keeps one.
+Large gleu, m2, imeasure and built-in errorcount batches use every usable CPU;
+``taskset -c 0`` keeps one.
 
 The random seed comes from ``--seed``, else the ``GECMETRIC_SEED``
 environment variable, else 0; the choice is logged once the command has
@@ -83,7 +84,9 @@ __all__ = ["main", "build_parser"]
 log = logging.getLogger("gecmetric")
 
 ROW_METRICS = ("gleu", "imeasure")  # reference material is per-sentence rows
-MIN_SPLIT = 512  # items per process from which a reference-metric batch is split
+# items per process from which a run's forkable batches are split; on a 2-core VM
+# every metric gains at 512 (built-in errorcount alone breaks even at 128-256)
+MIN_SPLIT = 512
 
 
 class _UsageError(Exception):
@@ -123,7 +126,9 @@ class _Scorer:
     and ``pool`` reduces a system's statistics to its corpus score (None:
     lfm). For row metrics, ``subset(stats, i, pick)`` derives the
     statistics against the references ``pick`` of sentence ``i``'s row
-    from the full-row statistics.
+    from the full-row statistics. ``forks`` is False where a batch must stay
+    in one process: an external checker's copies and reader threads, and an
+    LM trained for the whole batch, do not survive a fork.
     """
 
     metric: str
@@ -132,6 +137,7 @@ class _Scorer:
     rows: tuple[tuple[Sentence, ...], ...] | None = None
     value: Callable[[Any], float] = operator.attrgetter("score")
     subset: Callable[[Any, int, Sequence[int]], Any] | None = None
+    forks: bool = True
 
 
 def _gleu(args, inputs: _Inputs, cfg: GleuConfig) -> _Scorer:
@@ -151,7 +157,6 @@ def _m2(args, inputs: _Inputs, cfg: M2Config) -> _Scorer:
     units = inputs.units
     if units is None:
         raise _UsageError("m2 needs --m2 with gold annotations")
-    maxmatch._warn_identity(units)
     return _Scorer(
         "m2",
         lambda items: [maxmatch.m2_stats(units[i].source, h, units[i].gold, cfg)
@@ -175,7 +180,8 @@ def _errorcount(args, inputs: _Inputs, cfg: None) -> _Scorer:
     suite = _build_suite(args)
     stats = lambda items: grammaticality.error_count_stats_many(  # noqa: E731
         [hyp for _, hyp, _ in items], suite)
-    return _Scorer("errorcount", stats, grammaticality.error_count_pool)
+    checker = any(isinstance(d, grammaticality.ExternalChecker) for d in suite.detectors)
+    return _Scorer("errorcount", stats, grammaticality.error_count_pool, forks=not checker)
 
 
 def _lfm(args, inputs: _Inputs, cfg: None) -> _Scorer:
@@ -198,6 +204,7 @@ def _lfm(args, inputs: _Inputs, cfg: None) -> _Scorer:
         stats,
         None,  # a per-sentence regression has nothing to pool
         value=functools.partial(lfm.lfm_score, model),
+        forks=False,
     )
 
 
@@ -206,38 +213,49 @@ FLUENCY_METRICS = {"errorcount": _errorcount, "lfm": _lfm}
 METRICS: dict[str, Callable[..., _Scorer]] = {**REFERENCE_METRICS, **FLUENCY_METRICS}
 
 
-def _stats(scorer: _Scorer, systems: Mapping[str, Sequence[Sentence]], *row_tables) -> list:
-    """For each of ``row_tables``, the statistics of every system's
-    sentences against its rows (sentence ``i`` against ``rows[i]``; None
-    for metrics without rows), by system id, all from one ``stats`` batch
-    of the distinct (rows, sentence, hypothesis) triples."""
-    todo: dict = {}
-    for t, rows in enumerate(row_tables):
-        for sid in sorted(systems):
-            for i, hyp in enumerate(systems[sid]):
-                row = None if rows is None else rows[i]
-                todo.setdefault((t, i, hyp.tokens), (i, hyp, row))
-    done = _batch(scorer, todo)
+def _stats(systems: Mapping[str, Sequence[Sentence]], *jobs) -> list[list[dict]]:
+    """For each job, a (scorer, row tables) pair, and each of its row tables,
+    the statistics of every system's sentences against its rows (sentence
+    ``i`` against ``rows[i]``; None for metrics without rows), by system id,
+    all from one batch per job of the distinct (rows, sentence, hypothesis)
+    triples (see :func:`_batch`)."""
+    todos = []
+    for scorer, row_tables in jobs:
+        todo: dict = {}
+        for t, rows in enumerate(row_tables):
+            for sid in sorted(systems):
+                for i, hyp in enumerate(systems[sid]):
+                    row = None if rows is None else rows[i]
+                    todo.setdefault((t, i, hyp.tokens), (i, hyp, row))
+        todos.append((scorer, todo))
     return [
-        {sid: [done[t, i, hyp.tokens] for i, hyp in enumerate(hyps)]
-         for sid, hyps in systems.items()}
-        for t in range(len(row_tables))
+        [{sid: [done[t, i, hyp.tokens] for i, hyp in enumerate(hyps)]
+          for sid, hyps in systems.items()}
+         for t in range(len(row_tables))]
+        for (_, row_tables), done in zip(jobs, _batch(todos))
     ]
 
 
-def _batch(scorer: _Scorer, todo: dict) -> dict:
-    """``scorer.stats`` of each item of ``todo``, by key. A large reference-metric
-    batch is cut into one run of whole sentences per usable CPU; forked children
-    compute all runs but the first, or this process where a child cannot start, fails or dies."""
-    n = min(_config.usable_cpus(), len(todo) // MIN_SPLIT)
-    if (n < 2 or scorer.metric not in REFERENCE_METRICS or sys.platform != "linux"
-            or not hasattr(os, "fork") or threading.active_count() > 1):
-        return dict(zip(todo, scorer.stats(list(todo.values()))))
-    top = 1 + max(i for i, _, _ in todo.values())
-    parts: list[dict] = [{} for _ in range(n)]
-    for key, item in todo.items():
-        parts[item[0] * n // top][key] = item
-    stats = lambda part: scorer.stats(list(part.values()))  # noqa: E731
+def _batch(jobs: list[tuple[_Scorer, dict]]) -> list[dict]:
+    """For each (scorer, todo) job, ``scorer.stats`` of each item of ``todo``,
+    by key. Jobs whose scorer may not fork run first, whole, in this process.
+    If the other jobs hold at least ``MIN_SPLIT`` items per usable CPU, they
+    are cut at the same sentence boundaries into one run per CPU; forked
+    children compute every such job's part of all runs but the first, or this
+    process where a child cannot start, fails or dies."""
+    whole = lambda scorer, todo: dict(zip(todo, scorer.stats(list(todo.values()))))  # noqa: E731
+    done = {j: whole(*job) for j, job in enumerate(jobs) if not job[0].forks}
+    split = [j for j in range(len(jobs)) if j not in done]
+    n = min(_config.usable_cpus(), sum(len(jobs[j][1]) for j in split) // MIN_SPLIT)
+    if (n < 2 or sys.platform != "linux" or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return [done[j] if j in done else whole(*job) for j, job in enumerate(jobs)]
+    top = 1 + max(item[0] for j in split for item in jobs[j][1].values())
+    parts: list[dict] = [{j: {} for j in split} for _ in range(n)]
+    for j in split:
+        for key, item in jobs[j][1].items():
+            parts[item[0] * n // top][j][key] = item
+    stats = lambda j, part: jobs[j][0].stats(list(part[j].values()))  # noqa: E731
     children = []  # (pid, or -1 where no process could be forked; read end of its pipe)
     if thaw := not gc.get_freeze_count():  # a heap the host froze stays frozen
         gc.freeze()  # no collection here or in a child writes to the pages they share
@@ -251,20 +269,31 @@ def _batch(scorer: _Scorer, todo: dict) -> dict:
             if pid == 0:
                 try:
                     with open(w, "wb") as pipe:
-                        pipe.write(pickle.dumps(stats(part), pickle.HIGHEST_PROTOCOL))
+                        got = {j: stats(j, part) for j in split}
+                        pipe.write(pickle.dumps(got, pickle.HIGHEST_PROTOCOL))
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(w)
             children.append((pid, open(r, "rb")))
-        done = dict(zip(parts[0], stats(parts[0])))
-        for part, (pid, pipe) in zip(parts[1:], children[:]):
+        own: dict = {}  # a job that fails in this run fails again below, after the
+        try:  # earlier jobs' later runs, so the error is the one a serial run meets
+            for j in split:
+                own[j] = stats(j, parts[0])
+        except Exception:
+            pass
+        got = [own]
+        for pid, pipe in children[:]:
             with pipe:
                 data = pipe.read()
             ok = pid > 0 and os.waitpid(pid, 0)[1] == 0
             del children[0]
-            done.update(zip(part, pickle.loads(data) if ok else stats(part)))
-        return done
+            got.append(pickle.loads(data) if ok else {})
+        for j in split:
+            done[j] = {}
+            for part, results in zip(parts, got):
+                done[j].update(zip(part[j], results[j] if j in results else stats(j, part)))
+        return [done[j] for j in range(len(jobs))]
     finally:  # every child is reaped and every pipe closed, on any exit
         if thaw:
             gc.unfreeze()
@@ -388,6 +417,8 @@ def _scorers(args, metrics: Sequence[str]) -> tuple[dict, list[_Scorer]]:
     inputs = _load_inputs(args)
     scorers = [METRICS[metric](args, inputs, configs.get(metric)) for metric in metrics]
     _check_lengths(systems, inputs)
+    if "m2" in metrics:  # warned only once the inputs are known to be usable
+        maxmatch._warn_identity(inputs.units)
     return systems, scorers
 
 
@@ -447,7 +478,8 @@ def _scored_systems(args) -> dict[str, dict]:
             f"metric {args.metric!r} has no corpus-level aggregation; "
             "use --mode sentence"
         )
-    return _system_scores(scorer, _stats(scorer, systems, scorer.rows)[0], args.mode)
+    [[table]] = _stats(systems, (scorer, [scorer.rows]))
+    return _system_scores(scorer, table, args.mode)
 
 
 def _summary_table(scores: Mapping[str, dict]) -> list[str]:
@@ -522,8 +554,8 @@ def _cmd_sweep(args) -> int:
         # length alone, join the reference metric's batch
         perm = analysis.gaming_permutation(len(scorer.rows), args.seed)
         row_tables.append([scorer.rows[p] for p in perm])
-    fluency = _system_scores(scorers[0], _stats(scorers[0], systems, None)[0])
-    table, *shuffled = _stats(scorer, systems, *row_tables)
+    [flu], [table, *shuffled] = _stats(systems, (scorers[0], [None]), (scorer, row_tables))
+    fluency = _system_scores(scorers[0], flu)
     reference = _system_scores(scorer, table)
     section = _sweep(human, fluency, reference)
     lines = [
@@ -574,7 +606,7 @@ def _cmd_ablate(args) -> int:
     metrics = [args.fluency_metric, args.reference_metric]
     systems, scorers = _scorers(args, metrics)
     scorer = scorers[1]
-    tables = [_stats(s, systems, s.rows)[0] for s in scorers]
+    tables = [table for [table] in _stats(systems, *((s, [s.rows]) for s in scorers))]
     fluency, reference = map(_system_scores, scorers, tables)
     section = _sweep(human, fluency, reference)
     points = analysis.ablate_references(

@@ -420,8 +420,9 @@ class ExternalChecker:
     def close(self) -> None:
         """End every checker process's input and drop the processes; kill
         those that have not exited 2 s later. Each reader thread is joined
-        until the same deadline; one that a grandchild keeps reading may
-        outlive it. :meth:`check_many` calls this before it returns."""
+        until the same deadline, and at least 0.1 s, which a killed copy's
+        reader needs to see its output end; one that a grandchild keeps
+        reading may outlive it. :meth:`check_many` calls this before it returns."""
         procs, self._procs = self._procs, []
         for process in procs:
             with contextlib.suppress(OSError):
@@ -434,7 +435,7 @@ class ExternalChecker:
                 process.proc.kill()
                 process.proc.wait()
         for process in procs:
-            process.reader.join(max(0.0, deadline - time.monotonic()))
+            process.reader.join(max(0.1, deadline - time.monotonic()))
 
     def __enter__(self) -> "ExternalChecker":
         return self

@@ -1,7 +1,8 @@
-"""A large reference-metric batch is split over forked children: every
-report is the serial run's, a child that fails or dies leaves its slice to
-the parent, no child or pipe outlives the batch, and runs that must not
-fork never do."""
+"""A run's large gleu, m2, imeasure and built-in errorcount batches are
+split over one round of forked children, at the same sentence boundaries:
+every report is the serial run's, a child that fails or dies leaves its
+slice to the parent, no child or pipe outlives the batches, and batches
+that must not fork (an external checker's, lfm's) never do."""
 
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gecmetric.gleu
-from gecmetric import _config, cli
+from gecmetric import _config, cli, grammaticality
+from gecmetric.errors import ValidationError
 from test_cli import _hyp_args, _sweep_args, corpus, model_path  # noqa: F401
 from test_external_checker import checker_script, command  # noqa: F401
 
@@ -99,9 +101,13 @@ def _commands(d: Path) -> list[list[str]]:
     refs = ["--source", str(d / "source.txt"), "--ref", str(d / "ref0.txt"),
             "--ref", str(d / "ref1.txt")]
     hyps = [arg for k in range(3) for arg in ("--hyp", f"s{k}={d / f's{k}.txt'}")]
-    both = refs + hyps + ["--wordlist", str(d / "words.txt"), "--human", str(d / "human.tsv"),
-                          "--fluency-metric", "errorcount", "--seed", "7"]
+    words = ["--wordlist", str(d / "words.txt")]
+    both = refs + hyps + words + ["--human", str(d / "human.tsv"),
+                                  "--fluency-metric", "errorcount", "--seed", "7"]
     return [
+        ["score", "--metric", "errorcount"] + words + hyps,
+        ["correlate", "--metric", "errorcount", "--mode", "corpus", "--human",
+         str(d / "human.tsv")] + words + hyps,
         ["score", "--metric", "gleu", "--seed", "5"] + refs + hyps,
         ["score", "--metric", "gleu", "--gleu-mode", "mean-over-all", "--mode", "corpus"]
         + refs + hyps,
@@ -183,7 +189,7 @@ def test_a_split_batch_leaves_the_hosts_frozen_heap_frozen(corpus, monkeypatch):
     systems, (scorer,) = cli._scorers(args, ["gleu"])
     monkeypatch.setattr(cli, "MIN_SPLIT", 1)
     monkeypatch.setattr(_config, "usable_cpus", lambda: 1)
-    serial = cli._stats(scorer, systems, scorer.rows)
+    serial = cli._stats(systems, (scorer, [scorer.rows]))
     forks, fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     monkeypatch.setattr(_config, "usable_cpus", lambda: 3)
@@ -192,7 +198,7 @@ def test_a_split_batch_leaves_the_hosts_frozen_heap_frozen(corpus, monkeypatch):
     gc.freeze()
     try:
         frozen = gc.get_freeze_count()
-        split = cli._stats(scorer, systems, scorer.rows)
+        split = cli._stats(systems, (scorer, [scorer.rows]))
         assert gc.get_freeze_count() == frozen >= len(held)
     finally:
         gc.unfreeze()
@@ -222,6 +228,31 @@ def test_a_sentence_without_references_in_a_child_fails_as_in_one_process(
     _no_child_left()
 
 
+def test_a_later_slice_of_an_earlier_batch_fails_first_as_in_one_process(
+    corpus, capsys, caplog, monkeypatch
+):
+    """errorcount fails in the last child's slice and gleu in this
+    process's own: the sweep reports errorcount's failure, which one process
+    meets first."""
+    rows = cli.read_reference_files
+    monkeypatch.setattr(cli, "read_reference_files", lambda paths: ((), *rows(paths)[1:]))
+    last = {cli.read_parallel_text(corpus / f"{sid}.txt")[-1].tokens for sid in "abc"}
+    stats = grammaticality.error_count_stats_many
+
+    def fails(sentences, suite):
+        if last & {s.tokens for s in sentences}:
+            raise ValidationError("no errors counted in the last sentence")
+        return stats(sentences, suite)
+
+    monkeypatch.setattr(grammaticality, "error_count_stats_many", fails)
+    argv = ["sweep"] + _sweep_args(corpus)
+    serial, _ = _run(capsys, caplog, argv, 1)
+    split, forks = _run(capsys, caplog, argv, 3)
+    assert forks == 2
+    assert split == serial == (2, "", ["no errors counted in the last sentence"])
+    _no_child_left()
+
+
 def test_an_interrupt_reaps_every_child_and_closes_every_pipe(
     corpus, capsys, caplog, monkeypatch
 ):
@@ -240,15 +271,19 @@ def test_an_interrupt_reaps_every_child_and_closes_every_pipe(
     _no_child_left()
 
 
-def test_fluency_batches_never_fork_and_a_checker_ends_before_the_reference_batch(
-    corpus, capsys, caplog, model_path, checker_script  # noqa: F811
+def test_builtin_errorcount_forks_and_checker_and_lfm_batches_never_do(
+    corpus, capsys, caplog, model_path, checker_script, monkeypatch  # noqa: F811
 ):
-    """errorcount may own checker pipes and lfm trains one LM per batch,
-    so their batches stay in one process. A run's checker copies and their
-    reader threads end with its one errorcount batch, so the reference
-    batch after it splits as in a run without a checker."""
+    """Built-in detectors split like a reference metric. An external
+    checker's copies and reader threads, and an LM trained for the whole
+    batch, stay in one process, so those batches never fork; a run's checker
+    batch ends before its reference batch forks."""
     words = ["--wordlist", str(corpus / "words.txt")]
     checker = ["--checker", shlex.join(command(checker_script, "flag"))]
+    builtin = ["score", "--metric", "errorcount"] + words + _hyp_args(corpus)
+    serial, _ = _run(capsys, caplog, builtin, 1)
+    split, forks = _run(capsys, caplog, builtin, 4)
+    assert split == serial and serial[0] == 0 and forks >= 1
     runs = [
         ["score", "--metric", "errorcount"] + words + checker + _hyp_args(corpus),
         ["score", "--metric", "lfm", "--model", str(model_path),
@@ -257,9 +292,42 @@ def test_fluency_batches_never_fork_and_a_checker_ends_before_the_reference_batc
     for argv in runs:
         result, forks = _run(capsys, caplog, argv, 4)
         assert result[0] == 0 and forks == 0, argv
+    events, fork = [], os.fork
+    check_many = grammaticality.ExternalChecker.check_many
+    monkeypatch.setattr(os, "fork", lambda: events.append("fork") or fork())
+    monkeypatch.setattr(grammaticality.ExternalChecker, "check_many",
+                        lambda self, seqs: events.append("check") or check_many(self, seqs))
     for argv in (["sweep", "--gaming"], ["ablate", "--trials", "3", "--sizes", "1"]):
-        for extra in ([], checker):
-            serial, _ = _run(capsys, caplog, argv + extra + _sweep_args(corpus), 1)
-            split, forks = _run(capsys, caplog, argv + extra + _sweep_args(corpus), 4)
-            assert split == serial and serial[0] == 0 and forks >= 1, argv + extra
+        serial, _ = _run(capsys, caplog, argv + checker + _sweep_args(corpus), 1)
+        events.clear()
+        split, forks = _run(capsys, caplog, argv + checker + _sweep_args(corpus), 4)
+        assert split == serial and serial[0] == 0, argv
+        assert forks >= 1 and events == ["check"] + ["fork"] * forks, argv
+    _no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--gaming"], ["ablate", "--trials", "3", "--sizes", "1"],
+])
+def test_a_run_forks_once_per_cpu_for_its_errorcount_and_reference_batches(
+    corpus, capsys, caplog, monkeypatch, argv, cpus
+):
+    """errorcount and gleu share one round of children: k CPUs fork k - 1
+    children, and this process counts errors in its own slice alone."""
+    parent, stats = os.getpid(), grammaticality.error_count_stats_many
+    counted = []
+
+    def recorded(sentences, suite):
+        if os.getpid() == parent:
+            counted.extend(s.tokens for s in sentences)
+        return stats(sentences, suite)
+
+    monkeypatch.setattr(grammaticality, "error_count_stats_many", recorded)
+    result, forks = _run(capsys, caplog, argv + _sweep_args(corpus), cpus)
+    assert result[0] == 0 and forks == cpus - 1
+    systems = [cli.read_parallel_text(corpus / f"{sid}.txt") for sid in "abc"]
+    top = len(systems[0])
+    own = {hyps[i].tokens for hyps in systems for i in range(top) if i * cpus // top == 0}
+    assert set(counted) == own and len(own) < len({h.tokens for hyps in systems for h in hyps})
     _no_child_left()
